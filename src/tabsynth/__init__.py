@@ -16,7 +16,6 @@ from .data import (
     drop_percentile_outliers,
     load_csv,
     load_schema,
-    one_hot,
     one_hot_matrix,
     save_csv,
     standardize,
@@ -24,19 +23,13 @@ from .data import (
 )
 from .model import (
     Checkpoint,
-    DecoderOutput,
-    LatentGaussian,
     LossBreakdown,
     TrainConfig,
     VaeModel,
-    decode,
     elbo_grads,
     elbo_loss,
-    encode,
-    kl_divergence,
     model_from_checkpoint,
     model_init,
-    reparameterize,
     train,
 )
 from .checkpoint import (
@@ -50,7 +43,6 @@ from .spline import (
     SplineCoeffs,
     build_spline,
     chain_slope_grads,
-    crps_grad,
     crps_grad_from_alpha,
     crps_loss,
     crps_loss_finite_k,
@@ -58,13 +50,11 @@ from .spline import (
     mean_log_alpha_weight,
     slopes_to_b,
     spline_eval,
-    spline_inverse,
     uniform_knots,
 )
 from .synthesis import (
     CdfCurve,
     DiscretizedCdf,
-    cdf_evaluator,
     discretize_cdf,
     estimate_cdf,
     generate,

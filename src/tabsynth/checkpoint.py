@@ -9,10 +9,13 @@ stored config on load.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from functools import cache
+from typing import get_type_hints
 
 import numpy as np
 
-from .data import ColumnSpec, ScalingStats, Schema
+from .data import ScalingStats, Schema, check_scaling_names, schema_from_doc
 from .model import (
     CHECKPOINT_FORMAT_VERSION,
     Checkpoint,
@@ -23,6 +26,9 @@ from .model import (
 from .nn import DenseLayer, Mlp
 from .serialize import json_text
 
+# resolving annotations takes ~40 us, and the loss trace holds one entry per epoch
+_field_types = cache(get_type_hints)
+
 
 def _mlp_doc(net: Mlp) -> dict:
     return {
@@ -32,6 +38,12 @@ def _mlp_doc(net: Mlp) -> dict:
             for layer in net.layers
         ],
     }
+
+
+def _fields_doc(obj) -> dict:
+    """A dataclass's fields in declaration order, each coerced to its declared type."""
+    types = _field_types(type(obj))
+    return {f.name: types[f.name](getattr(obj, f.name)) for f in fields(obj)}
 
 
 def checkpoint_to_text(cp: Checkpoint) -> str:
@@ -52,26 +64,14 @@ def checkpoint_to_text(cp: Checkpoint) -> str:
             "mean": cp.scaling.mean.tolist(),
             "stddev": cp.scaling.stddev.tolist(),
         },
-        "config": {
-            "seed": int(cp.config.seed),
-            "epochs": int(cp.config.epochs),
-            "batch_size": int(cp.config.batch_size),
-            "learning_rate": float(cp.config.learning_rate),
-            "beta": float(cp.config.beta),
-            "latent_dim": int(cp.config.latent_dim),
-            "knot_count": int(cp.config.knot_count),
-            "hidden_width": int(cp.config.hidden_width),
-        },
+        "config": _fields_doc(cp.config),
         "encoder": _mlp_doc(cp.encoder),
         "decoder": _mlp_doc(cp.decoder),
         "quantiles": {
             "low": cp.quantile_lo.tolist(),
             "high": cp.quantile_hi.tolist(),
         },
-        "loss_trace": [
-            {"crps": t.crps, "discrete": t.discrete, "kl": t.kl, "total": t.total}
-            for t in cp.loss_trace
-        ],
+        "loss_trace": [_fields_doc(t) for t in cp.loss_trace],
     }
     return json_text(doc)
 
@@ -82,12 +82,21 @@ def _require(doc, key, path):
     return doc[key]
 
 
+def _fields_from_doc(cls, doc, path):
+    types = _field_types(cls)
+    return cls(**{f.name: types[f.name](_require(doc, f.name, path)) for f in fields(cls)})
+
+
+def _reject_constant(name):
+    raise ValueError(f"corrupt checkpoint: non-finite number {name}")
+
+
 def _mlp_from_doc(doc, path) -> Mlp:
     activations = [str(a) for a in _require(doc, "activations", path)]
     layers = []
-    for entry in _require(doc, "layers", path):
-        weight = np.array(entry["weight"], dtype=np.float64)
-        bias = np.array(entry["bias"], dtype=np.float64)
+    for i, entry in enumerate(_require(doc, "layers", path)):
+        weight = np.array(_require(entry, "weight", f"{path}.layers[{i}]"), dtype=np.float64)
+        bias = np.array(_require(entry, "bias", f"{path}.layers[{i}]"), dtype=np.float64)
         if weight.ndim != 2 or bias.shape != (weight.shape[0],):
             raise ValueError(f"corrupt checkpoint: bad layer shapes under {path}")
         layers.append(DenseLayer(weight=weight, bias=bias))
@@ -96,7 +105,7 @@ def _mlp_from_doc(doc, path) -> Mlp:
 
 def checkpoint_from_text(text: str) -> Checkpoint:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as err:
         raise ValueError(f"corrupt checkpoint: not valid JSON ({err})") from None
     version = _require(doc, "format_version", "checkpoint")
@@ -105,49 +114,29 @@ def checkpoint_from_text(text: str) -> Checkpoint:
             f"unsupported checkpoint format version {version!r} "
             f"(this build reads version {CHECKPOINT_FORMAT_VERSION})"
         )
-    schema_doc = _require(doc, "schema", "checkpoint")
-    columns = []
-    for entry in _require(schema_doc, "columns", "schema"):
-        levels = entry.get("levels")
-        columns.append(
-            ColumnSpec(
-                name=str(entry["name"]),
-                kind=str(entry["kind"]),
-                levels=None if levels is None else tuple(str(v) for v in levels),
-            )
-        )
-    schema = Schema(columns=tuple(columns))
+    schema = schema_from_doc(_require(doc, "schema", "checkpoint"), "corrupt checkpoint: schema")
 
     scaling_doc = _require(doc, "scaling", "checkpoint")
     scaling = ScalingStats(
-        names=tuple(str(v) for v in scaling_doc["columns"]),
-        mean=np.array(scaling_doc["mean"], dtype=np.float64),
-        stddev=np.array(scaling_doc["stddev"], dtype=np.float64),
+        names=tuple(str(v) for v in _require(scaling_doc, "columns", "scaling")),
+        mean=np.array(_require(scaling_doc, "mean", "scaling"), dtype=np.float64),
+        stddev=np.array(_require(scaling_doc, "stddev", "scaling"), dtype=np.float64),
     )
+    check_scaling_names(schema, scaling)
 
-    cfg = _require(doc, "config", "checkpoint")
-    config = TrainConfig(
-        seed=int(cfg["seed"]),
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        learning_rate=float(cfg["learning_rate"]),
-        beta=float(cfg["beta"]),
-        latent_dim=int(cfg["latent_dim"]),
-        knot_count=int(cfg["knot_count"]),
-        hidden_width=int(cfg["hidden_width"]),
-    )
-
+    config = _fields_from_doc(TrainConfig, _require(doc, "config", "checkpoint"), "config")
     encoder = _mlp_from_doc(_require(doc, "encoder", "checkpoint"), "encoder")
     decoder = _mlp_from_doc(_require(doc, "decoder", "checkpoint"), "decoder")
     _check_shapes(schema, config, encoder, decoder)
 
     quantiles = _require(doc, "quantiles", "checkpoint")
+    bounds = [np.array(_require(quantiles, key, "quantiles"), dtype=np.float64) for key in ("low", "high")]
+    for key, values in zip(("low", "high"), bounds):
+        if values.shape != (len(schema.numeric_indices),):
+            raise ValueError(f"corrupt checkpoint: quantiles.{key} needs one entry per numeric column")
     trace = [
-        LossBreakdown(
-            crps=float(t["crps"]), discrete=float(t["discrete"]),
-            kl=float(t["kl"]), total=float(t["total"]),
-        )
-        for t in doc.get("loss_trace", [])
+        _fields_from_doc(LossBreakdown, t, f"loss_trace[{i}]")
+        for i, t in enumerate(doc.get("loss_trace", []))
     ]
     return Checkpoint(
         format_version=int(version),
@@ -156,17 +145,20 @@ def checkpoint_from_text(text: str) -> Checkpoint:
         config=config,
         encoder=encoder,
         decoder=decoder,
-        quantile_lo=np.array(quantiles["low"], dtype=np.float64),
-        quantile_hi=np.array(quantiles["high"], dtype=np.float64),
+        quantile_lo=bounds[0],
+        quantile_hi=bounds[1],
         loss_trace=trace,
     )
 
 
 def _check_shapes(schema: Schema, config: TrainConfig, encoder: Mlp, decoder: Mlp) -> None:
-    if encoder.n_in != schema.encoded_width or encoder.n_out != 2 * config.latent_dim:
-        raise ValueError("corrupt checkpoint: encoder shape does not match schema/config")
-    if decoder.n_in != config.latent_dim or decoder.n_out != decoder_width(schema, config.knot_count):
-        raise ValueError("corrupt checkpoint: decoder shape does not match schema/config")
+    ends = {"encoder": (encoder, schema.encoded_width, 2 * config.latent_dim),
+            "decoder": (decoder, config.latent_dim, decoder_width(schema, config.knot_count))}
+    for name, (net, n_in, n_out) in ends.items():
+        # each layer must take the previous layer's output, from n_in through to n_out
+        widths = [n_in] + [layer.weight.shape[0] for layer in net.layers]
+        if [layer.weight.shape[1] for layer in net.layers] != widths[:-1] or widths[-1] != n_out:
+            raise ValueError(f"corrupt checkpoint: {name} shape does not match schema/config")
 
 
 def save_checkpoint(cp: Checkpoint, path) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,16 +87,17 @@ class Schema:
         raise KeyError(f"no column named {name!r}")
 
 
-def load_schema(path) -> Schema:
-    """Read a schema file: {"columns": [{"name", "kind", "levels"}...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "columns" not in doc:
-        raise ValueError(f"{path}: schema file must contain a 'columns' list")
+def schema_from_doc(doc, where) -> Schema:
+    """Build a schema from its JSON form {"columns": [{"name", "kind", "levels"}...]}.
+
+    Errors start with `where`, the file or document section being read.
+    """
+    if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
+        raise ValueError(f"{where}: schema must contain a 'columns' list")
     cols = []
-    for entry in doc["columns"]:
-        if "name" not in entry or "kind" not in entry:
-            raise ValueError(f"{path}: every column needs 'name' and 'kind'")
+    for i, entry in enumerate(doc["columns"]):
+        if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
+            raise ValueError(f"{where}: columns[{i}] needs 'name' and 'kind'")
         levels = entry.get("levels")
         cols.append(
             ColumnSpec(
@@ -106,6 +107,12 @@ def load_schema(path) -> Schema:
             )
         )
     return Schema(columns=tuple(cols))
+
+
+def load_schema(path) -> Schema:
+    """Read a schema file; see schema_from_doc for the layout."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return schema_from_doc(json.load(fh), path)
 
 
 @dataclass(frozen=True)
@@ -251,14 +258,19 @@ def standardize(table: Table) -> Table:
     return Table(schema=table.schema, rows=rows, scaling=stats)
 
 
-def apply_scaling(table: Table, stats: ScalingStats) -> Table:
-    """Standardize a table with existing stats (e.g. scale test data by train stats)."""
-    idx = table.schema.numeric_indices
-    names = tuple(table.schema.columns[i].name for i in idx)
+def check_scaling_names(schema: Schema, stats: ScalingStats) -> None:
+    """Raise unless the stats cover exactly the schema's numeric columns, in order."""
+    names = tuple(schema.columns[i].name for i in schema.numeric_indices)
     if names != stats.names:
         raise ValueError(
-            f"scaling stats are for columns {stats.names!r}, table has {names!r}"
+            f"scaling stats are for columns {stats.names!r}, schema has {names!r}"
         )
+
+
+def apply_scaling(table: Table, stats: ScalingStats) -> Table:
+    """Standardize a table with existing stats (e.g. scale test data by train stats)."""
+    check_scaling_names(table.schema, stats)
+    idx = table.schema.numeric_indices
     rows = table.rows.copy()
     rows[:, idx] = (rows[:, idx] - stats.mean) / stats.stddev
     return Table(schema=table.schema, rows=rows, scaling=stats)
@@ -270,12 +282,8 @@ def destandardize(table: Table, stats: ScalingStats | None = None) -> Table:
         stats = table.scaling
     if stats is None:
         raise ValueError("table carries no scaling stats and none were given")
+    check_scaling_names(table.schema, stats)
     idx = table.schema.numeric_indices
-    names = tuple(table.schema.columns[i].name for i in idx)
-    if names != stats.names:
-        raise ValueError(
-            f"scaling stats are for columns {stats.names!r}, table has {names!r}"
-        )
     rows = table.rows.copy()
     rows[:, idx] = rows[:, idx] * stats.stddev + stats.mean
     return Table(schema=table.schema, rows=rows, scaling=None)
@@ -285,8 +293,6 @@ def one_hot_matrix(schema: Schema, rows: np.ndarray) -> np.ndarray:
     """Encode rows for the encoder input: numeric columns first (schema order),
     then one-hot indicator blocks for each discrete column."""
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[None, :]
     n = rows.shape[0]
     out = np.zeros((n, schema.encoded_width))
     pos = 0
@@ -299,11 +305,6 @@ def one_hot_matrix(schema: Schema, rows: np.ndarray) -> np.ndarray:
         out[np.arange(n), pos + idx] = 1.0
         pos += t
     return out
-
-
-def one_hot(schema: Schema, row: np.ndarray) -> np.ndarray:
-    """One-hot encode a single row. See one_hot_matrix for the layout."""
-    return one_hot_matrix(schema, np.asarray(row))[0]
 
 
 def train_test_split(table: Table, test_fraction: float, seed: int) -> tuple[Table, Table]:

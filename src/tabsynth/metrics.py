@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Table, apply_scaling, standardize
+from .data import Schema, Table, apply_scaling, one_hot_matrix, standardize
 from .model import Checkpoint, encode_batch, model_from_checkpoint, train
+from .nn import softmax
 from .synthesis import generate
 
 
@@ -139,18 +140,24 @@ class DcrResult:
     ss: float  # within synthetic
 
 
-def _nearest_squared(a: np.ndarray, b: np.ndarray, exclude_diag: bool) -> np.ndarray:
-    """Min squared L2 from each row of a to the rows of b, chunked."""
+def _squared_distance_chunks(a: np.ndarray, b: np.ndarray):
+    """Yield (start, d2) where d2 holds the squared L2 distances from the rows
+    a[start : start + len(d2)] to every row of b, about 2**22 entries at a time."""
     nb2 = np.sum(b * b, axis=1)
-    out = np.empty(a.shape[0])
     step = max(1, int(2**22 / max(b.shape[0], 1)))
     for start in range(0, a.shape[0], step):
         chunk = a[start : start + step]
-        d2 = np.sum(chunk * chunk, axis=1)[:, None] + nb2[None, :] - 2.0 * chunk @ b.T
+        yield start, np.sum(chunk * chunk, axis=1)[:, None] + nb2[None, :] - 2.0 * chunk @ b.T
+
+
+def _nearest_squared(a: np.ndarray, b: np.ndarray, exclude_diag: bool) -> np.ndarray:
+    """Min squared L2 from each row of a to the rows of b."""
+    out = np.empty(a.shape[0])
+    for start, d2 in _squared_distance_chunks(a, b):
         if exclude_diag:
-            rows = np.arange(chunk.shape[0])
+            rows = np.arange(d2.shape[0])
             d2[rows, start + rows] = np.inf
-        out[start : start + step] = np.maximum(d2.min(axis=1), 0.0)
+        out[start : start + d2.shape[0]] = np.maximum(d2.min(axis=1), 0.0)
     return out
 
 
@@ -219,12 +226,6 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.linalg.solve(xtx + 1e-6 * np.eye(x.shape[1]), xty)
 
 
-def _softmax_rows(scores):
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def fit_softmax(x: np.ndarray, y: np.ndarray, n_classes: int,
                 iters: int = 500, lr: float = 0.1) -> np.ndarray:
     """Multinomial logistic regression without intercept, plain full-batch
@@ -234,7 +235,7 @@ def fit_softmax(x: np.ndarray, y: np.ndarray, n_classes: int,
     onehot[np.arange(n), np.asarray(y, dtype=np.intp)] = 1.0
     w = np.zeros((n_classes, x.shape[1]))
     for _ in range(iters):
-        p = _softmax_rows(x @ w.T)
+        p = softmax(x @ w.T)
         w -= lr * ((p - onehot).T @ x) / n
     return w
 
@@ -247,32 +248,6 @@ def predict_softmax(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 class MluResult:
     mare: float
     f1: float
-
-
-def _feature_matrix(table: Table, target: int, num_mean, num_std):
-    parts = []
-    k = 0
-    for i in table.schema.numeric_indices:
-        if i != target:
-            parts.append(((table.rows[:, i] - num_mean[k]) / num_std[k])[:, None])
-        k += 1
-    for i in table.schema.discrete_indices:
-        if i != target:
-            t = table.schema.columns[i].n_levels
-            block = np.zeros((table.n_rows, t))
-            block[np.arange(table.n_rows), table.rows[:, i].astype(np.intp)] = 1.0
-            parts.append(block)
-    return np.hstack(parts)
-
-
-def _feature_scaling(train: Table):
-    idx = train.schema.numeric_indices
-    sub = train.rows[:, idx]
-    mean = sub.mean(axis=0)
-    std = sub.std(axis=0, ddof=1)
-    if np.any(std <= 0):
-        raise ValueError("zero-variance numeric column in the real training data")
-    return mean, std
 
 
 def mlu(real_train: Table, real_test: Table, synth: Table,
@@ -292,15 +267,20 @@ def mlu(real_train: Table, real_test: Table, synth: Table,
         raise ValueError(f"regression target {reg_target!r} must be numeric")
     if schema.columns[jc].kind != "discrete":
         raise ValueError(f"classification target {cls_target!r} must be discrete")
-    mean, std = _feature_scaling(real_train)
+    scaling = standardize(real_train).scaling
+    fit_rows = apply_scaling(synth, scaling).rows
+    eval_rows = apply_scaling(real_test, scaling).rows
 
-    x_fit = _feature_matrix(synth, jr, mean, std)
-    x_eval = _feature_matrix(real_test, jr, mean, std)
-    w = fit_ols(x_fit, synth.rows[:, jr])
-    reg_score = mare(real_test.rows[:, jr], x_eval @ w)
+    def features(rows, target):
+        # every column but the target, in the encoder's one-hot layout
+        rest = Schema(schema.columns[:target] + schema.columns[target + 1 :])
+        return one_hot_matrix(rest, np.delete(rows, target, axis=1))
 
-    x_fit = _feature_matrix(synth, jc, mean, std)
-    x_eval = _feature_matrix(real_test, jc, mean, std)
+    w = fit_ols(features(fit_rows, jr), synth.rows[:, jr])
+    reg_score = mare(real_test.rows[:, jr], features(eval_rows, jr) @ w)
+
+    x_fit = features(fit_rows, jc)
+    x_eval = features(eval_rows, jc)
     wc = fit_softmax(x_fit, synth.rows[:, jc], schema.columns[jc].n_levels)
     cls_score = macro_f1(real_test.rows[:, jc], predict_softmax(wc, x_eval))
     return MluResult(mare=reg_score, f1=cls_score)
@@ -422,7 +402,7 @@ def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
     for level, w in attacks.items():
         mask = classes == level
         if np.any(mask):
-            scores[mask] = _softmax_rows(feats[mask] @ w.T)[:, 1]
+            scores[mask] = softmax(feats[mask] @ w.T)[:, 1]
     truth, scores = truth[usable], scores[usable]
     accuracy = float(np.mean((scores > 0.5) == (truth == 1)))
     return MiaResult(accuracy=accuracy, auc=roc_auc(truth, scores))
@@ -455,15 +435,9 @@ def attribute_disclosure(real: Table, synth: Table, known_columns, secret_column
             raise ValueError(f"secret column {schema.columns[j].name!r} must be discrete")
 
     a = real.rows[:, known_idx]
-    b = synth.rows[:, known_idx]
-    nb2 = np.sum(b * b, axis=1)
     neighbor_idx = np.empty((a.shape[0], k), dtype=np.intp)
-    step = max(1, int(2**22 / max(b.shape[0], 1)))
-    for start in range(0, a.shape[0], step):
-        chunk = a[start : start + step]
-        d2 = np.sum(chunk * chunk, axis=1)[:, None] + nb2[None, :] - 2.0 * chunk @ b.T
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        neighbor_idx[start : start + step] = part
+    for start, d2 in _squared_distance_chunks(a, synth.rows[:, known_idx]):
+        neighbor_idx[start : start + d2.shape[0]] = np.argpartition(d2, k - 1, axis=1)[:, :k]
 
     scores = []
     for j in secret_idx:

@@ -45,21 +45,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class LatentGaussian:
-    mu: np.ndarray
-    log_var: np.ndarray
-
-
-@dataclass(frozen=True)
-class DecoderOutput:
-    """Spline coefficients per numeric column, level probabilities per
-    discrete column, both in schema order within their group."""
-
-    coeffs: list[sp.SplineCoeffs]
-    probs: list[np.ndarray]
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     crps: float
     discrete: float
@@ -143,48 +128,9 @@ def encode_batch(model: VaeModel, rows: np.ndarray):
     return out[:, :d], out[:, d:], cache
 
 
-def encode(model: VaeModel, row: np.ndarray) -> LatentGaussian:
-    """Posterior q(z|x) for a single row."""
-    mu, log_var, _ = encode_batch(model, np.asarray(row, dtype=np.float64)[None, :])
-    return LatentGaussian(mu=mu[0], log_var=log_var[0])
-
-
-def reparameterize(latent: LatentGaussian, noise: np.ndarray) -> np.ndarray:
-    """z = mu + exp(log_var / 2) * noise."""
-    return latent.mu + np.exp(latent.log_var / 2.0) * noise
-
-
-def decode_batch(model: VaeModel, z: np.ndarray):
-    z = np.asarray(z, dtype=np.float64)
-    out, cache = mlp_forward(model.decoder, z if z.ndim == 2 else z[None, :])
-    return out, cache
-
-
-def decode(model: VaeModel, z: np.ndarray) -> DecoderOutput:
-    """Decode one latent point into per-column distributions."""
-    out, _ = decode_batch(model, np.asarray(z, dtype=np.float64)[None, :])
-    numeric_heads, discrete_heads = head_layout(model.schema, model.config.knot_count)
-    knots = model.knots
-    coeffs = [
-        sp.build_spline(out[0, g], out[0, s], knots) for g, s in numeric_heads
-    ]
-    probs = [_softmax(out[:, s])[0] for s in discrete_heads]
-    return DecoderOutput(coeffs=coeffs, probs=probs)
-
-
-def kl_divergence(latent: LatentGaussian) -> float:
-    """KL(N(mu, diag sigma^2) || N(0, I)) = 0.5 sum(mu^2 + sigma^2 - log sigma^2 - 1)."""
-    return float(_kl_rows(latent.mu[None, :], latent.log_var[None, :])[0])
-
-
 def _kl_rows(mu, log_var):
+    """Per-row KL(N(mu, diag sigma^2) || N(0, I)) = 0.5 sum(mu^2 + sigma^2 - log sigma^2 - 1)."""
     return 0.5 * np.sum(mu * mu + np.exp(log_var) - log_var - 1.0, axis=1)
-
-
-def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _elbo_forward(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
@@ -198,7 +144,7 @@ def _elbo_forward(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     mu, log_var, enc_cache = encode_batch(model, rows)
     sigma = np.exp(log_var / 2.0)
     z = mu + sigma * noise
-    dec_out, dec_cache = decode_batch(model, z)
+    dec_out, dec_cache = mlp_forward(model.decoder, z)
 
     schema = model.schema
     knots = model.knots

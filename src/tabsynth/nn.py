@@ -39,6 +39,13 @@ def logistic(x):
     return out
 
 
+def softmax(logits):
+    """Normalized exponentials over the last axis, shifted by the max for stability."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def relu(x):
     return np.maximum(x, 0.0)
 
@@ -66,10 +73,6 @@ class Mlp:
     @property
     def n_in(self) -> int:
         return self.layers[0].weight.shape[1]
-
-    @property
-    def n_out(self) -> int:
-        return self.layers[-1].weight.shape[0]
 
 
 def mlp_init(sizes: list[int], activations: list[str], rng: np.random.Generator) -> Mlp:

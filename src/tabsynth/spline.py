@@ -139,14 +139,6 @@ def spline_inverse_batch(gamma, b, knots, x):
     return alpha, seg
 
 
-def spline_inverse(coeffs: SplineCoeffs, x: float):
-    """Generalized inverse of one spline at x. Returns (alpha_tilde, segment)."""
-    alpha, seg = spline_inverse_batch(
-        np.array([coeffs.gamma]), coeffs.b[None, :], coeffs.knots, np.array([float(x)])
-    )
-    return float(alpha[0]), int(seg[0])
-
-
 def _crps_terms(alpha, knots):
     """Per-knot factors of the closed-form integral: alpha (n,) -> (n, M+1)."""
     mx = np.maximum(alpha[:, None], knots[None, :])
@@ -189,23 +181,6 @@ def crps_grad_from_alpha(alpha: np.ndarray, knots: np.ndarray):
     alpha_tilde is locally constant, so nothing propagates through it.
     """
     return 1.0 - 2.0 * alpha, _crps_terms(alpha, knots)
-
-
-def crps_grad_batch(gamma, b, knots, x):
-    """Exact gradient of crps_loss_batch with respect to gamma and b."""
-    gamma = np.asarray(gamma, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    alpha, _ = spline_inverse_batch(gamma, b, knots, x)
-    return crps_grad_from_alpha(alpha, knots)
-
-
-def crps_grad(coeffs: SplineCoeffs, x: float):
-    """Gradient of crps_loss for one spline: (d_gamma, d_b)."""
-    dg, db = crps_grad_batch(
-        np.array([coeffs.gamma]), coeffs.b[None, :], coeffs.knots, np.array([float(x)])
-    )
-    return float(dg[0]), db[0]
 
 
 def chain_slope_grads(db: np.ndarray, slope_raw: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import KIND_DISCRETE, KIND_ORDINAL, Table
 from .model import Checkpoint, head_layout, model_from_checkpoint
-from .nn import mlp_forward
+from .nn import mlp_forward, softmax
 from . import spline as sp
 
 ROUND_INTEGER = "integer"
@@ -33,20 +33,21 @@ def sample_prior(n: int, latent_dim: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((n, latent_dim))
 
 
-def gumbel_max(probs: np.ndarray, gumbel_noise: np.ndarray) -> int:
-    """Categorical draw via argmax of log probs plus Gumbel noise.
+def gumbel_max(probs: np.ndarray, gumbel_noise: np.ndarray) -> np.ndarray:
+    """Categorical draws via argmax of log probs plus Gumbel noise, one per
+    row of (..., t) probability arrays, over the last axis.
 
     Ties resolve to the lowest index (argmax convention).
     """
     probs = np.asarray(probs, dtype=np.float64)
     noise = np.asarray(gumbel_noise, dtype=np.float64)
-    if probs.shape != noise.shape or probs.ndim != 1:
-        raise ValueError("probs and gumbel_noise must be 1-D with equal shapes")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-6:
-        raise ValueError("probs must be a probability vector")
+    if probs.shape != noise.shape or probs.ndim < 1:
+        raise ValueError("probs and gumbel_noise must be arrays with equal shapes")
+    if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-6):
+        raise ValueError("probs must hold probability vectors along the last axis")
     with np.errstate(divide="ignore"):
         scores = np.log(probs) + noise
-    return int(np.argmax(scores))
+    return np.argmax(scores, axis=-1)
 
 
 def round_ordinal(value, mode: str = ROUND_INTEGER):
@@ -88,13 +89,8 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
             rows[:, col] = dec_out[:, g] + np.sum(b * hinge, axis=1)
 
         for s, col in zip(discrete_heads, schema.discrete_indices):
-            logits = dec_out[:, s]
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=1, keepdims=True)
-            noise = rng.gumbel(size=probs.shape)
-            with np.errstate(divide="ignore"):
-                rows[:, col] = np.argmax(np.log(probs) + noise, axis=1)
+            probs = softmax(dec_out[:, s])
+            rows[:, col] = gumbel_max(probs, rng.gumbel(size=probs.shape))
 
         # back to native units, then snap ordinals to their level grid
         numeric = schema.numeric_indices
@@ -125,20 +121,6 @@ class CdfCurve:
         object.__setattr__(self, "values", values)
 
 
-def _column_splines(cp: Checkpoint, column: str, n_mc: int, seed: int):
-    schema = cp.schema
-    j = schema.index(column)
-    if schema.columns[j].kind == KIND_DISCRETE:
-        raise ValueError(f"column {column!r} is discrete; its CDF is not spline-based")
-    k = schema.numeric_indices.index(j)
-    model = model_from_checkpoint(cp)
-    z = sample_prior(n_mc, model.config.latent_dim, seed)
-    dec_out, _ = mlp_forward(model.decoder, z)
-    numeric_heads, _ = head_layout(schema, model.config.knot_count)
-    g, s = numeric_heads[k]
-    return k, dec_out[:, g], sp.slopes_to_b(dec_out[:, s]), model.knots
-
-
 def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed: int = 0) -> CdfCurve:
     """Monte Carlo estimate of a numeric column's marginal CDF.
 
@@ -148,7 +130,16 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     """
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
-    k, gamma, b, knots = _column_splines(cp, column, n_mc, seed)
+    schema = cp.schema
+    j = schema.index(column)
+    if schema.columns[j].kind == KIND_DISCRETE:
+        raise ValueError(f"column {column!r} is discrete; its CDF is not spline-based")
+    k = schema.numeric_indices.index(j)
+    model = model_from_checkpoint(cp)
+    z = sample_prior(n_mc, model.config.latent_dim, seed)
+    dec_out, _ = mlp_forward(model.decoder, z)
+    g, s = head_layout(schema, model.config.knot_count)[0][k]
+    gamma, b, knots = dec_out[:, g], sp.slopes_to_b(dec_out[:, s]), model.knots
     if grid is None:
         grid = np.linspace(cp.quantile_lo[k], cp.quantile_hi[k], 201)
     grid = np.asarray(grid, dtype=np.float64)
@@ -159,20 +150,6 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     # each per-draw inverse is monotone in x; guard the mean against round-off
     values = np.minimum(np.maximum.accumulate(values), 1.0)
     return CdfCurve(grid=grid, values=values)
-
-
-def cdf_evaluator(cp: Checkpoint, column: str, n_mc: int = 5000, seed: int = 0) -> Callable[[float], float]:
-    """Pointwise native-unit evaluator of the same Monte Carlo CDF estimate,
-    for use where arbitrary x must be probed (e.g. discretization windows)."""
-    k, gamma, b, knots = _column_splines(cp, column, n_mc, seed)
-    mean, std = cp.scaling.mean[k], cp.scaling.stddev[k]
-
-    def evaluate(x_native: float) -> float:
-        x = (float(x_native) - mean) / std
-        alpha, _ = sp.spline_inverse_batch(gamma, b, knots, np.full(gamma.shape[0], x))
-        return float(alpha.mean())
-
-    return evaluate
 
 
 @dataclass(frozen=True)

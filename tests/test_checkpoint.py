@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tabsynth import (
+    Checkpoint,
     ColumnSpec,
     Schema,
     Table,
@@ -99,6 +101,15 @@ def test_rejects_mismatched_weight_shapes(small_checkpoint):
         checkpoint_from_text(json.dumps(doc))
 
 
+def test_rejects_layers_that_do_not_chain(small_checkpoint):
+    # the first layer's width is consistent with the schema, the second no longer takes its output
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    layer = doc["encoder"]["layers"][1]
+    layer["weight"] = [row[:-1] for row in layer["weight"]]
+    with pytest.raises(ValueError, match="encoder shape"):
+        checkpoint_from_text(json.dumps(doc))
+
+
 def test_rejects_ragged_layer(small_checkpoint):
     doc = json.loads(checkpoint_to_text(small_checkpoint))
     layer = doc["encoder"]["layers"][0]
@@ -112,3 +123,84 @@ def test_loss_trace_persists(small_checkpoint):
     assert len(loaded.loss_trace) == 3
     for a, b in zip(loaded.loss_trace, small_checkpoint.loss_trace):
         assert (a.crps, a.discrete, a.kl, a.total) == (b.crps, b.discrete, b.kl, b.total)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_rejects_non_finite_numbers(small_checkpoint, constant):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    doc["decoder"]["layers"][0]["weight"][0][0] = float(constant)
+    with pytest.raises(ValueError, match=f"corrupt checkpoint: non-finite number {constant}"):
+        checkpoint_from_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("path, message", [
+    (("config", "seed"), "missing config.seed"),
+    (("schema", "columns", 1, "kind"), r"schema: columns\[1\] needs 'name' and 'kind'"),
+    (("encoder", "layers", 0, "weight"), r"missing encoder.layers\[0\].weight"),
+    (("decoder", "layers", 1, "bias"), r"missing decoder.layers\[1\].bias"),
+    (("scaling", "mean"), "missing scaling.mean"),
+    (("quantiles", "low"), "missing quantiles.low"),
+    (("loss_trace", 2, "kl"), r"missing loss_trace\[2\].kl"),
+])
+def test_missing_key_names_its_path(small_checkpoint, path, message):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    with pytest.raises(ValueError, match=message):
+        checkpoint_from_text(json.dumps(doc))
+
+
+def test_rejects_scaling_names_off_schema(small_checkpoint):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    doc["scaling"]["columns"] = ["renamed"]
+    with pytest.raises(ValueError, match="scaling stats are for columns"):
+        checkpoint_from_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, values", [("low", [-1.0, -2.0]), ("high", [])])
+def test_rejects_quantile_count_off_schema(small_checkpoint, key, values):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    doc["quantiles"][key] = values
+    with pytest.raises(ValueError, match=f"quantiles.{key} needs one entry per numeric column"):
+        checkpoint_from_text(json.dumps(doc))
+
+
+def mutation_sites(node, path=()):
+    """Every (path, action) one mutation can apply to a checkpoint document:
+    delete a dict key, make a number non-finite, or truncate a list."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,), "delete"
+            yield from mutation_sites(value, path + (key,))
+    elif isinstance(node, list):
+        if node:
+            yield path, "truncate"
+        for i, value in enumerate(node):
+            yield from mutation_sites(value, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, "non-finite"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_loads_or_raises_value_error(small_checkpoint, data):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    path, action = data.draw(st.sampled_from(list(mutation_sites(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    last = path[-1] if path else None
+    if action == "delete":
+        del parent[last]
+    elif action == "non-finite":
+        parent[last] = data.draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    else:
+        target = parent[last] if path else parent
+        del target[data.draw(st.integers(0, len(target) - 1)):]
+    try:
+        loaded = checkpoint_from_text(json.dumps(doc))
+    except ValueError:
+        return
+    assert isinstance(loaded, Checkpoint)

@@ -14,7 +14,6 @@ from tabsynth import (
     drop_percentile_outliers,
     load_csv,
     load_schema,
-    one_hot,
     one_hot_matrix,
     save_csv,
     standardize,
@@ -180,11 +179,10 @@ def test_scaling_stats_reject_non_positive_stddev():
 
 def test_one_hot_layout():
     schema = small_schema()
-    row = np.array([1.5, 4.0, 2.0])
-    assert np.array_equal(one_hot(schema, row), [1.5, 4.0, 0.0, 0.0, 1.0])
     rows = np.array([[1.5, 4.0, 2.0], [-2.0, 1.0, 0.0]])
     encoded = one_hot_matrix(schema, rows)
     assert encoded.shape == (2, 5)
+    assert np.array_equal(encoded[0], [1.5, 4.0, 0.0, 0.0, 1.0])
     assert np.array_equal(encoded[1], [-2.0, 1.0, 1.0, 0.0, 0.0])
 
 

@@ -6,24 +6,21 @@ import pytest
 from helpers import grad_rel_err
 from tabsynth import (
     ColumnSpec,
-    LatentGaussian,
     Schema,
     Table,
     TrainConfig,
+    build_spline,
     checkpoint_to_text,
-    decode,
     elbo_grads,
     elbo_loss,
-    encode,
-    kl_divergence,
     model_from_checkpoint,
     model_init,
-    reparameterize,
+    spline_eval,
     standardize,
     train,
 )
-from tabsynth.model import decoder_width, head_layout
-from tabsynth.nn import mlp_params
+from tabsynth.model import decoder_width, encode_batch, head_layout
+from tabsynth.nn import mlp_forward, mlp_params, softmax
 
 MIX_SCHEMA = Schema((
     ColumnSpec("x", "continuous"),
@@ -81,64 +78,57 @@ def test_decoder_width_and_head_layout():
 
 def test_encode_zero_weights_is_standard_normal():
     model = zeroed(random_model())
-    latent = encode(model, np.array([1.0, -2.0, 0.0, 1.0, 0.0]))
-    assert np.array_equal(latent.mu, np.zeros(2))
-    assert np.array_equal(latent.log_var, np.zeros(2))
+    mu, log_var, _ = encode_batch(model, np.array([[1.0, -2.0, 0.0]]))
+    assert np.array_equal(mu[0], np.zeros(2))
+    assert np.array_equal(log_var[0], np.zeros(2))
 
 
 def test_encode_rejects_wrong_width():
     model = random_model()
     with pytest.raises((ValueError, IndexError)):
-        encode(model, np.zeros(2))
-
-
-def test_reparameterize():
-    latent = LatentGaussian(mu=np.array([1.0, -1.0]), log_var=np.array([0.0, 2.0]))
-    assert np.array_equal(reparameterize(latent, np.zeros(2)), latent.mu)
-    z = reparameterize(latent, np.array([1.0, 0.0]))
-    assert z == pytest.approx([2.0, -1.0])
-    z = reparameterize(latent, np.array([0.0, 1.0]))
-    assert z[1] == pytest.approx(-1.0 + math.e)
-
-
-def test_reparameterize_mean_recovers_mu():
-    latent = LatentGaussian(mu=np.array([0.5, -0.25]), log_var=np.array([0.3, -0.7]))
-    noise = np.random.default_rng(0).standard_normal((100_000, 2))
-    draws = latent.mu + np.exp(latent.log_var / 2.0) * noise
-    sigma = np.exp(latent.log_var / 2.0)
-    assert np.all(np.abs(draws.mean(axis=0) - latent.mu) < 3.0 * sigma / math.sqrt(100_000))
+        encode_batch(model, np.zeros((1, 2)))
 
 
 def test_decode_zero_weights_gives_uniform_probabilities():
     model = zeroed(random_model())
-    out = decode(model, np.zeros(2))
-    assert np.allclose(out.probs[0], np.full(3, 1.0 / 3.0))
+    out, _ = mlp_forward(model.decoder, np.zeros((1, 2)))
+    _, discrete_heads = head_layout(model.schema, model.config.knot_count)
+    assert np.allclose(softmax(out[:, discrete_heads[0]])[0], np.full(3, 1.0 / 3.0))
 
 
 def test_decode_outputs_valid_heads():
     model = random_model(seed=3)
     rng = np.random.default_rng(4)
     alphas = np.linspace(0.0, 1.0, 101)
-    from tabsynth import spline_eval
-
-    for _ in range(100):
-        out = decode(model, rng.standard_normal(2))
-        assert len(out.coeffs) == 2 and len(out.probs) == 1
-        for coeffs in out.coeffs:
-            values = spline_eval(coeffs, alphas)
+    out, _ = mlp_forward(model.decoder, rng.standard_normal((100, 2)))
+    numeric_heads, discrete_heads = head_layout(model.schema, model.config.knot_count)
+    assert len(numeric_heads) == 2 and len(discrete_heads) == 1
+    for row in out:
+        for g, s in numeric_heads:
+            values = spline_eval(build_spline(row[g], row[s], model.knots), alphas)
             assert np.all(np.diff(values) >= -1e-12)
-        for pi in out.probs:
-            assert np.all(pi >= 0.0)
-            assert abs(float(pi.sum()) - 1.0) < 1e-9
+    for s in discrete_heads:
+        probs = softmax(out[:, s])
+        assert np.all(probs >= 0.0)
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
+
+
+def posterior_model(mu, log_var):
+    """A model whose encoder maps every row to N(mu, diag exp(log_var)):
+    zero weights, with the pair as the output bias."""
+    model = zeroed(random_model(latent_dim=mu.size))
+    model.encoder.layers[-1].bias[...] = np.concatenate([mu, log_var])
+    return model
 
 
 def test_kl_hand_values():
-    assert kl_divergence(LatentGaussian(np.zeros(2), np.zeros(2))) == 0.0
-    assert kl_divergence(LatentGaussian(np.ones(2), np.zeros(2))) == pytest.approx(1.0)
+    rows = np.array([[0.0, 0.0, 1.0]])
+    kl = lambda mu, log_var: elbo_loss(posterior_model(mu, log_var), rows, np.zeros((1, mu.size))).kl
+    assert kl(np.zeros(2), np.zeros(2)) == 0.0
+    assert kl(np.ones(2), np.zeros(2)) == pytest.approx(1.0)
     rng = np.random.default_rng(5)
     for _ in range(100):
-        latent = LatentGaussian(rng.normal(size=3), rng.normal(size=3))
-        assert kl_divergence(latent) >= 0.0
+        assert kl(rng.normal(size=3), rng.normal(size=3)) >= 0.0
 
 
 def test_elbo_uniform_discrete_head_costs_log_levels():
@@ -234,5 +224,7 @@ def test_model_round_trips_through_checkpoint():
     table = gaussian_table()
     cp = train(table, TrainConfig(seed=14, epochs=2))
     model = model_from_checkpoint(cp)
-    out = decode(model, np.zeros(2))
-    assert len(out.coeffs) == 1 and len(out.probs) == 1
+    out, _ = mlp_forward(model.decoder, np.zeros((1, 2)))
+    assert out.shape == (1, decoder_width(model.schema, model.config.knot_count))
+    numeric_heads, discrete_heads = head_layout(model.schema, model.config.knot_count)
+    assert len(numeric_heads) == 1 and len(discrete_heads) == 1

@@ -8,13 +8,12 @@ from tabsynth import (
     SplineCoeffs,
     build_spline,
     chain_slope_grads,
-    crps_grad,
+    crps_grad_from_alpha,
     crps_loss,
     crps_loss_finite_k,
     mean_log_alpha_weight,
     slopes_to_b,
     spline_eval,
-    spline_inverse,
     uniform_knots,
 )
 
@@ -96,19 +95,18 @@ def test_eval_monotone_in_alpha():
 
 
 def test_inverse_hand_value():
-    alpha, segment = spline_inverse(HAND, 1.0)
-    assert alpha == pytest.approx(0.75)
-    assert segment == 1
+    breakdown = crps_loss(HAND, 1.0)
+    assert breakdown.alpha_tilde == pytest.approx(0.75)
+    assert breakdown.segment == 1
 
 
 def test_inverse_at_gamma_is_zero():
-    alpha, _ = spline_inverse(HAND, 0.0)
-    assert alpha == 0.0
+    assert crps_loss(HAND, 0.0).alpha_tilde == 0.0
 
 
 def test_inverse_clamps_outside_range():
-    assert spline_inverse(HAND, -5.0)[0] == 0.0
-    assert spline_inverse(HAND, +5.0)[0] == 1.0
+    assert crps_loss(HAND, -5.0).alpha_tilde == 0.0
+    assert crps_loss(HAND, +5.0).alpha_tilde == 1.0
 
 
 def test_inverse_round_trip_on_increasing_segments():
@@ -121,7 +119,7 @@ def test_inverse_round_trip_on_increasing_segments():
         )
         for alpha in rng.uniform(0.0, 1.0, 5):
             x = spline_eval(coeffs, float(alpha))
-            back, _ = spline_inverse(coeffs, x)
+            back = crps_loss(coeffs, x).alpha_tilde
             assert back == pytest.approx(float(alpha), abs=1e-9)
 
 
@@ -132,9 +130,9 @@ def test_inverse_flat_plateau_maps_to_left_knot():
         b=np.array([4.0, -4.0, 2.0, 0.0]),
         knots=np.array([0.0, 0.25, 0.5, 1.0]),
     )
-    alpha, segment = spline_inverse(coeffs, 1.0)
-    assert alpha == 0.25
-    assert segment == 0
+    breakdown = crps_loss(coeffs, 1.0)
+    assert breakdown.alpha_tilde == 0.25
+    assert breakdown.segment == 0
 
 
 def test_inverse_zero_denominator_returns_left_knot():
@@ -144,9 +142,9 @@ def test_inverse_zero_denominator_returns_left_knot():
         b=np.array([1e-310, 3.0, 0.0]),
         knots=np.array([0.0, 0.5, 1.0]),
     )
-    alpha, segment = spline_inverse(coeffs, 3e-311)
-    assert alpha == 0.0
-    assert segment == 0
+    breakdown = crps_loss(coeffs, 3e-311)
+    assert breakdown.alpha_tilde == 0.0
+    assert breakdown.segment == 0
 
 
 def test_crps_constant_spline_is_absolute_error():
@@ -173,8 +171,6 @@ def test_crps_matches_quadrature_on_random_fixtures():
 def test_crps_envelope_is_flat_in_alpha():
     # perturbing alpha_tilde at fixed coefficients only moves the loss at
     # second order, which justifies holding it constant in the gradient
-    from tabsynth import crps_grad_from_alpha
-
     rng = np.random.default_rng(4)
     for _ in range(50):
         m = int(rng.integers(1, 13))
@@ -218,8 +214,8 @@ def test_mean_log_alpha_weight():
 
 def test_grad_saturated_clamps():
     coeffs = SplineCoeffs(gamma=0.0, b=np.array([1.0, 0.0]), knots=np.array([0.0, 1.0]))
-    dg_hi, _ = crps_grad(coeffs, 50.0)
-    dg_lo, _ = crps_grad(coeffs, -50.0)
+    alphas = np.array([crps_loss(coeffs, 50.0).alpha_tilde, crps_loss(coeffs, -50.0).alpha_tilde])
+    (dg_hi, dg_lo), _ = crps_grad_from_alpha(alphas, coeffs.knots)
     assert dg_hi == pytest.approx(-1.0)
     assert dg_lo == pytest.approx(+1.0)
 
@@ -246,7 +242,7 @@ def test_grad_matches_finite_differences():
             continue
         coeffs, x = fixture
         checked += 1
-        dg, db = crps_grad(coeffs, x)
+        (dg,), (db,) = crps_grad_from_alpha(np.array([crps_loss(coeffs, x).alpha_tilde]), coeffs.knots)
 
         num = (crps_loss(SplineCoeffs(coeffs.gamma + eps, coeffs.b, coeffs.knots), x).loss
                - crps_loss(SplineCoeffs(coeffs.gamma - eps, coeffs.b, coeffs.knots), x).loss) / (2 * eps)
@@ -272,7 +268,7 @@ def test_grad_chains_through_raw_slopes():
         x = float(rng.normal(coeffs.gamma + 0.5, 1.5))
         if np.min(np.abs(spline_eval(coeffs, knots) - x)) < 1e-6:
             continue
-        _, db = crps_grad(coeffs, x)
+        _, (db,) = crps_grad_from_alpha(np.array([crps_loss(coeffs, x).alpha_tilde]), knots)
         ds = chain_slope_grads(db, slope_raw)
         for j in range(7):
             bumped = slope_raw.copy()
