@@ -9,7 +9,7 @@ stored config on load.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 from functools import cache
 from typing import get_type_hints
 
@@ -49,16 +49,7 @@ def _fields_doc(obj) -> dict:
 def checkpoint_to_text(cp: Checkpoint) -> str:
     doc = {
         "format_version": int(cp.format_version),
-        "schema": {
-            "columns": [
-                {
-                    "name": c.name,
-                    "kind": c.kind,
-                    "levels": None if c.levels is None else list(c.levels),
-                }
-                for c in cp.schema.columns
-            ]
-        },
+        "schema": {"columns": [asdict(c) for c in cp.schema.columns]},
         "scaling": {
             "columns": list(cp.scaling.names),
             "mean": cp.scaling.mean.tolist(),
@@ -76,15 +67,31 @@ def checkpoint_to_text(cp: Checkpoint) -> str:
     return json_text(doc)
 
 
-def _require(doc, key, path):
+def _require(doc, key, path, kind=object):
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"corrupt checkpoint: missing {path}.{key}")
+    if not isinstance(doc[key], kind):
+        raise ValueError(f"corrupt checkpoint: {path}.{key} has the wrong type {type(doc[key]).__name__}")
     return doc[key]
 
 
 def _fields_from_doc(cls, doc, path):
     types = _field_types(cls)
-    return cls(**{f.name: types[f.name](_require(doc, f.name, path)) for f in fields(cls)})
+    kinds = {int: int, float: (int, float)}  # a JSON int may stand for a whole float
+    return cls(**{f.name: types[f.name](_require(doc, f.name, path, kinds[types[f.name]])) for f in fields(cls)})
+
+
+def _float_array(doc, key, path, ndim):
+    """doc[key] as an ndim-D array of finite float64 numbers, or a ValueError naming it."""
+    value = _require(doc, key, path)
+    try:
+        values = np.array(value, dtype=np.float64)
+        ok = values.ndim == ndim and np.all(np.isfinite(values))
+    except (TypeError, ValueError):  # ragged nesting, or an entry that is not a number
+        ok = False
+    if not ok:
+        raise ValueError(f"corrupt checkpoint: {path}.{key} must be a {ndim}-D array of finite numbers")
+    return values
 
 
 def _reject_constant(name):
@@ -92,12 +99,12 @@ def _reject_constant(name):
 
 
 def _mlp_from_doc(doc, path) -> Mlp:
-    activations = [str(a) for a in _require(doc, "activations", path)]
+    activations = [str(a) for a in _require(doc, "activations", path, list)]
     layers = []
-    for i, entry in enumerate(_require(doc, "layers", path)):
-        weight = np.array(_require(entry, "weight", f"{path}.layers[{i}]"), dtype=np.float64)
-        bias = np.array(_require(entry, "bias", f"{path}.layers[{i}]"), dtype=np.float64)
-        if weight.ndim != 2 or bias.shape != (weight.shape[0],):
+    for i, entry in enumerate(_require(doc, "layers", path, list)):
+        weight = _float_array(entry, "weight", f"{path}.layers[{i}]", 2)
+        bias = _float_array(entry, "bias", f"{path}.layers[{i}]", 1)
+        if bias.shape != (weight.shape[0],):
             raise ValueError(f"corrupt checkpoint: bad layer shapes under {path}")
         layers.append(DenseLayer(weight=weight, bias=bias))
     return Mlp(layers=layers, activations=activations)
@@ -118,9 +125,9 @@ def checkpoint_from_text(text: str) -> Checkpoint:
 
     scaling_doc = _require(doc, "scaling", "checkpoint")
     scaling = ScalingStats(
-        names=tuple(str(v) for v in _require(scaling_doc, "columns", "scaling")),
-        mean=np.array(_require(scaling_doc, "mean", "scaling"), dtype=np.float64),
-        stddev=np.array(_require(scaling_doc, "stddev", "scaling"), dtype=np.float64),
+        names=tuple(str(v) for v in _require(scaling_doc, "columns", "scaling", list)),
+        mean=_float_array(scaling_doc, "mean", "scaling", 1),
+        stddev=_float_array(scaling_doc, "stddev", "scaling", 1),
     )
     check_scaling_names(schema, scaling)
 
@@ -130,13 +137,13 @@ def checkpoint_from_text(text: str) -> Checkpoint:
     _check_shapes(schema, config, encoder, decoder)
 
     quantiles = _require(doc, "quantiles", "checkpoint")
-    bounds = [np.array(_require(quantiles, key, "quantiles"), dtype=np.float64) for key in ("low", "high")]
+    bounds = [_float_array(quantiles, key, "quantiles", 1) for key in ("low", "high")]
     for key, values in zip(("low", "high"), bounds):
         if values.shape != (len(schema.numeric_indices),):
             raise ValueError(f"corrupt checkpoint: quantiles.{key} needs one entry per numeric column")
     trace = [
         _fields_from_doc(LossBreakdown, t, f"loss_trace[{i}]")
-        for i, t in enumerate(doc.get("loss_trace", []))
+        for i, t in enumerate(_require(doc, "loss_trace", "checkpoint", list))
     ]
     return Checkpoint(
         format_version=int(version),

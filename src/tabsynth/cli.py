@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import drop_percentile_outliers, load_csv, load_schema, save_csv, standardize
 from .metrics import build_report

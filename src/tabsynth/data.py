@@ -99,6 +99,8 @@ def schema_from_doc(doc, where) -> Schema:
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise ValueError(f"{where}: columns[{i}] needs 'name' and 'kind'")
         levels = entry.get("levels")
+        if levels is not None and not isinstance(levels, list):
+            raise ValueError(f"{where}: columns[{i}].levels must be a list of labels")
         cols.append(
             ColumnSpec(
                 name=str(entry["name"]),
@@ -112,7 +114,10 @@ def schema_from_doc(doc, where) -> Schema:
 def load_schema(path) -> Schema:
     """Read a schema file; see schema_from_doc for the layout."""
     with open(path, "r", encoding="utf-8") as fh:
-        return schema_from_doc(json.load(fh), path)
+        try:
+            return schema_from_doc(json.load(fh), path)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: schema is not valid JSON ({err})") from None
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ are better.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -476,23 +476,11 @@ class MetricReport:
     mia_auc: float | None = None
 
     def to_doc(self) -> dict:
-        doc = {
-            "ks_cont": self.ks_cont,
-            "ks_disc": self.ks_disc,
-            "wd1_cont": self.wd1_cont,
-            "wd1_disc": self.wd1_disc,
-            "corr_dist": self.corr_dist,
-            "dcr_rs": self.dcr_rs,
-            "dcr_rr": self.dcr_rr,
-            "dcr_ss": self.dcr_ss,
-            "mare": self.mare,
-            "f1": self.f1,
-            "vrate": {repr(a): v for a, v in self.vrate.items()},
-            "attr_disclosure_f1": {str(k): v for k, v in self.attr_disclosure_f1.items()},
-        }
-        if self.mia_accuracy is not None:
-            doc["mia_accuracy"] = self.mia_accuracy
-            doc["mia_auc"] = self.mia_auc
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["vrate"] = {repr(a): v for a, v in self.vrate.items()}
+        doc["attr_disclosure_f1"] = {str(k): v for k, v in self.attr_disclosure_f1.items()}
+        if self.mia_accuracy is None:
+            del doc["mia_accuracy"], doc["mia_auc"]
         return doc
 
 

@@ -90,19 +90,19 @@ def decoder_width(schema: Schema, knot_count: int) -> int:
     )
 
 
-def head_layout(schema: Schema, knot_count: int):
-    """Slices into the decoder output: [(gamma_col, slope_slice)] for numeric
-    columns, then [logit_slice] for discrete columns."""
-    numeric, discrete = [], []
-    pos = 0
-    for _ in schema.numeric_indices:
-        numeric.append((pos, slice(pos + 1, pos + knot_count + 2)))
-        pos += knot_count + 2
+def decoder_heads(schema: Schema, knot_count: int, dec_out: np.ndarray):
+    """Views, not copies, of decoder outputs (n, decoder_width): gamma (n, P) and
+    raw slopes (n, P, M+1) for the P numeric columns, each owning M+2 adjacent
+    outputs with gamma first, then one (n, t) logit block per discrete column."""
+    n, p = dec_out.shape[0], len(schema.numeric_indices)
+    pos = p * (knot_count + 2)
+    numeric = dec_out[:, :pos].reshape(n, p, knot_count + 2)
+    logits = []
     for i in schema.discrete_indices:
         t = schema.columns[i].n_levels
-        discrete.append(slice(pos, pos + t))
+        logits.append(dec_out[:, pos : pos + t])
         pos += t
-    return numeric, discrete
+    return numeric[:, :, 0], numeric[:, :, 1:], logits
 
 
 def model_init(schema: Schema, config: TrainConfig, rng: np.random.Generator) -> VaeModel:
@@ -148,29 +148,27 @@ def _elbo_forward(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
 
     schema = model.schema
     knots = model.knots
-    numeric_heads, discrete_heads = head_layout(schema, model.config.knot_count)
+    gamma, raw, logits = decoder_heads(schema, model.config.knot_count, dec_out)
 
+    # every (column, row) pair in one pass, column-major, so that each
+    # column's loss is summed on its own and added in column order
+    raw_flat = raw.transpose(1, 0, 2).reshape(gamma.size, knots.size)
+    x = rows[:, schema.numeric_indices].T.ravel()
+    loss, alpha, _ = sp.crps_loss_batch(gamma.T.ravel(), sp.slopes_to_b(raw_flat), knots, x)
     crps_sum = 0.0
-    numeric_parts = []
-    for (g, s), col in zip(numeric_heads, schema.numeric_indices):
-        gamma = dec_out[:, g]
-        raw = dec_out[:, s]
-        b = sp.slopes_to_b(raw)
-        loss, alpha, _ = sp.crps_loss_batch(gamma, b, knots, rows[:, col])
-        crps_sum += 0.5 * loss.sum()
-        numeric_parts.append((g, s, raw, alpha))
+    for column_loss in loss.reshape(gamma.shape[1], n).sum(axis=1):
+        crps_sum += 0.5 * column_loss
 
     ce_sum = 0.0
     discrete_parts = []
-    for s, col in zip(discrete_heads, schema.discrete_indices):
-        logits = dec_out[:, s]
-        shifted = logits - logits.max(axis=1, keepdims=True)
+    for block, col in zip(logits, schema.discrete_indices):
+        shifted = block - block.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         norm = e.sum(axis=1)
         idx = rows[:, col].astype(np.intp)
         ce = np.log(norm) - shifted[np.arange(n), idx]
         ce_sum += ce.sum()
-        discrete_parts.append((s, idx, e / norm[:, None]))
+        discrete_parts.append((idx, e / norm[:, None]))
 
     kl = _kl_rows(mu, log_var)
     breakdown = LossBreakdown(
@@ -180,9 +178,9 @@ def _elbo_forward(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
         total=crps_sum / n + ce_sum / n + model.config.beta * float(kl.mean()),
     )
     state = dict(
-        rows=rows, n=n, mu=mu, log_var=log_var, sigma=sigma, noise=noise, z=z,
+        n=n, mu=mu, log_var=log_var, sigma=sigma, noise=noise,
         enc_cache=enc_cache, dec_cache=dec_cache, dec_out=dec_out,
-        numeric_parts=numeric_parts, discrete_parts=discrete_parts, knots=knots,
+        raw_flat=raw_flat, alpha=alpha, discrete_parts=discrete_parts, knots=knots,
     )
     return breakdown, state
 
@@ -202,15 +200,15 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     beta = model.config.beta
 
     d_dec = np.zeros_like(st["dec_out"])
-    for (g, s, raw, alpha) in st["numeric_parts"]:
-        # closed-form gradient, scaled by the 1/2 on the loss and the batch mean
-        dg, db = sp.crps_grad_from_alpha(alpha, knots)
-        d_dec[:, g] = dg * (0.5 / n)
-        d_dec[:, s] = sp.chain_slope_grads(db * (0.5 / n), raw)
-    for (s, idx, probs) in st["discrete_parts"]:
-        dlogits = probs.copy()
-        dlogits[np.arange(n), idx] -= 1.0
-        d_dec[:, s] = dlogits / n
+    d_gamma, d_raw, d_logits = decoder_heads(model.schema, model.config.knot_count, d_dec)
+    # closed-form gradient, scaled by the 1/2 on the loss and the batch mean
+    p = d_gamma.shape[1]
+    dg, db = sp.crps_grad_from_alpha(st["alpha"], knots)
+    d_gamma[...] = (dg * (0.5 / n)).reshape(p, n).T
+    d_raw[...] = sp.chain_slope_grads(db * (0.5 / n), st["raw_flat"]).reshape(p, n, knots.size).transpose(1, 0, 2)
+    for d_block, (idx, probs) in zip(d_logits, st["discrete_parts"]):
+        probs[np.arange(n), idx] -= 1.0  # probs is this call's own, not read again
+        d_block[...] = probs / n
 
     dz, dec_tape = mlp_backward(model.decoder, st["dec_cache"], d_dec)
 

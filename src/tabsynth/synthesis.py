@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .data import KIND_DISCRETE, KIND_ORDINAL, Table
-from .model import Checkpoint, head_layout, model_from_checkpoint
+from .model import Checkpoint, decoder_heads, model_from_checkpoint
 from .nn import mlp_forward, softmax
 from . import spline as sp
 
@@ -79,17 +79,18 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, model.config.latent_dim))
         dec_out, _ = mlp_forward(model.decoder, z)
-        numeric_heads, discrete_heads = head_layout(schema, model.config.knot_count)
+        gamma, raw, logits = decoder_heads(schema, model.config.knot_count, dec_out)
         knots = model.knots
 
+        # one column at a time: b for all columns at once would hold n x P x (M+1)
         u = rng.random((n, len(schema.numeric_indices)))
-        for k, ((g, s), col) in enumerate(zip(numeric_heads, schema.numeric_indices)):
-            b = sp.slopes_to_b(dec_out[:, s])
+        for k, col in enumerate(schema.numeric_indices):
+            b = sp.slopes_to_b(raw[:, k])
             hinge = np.maximum(u[:, k : k + 1] - knots[None, :], 0.0)
-            rows[:, col] = dec_out[:, g] + np.sum(b * hinge, axis=1)
+            rows[:, col] = gamma[:, k] + np.sum(b * hinge, axis=1)
 
-        for s, col in zip(discrete_heads, schema.discrete_indices):
-            probs = softmax(dec_out[:, s])
+        for block, col in zip(logits, schema.discrete_indices):
+            probs = softmax(block)
             rows[:, col] = gumbel_max(probs, rng.gumbel(size=probs.shape))
 
         # back to native units, then snap ordinals to their level grid
@@ -138,8 +139,8 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     model = model_from_checkpoint(cp)
     z = sample_prior(n_mc, model.config.latent_dim, seed)
     dec_out, _ = mlp_forward(model.decoder, z)
-    g, s = head_layout(schema, model.config.knot_count)[0][k]
-    gamma, b, knots = dec_out[:, g], sp.slopes_to_b(dec_out[:, s]), model.knots
+    gamma, raw, _ = decoder_heads(schema, model.config.knot_count, dec_out)
+    gamma, b, knots = gamma[:, k], sp.slopes_to_b(raw[:, k]), model.knots
     if grid is None:
         grid = np.linspace(cp.quantile_lo[k], cp.quantile_hi[k], 201)
     grid = np.asarray(grid, dtype=np.float64)

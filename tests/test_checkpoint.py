@@ -118,6 +118,27 @@ def test_rejects_ragged_layer(small_checkpoint):
         checkpoint_from_text(json.dumps(doc))
 
 
+def test_rejects_ragged_weight_row(small_checkpoint):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    doc["decoder"]["layers"][0]["weight"][0].append(0.0)
+    with pytest.raises(ValueError, match=r"decoder.layers\[0\].weight must be a 2-D array of finite numbers"):
+        checkpoint_from_text(json.dumps(doc))
+
+
+def test_rejects_null_config_value(small_checkpoint):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    doc["config"]["seed"] = None
+    with pytest.raises(ValueError, match="config.seed has the wrong type NoneType"):
+        checkpoint_from_text(json.dumps(doc))
+
+
+def test_rejects_wrong_typed_schema_levels(small_checkpoint):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    doc["schema"]["columns"][1]["levels"] = 5
+    with pytest.raises(ValueError, match=r"schema: columns\[1\]\.levels must be a list"):
+        checkpoint_from_text(json.dumps(doc))
+
+
 def test_loss_trace_persists(small_checkpoint):
     loaded = checkpoint_from_text(checkpoint_to_text(small_checkpoint))
     assert len(loaded.loss_trace) == 3
@@ -167,17 +188,23 @@ def test_rejects_quantile_count_off_schema(small_checkpoint, key, values):
         checkpoint_from_text(json.dumps(doc))
 
 
+REPLACEMENTS = [None, "text", [[0.0], [1.0, 2.0]]]
+
+
 def mutation_sites(node, path=()):
     """Every (path, action) one mutation can apply to a checkpoint document:
-    delete a dict key, make a number non-finite, or truncate a list."""
+    delete a dict key, replace a value with one of REPLACEMENTS, make a
+    number non-finite, or truncate a list."""
     if isinstance(node, dict):
         for key, value in node.items():
             yield path + (key,), "delete"
+            yield path + (key,), "replace"
             yield from mutation_sites(value, path + (key,))
     elif isinstance(node, list):
         if node:
             yield path, "truncate"
         for i, value in enumerate(node):
+            yield path + (i,), "replace"
             yield from mutation_sites(value, path + (i,))
     elif isinstance(node, (int, float)) and not isinstance(node, bool):
         yield path, "non-finite"
@@ -194,6 +221,8 @@ def test_fuzzed_checkpoint_loads_or_raises_value_error(small_checkpoint, data):
     last = path[-1] if path else None
     if action == "delete":
         del parent[last]
+    elif action == "replace":
+        parent[last] = data.draw(st.sampled_from(REPLACEMENTS))
     elif action == "non-finite":
         parent[last] = data.draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
     else:

@@ -101,6 +101,17 @@ def test_train_unreadable_data_is_runtime_error(workspace):
     assert "error" in result.stderr
 
 
+def test_train_invalid_schema_json_names_the_file(workspace):
+    bad = workspace / "bad_schema.json"
+    bad.write_text("{not json", encoding="utf-8")
+    result = run_cli(
+        "train", "--data", workspace / "train.csv", "--schema", bad,
+        "--seed", 1, "--out", workspace / "nope.json",
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {bad}: schema is not valid JSON")
+
+
 def test_generate_deterministic_bytes(workspace, trained):
     out1, out2 = workspace / "s1.csv", workspace / "s2.csv"
     for out in (out1, out2):

@@ -73,6 +73,16 @@ def test_load_schema_rejects_unknown_kind(tmp_path):
         load_schema(path)
 
 
+def test_load_schema_names_wrong_typed_levels(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"columns": [
+        {"name": "x", "kind": "continuous"},
+        {"name": "c", "kind": "discrete", "levels": 5},
+    ]}))
+    with pytest.raises(ValueError, match=r"columns\[1\]\.levels must be a list"):
+        load_schema(path)
+
+
 def test_table_validates_shape_and_cells():
     schema = small_schema()
     with pytest.raises(ValueError, match="2-D"):

@@ -19,13 +19,18 @@ from tabsynth import (
     standardize,
     train,
 )
-from tabsynth.model import decoder_width, encode_batch, head_layout
+from tabsynth.model import decoder_heads, decoder_width, encode_batch
 from tabsynth.nn import mlp_forward, mlp_params, softmax
 
 MIX_SCHEMA = Schema((
     ColumnSpec("x", "continuous"),
     ColumnSpec("y", "ordinal"),
     ColumnSpec("c", "discrete", ("a", "b", "d")),
+))
+NUMERIC_SCHEMA = Schema((ColumnSpec("x", "continuous"), ColumnSpec("y", "ordinal")))
+DISCRETE_SCHEMA = Schema((
+    ColumnSpec("c", "discrete", ("a", "b", "d")),
+    ColumnSpec("e", "discrete", ("u", "v")),
 ))
 
 
@@ -67,13 +72,17 @@ def test_config_rejects_non_positive(overrides):
         TrainConfig(seed=1, **overrides)
 
 
-def test_decoder_width_and_head_layout():
+def test_decoder_width_and_heads():
     # two numeric heads of 1 + (M+1) outputs each, one 3-level softmax head
     assert decoder_width(MIX_SCHEMA, 10) == 2 * 12 + 3
-    numeric_heads, discrete_slices = head_layout(MIX_SCHEMA, 10)
-    assert numeric_heads[0][0] == 0 and numeric_heads[0][1] == slice(1, 12)
-    assert numeric_heads[1][0] == 12 and numeric_heads[1][1] == slice(13, 24)
-    assert discrete_slices == [slice(24, 27)]
+    out = np.arange(4 * 27, dtype=np.float64).reshape(4, 27)
+    gamma, raw, logits = decoder_heads(MIX_SCHEMA, 10, out)
+    assert gamma.shape == (4, 2) and raw.shape == (4, 2, 11) and len(logits) == 1
+    assert np.array_equal(gamma[:, 0], out[:, 0]) and np.array_equal(raw[:, 0], out[:, 1:12])
+    assert np.array_equal(gamma[:, 1], out[:, 12]) and np.array_equal(raw[:, 1], out[:, 13:24])
+    assert np.array_equal(logits[0], out[:, 24:27])
+    for view in (gamma, raw, *logits):
+        assert np.shares_memory(view, out)
 
 
 def test_encode_zero_weights_is_standard_normal():
@@ -92,8 +101,8 @@ def test_encode_rejects_wrong_width():
 def test_decode_zero_weights_gives_uniform_probabilities():
     model = zeroed(random_model())
     out, _ = mlp_forward(model.decoder, np.zeros((1, 2)))
-    _, discrete_heads = head_layout(model.schema, model.config.knot_count)
-    assert np.allclose(softmax(out[:, discrete_heads[0]])[0], np.full(3, 1.0 / 3.0))
+    _, _, logits = decoder_heads(model.schema, model.config.knot_count, out)
+    assert np.allclose(softmax(logits[0])[0], np.full(3, 1.0 / 3.0))
 
 
 def test_decode_outputs_valid_heads():
@@ -101,14 +110,14 @@ def test_decode_outputs_valid_heads():
     rng = np.random.default_rng(4)
     alphas = np.linspace(0.0, 1.0, 101)
     out, _ = mlp_forward(model.decoder, rng.standard_normal((100, 2)))
-    numeric_heads, discrete_heads = head_layout(model.schema, model.config.knot_count)
-    assert len(numeric_heads) == 2 and len(discrete_heads) == 1
-    for row in out:
-        for g, s in numeric_heads:
-            values = spline_eval(build_spline(row[g], row[s], model.knots), alphas)
+    gamma, raw, logits = decoder_heads(model.schema, model.config.knot_count, out)
+    assert gamma.shape[1] == 2 and len(logits) == 1
+    for row_gamma, row_raw in zip(gamma, raw):
+        for g, s in zip(row_gamma, row_raw):
+            values = spline_eval(build_spline(g, s, model.knots), alphas)
             assert np.all(np.diff(values) >= -1e-12)
-    for s in discrete_heads:
-        probs = softmax(out[:, s])
+    for block in logits:
+        probs = softmax(block)
         assert np.all(probs >= 0.0)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
 
@@ -154,13 +163,20 @@ def test_elbo_breakdown_identity():
     assert breakdown.crps >= 0.0 and breakdown.discrete >= 0.0 and breakdown.kl >= 0.0
 
 
-def test_elbo_grads_match_finite_differences():
+def random_rows(schema, rng, n):
+    return np.column_stack([
+        rng.integers(0, c.n_levels, n).astype(float) if c.levels else rng.normal(size=n)
+        for c in schema.columns
+    ])
+
+
+@pytest.mark.parametrize("schema", [MIX_SCHEMA, NUMERIC_SCHEMA, DISCRETE_SCHEMA],
+                         ids=["mixed", "numeric", "discrete"])
+def test_elbo_grads_match_finite_differences(schema):
     rng = np.random.default_rng(8)
     for seed in (0, 1):
-        model = random_model(seed=seed, hidden_width=6, knot_count=4)
-        rows = np.column_stack([
-            rng.normal(size=3), rng.normal(size=3), rng.integers(0, 3, 3).astype(float),
-        ])
+        model = random_model(schema, seed=seed, hidden_width=6, knot_count=4)
+        rows = random_rows(schema, rng, 3)
         noise = rng.standard_normal((3, 2))
         _, grads = elbo_grads(model, rows, noise)
         params = mlp_params(model.encoder) + mlp_params(model.decoder)
@@ -226,5 +242,5 @@ def test_model_round_trips_through_checkpoint():
     model = model_from_checkpoint(cp)
     out, _ = mlp_forward(model.decoder, np.zeros((1, 2)))
     assert out.shape == (1, decoder_width(model.schema, model.config.knot_count))
-    numeric_heads, discrete_heads = head_layout(model.schema, model.config.knot_count)
-    assert len(numeric_heads) == 1 and len(discrete_heads) == 1
+    gamma, _, logits = decoder_heads(model.schema, model.config.knot_count, out)
+    assert gamma.shape[1] == 1 and len(logits) == 1
