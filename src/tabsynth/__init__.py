@@ -28,7 +28,6 @@ from .model import (
     VaeModel,
     elbo_grads,
     elbo_loss,
-    model_from_checkpoint,
     model_init,
     train,
 )

@@ -173,6 +173,15 @@ class Table:
         return self.rows[:, self.schema.index(name)]
 
 
+def _first_rejected(parse, cells) -> int:
+    """1-based position of the first cell that parse rejects; some cell must be."""
+    for r, cell in enumerate(cells, start=1):
+        try:
+            parse(cell)
+        except (KeyError, ValueError):
+            return r
+
+
 def load_csv(path, schema: Schema) -> Table:
     """Load a CSV whose header matches the schema exactly, in order.
 
@@ -189,56 +198,47 @@ def load_csv(path, schema: Schema) -> Table:
             raise ValueError(
                 f"{path}: header {header!r} does not match schema columns {schema.names!r}"
             )
-        level_maps = {
-            i: {label: float(k) for k, label in enumerate(schema.columns[i].levels)}
-            for i in schema.discrete_indices
-        }
-        out = []
-        for r, record in enumerate(reader, start=1):
-            if len(record) != len(schema.columns):
-                raise ValueError(
-                    f"{path}: row {r} has {len(record)} cells, expected {len(schema.columns)}"
-                )
-            parsed = np.empty(len(schema.columns), dtype=np.float64)
-            for j, cell in enumerate(record):
-                name = schema.columns[j].name
-                if j in level_maps:
-                    if cell not in level_maps[j]:
-                        raise ValueError(
-                            f"{path}: unknown level {cell!r} for column {name!r} at row {r}"
-                        )
-                    parsed[j] = level_maps[j][cell]
-                else:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: unparseable value {cell!r} for column {name!r} at row {r}"
-                        ) from None
-                    if not np.isfinite(value):
-                        raise ValueError(
-                            f"{path}: non-finite value {cell!r} for column {name!r} at row {r}"
-                        )
-                    parsed[j] = value
-            out.append(parsed)
-    rows = np.vstack(out) if out else np.empty((0, len(schema.columns)))
+        records = list(reader)
+    width = len(schema.columns)
+    for r, record in enumerate(records, start=1):
+        if len(record) != width:
+            raise ValueError(f"{path}: row {r} has {len(record)} cells, expected {width}")
+    rows = np.empty((len(records), width))
+    for j, (spec, cells) in enumerate(zip(schema.columns, list(zip(*records)) or [()] * width)):
+        if spec.kind == KIND_DISCRETE:
+            level_of = {label: k for k, label in enumerate(spec.levels)}
+            parse, problem = level_of.__getitem__, "unknown level"
+        else:
+            parse, problem = float, "unparseable value"
+        try:
+            rows[:, j] = list(map(parse, cells))
+        except (KeyError, ValueError):
+            r = _first_rejected(parse, cells)
+            raise ValueError(
+                f"{path}: {problem} {cells[r - 1]!r} for column {spec.name!r} at row {r}"
+            ) from None
+        finite = np.isfinite(rows[:, j])
+        if not finite.all():
+            r = int(np.argmin(finite)) + 1
+            raise ValueError(
+                f"{path}: non-finite value {cells[r - 1]!r} for column {spec.name!r} at row {r}"
+            )
     return Table(schema=schema, rows=rows)
 
 
 def save_csv(table: Table, path) -> None:
-    """Write a table back to CSV, discrete cells as their level labels."""
-    discrete = set(table.schema.discrete_indices)
+    """Write a table back to CSV, discrete cells as their level labels and
+    numeric cells as repr(float), which reads back to the same bits."""
+    columns = []
+    for spec, col in zip(table.schema.columns, table.rows.T):
+        if spec.kind == KIND_DISCRETE:
+            columns.append(list(map(spec.levels.__getitem__, col.astype(np.intp).tolist())))
+        else:
+            columns.append(list(map(repr, col.tolist())))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.schema.names)
-        for row in table.rows:
-            record = []
-            for j, value in enumerate(row):
-                if j in discrete:
-                    record.append(table.schema.columns[j].levels[int(value)])
-                else:
-                    record.append(repr(float(value)))
-            writer.writerow(record)
+        writer.writerows(zip(*columns))
 
 
 def standardize(table: Table) -> Table:
@@ -327,14 +327,18 @@ def train_test_split(table: Table, test_fraction: float, seed: int) -> tuple[Tab
     )
 
 
-def drop_percentile_outliers(table: Table, low: float = 0.01, high: float = 0.99) -> Table:
-    """Remove rows where any numeric column falls outside its [low, high]
-    quantile range. Off by default in the training pipeline."""
+# quantile range that drop_percentile_outliers keeps in every numeric column
+OUTLIER_QUANTILES = (0.01, 0.99)
+
+
+def drop_percentile_outliers(table: Table) -> Table:
+    """Remove rows where any numeric column falls outside its OUTLIER_QUANTILES
+    range. Off by default in the training pipeline."""
     if table.n_rows == 0:
         return table
     keep = np.ones(table.n_rows, dtype=bool)
     for i in table.schema.numeric_indices:
         col = table.rows[:, i]
-        lo, hi = np.quantile(col, [low, high])
+        lo, hi = np.quantile(col, OUTLIER_QUANTILES)
         keep &= (col >= lo) & (col <= hi)
     return Table(schema=table.schema, rows=table.rows[keep], scaling=table.scaling)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Schema, Table, apply_scaling, one_hot_matrix, standardize
-from .model import Checkpoint, encode_batch, model_from_checkpoint, train
+from .model import Checkpoint, encode_batch, train
 from .nn import softmax
 from .synthesis import generate
 
@@ -311,18 +311,16 @@ def roc_auc(labels, scores) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc needs both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(labels.size)
-    ranks[order] = np.arange(1, labels.size + 1)
-    # average ranks within tied score groups
-    sorted_scores = scores[order]
-    start = 0
-    for i in range(1, labels.size + 1):
-        if i == labels.size or sorted_scores[i] != sorted_scores[start]:
-            ranks[order[start:i]] = 0.5 * (start + 1 + i)
-            start = i
+    # a group of tied scores shares the mean of the 1-based ranks it spans
+    _, group, size = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(size) - (size - 1) / 2)[group]
     rank_sum = ranks[pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
+# gradient-descent steps and step size of each per-class attack model
+ATTACK_ITERS = 300
+ATTACK_LR = 0.1
 
 
 @dataclass(frozen=True)
@@ -332,8 +330,7 @@ class MiaResult:
 
 
 def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
-                         cls_target: str, seed: int = 0,
-                         attack_iters: int = 300, attack_lr: float = 0.1) -> MiaResult:
+                         cls_target: str, seed: int = 0) -> MiaResult:
     """Shadow-model membership inference attack against the trained model.
 
     The attacker samples shadow train/test sets from the target model,
@@ -358,12 +355,9 @@ def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
     shadow_test = generate(cp, real_test.n_rows, seed_te)
     shadow_std = standardize(shadow_train)
     shadow_cp = train(shadow_std, cp.config)
-    shadow_model = model_from_checkpoint(shadow_cp)
 
-    z_in, _, _ = encode_batch(shadow_model, shadow_std.rows)
-    z_out, _, _ = encode_batch(
-        shadow_model, apply_scaling(shadow_test, shadow_cp.scaling).rows
-    )
+    z_in, _, _ = encode_batch(shadow_cp, shadow_std.rows)
+    z_out, _, _ = encode_batch(shadow_cp, apply_scaling(shadow_test, shadow_cp.scaling).rows)
     y_in = shadow_train.rows[:, jc].astype(np.intp)
     y_out = shadow_test.rows[:, jc].astype(np.intp)
 
@@ -377,18 +371,17 @@ def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
         feats = np.vstack([feats_in, feats_out])
         labels = np.concatenate([np.ones(feats_in.shape[0], dtype=np.intp),
                                  np.zeros(feats_out.shape[0], dtype=np.intp)])
-        attacks[level] = fit_softmax(feats, labels, 2, iters=attack_iters, lr=attack_lr)
+        attacks[level] = fit_softmax(feats, labels, 2, iters=ATTACK_ITERS, lr=ATTACK_LR)
 
     if not attacks:
         raise ValueError("no attack model could be trained (all classes degenerate)")
 
-    target_model = model_from_checkpoint(cp)
     n_eval = min(real_train.n_rows, real_test.n_rows)
     pick = np.random.default_rng(seed_pick)
     idx_tr = np.sort(pick.choice(real_train.n_rows, size=n_eval, replace=False))
     idx_te = np.sort(pick.choice(real_test.n_rows, size=n_eval, replace=False))
-    z_tr, _, _ = encode_batch(target_model, apply_scaling(real_train, cp.scaling).rows[idx_tr])
-    z_te, _, _ = encode_batch(target_model, apply_scaling(real_test, cp.scaling).rows[idx_te])
+    z_tr, _, _ = encode_batch(cp, apply_scaling(real_train, cp.scaling).rows[idx_tr])
+    z_te, _, _ = encode_batch(cp, apply_scaling(real_test, cp.scaling).rows[idx_te])
     y_tr = real_train.rows[idx_tr, jc].astype(np.intp)
     y_te = real_test.rows[idx_te, jc].astype(np.intp)
 
@@ -440,13 +433,12 @@ def attribute_disclosure(real: Table, synth: Table, known_columns, secret_column
         neighbor_idx[start : start + d2.shape[0]] = np.argpartition(d2, k - 1, axis=1)[:, :k]
 
     scores = []
+    n = a.shape[0]
     for j in secret_idx:
         t = schema.columns[j].n_levels
         votes = synth.rows[:, j].astype(np.intp)[neighbor_idx]
-        counts = np.zeros((a.shape[0], t))
-        for col in range(k):
-            counts[np.arange(a.shape[0]), votes[:, col]] += 1.0
-        predicted = np.argmax(counts, axis=1)
+        counts = np.bincount((np.arange(n)[:, None] * t + votes).ravel(), minlength=n * t)
+        predicted = np.argmax(counts.reshape(n, t), axis=1)
         scores.append(macro_f1(real.rows[:, j].astype(np.intp), predicted))
     return float(np.mean(scores))
 

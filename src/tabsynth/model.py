@@ -15,7 +15,7 @@ and hand-derived; see tests for the finite-difference checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class LossBreakdown:
     total: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class VaeModel:
     schema: Schema
     config: TrainConfig
@@ -65,17 +65,14 @@ class VaeModel:
 
 
 @dataclass(frozen=True)
-class Checkpoint:
-    """Everything needed to resume sampling: schema, scaling, config, weights,
-    the per-numeric-column 1%/99% quantiles of the standardized training data
-    (used as the default evaluation grid), and the loss trace."""
+class Checkpoint(VaeModel):
+    """A trained model plus everything needed to resume sampling: the format
+    version, the scaling, the per-numeric-column 1%/99% quantiles of the
+    standardized training data (used as the default evaluation grid), and
+    the loss trace."""
 
     format_version: int
-    schema: Schema
     scaling: ScalingStats
-    config: TrainConfig
-    encoder: Mlp
-    decoder: Mlp
     quantile_lo: np.ndarray
     quantile_hi: np.ndarray
     loss_trace: list[LossBreakdown]
@@ -226,7 +223,9 @@ def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
     The row order is reshuffled every epoch from a generator seeded by
     config.seed, which (with the seeded init and per-batch noise) makes the
     whole run reproducible. progress, if given, is called with
-    (epoch, LossBreakdown) after each epoch.
+    (epoch, LossBreakdown) after each epoch. A non-finite gradient raises
+    FloatingPointError naming the 1-based epoch, the step within it and the
+    loss parts of that step's batch.
     """
     if table.scaling is None:
         raise ValueError("train requires a standardized table (call standardize first)")
@@ -244,11 +243,17 @@ def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         sums = np.zeros(3)
-        for start in range(0, n, config.batch_size):
+        for step, start in enumerate(range(0, n, config.batch_size), start=1):
             batch = rows[perm[start : start + config.batch_size]]
             noise = rng.standard_normal((batch.shape[0], d))
             breakdown, grads = elbo_grads(model, batch, noise)
-            adam_step(params, grads, adam)
+            try:
+                adam_step(params, grads, adam)
+            except FloatingPointError as err:
+                parts = ", ".join(f"{k}={v:.6g}" for k, v in asdict(breakdown).items())
+                raise FloatingPointError(
+                    f"training diverged at epoch {epoch + 1}, step {step} (batch loss {parts}): {err}"
+                ) from err
             sums += np.array([breakdown.crps, breakdown.discrete, breakdown.kl]) * batch.shape[0]
         crps, disc, kl = sums / n
         epoch_loss = LossBreakdown(
@@ -273,7 +278,3 @@ def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
         quantile_hi=np.atleast_1d(hi),
         loss_trace=trace,
     )
-
-
-def model_from_checkpoint(cp: Checkpoint) -> VaeModel:
-    return VaeModel(schema=cp.schema, config=cp.config, encoder=cp.encoder, decoder=cp.decoder)

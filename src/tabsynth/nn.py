@@ -18,25 +18,20 @@ ACT_RELU = "relu"
 def softplus(x):
     """log(1 + exp(x)) with overflow guards: x > 30 -> x, x < -30 -> exp(x)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    hi = x > 30.0
-    lo = x < -30.0
-    mid = ~(hi | lo)
-    out[hi] = x[hi]
-    out[lo] = np.exp(x[lo])
-    out[mid] = np.log1p(np.exp(x[mid]))
+    e = np.exp(np.minimum(x, 30.0))
+    # patched in place, so only two full-size arrays are live at once (generate
+    # passes n x (M+1) slopes per column); asarray keeps a 0-d result writable
+    out = np.asarray(np.log1p(e))
+    np.copyto(out, e, where=x < -30.0)
+    np.copyto(out, x, where=x > 30.0)
     return out
 
 
 def logistic(x):
-    """Sigmoid, the derivative of softplus."""
+    """Sigmoid, the derivative of softplus, from exp(-|x|) so nothing overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))  # -|x|, but a NaN keeps its sign bit
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(logits):
@@ -86,16 +81,14 @@ def mlp_init(sizes: list[int], activations: list[str], rng: np.random.Generator)
 
 
 def mlp_forward(net: Mlp, x: np.ndarray):
-    """Run the network. x is (n_in,) or (batch, n_in); output matches.
+    """Run the network on a (batch, n_in) input; the output is (batch, n_out).
 
     Returns (output, cache); the cache holds the layer inputs and
     pre-activations needed by mlp_backward.
     """
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    h = x[None, :] if squeeze else x
-    if h.shape[1] != net.n_in:
-        raise ValueError(f"input width {h.shape[1]} does not match network ({net.n_in})")
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != net.n_in:
+        raise ValueError(f"input shape {h.shape} does not match network width ({net.n_in})")
     inputs = []
     pres = []
     for layer, act in zip(net.layers, net.activations):
@@ -103,8 +96,7 @@ def mlp_forward(net: Mlp, x: np.ndarray):
         pre = h @ layer.weight.T + layer.bias
         pres.append(pre)
         h = relu(pre) if act == ACT_RELU else pre
-    out = h[0] if squeeze else h
-    return out, (inputs, pres, squeeze)
+    return h, (inputs, pres)
 
 
 def mlp_backward(net: Mlp, cache, grad_out: np.ndarray):
@@ -113,10 +105,8 @@ def mlp_backward(net: Mlp, cache, grad_out: np.ndarray):
     Returns (grad_input, tape) where tape is [dW0, db0, dW1, db1, ...]
     aligned with mlp_params.
     """
-    inputs, pres, squeeze = cache
+    inputs, pres = cache
     g = np.asarray(grad_out, dtype=np.float64)
-    if squeeze:
-        g = g[None, :]
     tape = [None] * (2 * len(net.layers))
     for i in range(len(net.layers) - 1, -1, -1):
         if net.activations[i] == ACT_RELU:
@@ -124,8 +114,7 @@ def mlp_backward(net: Mlp, cache, grad_out: np.ndarray):
         tape[2 * i] = g.T @ inputs[i]
         tape[2 * i + 1] = g.sum(axis=0)
         g = g @ net.layers[i].weight
-    grad_in = g[0] if squeeze else g
-    return grad_in, tape
+    return g, tape
 
 
 def mlp_params(net: Mlp) -> list[np.ndarray]:

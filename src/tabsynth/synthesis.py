@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .data import KIND_DISCRETE, KIND_ORDINAL, Table
-from .model import Checkpoint, decoder_heads, model_from_checkpoint
+from .model import Checkpoint, decoder_heads
 from .nn import mlp_forward, softmax
 from . import spline as sp
 
@@ -72,15 +72,14 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    model = model_from_checkpoint(cp)
     schema = cp.schema
     rows = np.zeros((n, len(schema.columns)))
     if n > 0:
         rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, model.config.latent_dim))
-        dec_out, _ = mlp_forward(model.decoder, z)
-        gamma, raw, logits = decoder_heads(schema, model.config.knot_count, dec_out)
-        knots = model.knots
+        z = rng.standard_normal((n, cp.config.latent_dim))
+        dec_out, _ = mlp_forward(cp.decoder, z)
+        gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out)
+        knots = cp.knots
 
         # one column at a time: b for all columns at once would hold n x P x (M+1)
         u = rng.random((n, len(schema.numeric_indices)))
@@ -136,11 +135,10 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     if schema.columns[j].kind == KIND_DISCRETE:
         raise ValueError(f"column {column!r} is discrete; its CDF is not spline-based")
     k = schema.numeric_indices.index(j)
-    model = model_from_checkpoint(cp)
-    z = sample_prior(n_mc, model.config.latent_dim, seed)
-    dec_out, _ = mlp_forward(model.decoder, z)
-    gamma, raw, _ = decoder_heads(schema, model.config.knot_count, dec_out)
-    gamma, b, knots = gamma[:, k], sp.slopes_to_b(raw[:, k]), model.knots
+    z = sample_prior(n_mc, cp.config.latent_dim, seed)
+    dec_out, _ = mlp_forward(cp.decoder, z)
+    gamma, raw, _ = decoder_heads(schema, cp.config.knot_count, dec_out)
+    gamma, b, knots = gamma[:, k], sp.slopes_to_b(raw[:, k]), cp.knots
     if grid is None:
         grid = np.linspace(cp.quantile_lo[k], cp.quantile_hi[k], 201)
     grid = np.asarray(grid, dtype=np.float64)

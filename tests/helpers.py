@@ -70,6 +70,28 @@ def brute_wd(a, b) -> float:
     return total
 
 
+def brute_auc(labels, scores) -> float:
+    """Share of (positive, negative) pairs the scores order correctly, a tie
+    counting one half, by visiting every pair."""
+    pos = [s for y, s in zip(labels, scores) if y == 1]
+    neg = [s for y, s in zip(labels, scores) if y != 1]
+    wins = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
+    return wins / (len(pos) * len(neg))
+
+
+def brute_majority_votes(known_real, known_synth, secret_synth, k, n_levels):
+    """Per real row, the most common secret among its k nearest synthetic rows
+    (full sort of every distance), ties to the lowest level."""
+    out = []
+    for row in known_real:
+        nearest = np.argsort(np.sum((known_synth - row) ** 2, axis=1))[:k]
+        counts = [0] * n_levels
+        for level in secret_synth[nearest]:
+            counts[int(level)] += 1
+        out.append(counts.index(max(counts)))
+    return np.array(out)
+
+
 def grad_rel_err(analytic: float, numeric: float) -> float:
     denom = max(abs(analytic), abs(numeric), 1e-6)
     return abs(analytic - numeric) / denom
@@ -77,3 +99,29 @@ def grad_rel_err(analytic: float, numeric: float) -> float:
 
 def central_diff(f, x0: float, eps: float = 1e-5) -> float:
     return (f(x0 + eps) - f(x0 - eps)) / (2.0 * eps)
+
+
+def masked_softplus(x):
+    """softplus by boolean-mask scatter into three branches: the reference
+    the whole-array nn.softplus must match bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    hi = x > 30.0
+    lo = x < -30.0
+    mid = ~(hi | lo)
+    out[hi] = x[hi]
+    out[lo] = np.exp(x[lo])
+    out[mid] = np.log1p(np.exp(x[mid]))
+    return out
+
+
+def masked_logistic(x):
+    """logistic by boolean-mask scatter on the sign of x: the reference the
+    whole-array nn.logistic must match bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

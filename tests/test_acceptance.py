@@ -28,7 +28,6 @@ from tabsynth import (
     knot_values,
     mean_log_alpha_weight,
     membership_inference,
-    model_from_checkpoint,
     model_init,
     sample_prior,
     standardize,
@@ -134,7 +133,7 @@ def test_04_decoder_outputs_are_valid_distributions(default_run):
             simplex_ok &= bool(np.allclose(probs.sum(axis=1), 1.0, atol=1e-9))
         checked += z.shape[0]
 
-    check_batch(model_from_checkpoint(default_run["checkpoint"]), sample_prior(5000, 2, seed=4001))
+    check_batch(default_run["checkpoint"], sample_prior(5000, 2, seed=4001))
     for seed in range(10):
         rng = np.random.default_rng(4100 + seed)
         config = TrainConfig(

@@ -132,6 +132,43 @@ def test_load_csv_errors_name_the_data_row(tmp_path):
         load_csv(path, schema)
 
 
+def test_csv_round_trips_quoted_labels_and_float_text(tmp_path):
+    schema = Schema((
+        ColumnSpec("x", "continuous"),
+        ColumnSpec("s", "discrete", ("a,b", 'say "hi"', "two\nlines", "plain")),
+    ))
+    rows = np.array([[0.1, 0.0], [1 / 3, 1.0], [-2.5e-300, 2.0], [1e16, 3.0]])
+    path = tmp_path / "t.csv"
+    save_csv(Table(schema, rows), path)
+    assert path.read_bytes() == (
+        b'x,s\r\n0.1,"a,b"\r\n0.3333333333333333,"say ""hi"""\r\n'
+        b'-2.5e-300,"two\nlines"\r\n1e+16,plain\r\n'
+    )
+    assert load_csv(path, schema).rows.tobytes() == rows.tobytes()
+
+
+def test_csv_round_trips_zero_rows(tmp_path):
+    schema = small_schema()
+    path = tmp_path / "t.csv"
+    save_csv(Table(schema, np.empty((0, 3))), path)
+    assert path.read_text() == "age,score,color\n"
+    assert load_csv(path, schema).rows.shape == (0, 3)
+
+
+@pytest.mark.parametrize(("body", "message"), [
+    ("1.0,2.0,red\n1.0,2.0\n", r"row 2 has 2 cells, expected 3"),
+    ("1.0,2.0,red\n1.0,2.0,purple\n", r"unknown level 'purple' for column 'color' at row 2"),
+    ("1.0,2.0,red\n1.0,2.0,red\n1.0,x,red\n", r"unparseable value 'x' for column 'score' at row 3"),
+    ("1.0,2.0,red\ninf,2.0,red\n", r"non-finite value 'inf' for column 'age' at row 2"),
+    ("1.0,2.0,red\n1.0,nan,red\n", r"non-finite value 'nan' for column 'score' at row 2"),
+])
+def test_load_csv_errors_name_file_row_and_column(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("age,score,color\n" + body)
+    with pytest.raises(ValueError, match=r"bad\.csv: " + message):
+        load_csv(path, small_schema())
+
+
 def test_standardize_hand_values():
     schema = Schema((ColumnSpec("x", "continuous"),))
     table = Table(schema, np.array([[1.0], [3.0]]))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_ks, brute_wd
+from helpers import brute_auc, brute_ks, brute_majority_votes, brute_wd
 from tabsynth import (
     ColumnSpec,
     Schema,
@@ -262,6 +262,14 @@ def test_roc_auc_all_ties_is_half():
         roc_auc([1, 1], [0.1, 0.2])
 
 
+def test_roc_auc_matches_pairwise_oracle_on_ties():
+    rng = np.random.default_rng(12)
+    for n, n_scores in ((2, 1), (9, 2), (40, 3), (300, 5), (301, 40)):
+        labels = np.concatenate([[0, 1], rng.integers(0, 2, size=n - 2)])
+        scores = rng.integers(0, n_scores, size=n) / 4.0
+        assert roc_auc(labels, scores) == pytest.approx(brute_auc(labels, scores), abs=1e-12)
+
+
 def attr_schema():
     return Schema((
         ColumnSpec("x", "continuous"),
@@ -293,6 +301,26 @@ def test_attribute_disclosure_vote_ties_take_lowest_level():
     real = Table(attr_schema(), np.array([[0.0, 1.0]]))
     synth = Table(attr_schema(), np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert attribute_disclosure(real, synth, ["x"], ["s"], k=2) == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 4, 7, 50])
+def test_attribute_disclosure_matches_vote_oracle(k):
+    schema = Schema((
+        ColumnSpec("x", "continuous"),
+        ColumnSpec("y", "continuous"),
+        ColumnSpec("s", "discrete", ("p", "q", "r", "t")),
+    ))
+    rng = np.random.default_rng(13)
+
+    def table(n):
+        xy = rng.normal(size=(n, 2))
+        s = np.clip(np.round(xy[:, 0] + rng.normal(0.0, 0.7, n) + 1.5), 0, 3)
+        return Table(schema, np.column_stack([xy, s]))
+
+    real, synth = table(120), table(90)
+    votes = brute_majority_votes(real.rows[:, :2], synth.rows[:, :2], synth.rows[:, 2], k, 4)
+    expected = macro_f1(real.rows[:, 2].astype(np.intp), votes)
+    assert attribute_disclosure(real, synth, ["x", "y"], ["s"], k=k) == expected
 
 
 def test_attribute_disclosure_clamps_large_k():

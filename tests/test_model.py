@@ -13,7 +13,6 @@ from tabsynth import (
     checkpoint_to_text,
     elbo_grads,
     elbo_loss,
-    model_from_checkpoint,
     model_init,
     spline_eval,
     standardize,
@@ -221,6 +220,17 @@ def test_train_deterministic():
     assert a == b
 
 
+def test_train_divergence_names_epoch_step_and_loss(toy_std):
+    with np.errstate(all="ignore"), pytest.raises(
+        FloatingPointError,
+        match=r"^training diverged at epoch \d+, step \d+ "
+              r"\(batch loss crps=\S+, discrete=\S+, kl=\S+, total=\S+\): "
+              r"non-finite gradient in parameter block",
+    ) as info:
+        train(toy_std, TrainConfig(seed=2024, learning_rate=10.0))
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
 def test_train_stores_quantile_band():
     table = gaussian_table()
     cp = train(table, TrainConfig(seed=12, epochs=2))
@@ -239,8 +249,7 @@ def test_larger_beta_shrinks_kl():
 def test_model_round_trips_through_checkpoint():
     table = gaussian_table()
     cp = train(table, TrainConfig(seed=14, epochs=2))
-    model = model_from_checkpoint(cp)
-    out, _ = mlp_forward(model.decoder, np.zeros((1, 2)))
-    assert out.shape == (1, decoder_width(model.schema, model.config.knot_count))
-    gamma, _, logits = decoder_heads(model.schema, model.config.knot_count, out)
+    out, _ = mlp_forward(cp.decoder, np.zeros((1, 2)))
+    assert out.shape == (1, decoder_width(cp.schema, cp.config.knot_count))
+    gamma, _, logits = decoder_heads(cp.schema, cp.config.knot_count, out)
     assert gamma.shape[1] == 1 and len(logits) == 1

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import grad_rel_err
+from helpers import grad_rel_err, masked_logistic, masked_softplus
 from tabsynth.nn import (
     AdamState,
     DenseLayer,
@@ -45,6 +46,25 @@ def test_logistic_is_softplus_derivative():
     assert np.allclose(logistic(xs), num, atol=1e-9)
 
 
+@pytest.mark.parametrize(("fast", "reference"), [
+    (softplus, masked_softplus),
+    (logistic, masked_logistic),
+])
+def test_matches_masked_reference_bit_for_bit(fast, reference):
+    eps = np.finfo(np.float64).eps
+    edges = np.array([
+        30.0, 30.0 * (1 + eps), 30.0 * (1 - eps), 709.0, 710.0, 745.0, 746.0,
+        np.inf, np.nan, 0.0, 1e-300,
+    ])
+    x = np.concatenate([
+        np.random.default_rng(6).normal(0.0, 25.0, size=4000), edges, -edges,
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = fast(x), reference(x)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_relu():
     assert np.array_equal(relu(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
 
@@ -65,20 +85,10 @@ def test_unknown_activation_rejected():
         Mlp(layers=[layer], activations=["tanh"])
 
 
-def test_forward_vector_matches_batch_row():
-    net = mlp_init([4, 6, 3], ["relu", "identity"], np.random.default_rng(1))
-    x = np.random.default_rng(2).normal(size=(5, 4))
-    batch_out, _ = mlp_forward(net, x)
-    for i in range(5):
-        row_out, _ = mlp_forward(net, x[i])
-        assert row_out.shape == (3,)
-        assert np.allclose(row_out, batch_out[i])
-
-
 def test_forward_rejects_wrong_width():
     net = mlp_init([4, 3], ["identity"], np.random.default_rng(0))
     with pytest.raises(ValueError, match="width"):
-        mlp_forward(net, np.zeros(5))
+        mlp_forward(net, np.zeros((1, 5)))
 
 
 def test_backward_matches_finite_differences():
