@@ -12,7 +12,6 @@ from .data import (
     Schema,
     Table,
     apply_scaling,
-    destandardize,
     drop_percentile_outliers,
     load_csv,
     load_schema,
@@ -38,23 +37,14 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .spline import (
-    CrpsBreakdown,
-    SplineCoeffs,
-    build_spline,
     chain_slope_grads,
     crps_grad_from_alpha,
-    crps_loss,
-    crps_loss_finite_k,
     knot_values,
-    mean_log_alpha_weight,
     slopes_to_b,
-    spline_eval,
     uniform_knots,
 )
 from .synthesis import (
     CdfCurve,
-    DiscretizedCdf,
-    discretize_cdf,
     estimate_cdf,
     generate,
     gumbel_max,

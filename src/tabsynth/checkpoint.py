@@ -16,15 +16,11 @@ from typing import get_type_hints
 import numpy as np
 
 from .data import ScalingStats, Schema, check_scaling_names, schema_from_doc
-from .model import (
-    CHECKPOINT_FORMAT_VERSION,
-    Checkpoint,
-    LossBreakdown,
-    TrainConfig,
-    decoder_width,
-)
+from .model import Checkpoint, LossBreakdown, TrainConfig, decoder_width
 from .nn import DenseLayer, Mlp
 from .serialize import json_text
+
+CHECKPOINT_FORMAT_VERSION = 1
 
 # resolving annotations takes ~40 us, and the loss trace holds one entry per epoch
 _field_types = cache(get_type_hints)
@@ -48,7 +44,7 @@ def _fields_doc(obj) -> dict:
 
 def checkpoint_to_text(cp: Checkpoint) -> str:
     doc = {
-        "format_version": int(cp.format_version),
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "schema": {"columns": [asdict(c) for c in cp.schema.columns]},
         "scaling": {
             "columns": list(cp.scaling.names),
@@ -146,7 +142,6 @@ def checkpoint_from_text(text: str) -> Checkpoint:
         for i, t in enumerate(_require(doc, "loss_trace", "checkpoint", list))
     ]
     return Checkpoint(
-        format_version=int(version),
         schema=schema,
         scaling=scaling,
         config=config,

@@ -169,9 +169,6 @@ class Table:
     def n_rows(self) -> int:
         return self.rows.shape[0]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.schema.index(name)]
-
 
 def _first_rejected(parse, cells) -> int:
     """1-based position of the first cell that parse rejects; some cell must be."""
@@ -279,19 +276,6 @@ def apply_scaling(table: Table, stats: ScalingStats) -> Table:
     rows = table.rows.copy()
     rows[:, idx] = (rows[:, idx] - stats.mean) / stats.stddev
     return Table(schema=table.schema, rows=rows, scaling=stats)
-
-
-def destandardize(table: Table, stats: ScalingStats | None = None) -> Table:
-    """Invert standardization, restoring numeric columns to native units."""
-    if stats is None:
-        stats = table.scaling
-    if stats is None:
-        raise ValueError("table carries no scaling stats and none were given")
-    check_scaling_names(table.schema, stats)
-    idx = table.schema.numeric_indices
-    rows = table.rows.copy()
-    rows[:, idx] = rows[:, idx] * stats.stddev + stats.mean
-    return Table(schema=table.schema, rows=rows, scaling=None)
 
 
 def one_hot_matrix(schema: Schema, rows: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Schema, Table, apply_scaling, one_hot_matrix, standardize
+from .data import KIND_DISCRETE, Schema, Table, apply_scaling, one_hot_matrix, standardize
 from .model import Checkpoint, encode_batch, train
 from .nn import softmax
 from .synthesis import generate
@@ -263,9 +263,9 @@ def mlu(real_train: Table, real_test: Table, synth: Table,
         raise ValueError("mlu needs tables with equal schemas")
     jr = schema.index(reg_target)
     jc = schema.index(cls_target)
-    if schema.columns[jr].kind == "discrete":
+    if schema.columns[jr].kind == KIND_DISCRETE:
         raise ValueError(f"regression target {reg_target!r} must be numeric")
-    if schema.columns[jc].kind != "discrete":
+    if schema.columns[jc].kind != KIND_DISCRETE:
         raise ValueError(f"classification target {cls_target!r} must be discrete")
     scaling = standardize(real_train).scaling
     fit_rows = apply_scaling(synth, scaling).rows
@@ -346,7 +346,7 @@ def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
     """
     schema = cp.schema
     jc = schema.index(cls_target)
-    if schema.columns[jc].kind != "discrete":
+    if schema.columns[jc].kind != KIND_DISCRETE:
         raise ValueError(f"classification target {cls_target!r} must be discrete")
     rng = np.random.default_rng(seed)
     seed_tr, seed_te, seed_pick = (int(v) for v in rng.integers(0, 2**63, size=3))
@@ -424,7 +424,7 @@ def attribute_disclosure(real: Table, synth: Table, known_columns, secret_column
     if not known_idx or not secret_idx:
         raise ValueError("need at least one known and one secret column")
     for j in secret_idx:
-        if schema.columns[j].kind != "discrete":
+        if schema.columns[j].kind != KIND_DISCRETE:
             raise ValueError(f"secret column {schema.columns[j].name!r} must be discrete")
 
     a = real.rows[:, known_idx]

@@ -66,18 +66,16 @@ class VaeModel:
 
 @dataclass(frozen=True)
 class Checkpoint(VaeModel):
-    """A trained model plus everything needed to resume sampling: the format
-    version, the scaling, the per-numeric-column 1%/99% quantiles of the
-    standardized training data (used as the default evaluation grid), and
-    the loss trace."""
+    """A trained model plus everything needed to resume sampling: the scaling,
+    the per-numeric-column 1%/99% quantiles of the standardized training data
+    (used as the default evaluation grid), and the loss trace. The file
+    format version is not a field: checkpoint.checkpoint_to_text writes
+    checkpoint.CHECKPOINT_FORMAT_VERSION, and loading rejects any other."""
 
-    format_version: int
     scaling: ScalingStats
     quantile_lo: np.ndarray
     quantile_hi: np.ndarray
     loss_trace: list[LossBreakdown]
-
-CHECKPOINT_FORMAT_VERSION = 1
 
 
 def decoder_width(schema: Schema, knot_count: int) -> int:
@@ -246,14 +244,17 @@ def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
         for step, start in enumerate(range(0, n, config.batch_size), start=1):
             batch = rows[perm[start : start + config.batch_size]]
             noise = rng.standard_normal((batch.shape[0], d))
-            breakdown, grads = elbo_grads(model, batch, noise)
-            try:
-                adam_step(params, grads, adam)
-            except FloatingPointError as err:
-                parts = ", ".join(f"{k}={v:.6g}" for k, v in asdict(breakdown).items())
-                raise FloatingPointError(
-                    f"training diverged at epoch {epoch + 1}, step {step} (batch loss {parts}): {err}"
-                ) from err
+            # a diverging step overflows on its way to a non-finite gradient;
+            # adam_step's check turns that into the one error raised below
+            with np.errstate(over="ignore", invalid="ignore"):
+                breakdown, grads = elbo_grads(model, batch, noise)
+                try:
+                    adam_step(params, grads, adam)
+                except FloatingPointError as err:
+                    parts = ", ".join(f"{k}={v:.6g}" for k, v in asdict(breakdown).items())
+                    raise FloatingPointError(
+                        f"training diverged at epoch {epoch + 1}, step {step} (batch loss {parts}): {err}"
+                    ) from err
             sums += np.array([breakdown.crps, breakdown.discrete, breakdown.kl]) * batch.shape[0]
         crps, disc, kl = sums / n
         epoch_loss = LossBreakdown(
@@ -268,7 +269,6 @@ def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
     lo = np.quantile(rows[:, numeric], 0.01, axis=0) if numeric else np.empty(0)
     hi = np.quantile(rows[:, numeric], 0.99, axis=0) if numeric else np.empty(0)
     return Checkpoint(
-        format_version=CHECKPOINT_FORMAT_VERSION,
         schema=table.schema,
         scaling=table.scaling,
         config=config,

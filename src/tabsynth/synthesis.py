@@ -11,7 +11,6 @@ and the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -149,33 +148,3 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     # each per-draw inverse is monotone in x; guard the mean against round-off
     values = np.minimum(np.maximum.accumulate(values), 1.0)
     return CdfCurve(grid=grid, values=values)
-
-
-@dataclass(frozen=True)
-class DiscretizedCdf:
-    """Point masses accumulated onto an increasing level grid."""
-
-    levels: np.ndarray
-    values: np.ndarray
-
-
-def discretize_cdf(cdf: Callable[[float], float], levels) -> DiscretizedCdf:
-    """Collapse a continuous CDF onto discrete levels.
-
-    Each level x gets the window mass cdf(x + 0.5) - cdf(x - 0.5) added to a
-    running total, followed by a repair pass that raises any value below its
-    predecessor. Levels are in native units and must be strictly increasing;
-    integer-spaced levels make the windows disjoint.
-    """
-    levels = np.asarray(levels, dtype=np.float64)
-    if levels.ndim != 1 or levels.shape[0] < 1:
-        raise ValueError("levels must be a non-empty 1-D array")
-    if np.any(np.diff(levels) <= 0):
-        raise ValueError("levels must be strictly increasing")
-    values = np.empty_like(levels)
-    total = 0.0
-    for i, x in enumerate(levels):
-        total += float(cdf(x + 0.5)) - float(cdf(x - 0.5))
-        values[i] = total
-    values = np.maximum.accumulate(values)
-    return DiscretizedCdf(levels=levels, values=values)

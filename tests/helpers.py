@@ -3,7 +3,7 @@ that the fast closed-form code is checked against."""
 
 import numpy as np
 
-from tabsynth import SplineCoeffs, build_spline, knot_values, uniform_knots
+from tabsynth import knot_values, slopes_to_b, uniform_knots
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -16,33 +16,55 @@ def _alpha_grid(nodes):
     return _ALPHA_GRID[nodes]
 
 
-def crps_quadrature(coeffs: SplineCoeffs, x: float, nodes: int = 1_000_001) -> float:
-    """2 * integral of the check loss over alpha, by trapezoid quadrature.
+def _check_loss(gamma, b, knots, x, alphas):
+    """rho_a(x - D(a)) at each level a, for a length-1 batch of splines. D is
+    piecewise linear between knots, so np.interp over the knot values
+    reproduces it exactly at every level."""
+    d = np.interp(alphas, knots, knot_values(gamma, b, knots)[0])
+    u = x[0] - d
+    return u * (alphas - (u < 0.0))
 
-    The spline is piecewise linear between knots, so np.interp over the knot
-    values reproduces it exactly at every quadrature node.
-    """
+
+def crps_quadrature(gamma, b, knots, x, nodes: int = 1_000_001) -> float:
+    """2 * integral of the check loss over alpha, by trapezoid quadrature."""
     alphas = _alpha_grid(nodes)
-    kv = knot_values(np.array([coeffs.gamma]), coeffs.b[None, :], coeffs.knots)[0]
-    d = np.interp(alphas, coeffs.knots, kv)
-    u = x - d
-    rho = u * (alphas - (u < 0.0))
-    return 2.0 * float(_trapezoid(rho, alphas))
+    return 2.0 * float(_trapezoid(_check_loss(gamma, b, knots, x, alphas), alphas))
 
 
-def random_spline(rng: np.random.Generator, knot_count: int | None = None):
-    """A random (coeffs, x) fixture. Mixes steep, gentle, and nearly flat
-    slopes, and places x both inside and outside the spline's range."""
-    m = int(knot_count) if knot_count is not None else int(rng.integers(1, 13))
-    gamma_raw = float(rng.normal(0.0, 2.0))
+def crps_loss_finite_k(gamma, b, knots, x, k: int) -> float:
+    """Composite check loss averaged over the level grid a_j = j/k, j = 1..k.
+
+    Converges to half the closed-form loss as k grows.
+    """
+    alphas = np.arange(1, k + 1, dtype=np.float64) / k
+    return float(_check_loss(gamma, b, knots, x, alphas).mean())
+
+
+def mean_log_alpha_weight(k: int) -> float:
+    """(1/k) * sum_j log(a_j (1 - a_j)) over the level grid a_j = j/k.
+
+    The j = k endpoint is excluded because its log weight diverges; the
+    normalizer stays 1/k, so the value tends to the integral of
+    log(a(1-a)) over [0, 1], which is -2.
+    """
+    alphas = np.arange(1, k, dtype=np.float64) / k
+    return float(np.sum(np.log(alphas * (1.0 - alphas))) / k)
+
+
+def random_spline(rng: np.random.Generator):
+    """A random length-1 batch (gamma (1,), b (1, M+1), knots, x (1,)). Mixes
+    steep, gentle, and nearly flat slopes, and places x both inside and
+    outside the spline's range."""
+    m = int(rng.integers(1, 13))
+    gamma = float(rng.normal(0.0, 2.0))
     slope_raw = rng.normal(0.0, 2.5, size=m + 1)
     if rng.random() < 0.15:
         slope_raw[rng.integers(0, m + 1)] = -40.0  # force a flat segment
-    coeffs = build_spline(gamma_raw, slope_raw, uniform_knots(m))
-    lo = coeffs.gamma
-    hi = lo + float(np.sum(coeffs.b * (1.0 - coeffs.knots)))
-    x = float(rng.normal((lo + hi) / 2.0, 1.0 + (hi - lo)))
-    return coeffs, x
+    knots = uniform_knots(m)
+    b = slopes_to_b(slope_raw)
+    hi = gamma + float(np.sum(b * (1.0 - knots)))
+    x = float(rng.normal((gamma + hi) / 2.0, 1.0 + (hi - gamma)))
+    return np.array([gamma]), b[None, :], knots, np.array([x])
 
 
 def brute_ks(a, b) -> float:

@@ -11,14 +11,18 @@ import time
 import numpy as np
 import pytest
 
-from helpers import crps_quadrature, grad_rel_err, random_spline
+from helpers import (
+    crps_loss_finite_k,
+    crps_quadrature,
+    grad_rel_err,
+    mean_log_alpha_weight,
+    random_spline,
+)
 from tabsynth import (
     TrainConfig,
     apply_scaling,
     attribute_disclosure,
     correlation_distance,
-    crps_loss,
-    crps_loss_finite_k,
     dcr,
     elbo_grads,
     elbo_loss,
@@ -26,7 +30,6 @@ from tabsynth import (
     generate,
     ks_statistic,
     knot_values,
-    mean_log_alpha_weight,
     membership_inference,
     model_init,
     sample_prior,
@@ -37,7 +40,7 @@ from tabsynth import (
 from tabsynth.data import ColumnSpec, Schema, Table, save_csv
 from tabsynth.model import decoder_heads
 from tabsynth.nn import mlp_forward, mlp_params
-from tabsynth.spline import slopes_to_b
+from tabsynth.spline import crps_loss_batch, slopes_to_b
 from conftest import toy_schema
 
 
@@ -51,8 +54,9 @@ def test_01_closed_form_loss_matches_quadrature():
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
-        coeffs, x = random_spline(rng)
-        worst = max(worst, abs(crps_loss(coeffs, x).loss - crps_quadrature(coeffs, x)))
+        gamma, b, knots, x = random_spline(rng)
+        loss, _, _ = crps_loss_batch(gamma, b, knots, x)
+        worst = max(worst, abs(loss[0] - crps_quadrature(gamma, b, knots, x)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 60.0
     assert report(
@@ -66,8 +70,9 @@ def test_02_finite_sum_loss_and_weight_converge():
     k = 100_000
     worst = 0.0
     for _ in range(100):
-        coeffs, x = random_spline(rng)
-        worst = max(worst, abs(crps_loss_finite_k(coeffs, x, k) - crps_loss(coeffs, x).loss / 2.0))
+        gamma, b, knots, x = random_spline(rng)
+        loss, _, _ = crps_loss_batch(gamma, b, knots, x)
+        worst = max(worst, abs(crps_loss_finite_k(gamma, b, knots, x, k) - loss[0] / 2.0))
     weight_err = abs(mean_log_alpha_weight(k) + 2.0)
     ok = worst < 1e-3 and weight_err < 1e-2
     assert report(

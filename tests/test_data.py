@@ -10,7 +10,6 @@ from tabsynth import (
     Schema,
     Table,
     apply_scaling,
-    destandardize,
     drop_percentile_outliers,
     load_csv,
     load_schema,
@@ -192,21 +191,6 @@ def test_standardize_needs_rows_and_variance():
         standardize(Table(schema, np.array([[1.0]])))
     with pytest.raises(ValueError, match="'x'.*variance"):
         standardize(Table(schema, np.array([[2.0], [2.0], [2.0]])))
-
-
-def test_destandardize_round_trip():
-    schema = small_schema()
-    rng = np.random.default_rng(0)
-    rows = np.column_stack([
-        rng.normal(5.0, 2.0, 20),
-        rng.normal(-3.0, 0.5, 20),
-        rng.integers(0, 3, 20).astype(float),
-    ])
-    table = Table(schema, rows)
-    back = destandardize(standardize(table))
-    assert np.allclose(back.rows, rows, atol=1e-12)
-    with pytest.raises(ValueError, match="scaling"):
-        destandardize(table)
 
 
 def test_apply_scaling_uses_given_stats():

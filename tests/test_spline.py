@@ -1,23 +1,23 @@
+"""Spline head tests on plain length-1 batches: gamma (1,), b (1, M+1),
+knots (M+1,) and x (1,), the shapes the training step passes."""
+
 import math
 
 import numpy as np
 import pytest
 
-from helpers import crps_quadrature, grad_rel_err, random_spline
-from tabsynth import (
-    SplineCoeffs,
-    build_spline,
-    chain_slope_grads,
-    crps_grad_from_alpha,
-    crps_loss,
+from helpers import (
     crps_loss_finite_k,
+    crps_quadrature,
+    grad_rel_err,
     mean_log_alpha_weight,
-    slopes_to_b,
-    spline_eval,
-    uniform_knots,
+    random_spline,
 )
+from tabsynth import chain_slope_grads, crps_grad_from_alpha, knot_values, slopes_to_b, uniform_knots
+from tabsynth.spline import crps_loss_batch, spline_inverse_batch
 
-HAND = SplineCoeffs(gamma=0.0, b=np.array([1.0, 1.0, 0.0]), knots=np.array([0.0, 0.5, 1.0]))
+# D(a) = a + max(a - 0.5, 0): slope 1 on [0, 0.5], slope 2 on [0.5, 1]
+HAND = (np.array([0.0]), np.array([[1.0, 1.0, 0.0]]), np.array([0.0, 0.5, 1.0]))
 
 
 def test_uniform_knots_spacing():
@@ -27,35 +27,18 @@ def test_uniform_knots_spacing():
     assert np.allclose(np.diff(knots), 0.1)
 
 
-@pytest.mark.parametrize("bad", [
-    np.array([0.1, 0.5, 1.0]),
-    np.array([0.0, 0.5, 0.9]),
-    np.array([0.0, 0.5, 0.5, 1.0]),
-    np.array([0.7]),
-])
-def test_invalid_knots_rejected(bad):
-    with pytest.raises(ValueError):
-        SplineCoeffs(gamma=0.0, b=np.zeros(bad.shape), knots=bad)
-
-
-def test_decreasing_partial_sums_rejected():
-    with pytest.raises(ValueError, match="partial slope sum"):
-        SplineCoeffs(gamma=0.0, b=np.array([1.0, -1.5, 1.0]), knots=np.array([0.0, 0.5, 1.0]))
-
-
 def test_build_spline_flat_when_raw_slopes_very_negative():
-    coeffs = build_spline(2.5, np.full(11, -40.0), uniform_knots(10))
-    alphas = np.linspace(0.0, 1.0, 33)
-    assert np.allclose(spline_eval(coeffs, alphas), 2.5, atol=1e-12)
+    values = knot_values(np.array([2.5]), slopes_to_b(np.full((1, 11), -40.0)), uniform_knots(10))
+    assert np.allclose(values, 2.5, atol=1e-12)
 
 
 def test_build_spline_identity_slope():
     # softplus(c) = 1 at c = log(e - 1) makes b = (1, 0, ..., 0), D(a) = gamma + a
     c = math.log(math.e - 1.0)
-    coeffs = build_spline(0.25, np.full(6, c), uniform_knots(5))
-    assert np.allclose(coeffs.b, [1.0, 0, 0, 0, 0, 0], atol=1e-12)
-    alphas = np.linspace(0.0, 1.0, 17)
-    assert np.allclose(spline_eval(coeffs, alphas), 0.25 + alphas)
+    knots = uniform_knots(5)
+    b = slopes_to_b(np.full((1, 6), c))
+    assert np.allclose(b, [[1.0, 0, 0, 0, 0, 0]], atol=1e-12)
+    assert np.allclose(knot_values(np.array([0.25]), b, knots), 0.25 + knots)
 
 
 def test_build_spline_partial_sums_never_negative():
@@ -67,105 +50,96 @@ def test_build_spline_partial_sums_never_negative():
 
 
 def test_eval_hand_values():
-    assert spline_eval(HAND, 0.25) == pytest.approx(0.25)
-    assert spline_eval(HAND, 0.75) == pytest.approx(1.0)
+    gamma, b, knots = HAND
+    values = np.interp([0.25, 0.75], knots, knot_values(gamma, b, knots)[0])
+    assert values == pytest.approx([0.25, 1.0])
 
 
 def test_eval_at_zero_is_gamma():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        coeffs, _ = random_spline(rng)
-        assert spline_eval(coeffs, 0.0) == pytest.approx(coeffs.gamma, abs=1e-12)
-
-
-def test_eval_rejects_alpha_outside_unit_interval():
-    with pytest.raises(ValueError, match="alpha"):
-        spline_eval(HAND, 1.2)
-    with pytest.raises(ValueError, match="alpha"):
-        spline_eval(HAND, -0.01)
+        gamma, b, knots, _ = random_spline(rng)
+        assert knot_values(gamma, b, knots)[0, 0] == pytest.approx(gamma[0], abs=1e-12)
 
 
 def test_eval_monotone_in_alpha():
+    # D is linear between knots, so non-decreasing knot values make it monotone
     rng = np.random.default_rng(1)
-    alphas = np.linspace(0.0, 1.0, 301)
     for _ in range(200):
-        coeffs, _ = random_spline(rng)
-        values = spline_eval(coeffs, alphas)
-        assert np.all(np.diff(values) >= -1e-12)
+        gamma, b, knots, _ = random_spline(rng)
+        assert np.all(np.diff(knot_values(gamma, b, knots)) >= -1e-12)
 
 
 def test_inverse_hand_value():
-    breakdown = crps_loss(HAND, 1.0)
-    assert breakdown.alpha_tilde == pytest.approx(0.75)
-    assert breakdown.segment == 1
+    alpha, seg = spline_inverse_batch(*HAND, np.array([1.0]))
+    assert alpha[0] == pytest.approx(0.75)
+    assert seg[0] == 1
 
 
 def test_inverse_at_gamma_is_zero():
-    assert crps_loss(HAND, 0.0).alpha_tilde == 0.0
+    alpha, _ = spline_inverse_batch(*HAND, np.array([0.0]))
+    assert alpha[0] == 0.0
 
 
 def test_inverse_clamps_outside_range():
-    assert crps_loss(HAND, -5.0).alpha_tilde == 0.0
-    assert crps_loss(HAND, +5.0).alpha_tilde == 1.0
+    alpha, _ = spline_inverse_batch(np.zeros(2), np.repeat(HAND[1], 2, axis=0), HAND[2], np.array([-5.0, 5.0]))
+    assert alpha.tolist() == [0.0, 1.0]
 
 
 def test_inverse_round_trip_on_increasing_segments():
     rng = np.random.default_rng(2)
     for _ in range(100):
         m = int(rng.integers(1, 13))
+        knots = uniform_knots(m)
+        gamma = np.array([float(rng.normal())])
         # raw slopes bounded below so every segment rises strictly
-        coeffs = build_spline(
-            float(rng.normal()), rng.uniform(-1.0, 2.0, m + 1), uniform_knots(m)
-        )
-        for alpha in rng.uniform(0.0, 1.0, 5):
-            x = spline_eval(coeffs, float(alpha))
-            back = crps_loss(coeffs, x).alpha_tilde
-            assert back == pytest.approx(float(alpha), abs=1e-9)
+        b = slopes_to_b(rng.uniform(-1.0, 2.0, (1, m + 1)))
+        alphas = rng.uniform(0.0, 1.0, 5)
+        x = np.interp(alphas, knots, knot_values(gamma, b, knots)[0])
+        back, _ = spline_inverse_batch(np.repeat(gamma, 5), np.repeat(b, 5, axis=0), knots, x)
+        assert back == pytest.approx(alphas, abs=1e-9)
 
 
 def test_inverse_flat_plateau_maps_to_left_knot():
     # rises to 1 on [0, 0.25], flat on [0.25, 0.5], rises again afterwards
-    coeffs = SplineCoeffs(
-        gamma=0.0,
-        b=np.array([4.0, -4.0, 2.0, 0.0]),
-        knots=np.array([0.0, 0.25, 0.5, 1.0]),
+    alpha, seg = spline_inverse_batch(
+        np.array([0.0]), np.array([[4.0, -4.0, 2.0, 0.0]]), np.array([0.0, 0.25, 0.5, 1.0]),
+        np.array([1.0]),
     )
-    breakdown = crps_loss(coeffs, 1.0)
-    assert breakdown.alpha_tilde == 0.25
-    assert breakdown.segment == 0
+    assert alpha[0] == 0.25
+    assert seg[0] == 0
 
 
 def test_inverse_zero_denominator_returns_left_knot():
     # first segment has vanishing slope; x just above gamma falls inside it
-    coeffs = SplineCoeffs(
-        gamma=0.0,
-        b=np.array([1e-310, 3.0, 0.0]),
-        knots=np.array([0.0, 0.5, 1.0]),
+    alpha, seg = spline_inverse_batch(
+        np.array([0.0]), np.array([[1e-310, 3.0, 0.0]]), np.array([0.0, 0.5, 1.0]),
+        np.array([3e-311]),
     )
-    breakdown = crps_loss(coeffs, 3e-311)
-    assert breakdown.alpha_tilde == 0.0
-    assert breakdown.segment == 0
+    assert alpha[0] == 0.0
+    assert seg[0] == 0
 
 
 def test_crps_constant_spline_is_absolute_error():
-    coeffs = SplineCoeffs(gamma=0.3, b=np.zeros(3), knots=np.array([0.0, 0.5, 1.0]))
-    assert crps_loss(coeffs, 1.0).loss == pytest.approx(0.7)
-    assert crps_loss(coeffs, -0.4).loss == pytest.approx(0.7)
+    loss, _, _ = crps_loss_batch(
+        np.full(2, 0.3), np.zeros((2, 3)), np.array([0.0, 0.5, 1.0]), np.array([1.0, -0.4])
+    )
+    assert loss == pytest.approx([0.7, 0.7])
 
 
 def test_crps_hand_value_one_twelfth():
-    coeffs = SplineCoeffs(gamma=0.0, b=np.array([1.0, 0.0]), knots=np.array([0.0, 1.0]))
-    assert crps_loss(coeffs, 0.5).loss == pytest.approx(1.0 / 12.0, abs=1e-12)
+    loss, _, _ = crps_loss_batch(np.array([0.0]), np.array([[1.0, 0.0]]), np.array([0.0, 1.0]), np.array([0.5]))
+    assert loss[0] == pytest.approx(1.0 / 12.0, abs=1e-12)
 
 
 def test_crps_matches_quadrature_on_random_fixtures():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        coeffs, x = random_spline(rng)
-        breakdown = crps_loss(coeffs, x)
-        assert breakdown.loss >= 0.0
-        assert 0.0 <= breakdown.alpha_tilde <= 1.0
-        assert abs(breakdown.loss - crps_quadrature(coeffs, x, nodes=200_001)) < 1e-6
+        gamma, b, knots, x = random_spline(rng)
+        loss, alpha, _ = crps_loss_batch(gamma, b, knots, x)
+        assert loss[0] >= 0.0
+        assert 0.0 <= alpha[0] <= 1.0
+        assert abs(loss[0] - crps_quadrature(gamma, b, knots, x, nodes=200_001)) < 1e-6
 
 
 def test_crps_envelope_is_flat_in_alpha():
@@ -174,32 +148,33 @@ def test_crps_envelope_is_flat_in_alpha():
     rng = np.random.default_rng(4)
     for _ in range(50):
         m = int(rng.integers(1, 13))
-        coeffs = build_spline(float(rng.normal()), rng.uniform(-2.0, 2.0, m + 1), uniform_knots(m))
-        x = spline_eval(coeffs, float(rng.uniform(0.05, 0.95)))
-        breakdown = crps_loss(coeffs, x)
+        knots = uniform_knots(m)
+        gamma = np.array([float(rng.normal())])
+        b = slopes_to_b(rng.uniform(-2.0, 2.0, (1, m + 1)))
+        x = np.interp([float(rng.uniform(0.05, 0.95))], knots, knot_values(gamma, b, knots)[0])
+        _, (alpha_tilde,), _ = crps_loss_batch(gamma, b, knots, x)
 
         def loss_at(alpha):
-            dg, terms = crps_grad_from_alpha(np.array([alpha]), coeffs.knots)
-            return ((2.0 * alpha - 1.0) * x + (1.0 - 2.0 * alpha) * coeffs.gamma
-                    + float(coeffs.b @ terms[0]))
+            _, terms = crps_grad_from_alpha(np.array([alpha]), knots)
+            return (2.0 * alpha - 1.0) * x[0] + (1.0 - 2.0 * alpha) * gamma[0] + float(b[0] @ terms[0])
 
-        base = loss_at(breakdown.alpha_tilde)
+        base = loss_at(alpha_tilde)
         for eps in (1e-4, -1e-4):
-            alpha = min(1.0, max(0.0, breakdown.alpha_tilde + eps))
+            alpha = min(1.0, max(0.0, alpha_tilde + eps))
             assert abs(loss_at(alpha) - base) < 1e-6
 
 
 def test_finite_k_single_term():
-    coeffs = SplineCoeffs(gamma=0.0, b=np.zeros(2), knots=np.array([0.0, 1.0]))
-    assert crps_loss_finite_k(coeffs, 1.0, 1) == pytest.approx(1.0)
+    constant = (np.array([0.0]), np.zeros((1, 2)), np.array([0.0, 1.0]), np.array([1.0]))
+    assert crps_loss_finite_k(*constant, 1) == pytest.approx(1.0)
 
 
 def test_finite_k_converges_to_half_closed_form():
     rng = np.random.default_rng(6)
     for _ in range(10):
-        coeffs, x = random_spline(rng)
-        target = crps_loss(coeffs, x).loss / 2.0
-        errors = [abs(crps_loss_finite_k(coeffs, x, 10**j) - target) for j in (2, 3, 4, 5)]
+        spline = random_spline(rng)
+        target = crps_loss_batch(*spline)[0][0] / 2.0
+        errors = [abs(crps_loss_finite_k(*spline, 10**j) - target) for j in (2, 3, 4, 5)]
         assert errors[-1] < 1e-3
         assert all(a >= b - 1e-12 for a, b in zip(errors[:-1], errors[1:]))
 
@@ -213,23 +188,24 @@ def test_mean_log_alpha_weight():
 
 
 def test_grad_saturated_clamps():
-    coeffs = SplineCoeffs(gamma=0.0, b=np.array([1.0, 0.0]), knots=np.array([0.0, 1.0]))
-    alphas = np.array([crps_loss(coeffs, 50.0).alpha_tilde, crps_loss(coeffs, -50.0).alpha_tilde])
-    (dg_hi, dg_lo), _ = crps_grad_from_alpha(alphas, coeffs.knots)
+    knots = np.array([0.0, 1.0])
+    alphas, _ = spline_inverse_batch(np.zeros(2), np.array([[1.0, 0.0]] * 2), knots, np.array([50.0, -50.0]))
+    (dg_hi, dg_lo), _ = crps_grad_from_alpha(alphas, knots)
     assert dg_hi == pytest.approx(-1.0)
     assert dg_lo == pytest.approx(+1.0)
 
 
 def _coeff_gradcheck_fixture(rng):
     m = int(rng.integers(1, 13))
+    knots = uniform_knots(m)
+    gamma = np.array([float(rng.normal())])
     # raw slopes bounded below keep partial sums comfortably positive, so the
     # finite-difference perturbations of b stay inside the valid region
-    coeffs = build_spline(float(rng.normal()), rng.uniform(-1.5, 2.0, m + 1), uniform_knots(m))
-    x = float(rng.normal(coeffs.gamma + 0.5, 1.5))
-    images = spline_eval(coeffs, coeffs.knots)
-    if np.min(np.abs(images - x)) < 1e-6:
+    b = slopes_to_b(rng.uniform(-1.5, 2.0, (1, m + 1)))
+    x = np.array([float(rng.normal(gamma[0] + 0.5, 1.5))])
+    if np.min(np.abs(knot_values(gamma, b, knots) - x)) < 1e-6:
         return None  # kink of the loss, gradient one-sided there
-    return coeffs, x
+    return gamma, b, knots, x
 
 
 def test_grad_matches_finite_differences():
@@ -240,21 +216,20 @@ def test_grad_matches_finite_differences():
         fixture = _coeff_gradcheck_fixture(rng)
         if fixture is None:
             continue
-        coeffs, x = fixture
+        gamma, b, knots, x = fixture
         checked += 1
-        (dg,), (db,) = crps_grad_from_alpha(np.array([crps_loss(coeffs, x).alpha_tilde]), coeffs.knots)
+        _, alpha, _ = crps_loss_batch(gamma, b, knots, x)
+        (dg,), (db,) = crps_grad_from_alpha(alpha, knots)
 
-        num = (crps_loss(SplineCoeffs(coeffs.gamma + eps, coeffs.b, coeffs.knots), x).loss
-               - crps_loss(SplineCoeffs(coeffs.gamma - eps, coeffs.b, coeffs.knots), x).loss) / (2 * eps)
-        assert grad_rel_err(dg, num) < 1e-4
-
-        for j in range(coeffs.b.size):
-            bumped = coeffs.b.copy()
-            bumped[j] += eps
-            hi = crps_loss(SplineCoeffs(coeffs.gamma, bumped, coeffs.knots), x).loss
-            bumped[j] -= 2 * eps
-            lo = crps_loss(SplineCoeffs(coeffs.gamma, bumped, coeffs.knots), x).loss
-            assert grad_rel_err(db[j], (hi - lo) / (2 * eps)) < 1e-4
+        # one batch of perturbed splines: row 0 moves gamma, row j + 1 moves
+        # b_j, by +eps in the first half and by -eps in the second
+        size = b.shape[1] + 1
+        step = np.concatenate([eps * np.eye(size), -eps * np.eye(size)])
+        losses, _, _ = crps_loss_batch(gamma + step[:, 0], b + step[:, 1:], knots, np.repeat(x, 2 * size))
+        numeric = (losses[:size] - losses[size:]) / (2 * eps)
+        assert grad_rel_err(dg, numeric[0]) < 1e-4
+        for j in range(size - 1):
+            assert grad_rel_err(db[j], numeric[j + 1]) < 1e-4
 
 
 def test_grad_chains_through_raw_slopes():
@@ -262,18 +237,18 @@ def test_grad_chains_through_raw_slopes():
     eps = 1e-6
     knots = uniform_knots(6)
     for _ in range(50):
-        gamma_raw = float(rng.normal())
-        slope_raw = rng.uniform(-1.5, 2.0, 7)
-        coeffs = build_spline(gamma_raw, slope_raw, knots)
-        x = float(rng.normal(coeffs.gamma + 0.5, 1.5))
-        if np.min(np.abs(spline_eval(coeffs, knots) - x)) < 1e-6:
+        gamma = np.array([float(rng.normal())])
+        slope_raw = rng.uniform(-1.5, 2.0, (1, 7))
+        b = slopes_to_b(slope_raw)
+        x = np.array([float(rng.normal(gamma[0] + 0.5, 1.5))])
+        if np.min(np.abs(knot_values(gamma, b, knots) - x)) < 1e-6:
             continue
-        _, (db,) = crps_grad_from_alpha(np.array([crps_loss(coeffs, x).alpha_tilde]), knots)
-        ds = chain_slope_grads(db, slope_raw)
+        _, alpha, _ = crps_loss_batch(gamma, b, knots, x)
+        _, db = crps_grad_from_alpha(alpha, knots)
+        (ds,) = chain_slope_grads(db, slope_raw)
+
+        bumped = slope_raw + np.concatenate([eps * np.eye(7), -eps * np.eye(7)])
+        losses, _, _ = crps_loss_batch(np.repeat(gamma, 14), slopes_to_b(bumped), knots, np.repeat(x, 14))
+        numeric = (losses[:7] - losses[7:]) / (2 * eps)
         for j in range(7):
-            bumped = slope_raw.copy()
-            bumped[j] += eps
-            hi = crps_loss(build_spline(gamma_raw, bumped, knots), x).loss
-            bumped[j] -= 2 * eps
-            lo = crps_loss(build_spline(gamma_raw, bumped, knots), x).loss
-            assert grad_rel_err(ds[j], (hi - lo) / (2 * eps)) < 1e-4
+            assert grad_rel_err(ds[j], numeric[j]) < 1e-4

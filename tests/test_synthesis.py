@@ -10,7 +10,6 @@ from tabsynth import (
     Schema,
     Table,
     TrainConfig,
-    discretize_cdf,
     estimate_cdf,
     generate,
     gumbel_max,
@@ -167,43 +166,3 @@ def test_estimate_cdf_matches_standard_normal(normal_checkpoint):
 def test_estimate_cdf_rejects_discrete(normal_checkpoint):
     with pytest.raises(ValueError, match="discrete"):
         estimate_cdf(normal_checkpoint, "g")
-
-
-def test_discretize_uniform_window_masses():
-    # continuous uniform on [0, 5]: windows around 1,2,3,4 each hold 0.2
-    cdf = lambda x: min(max(x / 5.0, 0.0), 1.0)
-    out = discretize_cdf(cdf, np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(out.values, [0.2, 0.4, 0.6, 0.8])
-
-
-def test_discretize_flat_cdf_stays_constant():
-    out = discretize_cdf(lambda x: 0.5, np.array([0.0, 1.0, 2.0]))
-    assert np.allclose(out.values, 0.0)
-
-
-def test_discretize_repairs_decreasing_input():
-    # adversarial non-monotone cdf: negative window mass gets floored by repair
-    def bad(x):
-        return {0.5: 0.6, -0.5: 0.1, 1.5: 0.55, 2.5: 0.9}.get(x, 0.0)
-
-    out = discretize_cdf(bad, np.array([0.0, 1.0, 2.0]))
-    assert np.all(np.diff(out.values) >= 0)
-    assert out.values[0] == pytest.approx(0.5)
-
-
-def test_discretize_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        discretize_cdf(lambda x: 0.0, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match="non-empty"):
-        discretize_cdf(lambda x: 0.0, np.array([]))
-
-
-def test_discretize_model_cdf(normal_checkpoint):
-    # the model CDF at every window edge, estimated in standardized units
-    levels = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    edges = np.append(levels - 0.5, levels[-1] + 0.5)
-    mean, std = normal_checkpoint.scaling.mean[0], normal_checkpoint.scaling.stddev[0]
-    curve = estimate_cdf(normal_checkpoint, "x", grid=(edges - mean) / std, n_mc=500, seed=4)
-    out = discretize_cdf(dict(zip(edges, curve.values)).__getitem__, levels)
-    assert np.all(np.diff(out.values) >= 0)
-    assert out.values[-1] > 0.9
