@@ -9,18 +9,20 @@ stored config on load.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, fields
 from functools import cache
 from typing import get_type_hints
 
 import numpy as np
 
-from .data import ScalingStats, Schema, check_scaling_names, schema_from_doc
-from .model import Checkpoint, LossBreakdown, TrainConfig, decoder_width
-from .nn import DenseLayer, Mlp
+from .data import ScalingStats, check_scaling_names, schema_from_doc
+from .model import Checkpoint, LossBreakdown, TrainConfig, net_sizes
+from .nn import Mlp
 from .serialize import json_text
 
 CHECKPOINT_FORMAT_VERSION = 1
+ACTIVATIONS = ["relu", "identity"]  # the fixed two-layer networks: relu after the hidden layer only
 
 # resolving annotations takes ~40 us, and the loss trace holds one entry per epoch
 _field_types = cache(get_type_hints)
@@ -28,11 +30,8 @@ _field_types = cache(get_type_hints)
 
 def _mlp_doc(net: Mlp) -> dict:
     return {
-        "activations": list(net.activations),
-        "layers": [
-            {"weight": layer.weight.tolist(), "bias": layer.bias.tolist()}
-            for layer in net.layers
-        ],
+        "activations": ACTIVATIONS,
+        "layers": [{"weight": weight.tolist(), "bias": bias.tolist()} for weight, bias in net],
     }
 
 
@@ -71,10 +70,21 @@ def _require(doc, key, path, kind=object):
     return doc[key]
 
 
+def _number(doc, key, path, kind):
+    value = _require(doc, key, path, (int, float) if kind is float else int)  # an int may stand for a float
+    # json reads 1e400 as inf, and float() overflows on an int literal that large
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"corrupt checkpoint: {path}.{key} must be a finite number")
+    return kind(value)
+
+
 def _fields_from_doc(cls, doc, path):
     types = _field_types(cls)
-    kinds = {int: int, float: (int, float)}  # a JSON int may stand for a whole float
-    return cls(**{f.name: types[f.name](_require(doc, f.name, path, kinds[types[f.name]])) for f in fields(cls)})
+    values = {f.name: _number(doc, f.name, path, types[f.name]) for f in fields(cls)}
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ValueError(f"corrupt checkpoint: {path}: {err}") from None
 
 
 def _float_array(doc, key, path, ndim):
@@ -94,16 +104,21 @@ def _reject_constant(name):
     raise ValueError(f"corrupt checkpoint: non-finite number {name}")
 
 
-def _mlp_from_doc(doc, path) -> Mlp:
-    activations = [str(a) for a in _require(doc, "activations", path, list)]
-    layers = []
+def _mlp_from_doc(doc, path, sizes) -> list[np.ndarray]:
+    """The network's weight and bias arrays, layer by layer, each weight
+    checked against the shape that sizes gives it."""
+    if _require(doc, "activations", path, list) != ACTIVATIONS:
+        raise ValueError(f"corrupt checkpoint: {path}.activations must be {ACTIVATIONS}")
+    blocks = []
     for i, entry in enumerate(_require(doc, "layers", path, list)):
         weight = _float_array(entry, "weight", f"{path}.layers[{i}]", 2)
         bias = _float_array(entry, "bias", f"{path}.layers[{i}]", 1)
         if bias.shape != (weight.shape[0],):
             raise ValueError(f"corrupt checkpoint: bad layer shapes under {path}")
-        layers.append(DenseLayer(weight=weight, bias=bias))
-    return Mlp(layers=layers, activations=activations)
+        blocks += [weight, bias]
+    if [w.shape for w in blocks[::2]] != [(n_out, n_in) for n_in, n_out in zip(sizes[:-1], sizes[1:])]:
+        raise ValueError(f"corrupt checkpoint: {path} shape does not match schema/config")
+    return blocks
 
 
 def checkpoint_from_text(text: str) -> Checkpoint:
@@ -128,9 +143,9 @@ def checkpoint_from_text(text: str) -> Checkpoint:
     check_scaling_names(schema, scaling)
 
     config = _fields_from_doc(TrainConfig, _require(doc, "config", "checkpoint"), "config")
-    encoder = _mlp_from_doc(_require(doc, "encoder", "checkpoint"), "encoder")
-    decoder = _mlp_from_doc(_require(doc, "decoder", "checkpoint"), "decoder")
-    _check_shapes(schema, config, encoder, decoder)
+    blocks = []
+    for name, sizes in zip(("encoder", "decoder"), net_sizes(schema, config)):
+        blocks += _mlp_from_doc(_require(doc, name, "checkpoint"), name, sizes)
 
     quantiles = _require(doc, "quantiles", "checkpoint")
     bounds = [_float_array(quantiles, key, "quantiles", 1) for key in ("low", "high")]
@@ -145,22 +160,11 @@ def checkpoint_from_text(text: str) -> Checkpoint:
         schema=schema,
         scaling=scaling,
         config=config,
-        encoder=encoder,
-        decoder=decoder,
+        params=np.concatenate([b.ravel() for b in blocks]),
         quantile_lo=bounds[0],
         quantile_hi=bounds[1],
         loss_trace=trace,
     )
-
-
-def _check_shapes(schema: Schema, config: TrainConfig, encoder: Mlp, decoder: Mlp) -> None:
-    ends = {"encoder": (encoder, schema.encoded_width, 2 * config.latent_dim),
-            "decoder": (decoder, config.latent_dim, decoder_width(schema, config.knot_count))}
-    for name, (net, n_in, n_out) in ends.items():
-        # each layer must take the previous layer's output, from n_in through to n_out
-        widths = [n_in] + [layer.weight.shape[0] for layer in net.layers]
-        if [layer.weight.shape[1] for layer in net.layers] != widths[:-1] or widths[-1] != n_out:
-            raise ValueError(f"corrupt checkpoint: {name} shape does not match schema/config")
 
 
 def save_checkpoint(cp: Checkpoint, path) -> None:

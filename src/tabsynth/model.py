@@ -16,11 +16,12 @@ and hand-derived; see tests for the finite-difference checks.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .data import Schema, ScalingStats, Table, one_hot_matrix
-from .nn import ACT_IDENTITY, ACT_RELU, Mlp, adam_init, adam_step, mlp_backward, mlp_forward, mlp_init, mlp_params
+from .nn import Mlp, adam_init, adam_step, layer_views, mlp_backward, mlp_forward, mlp_init
 from . import spline as sp
 
 
@@ -36,10 +37,13 @@ class TrainConfig:
     hidden_width: int = 32
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0 or self.beta <= 0:
-            raise ValueError("learning_rate and beta must be positive")
+        for name in ("learning_rate", "beta"):
+            if not 0 < getattr(self, name) < np.inf:  # false for NaN too
+                raise ValueError(f"{name} must be a finite positive number, got {getattr(self, name)!r}")
         if self.latent_dim < 1 or self.knot_count < 1 or self.hidden_width < 1:
             raise ValueError("latent_dim, knot_count and hidden_width must be positive")
 
@@ -54,14 +58,26 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class VaeModel:
+    """params is the model's one flat parameter vector: the encoder's layers,
+    then the decoder's, as nn.layer_views reads them; encoder and decoder are
+    views into it."""
+
     schema: Schema
     config: TrainConfig
-    encoder: Mlp
-    decoder: Mlp
+    params: np.ndarray
 
     @property
     def knots(self) -> np.ndarray:
         return sp.uniform_knots(self.config.knot_count)
+
+    @cached_property
+    def encoder(self) -> Mlp:
+        return layer_views(net_sizes(self.schema, self.config)[0], self.params)
+
+    @cached_property
+    def decoder(self) -> Mlp:
+        start = sum(a.size for layer in self.encoder for a in layer)
+        return layer_views(net_sizes(self.schema, self.config)[1], self.params[start:])
 
 
 @dataclass(frozen=True)
@@ -100,19 +116,16 @@ def decoder_heads(schema: Schema, knot_count: int, dec_out: np.ndarray):
     return numeric[:, :, 0], numeric[:, :, 1:], logits
 
 
+def net_sizes(schema: Schema, config: TrainConfig):
+    """Layer widths [n_in, hidden, n_out] of the encoder and of the decoder."""
+    d, h = config.latent_dim, config.hidden_width
+    return (schema.encoded_width, h, 2 * d), (d, h, decoder_width(schema, config.knot_count))
+
+
 def model_init(schema: Schema, config: TrainConfig, rng: np.random.Generator) -> VaeModel:
-    d = config.latent_dim
-    encoder = mlp_init(
-        [schema.encoded_width, config.hidden_width, 2 * d],
-        [ACT_RELU, ACT_IDENTITY],
-        rng,
-    )
-    decoder = mlp_init(
-        [d, config.hidden_width, decoder_width(schema, config.knot_count)],
-        [ACT_RELU, ACT_IDENTITY],
-        rng,
-    )
-    return VaeModel(schema=schema, config=config, encoder=encoder, decoder=decoder)
+    """Glorot-uniform weights and zero biases, the encoder's drawn first."""
+    params = np.concatenate([mlp_init(sizes, rng) for sizes in net_sizes(schema, config)])
+    return VaeModel(schema=schema, config=config, params=params)
 
 
 def encode_batch(model: VaeModel, rows: np.ndarray):
@@ -187,8 +200,7 @@ def elbo_loss(model: VaeModel, rows: np.ndarray, noise: np.ndarray) -> LossBreak
 
 
 def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
-    """Loss plus exact gradients for every encoder and decoder parameter,
-    ordered as mlp_params(encoder) + mlp_params(decoder)."""
+    """Loss plus the exact gradient, a flat vector laid out like model.params."""
     breakdown, st = _elbo_forward(model, rows, noise)
     n = st["n"]
     knots = st["knots"]
@@ -205,14 +217,14 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
         probs[np.arange(n), idx] -= 1.0  # probs is this call's own, not read again
         d_block[...] = probs / n
 
-    dz, dec_tape = mlp_backward(model.decoder, st["dec_cache"], d_dec)
+    dz, dec_grad = mlp_backward(model.decoder, st["dec_cache"], d_dec)
 
     d_mu = dz + beta * st["mu"] / n
     d_log_var = dz * 0.5 * st["sigma"] * st["noise"] + beta * 0.5 * (np.exp(st["log_var"]) - 1.0) / n
     d_enc_out = np.concatenate([d_mu, d_log_var], axis=1)
-    _, enc_tape = mlp_backward(model.encoder, st["enc_cache"], d_enc_out)
+    _, enc_grad = mlp_backward(model.encoder, st["enc_cache"], d_enc_out)
 
-    return breakdown, enc_tape + dec_tape
+    return breakdown, np.concatenate([enc_grad, dec_grad])
 
 
 def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
@@ -231,8 +243,8 @@ def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
         raise ValueError("train needs at least 2 rows")
     rng = np.random.default_rng(config.seed)
     model = model_init(table.schema, config, rng)
-    params = mlp_params(model.encoder) + mlp_params(model.decoder)
-    adam = adam_init(params, lr=config.learning_rate)
+    shapes = [a.shape for net in (model.encoder, model.decoder) for layer in net for a in layer]
+    adam = adam_init(shapes, lr=config.learning_rate)
 
     rows = table.rows
     n = table.n_rows
@@ -249,7 +261,7 @@ def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
             with np.errstate(over="ignore", invalid="ignore"):
                 breakdown, grads = elbo_grads(model, batch, noise)
                 try:
-                    adam_step(params, grads, adam)
+                    adam_step(model.params, grads, adam)
                 except FloatingPointError as err:
                     parts = ", ".join(f"{k}={v:.6g}" for k, v in asdict(breakdown).items())
                     raise FloatingPointError(
@@ -272,8 +284,7 @@ def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
         schema=table.schema,
         scaling=table.scaling,
         config=config,
-        encoder=model.encoder,
-        decoder=model.decoder,
+        params=model.params,
         quantile_lo=np.atleast_1d(lo),
         quantile_hi=np.atleast_1d(hi),
         loss_trace=trace,

@@ -1,18 +1,21 @@
 """Minimal dense network with hand-written reverse-mode gradients.
 
-Float64 throughout. Layers are fully connected with identity or relu
-activations; forward returns a cache that backward consumes to produce
-exact parameter gradients. Adam is the standard bias-corrected update.
+Float64 throughout. A network is a chain of fully connected layers with a
+relu after every layer but the last. All its parameters live in one flat
+vector: each layer's (n_out, n_in) weight row-major, then its bias, layer
+after layer. The layers are views into that vector, so updating the vector
+updates the network. Forward returns a cache that backward consumes to
+produce the exact parameter gradient, a flat vector with the same layout.
+Adam is the standard bias-corrected update, applied to the whole vector at
+once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-ACT_IDENTITY = "identity"
-ACT_RELU = "relu"
 
 
 def softplus(x):
@@ -45,39 +48,29 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-@dataclass
-class DenseLayer:
-    weight: np.ndarray  # (n_out, n_in)
-    bias: np.ndarray  # (n_out,)
+Mlp = list[tuple[np.ndarray, np.ndarray]]  # (weight (n_out, n_in), bias (n_out,)) per layer
 
 
-@dataclass
-class Mlp:
-    """Dense layers applied in order; activations[i] follows layers[i]."""
-
-    layers: list[DenseLayer]
-    activations: list[str]
-
-    def __post_init__(self):
-        if len(self.layers) != len(self.activations):
-            raise ValueError("one activation per layer required")
-        for act in self.activations:
-            if act not in (ACT_IDENTITY, ACT_RELU):
-                raise ValueError(f"unknown activation {act!r}")
-
-    @property
-    def n_in(self) -> int:
-        return self.layers[0].weight.shape[1]
+def layer_views(sizes, flat: np.ndarray) -> Mlp:
+    """The network with layer widths sizes = [n_in, h1, ..., n_out] as views
+    into the front of flat: each layer's weight row-major, then its bias."""
+    net, pos = [], 0
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        weight = flat[pos : pos + n_out * n_in].reshape(n_out, n_in)
+        pos += n_out * n_in
+        net.append((weight, flat[pos : pos + n_out]))
+        pos += n_out
+    return net
 
 
-def mlp_init(sizes: list[int], activations: list[str], rng: np.random.Generator) -> Mlp:
-    """Glorot-uniform weights, zero biases. sizes = [n_in, h1, ..., n_out]."""
-    layers = []
+def mlp_init(sizes, rng: np.random.Generator) -> np.ndarray:
+    """Glorot-uniform weights and zero biases, drawn layer by layer, as one
+    flat vector laid out as layer_views reads it."""
+    blocks = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weight = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(DenseLayer(weight=weight, bias=np.zeros(fan_out)))
-    return Mlp(layers=layers, activations=list(activations))
+        blocks += [rng.uniform(-limit, limit, size=fan_out * fan_in), np.zeros(fan_out)]
+    return np.concatenate(blocks)
 
 
 def mlp_forward(net: Mlp, x: np.ndarray):
@@ -87,78 +80,69 @@ def mlp_forward(net: Mlp, x: np.ndarray):
     pre-activations needed by mlp_backward.
     """
     h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != net.n_in:
-        raise ValueError(f"input shape {h.shape} does not match network width ({net.n_in})")
-    inputs = []
-    pres = []
-    for layer, act in zip(net.layers, net.activations):
+    n_in = net[0][0].shape[1]
+    if h.ndim != 2 or h.shape[1] != n_in:
+        raise ValueError(f"input shape {h.shape} does not match network width ({n_in})")
+    inputs, pres = [], []
+    for i, (weight, bias) in enumerate(net):
         inputs.append(h)
-        pre = h @ layer.weight.T + layer.bias
+        pre = h @ weight.T + bias
         pres.append(pre)
-        h = relu(pre) if act == ACT_RELU else pre
+        h = pre if i == len(net) - 1 else relu(pre)
     return h, (inputs, pres)
 
 
 def mlp_backward(net: Mlp, cache, grad_out: np.ndarray):
     """Backpropagate grad_out (same shape as the forward output).
 
-    Returns (grad_input, tape) where tape is [dW0, db0, dW1, db1, ...]
-    aligned with mlp_params.
+    Returns (grad_input, grad) where grad is one flat vector laid out as
+    layer_views reads it.
     """
     inputs, pres = cache
     g = np.asarray(grad_out, dtype=np.float64)
-    tape = [None] * (2 * len(net.layers))
-    for i in range(len(net.layers) - 1, -1, -1):
-        if net.activations[i] == ACT_RELU:
+    tape = []
+    for i in range(len(net) - 1, -1, -1):
+        if i < len(net) - 1:
             g = g * (pres[i] > 0)
-        tape[2 * i] = g.T @ inputs[i]
-        tape[2 * i + 1] = g.sum(axis=0)
-        g = g @ net.layers[i].weight
-    return g, tape
-
-
-def mlp_params(net: Mlp) -> list[np.ndarray]:
-    """Live views of all parameters: [W0, b0, W1, b1, ...]."""
-    out = []
-    for layer in net.layers:
-        out.append(layer.weight)
-        out.append(layer.bias)
-    return out
+        tape[:0] = [(g.T @ inputs[i]).ravel(), g.sum(axis=0)]
+        g = g @ net[i][0]
+    return g, np.concatenate(tape)
 
 
 @dataclass
 class AdamState:
+    """Adam moments for one flat parameter vector. shapes are the blocks it is
+    cut into, in order; they only name the block of a non-finite gradient."""
+
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    shapes: list[tuple[int, ...]] = field(default_factory=list)
 
 
-def adam_init(params: list[np.ndarray], lr: float = 0.001) -> AdamState:
-    return AdamState(
-        lr=lr,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-    )
+def adam_init(shapes, lr: float = 0.001) -> AdamState:
+    """Zero moments for a flat vector made of blocks of these shapes."""
+    n = sum(math.prod(s) for s in shapes)
+    return AdamState(lr=lr, m=np.zeros(n), v=np.zeros(n), shapes=[tuple(s) for s in shapes])
 
 
-def adam_step(params: list[np.ndarray], tape: list[np.ndarray], state: AdamState) -> None:
-    """One bias-corrected Adam update, applied to params in place."""
-    if len(params) != len(state.m) or len(params) != len(tape):
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of the flat vector params, in place."""
+    if params.shape != state.m.shape or params.shape != grad.shape:
         raise ValueError("params, gradients and Adam state must align")
     state.t += 1
+    if not np.all(np.isfinite(grad)):
+        ends = np.cumsum([math.prod(s) for s in state.shapes])
+        i = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(grad))[0], side="right"))
+        raise FloatingPointError(
+            f"non-finite gradient in parameter block {i} (shape {state.shapes[i]})"
+        )
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
-    for i, (p, g) in enumerate(zip(params, tape)):
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"non-finite gradient in parameter block {i} (shape {p.shape})"
-            )
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)

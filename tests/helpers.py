@@ -1,6 +1,8 @@
 """Shared oracles for the test suite: brute-force reference implementations
 that the fast closed-form code is checked against."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from tabsynth import knot_values, slopes_to_b, uniform_knots
@@ -147,3 +149,42 @@ def masked_logistic(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+@dataclass
+class BlockwiseAdamState:
+    lr: float = 0.001
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    t: int = 0
+    m: list = field(default_factory=list)
+    v: list = field(default_factory=list)
+
+
+def blockwise_adam_init(params, lr: float = 0.001) -> BlockwiseAdamState:
+    return BlockwiseAdamState(
+        lr=lr,
+        m=[np.zeros_like(p) for p in params],
+        v=[np.zeros_like(p) for p in params],
+    )
+
+
+def blockwise_adam_step(params, tape, state: BlockwiseAdamState) -> None:
+    """Adam with one m and one v array per parameter block, updated block by
+    block: the reference the whole-vector nn.adam_step must match bit for bit."""
+    if len(params) != len(state.m) or len(params) != len(tape):
+        raise ValueError("params, gradients and Adam state must align")
+    state.t += 1
+    c1 = 1.0 - state.beta1 ** state.t
+    c2 = 1.0 - state.beta2 ** state.t
+    for i, (p, g) in enumerate(zip(params, tape)):
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(
+                f"non-finite gradient in parameter block {i} (shape {p.shape})"
+            )
+        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
+        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        m_hat = state.m[i] / c1
+        v_hat = state.v[i] / c2
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -45,17 +45,16 @@ def test_file_round_trip(tmp_path, small_checkpoint):
     assert checkpoint_to_text(loaded) == path.read_text(encoding="utf-8")
     assert loaded.config == small_checkpoint.config
     assert loaded.schema == small_checkpoint.schema
-    for a, b in zip(loaded.encoder.layers, small_checkpoint.encoder.layers):
-        assert np.array_equal(a.weight, b.weight)
-        assert np.array_equal(a.bias, b.bias)
+    assert loaded.params.tobytes() == small_checkpoint.params.tobytes()
 
 
 def test_awkward_floats_survive_exactly(small_checkpoint):
     cp = checkpoint_from_text(checkpoint_to_text(small_checkpoint))
-    cp.encoder.layers[0].weight[0, :3] = [1.0 / 3.0, 1e-300, 0.1]
-    cp.encoder.layers[0].weight[1, 0] = 6.02214076e23
+    weight = cp.encoder[0][0]
+    weight[0, :3] = [1.0 / 3.0, 1e-300, 0.1]
+    weight[1, 0] = 6.02214076e23
     loaded = checkpoint_from_text(checkpoint_to_text(cp))
-    assert np.array_equal(loaded.encoder.layers[0].weight, cp.encoder.layers[0].weight)
+    assert np.array_equal(loaded.encoder[0][0], weight)
 
 
 def test_float_formatting():
@@ -136,6 +135,53 @@ def test_rejects_wrong_typed_schema_levels(small_checkpoint):
     doc = json.loads(checkpoint_to_text(small_checkpoint))
     doc["schema"]["columns"][1]["levels"] = 5
     with pytest.raises(ValueError, match=r"schema: columns\[1\]\.levels must be a list"):
+        checkpoint_from_text(json.dumps(doc))
+
+
+def test_unknown_activation_rejected(small_checkpoint):
+    # every network is relu after the hidden layer and linear after the output
+    for net in ("encoder", "decoder"):
+        for activations in (["relu", "tanh"], ["identity", "relu"], ["relu"], ["relu", "identity", "relu"]):
+            doc = json.loads(checkpoint_to_text(small_checkpoint))
+            doc[net]["activations"] = activations
+            with pytest.raises(ValueError, match=rf"^corrupt checkpoint: {net}\.activations must be \['relu', 'identity'\]$"):
+                checkpoint_from_text(json.dumps(doc))
+
+
+def test_rejects_hidden_width_off_config(small_checkpoint):
+    # the layers chain, but not through the hidden width the config records
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    doc["config"]["hidden_width"] -= 1
+    with pytest.raises(ValueError, match="encoder shape does not match schema/config"):
+        checkpoint_from_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("path, literal, name", [
+    (("config", "beta"), "1e400", r"config\.beta"),
+    (("config", "learning_rate"), "-1e400", r"config\.learning_rate"),
+    (("config", "beta"), "1" + "0" * 400, r"config\.beta"),
+    (("loss_trace", 1, "kl"), "1e999", r"loss_trace\[1\]\.kl"),
+], ids=["beta", "learning_rate", "beta-int-literal", "loss_trace-kl"])
+def test_rejects_number_out_of_float_range(small_checkpoint, path, literal, name):
+    # json reads 1e400 as inf, which parse_constant never sees
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "PLACEHOLDER"
+    with pytest.raises(ValueError, match=f"^corrupt checkpoint: {name} must be a finite number$"):
+        checkpoint_from_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", -1, "seed must be non-negative"),
+    ("beta", 0.0, "beta must be a finite positive number"),
+    ("epochs", 0, "epochs and batch_size must be positive"),
+])
+def test_rejects_config_that_train_config_rejects(small_checkpoint, key, value, message):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    doc["config"][key] = value
+    with pytest.raises(ValueError, match=f"^corrupt checkpoint: config: {message}"):
         checkpoint_from_text(json.dumps(doc))
 
 

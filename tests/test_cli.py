@@ -101,6 +101,25 @@ def test_train_unreadable_data_is_runtime_error(workspace):
     assert "error" in result.stderr
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--lr", "nan", "learning_rate"),
+    ("--lr", "inf", "learning_rate"),
+    ("--beta", "inf", "beta"),
+    ("--beta", "nan", "beta"),
+    ("--seed", "-1", "seed"),
+])
+def test_train_rejects_non_finite_or_negative_flag_naming_the_field(workspace, flag, value, field):
+    out = workspace / "never.json"
+    args = {"--seed": "1", "--lr": "0.001", "--beta": "0.5", flag: value}
+    result = run_cli(
+        "train", "--data", workspace / "train.csv", "--schema", workspace / "schema.json",
+        "--out", out, "--epochs", 1, *[x for pair in args.items() for x in pair],
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {field} must be"), result.stderr
+    assert not out.exists()
+
+
 def test_train_invalid_schema_json_names_the_file(workspace):
     bad = workspace / "bad_schema.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -20,7 +20,7 @@ from tabsynth import (
     train,
 )
 from tabsynth.model import decoder_heads, decoder_width, encode_batch
-from tabsynth.nn import mlp_forward, mlp_params, softmax
+from tabsynth.nn import mlp_forward, softmax
 
 MIX_SCHEMA = Schema((
     ColumnSpec("x", "continuous"),
@@ -35,8 +35,7 @@ DISCRETE_SCHEMA = Schema((
 
 
 def zeroed(model):
-    for p in mlp_params(model.encoder) + mlp_params(model.decoder):
-        p[...] = 0.0
+    model.params[...] = 0.0
     return model
 
 
@@ -66,10 +65,17 @@ def test_config_requires_seed():
     {"latent_dim": 0},
     {"knot_count": 0},
     {"hidden_width": 0},
+    {"learning_rate": math.nan},
+    {"learning_rate": math.inf},
+    {"learning_rate": -math.inf},
+    {"beta": math.nan},
+    {"beta": math.inf},
+    {"seed": -1},
 ])
 def test_config_rejects_non_positive(overrides):
-    with pytest.raises(ValueError):
-        TrainConfig(seed=1, **overrides)
+    # the message names the field
+    with pytest.raises(ValueError, match=next(iter(overrides))):
+        TrainConfig(**{"seed": 1, **overrides})
 
 
 def test_decoder_width_and_heads():
@@ -83,6 +89,14 @@ def test_decoder_width_and_heads():
     assert np.array_equal(logits[0], out[:, 24:27])
     for view in (gamma, raw, *logits):
         assert np.shares_memory(view, out)
+
+
+def test_params_hold_encoder_then_decoder_as_views():
+    model = random_model()
+    blocks = [a for net in (model.encoder, model.decoder) for layer in net for a in layer]
+    assert [a.shape for a in blocks] == [(32, 5), (32,), (4, 32), (4,), (32, 2), (32,), (27, 32), (27,)]
+    assert np.concatenate([a.ravel() for a in blocks]).tobytes() == model.params.tobytes()
+    assert all(np.shares_memory(a, model.params) for a in blocks)
 
 
 def test_encode_zero_weights_is_standard_normal():
@@ -125,7 +139,7 @@ def posterior_model(mu, log_var):
     """A model whose encoder maps every row to N(mu, diag exp(log_var)):
     zero weights, with the pair as the output bias."""
     model = zeroed(random_model(latent_dim=mu.size))
-    model.encoder.layers[-1].bias[...] = np.concatenate([mu, log_var])
+    model.encoder[-1][1][...] = np.concatenate([mu, log_var])
     return model
 
 
@@ -178,18 +192,16 @@ def test_elbo_grads_match_finite_differences(schema):
         rows = random_rows(schema, rng, 3)
         noise = rng.standard_normal((3, 2))
         _, grads = elbo_grads(model, rows, noise)
-        params = mlp_params(model.encoder) + mlp_params(model.decoder)
+        assert grads.shape == model.params.shape
         eps = 1e-5
-        for p, g in zip(params, grads):
-            flat_p, flat_g = p.reshape(-1), g.reshape(-1)
-            for j in range(flat_p.size):
-                orig = flat_p[j]
-                flat_p[j] = orig + eps
-                hi = elbo_loss(model, rows, noise).total
-                flat_p[j] = orig - eps
-                lo = elbo_loss(model, rows, noise).total
-                flat_p[j] = orig
-                assert grad_rel_err(flat_g[j], (hi - lo) / (2 * eps)) < 1e-4
+        for j in range(model.params.size):
+            orig = model.params[j]
+            model.params[j] = orig + eps
+            hi = elbo_loss(model, rows, noise).total
+            model.params[j] = orig - eps
+            lo = elbo_loss(model, rows, noise).total
+            model.params[j] = orig
+            assert grad_rel_err(grads[j], (hi - lo) / (2 * eps)) < 1e-4
 
 
 def gaussian_table(n=500, seed=9):

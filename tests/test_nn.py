@@ -4,18 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import grad_rel_err, masked_logistic, masked_softplus
+from helpers import blockwise_adam_init, blockwise_adam_step, grad_rel_err, masked_logistic, masked_softplus
 from tabsynth.nn import (
     AdamState,
-    DenseLayer,
-    Mlp,
     adam_init,
     adam_step,
+    layer_views,
     logistic,
     mlp_backward,
     mlp_forward,
     mlp_init,
-    mlp_params,
     relu,
     softplus,
 )
@@ -70,30 +68,26 @@ def test_relu():
 
 
 def test_init_glorot_bounds_and_zero_biases():
-    net = mlp_init([7, 5, 3], ["relu", "identity"], np.random.default_rng(0))
-    for layer, (fan_in, fan_out) in zip(net.layers, [(7, 5), (5, 3)]):
+    params = mlp_init([7, 5, 3], np.random.default_rng(0))
+    assert params.shape == (5 * 8 + 3 * 6,)
+    for (weight, bias), (fan_in, fan_out) in zip(layer_views([7, 5, 3], params), [(7, 5), (5, 3)]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        assert layer.weight.shape == (fan_out, fan_in)
-        assert np.all(np.abs(layer.weight) <= limit)
-        assert np.any(layer.weight != 0.0)
-        assert np.array_equal(layer.bias, np.zeros(fan_out))
-
-
-def test_unknown_activation_rejected():
-    layer = DenseLayer(weight=np.zeros((2, 2)), bias=np.zeros(2))
-    with pytest.raises(ValueError, match="activation"):
-        Mlp(layers=[layer], activations=["tanh"])
+        assert weight.shape == (fan_out, fan_in)
+        assert np.all(np.abs(weight) <= limit)
+        assert np.any(weight != 0.0)
+        assert np.array_equal(bias, np.zeros(fan_out))
 
 
 def test_forward_rejects_wrong_width():
-    net = mlp_init([4, 3], ["identity"], np.random.default_rng(0))
+    net = layer_views([4, 3], mlp_init([4, 3], np.random.default_rng(0)))
     with pytest.raises(ValueError, match="width"):
         mlp_forward(net, np.zeros((1, 5)))
 
 
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(3)
-    net = mlp_init([3, 5, 4, 2], ["relu", "relu", "identity"], rng)
+    params = mlp_init([3, 5, 4, 2], rng)
+    net = layer_views([3, 5, 4, 2], params)
     x = rng.normal(size=(4, 3))
     direction = rng.normal(size=(4, 2))
 
@@ -102,21 +96,18 @@ def test_backward_matches_finite_differences():
         return float(np.sum(out * direction))
 
     out, cache = mlp_forward(net, x)
-    grad_in, tape = mlp_backward(net, cache, direction)
+    grad_in, grad = mlp_backward(net, cache, direction)
+    assert grad.shape == params.shape
 
     eps = 1e-6
-    params = mlp_params(net)
-    for p, g in zip(params, tape):
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for j in range(flat_p.size):
-            orig = flat_p[j]
-            flat_p[j] = orig + eps
-            hi = loss()
-            flat_p[j] = orig - eps
-            lo = loss()
-            flat_p[j] = orig
-            assert grad_rel_err(flat_g[j], (hi - lo) / (2 * eps)) < 1e-4
+    for j in range(params.size):
+        orig = params[j]
+        params[j] = orig + eps
+        hi = loss()
+        params[j] = orig - eps
+        lo = loss()
+        params[j] = orig
+        assert grad_rel_err(grad[j], (hi - lo) / (2 * eps)) < 1e-4
 
     # input gradient too
     for i in range(x.shape[0]):
@@ -131,10 +122,20 @@ def test_backward_matches_finite_differences():
 
 
 def test_params_are_live_views():
-    net = mlp_init([2, 2], ["identity"], np.random.default_rng(4))
-    params = mlp_params(net)
-    params[0][0, 0] = 123.0
-    assert net.layers[0].weight[0, 0] == 123.0
+    params = mlp_init([2, 3, 2], np.random.default_rng(4))
+    (w0, b0), (w1, b1) = layer_views([2, 3, 2], params)
+    # layer 0: weight (3, 2) at 0..5, bias at 6..8; layer 1: weight (2, 3) at 9..14, bias at 15..16
+    params[[0, 5, 6, 9, 16]] = [123.0, 124.0, 125.0, 126.0, 127.0]
+    assert (w0[0, 0], w0[2, 1], b0[0], w1[0, 0], b1[1]) == (123.0, 124.0, 125.0, 126.0, 127.0)
+    w1[1, 2] = 128.0
+    assert params[14] == 128.0
+
+
+def test_layer_views_lay_out_weight_row_major_then_bias():
+    flat = np.arange(14, dtype=np.float64)
+    (w0, b0), (w1, b1) = layer_views([2, 3, 1], flat)
+    assert np.array_equal(w0, [[0, 1], [2, 3], [4, 5]]) and np.array_equal(b0, [6, 7, 8])
+    assert np.array_equal(w1, [[9, 10, 11]]) and np.array_equal(b1, [12])
 
 
 def _reference_adam(p0, grads, lr):
@@ -151,32 +152,63 @@ def _reference_adam(p0, grads, lr):
 
 def test_adam_matches_reference_sequence():
     param = np.array([1.0])
-    state = adam_init([param], lr=0.1)
+    state = adam_init([(1,)], lr=0.1)
     grads = [0.5, -0.2, 0.9, 0.05]
     for g in grads:
-        adam_step([param], [np.array([g])], state)
+        adam_step(param, np.array([g]), state)
     assert param[0] == pytest.approx(_reference_adam(1.0, grads, 0.1), abs=1e-14)
     assert state.t == 4
 
 
 def test_adam_updates_in_place_across_shapes():
-    rng = np.random.default_rng(5)
-    params = [rng.normal(size=(3, 2)), rng.normal(size=3)]
-    before = [p.copy() for p in params]
-    ids = [id(p) for p in params]
-    state = adam_init(params, lr=0.01)
-    adam_step(params, [np.ones((3, 2)), np.ones(3)], state)
-    assert [id(p) for p in params] == ids
-    for b, p in zip(before, params):
-        assert np.all(b != p)
+    params = mlp_init([2, 3, 1], np.random.default_rng(5))
+    views = [a for layer in layer_views([2, 3, 1], params) for a in layer]
+    before = [a.copy() for a in views]
+    state = adam_init([a.shape for a in views], lr=0.01)
+    adam_step(params, np.ones(params.size), state)
+    for old, new in zip(before, views):
+        assert np.all(old != new)
+
+
+MIXED_SHAPES = [(3, 2), (3,), (1, 3), (1,), (4, 1, 2), ()]
+
+
+def test_flat_adam_matches_blockwise_reference_bit_for_bit():
+    rng = np.random.default_rng(7)
+    blocks = [rng.normal(size=s) for s in MIXED_SHAPES]
+    flat = np.concatenate([b.ravel() for b in blocks])
+    reference = blockwise_adam_init(blocks, lr=0.05)
+    state = adam_init(MIXED_SHAPES, lr=0.05)
+    for step in range(6):
+        grads = [rng.normal(scale=10.0 ** (step - 3), size=s) for s in MIXED_SHAPES]
+        blockwise_adam_step(blocks, grads, reference)
+        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state)
+        assert flat.tobytes() == np.concatenate([b.ravel() for b in blocks]).tobytes()
+        assert state.m.tobytes() == np.concatenate([m.ravel() for m in reference.m]).tobytes()
+        assert state.v.tobytes() == np.concatenate([v.ravel() for v in reference.v]).tobytes()
 
 
 def test_adam_rejects_non_finite_gradients():
-    param = np.array([1.0, 2.0])
-    state = adam_init([param])
-    bad = np.array([0.0, np.nan])
-    with pytest.raises(FloatingPointError, match="block 0"):
-        adam_step([param], [bad], state)
+    # the flat step names the block the blockwise reference stops at: the
+    # first and last element of every block, and an inf behind a NaN
+    sizes = [math.prod(s) for s in MIXED_SHAPES]
+    ends = np.cumsum(sizes)
+    cases = [{int(i): np.nan} for i in [*(ends - sizes), *(ends - 1)]] + [{8: np.inf, 14: np.nan}]
+    for case in cases:
+        grad = np.zeros(ends[-1])
+        grad[list(case)] = list(case.values())
+        grads = [g.reshape(s) for g, s in zip(np.split(grad, ends[:-1]), MIXED_SHAPES)]
+        blocks = [np.zeros(s) for s in MIXED_SHAPES]
+        with pytest.raises(FloatingPointError) as want:
+            blockwise_adam_step(blocks, grads, blockwise_adam_init(blocks))
+        with pytest.raises(FloatingPointError, match=r"^non-finite gradient in parameter block \d+ \(shape") as got:
+            adam_step(np.zeros(grad.size), grad, adam_init(MIXED_SHAPES))
+        assert str(got.value) == str(want.value)
+
+
+def test_adam_rejects_misaligned_vectors():
+    with pytest.raises(ValueError, match="align"):
+        adam_step(np.zeros(3), np.zeros(2), adam_init([(3,)]))
 
 
 def test_adam_state_defaults():
