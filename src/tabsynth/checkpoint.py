@@ -72,6 +72,8 @@ def _require(doc, key, path, kind=object):
 
 def _number(doc, key, path, kind):
     value = _require(doc, key, path, (int, float) if kind is float else int)  # an int may stand for a float
+    if isinstance(value, bool):  # json true/false are ints to isinstance
+        raise ValueError(f"corrupt checkpoint: {path}.{key} has the wrong type bool")
     # json reads 1e400 as inf, and float() overflows on an int literal that large
     if kind is float and not abs(value) <= sys.float_info.max:
         raise ValueError(f"corrupt checkpoint: {path}.{key} must be a finite number")
@@ -127,7 +129,7 @@ def checkpoint_from_text(text: str) -> Checkpoint:
     except json.JSONDecodeError as err:
         raise ValueError(f"corrupt checkpoint: not valid JSON ({err})") from None
     version = _require(doc, "format_version", "checkpoint")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if version != CHECKPOINT_FORMAT_VERSION or isinstance(version, bool):
         raise ValueError(
             f"unsupported checkpoint format version {version!r} "
             f"(this build reads version {CHECKPOINT_FORMAT_VERSION})"

@@ -24,8 +24,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import KIND_DISCRETE, Schema, Table, apply_scaling, one_hot_matrix, standardize
-from .model import Checkpoint, encode_batch, train
-from .nn import softmax
+from .model import Checkpoint, check_seed, encode_batch, train
+from .nn import row_blocks, softmax
 from .synthesis import generate
 
 
@@ -142,12 +142,14 @@ class DcrResult:
 
 def _squared_distance_chunks(a: np.ndarray, b: np.ndarray):
     """Yield (start, d2) where d2 holds the squared L2 distances from the rows
-    a[start : start + len(d2)] to every row of b, about 2**22 entries at a time."""
+    a[start : start + len(d2)] to every row of b, nn.BLOCK_ENTRIES entries at
+    a time, evaluated as (|a|^2 + |b|^2) - (2a) . b^T."""
     nb2 = np.sum(b * b, axis=1)
-    step = max(1, int(2**22 / max(b.shape[0], 1)))
-    for start in range(0, a.shape[0], step):
-        chunk = a[start : start + step]
-        yield start, np.sum(chunk * chunk, axis=1)[:, None] + nb2[None, :] - 2.0 * chunk @ b.T
+    for block in row_blocks(a.shape[0], b.shape[0]):
+        chunk = a[block]
+        cross = 2.0 * chunk @ b.T
+        d2 = np.sum(chunk * chunk, axis=1)[:, None] + nb2[None, :]
+        yield block.start, np.subtract(d2, cross, out=d2)
 
 
 def _nearest_squared(a: np.ndarray, b: np.ndarray, exclude_diag: bool) -> np.ndarray:
@@ -348,6 +350,7 @@ def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
     jc = schema.index(cls_target)
     if schema.columns[jc].kind != KIND_DISCRETE:
         raise ValueError(f"classification target {cls_target!r} must be discrete")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     seed_tr, seed_te, seed_pick = (int(v) for v in rng.integers(0, 2**63, size=3))
 
@@ -491,6 +494,10 @@ def build_report(real_train: Table, real_test: Table, synth: Table,
     schema = real_train.schema
     if real_test.schema != schema or synth.schema != schema:
         raise ValueError("the three tables must share one schema")
+    if with_mia:  # fail before the metrics run, not after
+        if checkpoint is None:
+            raise ValueError("membership inference needs the model checkpoint")
+        check_seed(seed)
     train_std = standardize(real_train)
     test_std = apply_scaling(real_test, train_std.scaling)
     synth_std = apply_scaling(synth, train_std.scaling)
@@ -531,8 +538,6 @@ def build_report(real_train: Table, real_test: Table, synth: Table,
 
     mia_accuracy = mia_auc = None
     if with_mia:
-        if checkpoint is None:
-            raise ValueError("membership inference needs the model checkpoint")
         result = membership_inference(checkpoint, real_train, real_test, cls_target, seed=seed)
         mia_accuracy, mia_auc = result.accuracy, result.auc
 

@@ -25,6 +25,12 @@ from .nn import Mlp, adam_init, adam_step, layer_views, mlp_backward, mlp_forwar
 from . import spline as sp
 
 
+def check_seed(seed: int) -> None:
+    """numpy seeds must be non-negative; say so by name, not numpy's way."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int
@@ -37,8 +43,7 @@ class TrainConfig:
     hidden_width: int = 32
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         for name in ("learning_rate", "beta"):

@@ -17,13 +17,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Work whose arrays grow with the row count runs this many float64 entries
+# (512 KiB) of rows at a time, so each block's temporaries stay in cache.
+BLOCK_ENTRIES = 2**16
+
+
+def row_blocks(n: int, width: int):
+    """Slices that cover rows 0..n-1 in order, each of BLOCK_ENTRIES // width
+    rows, for arrays that hold width entries per row.
+
+    No block holds a lone row unless n == 1. numpy multiplies a one-row
+    matrix with a matrix-vector BLAS routine, whose sums round differently
+    from the matrix-matrix routine that every larger block goes through, so
+    a lone row would change the last bits of its results. Blocks therefore
+    hold at least two rows, and a last block of one row joins the one before.
+    """
+    step = max(2, BLOCK_ENTRIES // max(width, 1))
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+
 
 def softplus(x):
     """log(1 + exp(x)) with overflow guards: x > 30 -> x, x < -30 -> exp(x)."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(np.minimum(x, 30.0))
-    # patched in place, so only two full-size arrays are live at once (generate
-    # passes n x (M+1) slopes per column); asarray keeps a 0-d result writable
+    # patched in place, so only two full-size arrays are live at once;
+    # asarray keeps a 0-d result writable
     out = np.asarray(np.log1p(e))
     np.copyto(out, e, where=x < -30.0)
     np.copyto(out, x, where=x > 30.0)

@@ -15,6 +15,8 @@ with its exact gradient, for a batch of splines at once."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .nn import logistic, softplus
@@ -46,7 +48,33 @@ def knot_values(gamma: np.ndarray, b: np.ndarray, knots: np.ndarray) -> np.ndarr
     return gamma[:, None] + b @ hinge
 
 
-def spline_inverse_batch(gamma, b, knots, x):
+class InverseTable(NamedTuple):
+    """The part of a batch of spline inverses that does not depend on x, one
+    row per spline: gamma (n,), knots (M+1,), and (n, M+1) arrays of the knot
+    values and the running sums of b and of b * knots."""
+
+    gamma: np.ndarray
+    knots: np.ndarray
+    values: np.ndarray
+    slope_sums: np.ndarray
+    offset_sums: np.ndarray
+
+
+def inverse_table(gamma, b, knots) -> InverseTable:
+    """Build the x-independent table that spline_inverse_batch reads, once
+    per batch of splines; any number of x batches can then be inverted."""
+    gamma = np.asarray(gamma, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return InverseTable(
+        gamma=gamma,
+        knots=knots,
+        values=knot_values(gamma, b, knots),
+        slope_sums=np.cumsum(b, axis=1),
+        offset_sums=np.cumsum(b * knots[None, :], axis=1),
+    )
+
+
+def spline_inverse_batch(table: InverseTable, x):
     """Vectorized inverse over a batch of splines, one x per spline.
 
     Returns (alpha_tilde, segment). alpha_tilde solves D(alpha) = x on the
@@ -58,17 +86,15 @@ def spline_inverse_batch(gamma, b, knots, x):
     denominator) maps to its left knot, the left-continuous convention
     for a distribution function.
     """
-    gamma = np.asarray(gamma, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    n, last = b.shape[0], b.shape[1] - 1
-    values = knot_values(gamma, b, knots)
+    values, knots = table.values, table.knots
+    n, last = values.shape[0], values.shape[1] - 1
     below = x <= values[:, 0]
     above = x >= values[:, -1]
     seg = np.clip(np.sum(values < x[:, None], axis=1) - 1, 0, last - 1)
     rows = np.arange(n)
-    den = np.cumsum(b, axis=1)[rows, seg]
-    num = x - gamma + np.cumsum(b * knots[None, :], axis=1)[rows, seg]
+    den = table.slope_sums[rows, seg]
+    num = x - table.gamma + table.offset_sums[rows, seg]
     flat = den <= _FLAT_EPS
     alpha = np.where(flat, knots[seg], num / np.where(flat, 1.0, den))
     alpha = np.clip(alpha, knots[seg], knots[seg + 1])
@@ -96,7 +122,7 @@ def crps_loss_batch(gamma, b, knots, x):
     gamma = np.asarray(gamma, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    alpha, seg = spline_inverse_batch(gamma, b, knots, x)
+    alpha, seg = spline_inverse_batch(inverse_table(gamma, b, knots), x)
     loss = (2.0 * alpha - 1.0) * x + (1.0 - 2.0 * alpha) * gamma
     loss += np.sum(b * _crps_terms(alpha, knots), axis=1)
     return loss, alpha, seg

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import KIND_DISCRETE, KIND_ORDINAL, Table
-from .model import Checkpoint, decoder_heads
-from .nn import mlp_forward, softmax
+from .model import Checkpoint, check_seed, decoder_heads, net_sizes
+from .nn import mlp_forward, row_blocks, softmax
 from . import spline as sp
 
 ROUND_INTEGER = "integer"
@@ -29,6 +29,7 @@ def sample_prior(n: int, latent_dim: int, seed: int) -> np.ndarray:
         raise ValueError("n must be at least 1")
     if latent_dim < 1:
         raise ValueError("latent_dim must be at least 1")
+    check_seed(seed)
     return np.random.default_rng(seed).standard_normal((n, latent_dim))
 
 
@@ -65,31 +66,34 @@ def round_ordinal(value, mode: str = ROUND_INTEGER):
 def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_INTEGER) -> Table:
     """Draw n synthetic rows in native units.
 
-    The random stream is consumed in a fixed order (latents, then uniform
-    levels for numeric columns, then Gumbel noise per discrete column), so
-    identical (checkpoint, n, seed) give identical tables.
+    Every random number is drawn first, in a fixed order: the latents, then
+    the uniform levels of the numeric columns, then the Gumbel noise of each
+    discrete column in turn. Rows are then decoded and sampled in blocks of
+    nn.BLOCK_ENTRIES entries of decoder activations, so the working set stays
+    in cache and the block size never changes a value. Identical
+    (checkpoint, n, seed) give identical tables.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    check_seed(seed)
     schema = cp.schema
     rows = np.zeros((n, len(schema.columns)))
     if n > 0:
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, cp.config.latent_dim))
-        dec_out, _ = mlp_forward(cp.decoder, z)
-        gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out)
+        u = rng.random((n, len(schema.numeric_indices)))
+        noise = [rng.gumbel(size=(n, schema.columns[col].n_levels)) for col in schema.discrete_indices]
         knots = cp.knots
 
-        # one column at a time: b for all columns at once would hold n x P x (M+1)
-        u = rng.random((n, len(schema.numeric_indices)))
-        for k, col in enumerate(schema.numeric_indices):
-            b = sp.slopes_to_b(raw[:, k])
-            hinge = np.maximum(u[:, k : k + 1] - knots[None, :], 0.0)
-            rows[:, col] = gamma[:, k] + np.sum(b * hinge, axis=1)
-
-        for block, col in zip(logits, schema.discrete_indices):
-            probs = softmax(block)
-            rows[:, col] = gumbel_max(probs, rng.gumbel(size=probs.shape))
+        for block in row_blocks(n, sum(net_sizes(schema, cp.config)[1])):
+            dec_out, _ = mlp_forward(cp.decoder, z[block])
+            gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out)
+            for k, col in enumerate(schema.numeric_indices):
+                b = sp.slopes_to_b(raw[:, k])
+                hinge = np.maximum(u[block, k : k + 1] - knots[None, :], 0.0)
+                rows[block, col] = gamma[:, k] + np.sum(b * hinge, axis=1)
+            for scores, col, g in zip(logits, schema.discrete_indices, noise):
+                rows[block, col] = gumbel_max(softmax(scores), g[block])
 
         # back to native units, then snap ordinals to their level grid
         numeric = schema.numeric_indices
@@ -124,8 +128,11 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     """Monte Carlo estimate of a numeric column's marginal CDF.
 
     F(x) is the prior-average of the decoded quantile function's inverse at
-    x, evaluated over n_mc latent draws. x values are in standardized
-    units; the default grid spans the column's 1%-99% training range.
+    x, evaluated over n_mc latent draws. The draws are decoded once, and the
+    part of their inverses that does not depend on x is built once; each
+    grid point then costs one inverse over the draws. x values are in
+    standardized units; the default grid spans the column's 1%-99% training
+    range.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
@@ -137,13 +144,13 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     z = sample_prior(n_mc, cp.config.latent_dim, seed)
     dec_out, _ = mlp_forward(cp.decoder, z)
     gamma, raw, _ = decoder_heads(schema, cp.config.knot_count, dec_out)
-    gamma, b, knots = gamma[:, k], sp.slopes_to_b(raw[:, k]), cp.knots
+    table = sp.inverse_table(gamma[:, k], sp.slopes_to_b(raw[:, k]), cp.knots)
     if grid is None:
         grid = np.linspace(cp.quantile_lo[k], cp.quantile_hi[k], 201)
     grid = np.asarray(grid, dtype=np.float64)
     values = np.empty_like(grid)
     for i, x in enumerate(grid):
-        alpha, _ = sp.spline_inverse_batch(gamma, b, knots, np.full(gamma.shape[0], x))
+        alpha, _ = sp.spline_inverse_batch(table, np.full(n_mc, x))
         values[i] = alpha.mean()
     # each per-draw inverse is monotone in x; guard the mean against round-off
     values = np.minimum(np.maximum.accumulate(values), 1.0)

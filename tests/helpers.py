@@ -5,7 +5,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tabsynth import knot_values, slopes_to_b, uniform_knots
+from tabsynth import gumbel_max, knot_values, round_ordinal, slopes_to_b, uniform_knots
+from tabsynth.data import KIND_ORDINAL
+from tabsynth.model import decoder_heads
+from tabsynth.nn import mlp_forward, softmax
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -188,3 +191,78 @@ def blockwise_adam_step(params, tape, state: BlockwiseAdamState) -> None:
         m_hat = state.m[i] / c1
         v_hat = state.v[i] / c2
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def rebuilt_spline_inverse(gamma, b, knots, x):
+    """The batch inverse with its knot values and running sums rebuilt on
+    every call: the reference spline_inverse_batch over a prebuilt
+    inverse_table must match bit for bit."""
+    gamma = np.asarray(gamma, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    n, last = b.shape[0], b.shape[1] - 1
+    values = knot_values(gamma, b, knots)
+    below = x <= values[:, 0]
+    above = x >= values[:, -1]
+    seg = np.clip(np.sum(values < x[:, None], axis=1) - 1, 0, last - 1)
+    rows = np.arange(n)
+    den = np.cumsum(b, axis=1)[rows, seg]
+    num = x - gamma + np.cumsum(b * knots[None, :], axis=1)[rows, seg]
+    flat = den <= 1e-300
+    alpha = np.where(flat, knots[seg], num / np.where(flat, 1.0, den))
+    alpha = np.clip(alpha, knots[seg], knots[seg + 1])
+    alpha[below] = 0.0
+    alpha[above] = 1.0
+    return alpha, seg
+
+
+def per_point_estimate_cdf(cp, column, grid=None, n_mc=5000, seed=0):
+    """estimate_cdf with every grid point rebuilding its draws' inverse from
+    scratch: the reference the table-once estimate_cdf must match bit for bit."""
+    schema = cp.schema
+    k = schema.numeric_indices.index(schema.index(column))
+    z = np.random.default_rng(seed).standard_normal((n_mc, cp.config.latent_dim))
+    dec_out, _ = mlp_forward(cp.decoder, z)
+    gamma, raw, _ = decoder_heads(schema, cp.config.knot_count, dec_out)
+    gamma, b, knots = gamma[:, k], slopes_to_b(raw[:, k]), cp.knots
+    if grid is None:
+        grid = np.linspace(cp.quantile_lo[k], cp.quantile_hi[k], 201)
+    grid = np.asarray(grid, dtype=np.float64)
+    values = np.empty_like(grid)
+    for i, x in enumerate(grid):
+        values[i] = rebuilt_spline_inverse(gamma, b, knots, np.full(n_mc, x))[0].mean()
+    return np.minimum(np.maximum.accumulate(values), 1.0)
+
+
+def one_shot_generate(cp, n, seed, ordinal_rounding="integer"):
+    """generate with all n rows decoded in one pass and each discrete column's
+    noise drawn just before it is used: the reference the blocked generate
+    must match bit for bit."""
+    schema = cp.schema
+    rows = np.zeros((n, len(schema.columns)))
+    if n > 0:
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, cp.config.latent_dim))
+        dec_out, _ = mlp_forward(cp.decoder, z)
+        gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out)
+        knots = cp.knots
+        u = rng.random((n, len(schema.numeric_indices)))
+        for k, col in enumerate(schema.numeric_indices):
+            b = slopes_to_b(raw[:, k])
+            hinge = np.maximum(u[:, k : k + 1] - knots[None, :], 0.0)
+            rows[:, col] = gamma[:, k] + np.sum(b * hinge, axis=1)
+        for block, col in zip(logits, schema.discrete_indices):
+            probs = softmax(block)
+            rows[:, col] = gumbel_max(probs, rng.gumbel(size=probs.shape))
+        numeric = schema.numeric_indices
+        rows[:, numeric] = rows[:, numeric] * cp.scaling.stddev + cp.scaling.mean
+        for col in numeric:
+            if schema.columns[col].kind == KIND_ORDINAL:
+                rows[:, col] = round_ordinal(rows[:, col], ordinal_rounding)
+    return rows
+
+
+def one_shot_squared_distances(a, b):
+    """Every squared L2 distance from the rows of a to the rows of b in one
+    (len(a), len(b)) array, in the evaluation order the chunked search keeps."""
+    return np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * a @ b.T

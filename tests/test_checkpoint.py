@@ -185,6 +185,29 @@ def test_rejects_config_that_train_config_rejects(small_checkpoint, key, value, 
         checkpoint_from_text(json.dumps(doc))
 
 
+@pytest.mark.parametrize("path, value, where", [
+    (("config", "seed"), True, "config.seed"),
+    (("config", "epochs"), True, "config.epochs"),
+    (("config", "beta"), True, "config.beta"),
+    (("loss_trace", 0, "kl"), False, r"loss_trace\[0\].kl"),
+])
+def test_rejects_boolean_for_a_number(small_checkpoint, path, value, where):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ValueError, match=f"^corrupt checkpoint: {where} has the wrong type bool$"):
+        checkpoint_from_text(json.dumps(doc))
+
+
+def test_rejects_boolean_format_version(small_checkpoint):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    doc["format_version"] = True
+    with pytest.raises(ValueError, match="^unsupported checkpoint format version True"):
+        checkpoint_from_text(json.dumps(doc))
+
+
 def test_loss_trace_persists(small_checkpoint):
     loaded = checkpoint_from_text(checkpoint_to_text(small_checkpoint))
     assert len(loaded.loss_trace) == 3
@@ -234,13 +257,13 @@ def test_rejects_quantile_count_off_schema(small_checkpoint, key, values):
         checkpoint_from_text(json.dumps(doc))
 
 
-REPLACEMENTS = [None, "text", [[0.0], [1.0, 2.0]]]
+REPLACEMENTS = [None, "text", [[0.0], [1.0, 2.0]], True, False]
 
 
 def mutation_sites(node, path=()):
     """Every (path, action) one mutation can apply to a checkpoint document:
-    delete a dict key, replace a value with one of REPLACEMENTS, make a
-    number non-finite, or truncate a list."""
+    delete a dict key, replace a value with one of REPLACEMENTS (a boolean
+    among them), make a number non-finite, or truncate a list."""
     if isinstance(node, dict):
         for key, value in node.items():
             yield path + (key,), "delete"

@@ -150,6 +150,26 @@ def test_generate_zero_rows(workspace, trained):
     assert out.read_text(encoding="utf-8").splitlines() == ["x,y,c"]
 
 
+def test_generate_rejects_negative_seed_naming_the_field(workspace, trained):
+    out = workspace / "never.csv"
+    result = run_cli("generate", "--model", trained, "--n", 5, "--seed", -1, "--out", out)
+    assert result.returncode == 1
+    assert result.stderr == "error: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+def test_evaluate_with_mia_rejects_negative_seed_naming_the_field(workspace, trained):
+    out = workspace / "never.json"
+    result = run_cli(
+        "evaluate", "--real-train", workspace / "train.csv", "--real-test", workspace / "test.csv",
+        "--synth", workspace / "train.csv", "--schema", workspace / "schema.json", "--model", trained,
+        "--target-reg", "y", "--target-cls", "c", "--out", out, "--with-mia", "--seed", -1,
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
 def test_generate_corrupt_checkpoint(workspace):
     bad = workspace / "bad.json"
     bad.write_text("{broken", encoding="utf-8")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_auc, brute_ks, brute_majority_votes, brute_wd
+from helpers import brute_auc, brute_ks, brute_majority_votes, brute_wd, one_shot_squared_distances
 from tabsynth import (
     ColumnSpec,
     Schema,
@@ -27,7 +27,8 @@ from tabsynth import (
     vrate,
     wasserstein1,
 )
-from tabsynth.metrics import fit_ols, fit_softmax, predict_softmax
+from tabsynth import nn
+from tabsynth.metrics import _squared_distance_chunks, fit_ols, fit_softmax, predict_softmax
 
 NUM_SCHEMA = Schema((ColumnSpec("x", "continuous"),))
 
@@ -339,6 +340,52 @@ def test_attribute_disclosure_validates_columns():
         attribute_disclosure(real, real, [], ["s"])
 
 
+def neighbour_tables(n):
+    schema = Schema((
+        ColumnSpec("x", "continuous"),
+        ColumnSpec("y", "continuous"),
+        ColumnSpec("s", "discrete", ("p", "q", "r")),
+        ColumnSpec("t", "discrete", ("n", "y")),
+    ))
+    rng = np.random.default_rng(15)
+
+    def table():
+        xy = rng.normal(size=(n, 2))
+        s = np.clip(np.round(xy[:, 0] + rng.normal(0.0, 0.7, n) + 1.0), 0, 2)
+        return Table(schema, np.column_stack([xy, s, (xy[:, 1] + rng.normal(0.0, 1.0, n) > 0)]))
+
+    return table(), table()
+
+
+def neighbour_results(real, synth):
+    return dcr(real, synth), [
+        attribute_disclosure(real, synth, ["x", "y"], ["s", "t"], k=k) for k in (1, 10, 100)
+    ]
+
+
+@pytest.mark.parametrize("block_rows", [2, 7])
+def test_neighbour_search_block_size_never_changes_a_result(monkeypatch, block_rows):
+    n = 301  # equal row counts give every search the same block rows
+    real, synth = neighbour_tables(n)
+    expected = neighbour_results(real, synth)
+    monkeypatch.setattr(nn, "BLOCK_ENTRIES", 1 if block_rows == 2 else block_rows * n)
+    assert len(nn.row_blocks(n, n)) == n // block_rows
+    assert neighbour_results(real, synth) == expected
+
+
+@pytest.mark.parametrize("block_rows", [2, 7, None])
+def test_squared_distance_chunks_match_one_shot_expression(monkeypatch, block_rows):
+    rng = np.random.default_rng(16)
+    a, b = rng.normal(size=(53, 3)), rng.normal(size=(41, 3))
+    if block_rows is not None:
+        monkeypatch.setattr(nn, "BLOCK_ENTRIES", block_rows * b.shape[0])
+    chunks = list(_squared_distance_chunks(a, b))
+    assert [start for start, _ in chunks] == [s.start for s in nn.row_blocks(53, 41)]
+    assert (len(chunks) > 1) == (block_rows is not None)
+    got = np.concatenate([d2 for _, d2 in chunks])
+    assert got.tobytes() == one_shot_squared_distances(a, b).tobytes()
+
+
 @pytest.fixture(scope="module")
 def mia_setup():
     rng = np.random.default_rng(12)
@@ -358,6 +405,14 @@ def test_membership_inference_plumbing(mia_setup):
     assert 0.0 <= result.auc <= 1.0
     again = membership_inference(cp, fit, hold, "s", seed=0)
     assert (result.accuracy, result.auc) == (again.accuracy, again.auc)
+
+
+def test_membership_inference_rejects_negative_seed_by_name(mia_setup):
+    cp, fit, hold = mia_setup
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        membership_inference(cp, fit, hold, "s", seed=-1)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        build_report(fit, hold, fit, reg_target="x", cls_target="s", checkpoint=cp, with_mia=True, seed=-1)
 
 
 def test_membership_inference_needs_discrete_target(mia_setup):

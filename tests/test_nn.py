@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import blockwise_adam_init, blockwise_adam_step, grad_rel_err, masked_logistic, masked_softplus
+from tabsynth import nn
 from tabsynth.nn import (
     AdamState,
     adam_init,
@@ -209,6 +210,22 @@ def test_adam_rejects_non_finite_gradients():
 def test_adam_rejects_misaligned_vectors():
     with pytest.raises(ValueError, match="align"):
         adam_step(np.zeros(3), np.zeros(2), adam_init([(3,)]))
+
+
+@pytest.mark.parametrize("n, width, entries, sizes", [
+    (0, 3, 12, []),
+    (1, 3, 12, [1]),
+    (8, 3, 12, [4, 4]),
+    (9, 3, 12, [4, 5]),  # a last lone row joins the block before it
+    (10, 3, 12, [4, 4, 2]),
+    (5, 3, 1, [2, 3]),  # blocks hold at least two rows
+    (7, 0, 12, [7]),
+])
+def test_row_blocks_cover_the_rows_without_a_lone_row(monkeypatch, n, width, entries, sizes):
+    monkeypatch.setattr(nn, "BLOCK_ENTRIES", entries)
+    blocks = nn.row_blocks(n, width)
+    assert [s.stop - s.start for s in blocks] == sizes
+    assert [s.start for s in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
 
 
 def test_adam_state_defaults():

@@ -12,9 +12,10 @@ from helpers import (
     grad_rel_err,
     mean_log_alpha_weight,
     random_spline,
+    rebuilt_spline_inverse,
 )
 from tabsynth import chain_slope_grads, crps_grad_from_alpha, knot_values, slopes_to_b, uniform_knots
-from tabsynth.spline import crps_loss_batch, spline_inverse_batch
+from tabsynth.spline import crps_loss_batch, inverse_table, spline_inverse_batch
 
 # D(a) = a + max(a - 0.5, 0): slope 1 on [0, 0.5], slope 2 on [0.5, 1]
 HAND = (np.array([0.0]), np.array([[1.0, 1.0, 0.0]]), np.array([0.0, 0.5, 1.0]))
@@ -71,18 +72,19 @@ def test_eval_monotone_in_alpha():
 
 
 def test_inverse_hand_value():
-    alpha, seg = spline_inverse_batch(*HAND, np.array([1.0]))
+    alpha, seg = spline_inverse_batch(inverse_table(*HAND), np.array([1.0]))
     assert alpha[0] == pytest.approx(0.75)
     assert seg[0] == 1
 
 
 def test_inverse_at_gamma_is_zero():
-    alpha, _ = spline_inverse_batch(*HAND, np.array([0.0]))
+    alpha, _ = spline_inverse_batch(inverse_table(*HAND), np.array([0.0]))
     assert alpha[0] == 0.0
 
 
 def test_inverse_clamps_outside_range():
-    alpha, _ = spline_inverse_batch(np.zeros(2), np.repeat(HAND[1], 2, axis=0), HAND[2], np.array([-5.0, 5.0]))
+    table = inverse_table(np.zeros(2), np.repeat(HAND[1], 2, axis=0), HAND[2])
+    alpha, _ = spline_inverse_batch(table, np.array([-5.0, 5.0]))
     assert alpha.tolist() == [0.0, 1.0]
 
 
@@ -96,14 +98,14 @@ def test_inverse_round_trip_on_increasing_segments():
         b = slopes_to_b(rng.uniform(-1.0, 2.0, (1, m + 1)))
         alphas = rng.uniform(0.0, 1.0, 5)
         x = np.interp(alphas, knots, knot_values(gamma, b, knots)[0])
-        back, _ = spline_inverse_batch(np.repeat(gamma, 5), np.repeat(b, 5, axis=0), knots, x)
+        back, _ = spline_inverse_batch(inverse_table(np.repeat(gamma, 5), np.repeat(b, 5, axis=0), knots), x)
         assert back == pytest.approx(alphas, abs=1e-9)
 
 
 def test_inverse_flat_plateau_maps_to_left_knot():
     # rises to 1 on [0, 0.25], flat on [0.25, 0.5], rises again afterwards
     alpha, seg = spline_inverse_batch(
-        np.array([0.0]), np.array([[4.0, -4.0, 2.0, 0.0]]), np.array([0.0, 0.25, 0.5, 1.0]),
+        inverse_table(np.array([0.0]), np.array([[4.0, -4.0, 2.0, 0.0]]), np.array([0.0, 0.25, 0.5, 1.0])),
         np.array([1.0]),
     )
     assert alpha[0] == 0.25
@@ -113,11 +115,28 @@ def test_inverse_flat_plateau_maps_to_left_knot():
 def test_inverse_zero_denominator_returns_left_knot():
     # first segment has vanishing slope; x just above gamma falls inside it
     alpha, seg = spline_inverse_batch(
-        np.array([0.0]), np.array([[1e-310, 3.0, 0.0]]), np.array([0.0, 0.5, 1.0]),
+        inverse_table(np.array([0.0]), np.array([[1e-310, 3.0, 0.0]]), np.array([0.0, 0.5, 1.0])),
         np.array([3e-311]),
     )
     assert alpha[0] == 0.0
     assert seg[0] == 0
+
+
+def test_inverse_table_matches_rebuilt_inverse_bit_for_bit():
+    # one table serves several x batches, as in estimate_cdf
+    rng = np.random.default_rng(9)
+    for m in (1, 4, 10):
+        knots = uniform_knots(m)
+        gamma = rng.normal(0.0, 2.0, 300)
+        raw = rng.normal(0.0, 2.5, (300, m + 1))
+        raw[rng.random((300, m + 1)) < 0.1] = -800.0  # exactly flat segments
+        b = slopes_to_b(raw)
+        table = inverse_table(gamma, b, knots)
+        for x in (rng.normal(0.0, 4.0, 300), np.full(300, 0.5), knot_values(gamma, b, knots)[:, m // 2]):
+            alpha, seg = spline_inverse_batch(table, x)
+            ref_alpha, ref_seg = rebuilt_spline_inverse(gamma, b, knots, x)
+            assert alpha.tobytes() == ref_alpha.tobytes()
+            assert seg.tobytes() == ref_seg.tobytes()
 
 
 def test_crps_constant_spline_is_absolute_error():
@@ -189,7 +208,8 @@ def test_mean_log_alpha_weight():
 
 def test_grad_saturated_clamps():
     knots = np.array([0.0, 1.0])
-    alphas, _ = spline_inverse_batch(np.zeros(2), np.array([[1.0, 0.0]] * 2), knots, np.array([50.0, -50.0]))
+    table = inverse_table(np.zeros(2), np.array([[1.0, 0.0]] * 2), knots)
+    alphas, _ = spline_inverse_batch(table, np.array([50.0, -50.0]))
     (dg_hi, dg_lo), _ = crps_grad_from_alpha(alphas, knots)
     assert dg_hi == pytest.approx(-1.0)
     assert dg_lo == pytest.approx(+1.0)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import one_shot_generate, per_point_estimate_cdf
 from tabsynth import (
     CdfCurve,
     ColumnSpec,
@@ -18,6 +20,8 @@ from tabsynth import (
     standardize,
     train,
 )
+from tabsynth import nn
+from tabsynth.model import net_sizes
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +43,24 @@ def test_prior_moments():
     assert z.shape == (100_000, 2)
     assert np.all(np.abs(z.mean(axis=0)) < 0.02)
     assert np.all((z.var(axis=0) > 0.97) & (z.var(axis=0) < 1.03))
+
+
+@pytest.fixture(scope="module")
+def mixed_checkpoint():
+    # an ordinal column between continuous and two discrete ones
+    rng = np.random.default_rng(36)
+    schema = Schema((
+        ColumnSpec("x", "continuous"),
+        ColumnSpec("k", "ordinal"),
+        ColumnSpec("g", "discrete", ("p", "q", "r")),
+        ColumnSpec("h", "discrete", ("u", "v")),
+    ))
+    n = 300
+    x = rng.normal(size=n)
+    rows = np.column_stack([
+        x, rng.integers(1, 6, n), np.clip(np.round(x + 1.0), 0, 2), (rng.random(n) < 0.3),
+    ]).astype(float)
+    return train(standardize(Table(schema, rows)), TrainConfig(seed=37, epochs=5))
 
 
 def test_prior_deterministic_and_validated():
@@ -93,6 +115,43 @@ def test_generate_deterministic(normal_checkpoint):
     b = generate(normal_checkpoint, 200, seed=5)
     assert np.array_equal(a.rows, b.rows)
     assert not np.array_equal(a.rows, generate(normal_checkpoint, 200, seed=6).rows)
+
+
+@pytest.mark.parametrize("block_rows", [2, 7, None])
+def test_generate_block_size_never_changes_a_byte(mixed_checkpoint, monkeypatch, block_rows):
+    # 2 rows is the smallest block: BLOCK_ENTRIES = 1 asks for less
+    cp = mixed_checkpoint
+    width = sum(net_sizes(cp.schema, cp.config)[1])
+    if block_rows is not None:
+        monkeypatch.setattr(nn, "BLOCK_ENTRIES", 1 if block_rows == 2 else block_rows * width)
+    block = max(2, nn.BLOCK_ENTRIES // width)
+    assert block == (block_rows or 2**16 // width)
+    for n in (1, block - 1, block, block + 1, block + 2, 3 * block):
+        for rounding in ("integer", "decimal"):
+            rows = generate(cp, n, seed=40 + n, ordinal_rounding=rounding).rows
+            assert rows.tobytes() == one_shot_generate(cp, n, 40 + n, rounding).tobytes()
+
+
+def test_generate_memory_does_not_grow_with_the_decoded_rows(default_run):
+    # a one-pass decode of 4e5 toy rows peaks at about 464 MB
+    tracemalloc.start()
+    try:
+        generate(default_run["checkpoint"], 400_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("call", [
+    lambda cp: generate(cp, 5, seed=-1),
+    lambda cp: generate(cp, 0, seed=-1),
+    lambda cp: sample_prior(5, 2, seed=-1),
+    lambda cp: estimate_cdf(cp, "x", n_mc=10, seed=-1),
+])
+def test_negative_seed_is_rejected_by_name(normal_checkpoint, call):
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        call(normal_checkpoint)
 
 
 def test_generate_empty(normal_checkpoint):
@@ -161,6 +220,13 @@ def test_estimate_cdf_matches_standard_normal(normal_checkpoint):
     curve = estimate_cdf(normal_checkpoint, "x", grid=grid, n_mc=2000, seed=2)
     phi = np.array([0.5 * (1.0 + math.erf(g / math.sqrt(2.0))) for g in grid])
     assert np.max(np.abs(curve.values - phi)) < 0.05
+
+
+@pytest.mark.parametrize("grid", [None, np.linspace(-4.0, 9.0, 57)])
+def test_estimate_cdf_matches_per_point_reference(normal_checkpoint, grid):
+    curve = estimate_cdf(normal_checkpoint, "x", grid=grid, n_mc=700, seed=3)
+    expected = per_point_estimate_cdf(normal_checkpoint, "x", grid=grid, n_mc=700, seed=3)
+    assert curve.values.tobytes() == expected.tobytes()
 
 
 def test_estimate_cdf_rejects_discrete(normal_checkpoint):
