@@ -26,7 +26,6 @@ from .model import (
     TrainConfig,
     VaeModel,
     elbo_grads,
-    elbo_loss,
     model_init,
     train,
 )

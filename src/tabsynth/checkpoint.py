@@ -95,7 +95,9 @@ def _float_array(doc, key, path, ndim):
     try:
         values = np.array(value, dtype=np.float64)
         ok = values.ndim == ndim and np.all(np.isfinite(values))
-    except (TypeError, ValueError):  # ragged nesting, or an entry that is not a number
+        # float64 conversion also reads json true/false and numeric strings
+        ok = ok and all(type(v) in (int, float) for v in np.array(value, dtype=object).flat)
+    except (TypeError, ValueError, OverflowError):  # ragged, a non-number, or an int past float range
         ok = False
     if not ok:
         raise ValueError(f"corrupt checkpoint: {path}.{key} must be a {ndim}-D array of finite numbers")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import drop_percentile_outliers, load_csv, load_schema, save_csv, standardize
@@ -106,14 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True, help="schema JSON")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--beta", type=float, default=0.5,
+    default = {f.name: f.default for f in fields(TrainConfig)}
+    p.add_argument("--epochs", type=int, default=default["epochs"])
+    p.add_argument("--batch-size", type=int, default=default["batch_size"])
+    p.add_argument("--lr", type=float, default=default["learning_rate"])
+    p.add_argument("--beta", type=float, default=default["beta"],
                    help="weight of the KL term; larger trades fidelity for privacy")
-    p.add_argument("--latent-dim", type=int, default=2)
-    p.add_argument("--knots", type=int, default=10, help="spline segment count")
-    p.add_argument("--hidden", type=int, default=32)
+    p.add_argument("--latent-dim", type=int, default=default["latent_dim"])
+    p.add_argument("--knots", type=int, default=default["knot_count"], help="spline segment count")
+    p.add_argument("--hidden", type=int, default=default["hidden_width"])
     p.add_argument("--clip-percentiles", action="store_true",
                    help="drop rows outside the 1%%-99%% numeric ranges before training")
     p.set_defaults(func=cmd_train)

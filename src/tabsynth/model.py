@@ -9,8 +9,8 @@ level probabilities. Training minimizes
     mean over rows of [ sum_numeric crps/2 + sum_discrete cross_entropy ]
     + beta * mean KL(q(z|x) || N(0, I))
 
-with one reparameterized latent sample per row. All gradients are exact
-and hand-derived; see tests for the finite-difference checks.
+with one reparameterized latent sample per row. elbo_grads gives a batch's
+loss and its exact, hand-derived gradient; tests check it by finite differences.
 """
 
 from __future__ import annotations
@@ -141,12 +141,11 @@ def encode_batch(model: VaeModel, rows: np.ndarray):
     return out[:, :d], out[:, d:], cache
 
 
-def _kl_rows(mu, log_var):
-    """Per-row KL(N(mu, diag sigma^2) || N(0, I)) = 0.5 sum(mu^2 + sigma^2 - log sigma^2 - 1)."""
-    return 0.5 * np.sum(mu * mu + np.exp(log_var) - log_var - 1.0, axis=1)
-
-
-def _elbo_forward(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
+def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
+    """A training step's LossBreakdown on a batch with frozen reparameterization
+    noise, and its exact gradient, a flat vector laid out like model.params.
+    All (row, numeric column) splines go through the loss in one row-major
+    pass; each column's loss is summed on its own, added in column order."""
     rows = np.asarray(rows, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     n = rows.shape[0]
@@ -154,81 +153,51 @@ def _elbo_forward(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
         raise ValueError(
             f"noise must have shape {(n, model.config.latent_dim)}, got {noise.shape}"
         )
+    schema, knots, beta = model.schema, model.knots, model.config.beta
     mu, log_var, enc_cache = encode_batch(model, rows)
     sigma = np.exp(log_var / 2.0)
-    z = mu + sigma * noise
-    dec_out, dec_cache = mlp_forward(model.decoder, z)
-
-    schema = model.schema
-    knots = model.knots
+    dec_out, dec_cache = mlp_forward(model.decoder, mu + sigma * noise)
     gamma, raw, logits = decoder_heads(schema, model.config.knot_count, dec_out)
 
-    # every (column, row) pair in one pass, column-major, so that each
-    # column's loss is summed on its own and added in column order
-    raw_flat = raw.transpose(1, 0, 2).reshape(gamma.size, knots.size)
-    x = rows[:, schema.numeric_indices].T.ravel()
-    loss, alpha, _ = sp.crps_loss_batch(gamma.T.ravel(), sp.slopes_to_b(raw_flat), knots, x)
+    raw_flat = raw.reshape(-1, knots.size)
+    x = rows[:, schema.numeric_indices].ravel()
+    loss, alpha, _ = sp.crps_loss_batch(gamma.ravel(), sp.slopes_to_b(raw_flat), knots, x)
     crps_sum = 0.0
-    for column_loss in loss.reshape(gamma.shape[1], n).sum(axis=1):
+    for column_loss in np.ascontiguousarray(loss.reshape(n, -1).T).sum(axis=1):
         crps_sum += 0.5 * column_loss
 
+    # allocated only now, so it is not live during the loss pass's temporaries
+    d_dec = np.zeros_like(dec_out)
+    d_gamma, d_raw, d_logits = decoder_heads(schema, model.config.knot_count, d_dec)
+    # closed-form gradient, scaled by the 1/2 on the loss and the batch mean
+    dg, db = sp.crps_grad_from_alpha(alpha, knots)
+    d_gamma[...] = (dg * (0.5 / n)).reshape(n, -1)
+    d_raw[...] = sp.chain_slope_grads(db * (0.5 / n), raw_flat).reshape(d_raw.shape)
+
     ce_sum = 0.0
-    discrete_parts = []
-    for block, col in zip(logits, schema.discrete_indices):
+    for block, d_block, col in zip(logits, d_logits, schema.discrete_indices):
         shifted = block - block.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         norm = e.sum(axis=1)
         idx = rows[:, col].astype(np.intp)
-        ce = np.log(norm) - shifted[np.arange(n), idx]
-        ce_sum += ce.sum()
-        discrete_parts.append((idx, e / norm[:, None]))
+        ce_sum += (np.log(norm) - shifted[np.arange(n), idx]).sum()
+        probs = e / norm[:, None]
+        probs[np.arange(n), idx] -= 1.0
+        d_block[...] = probs / n
 
-    kl = _kl_rows(mu, log_var)
+    # per row, KL(N(mu, diag sigma^2) || N(0, I)) = 0.5 sum(mu^2 + sigma^2 - log sigma^2 - 1)
+    kl = float(np.mean(0.5 * np.sum(mu * mu + np.exp(log_var) - log_var - 1.0, axis=1)))
     breakdown = LossBreakdown(
         crps=crps_sum / n,
         discrete=ce_sum / n,
-        kl=float(kl.mean()),
-        total=crps_sum / n + ce_sum / n + model.config.beta * float(kl.mean()),
+        kl=kl,
+        total=crps_sum / n + ce_sum / n + beta * kl,
     )
-    state = dict(
-        n=n, mu=mu, log_var=log_var, sigma=sigma, noise=noise,
-        enc_cache=enc_cache, dec_cache=dec_cache, dec_out=dec_out,
-        raw_flat=raw_flat, alpha=alpha, discrete_parts=discrete_parts, knots=knots,
-    )
-    return breakdown, state
 
-
-def elbo_loss(model: VaeModel, rows: np.ndarray, noise: np.ndarray) -> LossBreakdown:
-    """Training objective on a batch with frozen reparameterization noise."""
-    breakdown, _ = _elbo_forward(model, rows, noise)
-    return breakdown
-
-
-def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
-    """Loss plus the exact gradient, a flat vector laid out like model.params."""
-    breakdown, st = _elbo_forward(model, rows, noise)
-    n = st["n"]
-    knots = st["knots"]
-    beta = model.config.beta
-
-    d_dec = np.zeros_like(st["dec_out"])
-    d_gamma, d_raw, d_logits = decoder_heads(model.schema, model.config.knot_count, d_dec)
-    # closed-form gradient, scaled by the 1/2 on the loss and the batch mean
-    p = d_gamma.shape[1]
-    dg, db = sp.crps_grad_from_alpha(st["alpha"], knots)
-    d_gamma[...] = (dg * (0.5 / n)).reshape(p, n).T
-    d_raw[...] = sp.chain_slope_grads(db * (0.5 / n), st["raw_flat"]).reshape(p, n, knots.size).transpose(1, 0, 2)
-    for d_block, (idx, probs) in zip(d_logits, st["discrete_parts"]):
-        probs[np.arange(n), idx] -= 1.0  # probs is this call's own, not read again
-        d_block[...] = probs / n
-
-    dz, dec_grad = mlp_backward(model.decoder, st["dec_cache"], d_dec)
-
-    d_mu = dz + beta * st["mu"] / n
-    d_log_var = dz * 0.5 * st["sigma"] * st["noise"] + beta * 0.5 * (np.exp(st["log_var"]) - 1.0) / n
-    d_enc_out = np.concatenate([d_mu, d_log_var], axis=1)
-    _, enc_grad = mlp_backward(model.encoder, st["enc_cache"], d_enc_out)
-
+    dz, dec_grad = mlp_backward(model.decoder, dec_cache, d_dec)
+    d_mu = dz + beta * mu / n
+    d_log_var = dz * 0.5 * sigma * noise + beta * 0.5 * (np.exp(log_var) - 1.0) / n
+    _, enc_grad = mlp_backward(model.encoder, enc_cache, np.concatenate([d_mu, d_log_var], axis=1))
     return breakdown, np.concatenate([enc_grad, dec_grad])
 
 

@@ -17,6 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Adam's moment decay rates and the denominator's guard against division by zero
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # Work whose arrays grow with the row count runs this many float64 entries
 # (512 KiB) of rows at a time, so each block's temporaries stay in cache.
 BLOCK_ENTRIES = 2**16
@@ -136,9 +141,6 @@ class AdamState:
     cut into, in order; they only name the block of a non-finite gradient."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -162,8 +164,8 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         raise FloatingPointError(
             f"non-finite gradient in parameter block {i} (shape {state.shapes[i]})"
         )
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)

@@ -83,15 +83,12 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
         z = rng.standard_normal((n, cp.config.latent_dim))
         u = rng.random((n, len(schema.numeric_indices)))
         noise = [rng.gumbel(size=(n, schema.columns[col].n_levels)) for col in schema.discrete_indices]
-        knots = cp.knots
 
         for block in row_blocks(n, sum(net_sizes(schema, cp.config)[1])):
             dec_out, _ = mlp_forward(cp.decoder, z[block])
             gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out)
-            for k, col in enumerate(schema.numeric_indices):
-                b = sp.slopes_to_b(raw[:, k])
-                hinge = np.maximum(u[block, k : k + 1] - knots[None, :], 0.0)
-                rows[block, col] = gamma[:, k] + np.sum(b * hinge, axis=1)
+            hinge = np.maximum(u[block, :, None] - cp.knots, 0.0)
+            rows[block, schema.numeric_indices] = gamma + np.sum(sp.slopes_to_b(raw) * hinge, axis=2)
             for scores, col, g in zip(logits, schema.discrete_indices, noise):
                 rows[block, col] = gumbel_max(softmax(scores), g[block])
 

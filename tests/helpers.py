@@ -7,8 +7,9 @@ import numpy as np
 
 from tabsynth import gumbel_max, knot_values, round_ordinal, slopes_to_b, uniform_knots
 from tabsynth.data import KIND_ORDINAL
-from tabsynth.model import decoder_heads
-from tabsynth.nn import mlp_forward, softmax
+from tabsynth import spline as sp
+from tabsynth.model import LossBreakdown, decoder_heads, encode_batch
+from tabsynth.nn import mlp_backward, mlp_forward, softmax
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -266,3 +267,60 @@ def one_shot_squared_distances(a, b):
     """Every squared L2 distance from the rows of a to the rows of b in one
     (len(a), len(b)) array, in the evaluation order the chunked search keeps."""
     return np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * a @ b.T
+
+
+def column_major_elbo_grads(model, rows, noise):
+    """elbo_grads with the numeric head transposed to (column, row) order for
+    the loss pass and back for the gradient, and the discrete cross-entropy
+    and its gradient in separate loops: the reference the row-major one-body
+    elbo_grads must match bit for bit."""
+    rows = np.asarray(rows, dtype=np.float64)
+    noise = np.asarray(noise, dtype=np.float64)
+    n = rows.shape[0]
+    mu, log_var, enc_cache = encode_batch(model, rows)
+    sigma = np.exp(log_var / 2.0)
+    dec_out, dec_cache = mlp_forward(model.decoder, mu + sigma * noise)
+    schema, knots, beta = model.schema, model.knots, model.config.beta
+    gamma, raw, logits = decoder_heads(schema, model.config.knot_count, dec_out)
+
+    raw_flat = raw.transpose(1, 0, 2).reshape(gamma.size, knots.size)
+    x = rows[:, schema.numeric_indices].T.ravel()
+    loss, alpha, _ = sp.crps_loss_batch(gamma.T.ravel(), slopes_to_b(raw_flat), knots, x)
+    crps_sum = 0.0
+    for column_loss in loss.reshape(gamma.shape[1], n).sum(axis=1):
+        crps_sum += 0.5 * column_loss
+
+    ce_sum = 0.0
+    discrete_parts = []
+    for block, col in zip(logits, schema.discrete_indices):
+        shifted = block - block.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        norm = e.sum(axis=1)
+        idx = rows[:, col].astype(np.intp)
+        ce = np.log(norm) - shifted[np.arange(n), idx]
+        ce_sum += ce.sum()
+        discrete_parts.append((idx, e / norm[:, None]))
+
+    kl = 0.5 * np.sum(mu * mu + np.exp(log_var) - log_var - 1.0, axis=1)
+    breakdown = LossBreakdown(
+        crps=crps_sum / n,
+        discrete=ce_sum / n,
+        kl=float(kl.mean()),
+        total=crps_sum / n + ce_sum / n + beta * float(kl.mean()),
+    )
+
+    d_dec = np.zeros_like(dec_out)
+    d_gamma, d_raw, d_logits = decoder_heads(schema, model.config.knot_count, d_dec)
+    p = d_gamma.shape[1]
+    dg, db = sp.crps_grad_from_alpha(alpha, knots)
+    d_gamma[...] = (dg * (0.5 / n)).reshape(p, n).T
+    d_raw[...] = sp.chain_slope_grads(db * (0.5 / n), raw_flat).reshape(p, n, knots.size).transpose(1, 0, 2)
+    for d_block, (idx, probs) in zip(d_logits, discrete_parts):
+        probs[np.arange(n), idx] -= 1.0
+        d_block[...] = probs / n
+
+    dz, dec_grad = mlp_backward(model.decoder, dec_cache, d_dec)
+    d_mu = dz + beta * mu / n
+    d_log_var = dz * 0.5 * sigma * noise + beta * 0.5 * (np.exp(log_var) - 1.0) / n
+    _, enc_grad = mlp_backward(model.encoder, enc_cache, np.concatenate([d_mu, d_log_var], axis=1))
+    return breakdown, np.concatenate([enc_grad, dec_grad])

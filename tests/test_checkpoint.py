@@ -190,6 +190,9 @@ def test_rejects_config_that_train_config_rejects(small_checkpoint, key, value, 
     (("config", "epochs"), True, "config.epochs"),
     (("config", "beta"), True, "config.beta"),
     (("loss_trace", 0, "kl"), False, r"loss_trace\[0\].kl"),
+    (("decoder", "layers", 1, "bias", 0), True, r"decoder.layers\[1\].bias"),
+    (("scaling", "stddev", 0), True, "scaling.stddev"),
+    (("quantiles", "high", 0), False, "quantiles.high"),
 ])
 def test_rejects_boolean_for_a_number(small_checkpoint, path, value, where):
     doc = json.loads(checkpoint_to_text(small_checkpoint))
@@ -197,8 +200,18 @@ def test_rejects_boolean_for_a_number(small_checkpoint, path, value, where):
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
-    with pytest.raises(ValueError, match=f"^corrupt checkpoint: {where} has the wrong type bool$"):
+    # an entry of a number array fails the check of the whole array
+    problem = "must be a 1-D array of finite numbers" if isinstance(path[-1], int) else "has the wrong type bool"
+    with pytest.raises(ValueError, match=f"^corrupt checkpoint: {where} {problem}$"):
         checkpoint_from_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("literal", ['"1.5"', "1" + "0" * 400], ids=["quoted", "int-past-float-range"])
+def test_rejects_array_entry_that_is_not_a_float(small_checkpoint, literal):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    doc["scaling"]["mean"][0] = "PLACEHOLDER"
+    with pytest.raises(ValueError, match=r"^corrupt checkpoint: scaling.mean must be a 1-D array of finite numbers$"):
+        checkpoint_from_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
 
 
 def test_rejects_boolean_format_version(small_checkpoint):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from tabsynth import load_checkpoint
+from tabsynth import TrainConfig, load_checkpoint
 
 
 def run_cli(*args):
@@ -85,6 +85,16 @@ def test_train_records_flags(workspace):
     assert cp.config.latent_dim == 3
     assert cp.config.batch_size == 64
     assert cp.config.learning_rate == 0.002
+
+
+def test_train_defaults_come_from_train_config(workspace):
+    out = workspace / "defaults.json"
+    result = run_cli(
+        "train", "--data", workspace / "train.csv", "--schema", workspace / "schema.json",
+        "--seed", 52, "--out", out,
+    )
+    assert result.returncode == 0, result.stderr
+    assert load_checkpoint(out).config == TrainConfig(seed=52)
 
 
 def test_train_missing_required_flag_is_usage_error(workspace):

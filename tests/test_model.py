@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import grad_rel_err
+from helpers import column_major_elbo_grads, grad_rel_err
 from tabsynth import (
     ColumnSpec,
     Schema,
@@ -12,7 +12,6 @@ from tabsynth import (
     TrainConfig,
     checkpoint_to_text,
     elbo_grads,
-    elbo_loss,
     knot_values,
     model_init,
     slopes_to_b,
@@ -145,7 +144,7 @@ def posterior_model(mu, log_var):
 
 def test_kl_hand_values():
     rows = np.array([[0.0, 0.0, 1.0]])
-    kl = lambda mu, log_var: elbo_loss(posterior_model(mu, log_var), rows, np.zeros((1, mu.size))).kl
+    kl = lambda mu, log_var: elbo_grads(posterior_model(mu, log_var), rows, np.zeros((1, mu.size)))[0].kl
     assert kl(np.zeros(2), np.zeros(2)) == 0.0
     assert kl(np.ones(2), np.zeros(2)) == pytest.approx(1.0)
     rng = np.random.default_rng(5)
@@ -157,7 +156,7 @@ def test_elbo_uniform_discrete_head_costs_log_levels():
     schema = Schema((ColumnSpec("c", "discrete", ("p", "q", "r", "s")),))
     model = zeroed(random_model(schema))
     rows = np.array([[2.0], [0.0]])
-    breakdown = elbo_loss(model, rows, np.zeros((2, 2)))
+    breakdown = elbo_grads(model, rows, np.zeros((2, 2)))[0]
     assert breakdown.crps == 0.0
     assert breakdown.discrete == pytest.approx(math.log(4.0))
     assert breakdown.kl == 0.0
@@ -171,7 +170,7 @@ def test_elbo_breakdown_identity():
         rng.normal(size=8), rng.normal(size=8), rng.integers(0, 3, 8).astype(float),
     ])
     noise = rng.standard_normal((8, 2))
-    breakdown = elbo_loss(model, rows, noise)
+    breakdown = elbo_grads(model, rows, noise)[0]
     assert breakdown.total == breakdown.crps + breakdown.discrete + 0.5 * breakdown.kl
     assert breakdown.crps >= 0.0 and breakdown.discrete >= 0.0 and breakdown.kl >= 0.0
 
@@ -197,11 +196,25 @@ def test_elbo_grads_match_finite_differences(schema):
         for j in range(model.params.size):
             orig = model.params[j]
             model.params[j] = orig + eps
-            hi = elbo_loss(model, rows, noise).total
+            hi = elbo_grads(model, rows, noise)[0].total
             model.params[j] = orig - eps
-            lo = elbo_loss(model, rows, noise).total
+            lo = elbo_grads(model, rows, noise)[0].total
             model.params[j] = orig
             assert grad_rel_err(grads[j], (hi - lo) / (2 * eps)) < 1e-4
+
+
+@pytest.mark.parametrize("schema", [MIX_SCHEMA, NUMERIC_SCHEMA, DISCRETE_SCHEMA],
+                         ids=["mixed", "numeric", "discrete"])
+@pytest.mark.parametrize("n", [1, 2, 3, 256])
+def test_elbo_grads_match_column_major_reference_bit_for_bit(schema, n):
+    rng = np.random.default_rng(n)
+    model = random_model(schema, seed=n, knot_count=7)
+    rows = random_rows(schema, rng, n)
+    noise = rng.standard_normal((n, 2))
+    breakdown, grads = elbo_grads(model, rows, noise)
+    ref_breakdown, ref_grads = column_major_elbo_grads(model, rows, noise)
+    assert breakdown == ref_breakdown
+    assert grads.tobytes() == ref_grads.tobytes()
 
 
 def gaussian_table(n=500, seed=9):

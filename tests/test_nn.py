@@ -230,4 +230,4 @@ def test_row_blocks_cover_the_rows_without_a_lone_row(monkeypatch, n, width, ent
 
 def test_adam_state_defaults():
     state = AdamState()
-    assert (state.lr, state.beta1, state.beta2, state.eps) == (0.001, 0.9, 0.999, 1e-8)
+    assert (state.lr, nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS) == (0.001, 0.9, 0.999, 1e-8)
