@@ -10,10 +10,14 @@ for the final rounding step after generation.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
+
+from . import nn
 
 KIND_CONTINUOUS = "continuous"
 KIND_ORDINAL = "ordinal"
@@ -183,9 +187,20 @@ def load_csv(path, schema: Schema) -> Table:
     """Load a CSV whose header matches the schema exactly, in order.
 
     Discrete cells must be level labels. Any unparseable, missing, or
-    unknown cell raises with the 1-based data row and the column name.
+    unknown cell raises with the 1-based data row and the column name. A
+    UTF-8 byte-order mark before the header is skipped. Records are parsed
+    nn.BLOCK_ENTRIES cells at a time, so only the parsed floats grow with
+    the file; faults are reported block by block, the earliest block first.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    parsers = []
+    for spec in schema.columns:
+        if spec.kind == KIND_DISCRETE:
+            level_of = {label: k for k, label in enumerate(spec.levels)}
+            parsers.append((level_of.__getitem__, "unknown level"))
+        else:
+            parsers.append((float, "unparseable value"))
+    step = max(1, nn.BLOCK_ENTRIES // len(parsers))
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -195,47 +210,97 @@ def load_csv(path, schema: Schema) -> Table:
             raise ValueError(
                 f"{path}: header {header!r} does not match schema columns {schema.names!r}"
             )
-        records = list(reader)
-    width = len(schema.columns)
-    for r, record in enumerate(records, start=1):
-        if len(record) != width:
-            raise ValueError(f"{path}: row {r} has {len(record)} cells, expected {width}")
-    rows = np.empty((len(records), width))
-    for j, (spec, cells) in enumerate(zip(schema.columns, list(zip(*records)) or [()] * width)):
-        if spec.kind == KIND_DISCRETE:
-            level_of = {label: k for k, label in enumerate(spec.levels)}
-            parse, problem = level_of.__getitem__, "unknown level"
-        else:
-            parse, problem = float, "unparseable value"
+        blocks = [
+            _parse_block(path, schema, parsers, records, k * step)
+            for k, records in enumerate(_record_blocks(reader, step))
+        ]
+    rows = np.concatenate(blocks) if blocks else np.empty((0, len(parsers)))
+    return Table(schema=schema, rows=rows)
+
+
+def _record_blocks(reader, step: int):
+    """Lists of step records from a csv reader, the last one shorter."""
+    while records := list(islice(reader, step)):
+        yield records
+
+
+def _parse_block(path, schema: Schema, parsers, records, done: int) -> np.ndarray:
+    """Records as a float array; errors count rows from done + 1."""
+    width = len(parsers)
+    if set(map(len, records)) != {width}:
+        r = next(r for r, record in enumerate(records, start=1) if len(record) != width)
+        raise ValueError(
+            f"{path}: row {done + r} has {len(records[r - 1])} cells, expected {width}"
+        )
+    cells = list(chain.from_iterable(records))
+    block = np.empty((len(records), width))
+    for j, (spec, (parse, problem)) in enumerate(zip(schema.columns, parsers)):
+        column = cells[j::width]
         try:
-            rows[:, j] = list(map(parse, cells))
+            block[:, j] = list(map(parse, column))
         except (KeyError, ValueError):
-            r = _first_rejected(parse, cells)
+            r = _first_rejected(parse, column)
             raise ValueError(
-                f"{path}: {problem} {cells[r - 1]!r} for column {spec.name!r} at row {r}"
+                f"{path}: {problem} {column[r - 1]!r} for column {spec.name!r} at row {done + r}"
             ) from None
-        finite = np.isfinite(rows[:, j])
+        finite = np.isfinite(block[:, j])
         if not finite.all():
             r = int(np.argmin(finite)) + 1
             raise ValueError(
-                f"{path}: non-finite value {cells[r - 1]!r} for column {spec.name!r} at row {r}"
+                f"{path}: non-finite value {column[r - 1]!r} for column {spec.name!r} "
+                f"at row {done + r}"
             )
-    return Table(schema=schema, rows=rows)
+    return block
+
+
+def _csv_forms(labels, width: int) -> list[str]:
+    """Each label as the csv module writes it in a row of `width` fields.
+
+    A field's quoting depends on its own text, except that a row of one
+    empty field is written quoted. So each label is written as a whole row
+    whose other fields are empty, and the padding is cut off again.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    padding = [""] * (width - 1)
+    forms = []
+    for label in labels:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([label, *padding])
+        forms.append(buf.getvalue()[: -(width + 1)])  # width - 1 commas and "\r\n"
+    return forms
 
 
 def save_csv(table: Table, path) -> None:
     """Write a table back to CSV, discrete cells as their level labels and
-    numeric cells as repr(float), which reads back to the same bits."""
-    columns = []
-    for spec, col in zip(table.schema.columns, table.rows.T):
-        if spec.kind == KIND_DISCRETE:
-            columns.append(list(map(spec.levels.__getitem__, col.astype(np.intp).tolist())))
-        else:
-            columns.append(list(map(repr, col.tolist())))
+    numeric cells as repr(float), which reads back to the same bits.
+
+    The bytes are those of csv.writer, but rows are formatted and written
+    nn.BLOCK_ENTRIES cells at a time, so no list grows with the table.
+    """
+    schema = table.schema
+    width = len(schema.columns)
+    forms = [
+        _csv_forms(spec.levels, width) if spec.kind == KIND_DISCRETE else None
+        for spec in schema.columns
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.schema.names)
-        writer.writerows(zip(*columns))
+        csv.writer(fh).writerow(schema.names)
+        for block in nn.row_blocks(table.n_rows, width):
+            fh.write(_csv_lines(table.rows[block], forms))
+            fh.write("\r\n")
+
+
+def _csv_lines(rows: np.ndarray, forms) -> str:
+    """Rows as CSV lines joined by line ends, a column's cells through its
+    label forms or, with none, as repr(float), which never needs quotes."""
+    columns = [
+        map(repr, col.tolist()) if form is None
+        else map(form.__getitem__, col.astype(np.intp).tolist())
+        for form, col in zip(forms, rows.T)
+    ]
+    return "\r\n".join(map(",".join, zip(*columns)))
 
 
 def standardize(table: Table) -> Table:

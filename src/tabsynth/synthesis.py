@@ -84,11 +84,18 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
         u = rng.random((n, len(schema.numeric_indices)))
         noise = [rng.gumbel(size=(n, schema.columns[col].n_levels)) for col in schema.discrete_indices]
 
-        for block in row_blocks(n, sum(net_sizes(schema, cp.config)[1])):
+        blocks = row_blocks(n, sum(net_sizes(schema, cp.config)[1]))
+        # one hinge buffer, reused by every block: a fresh block-sized
+        # temporary is large enough for malloc to map and unmap it each time
+        buffer = np.empty((max(b.stop - b.start for b in blocks), u.shape[1], cp.knots.size))
+        for block in blocks:
             dec_out, _ = mlp_forward(cp.decoder, z[block])
             gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out)
-            hinge = np.maximum(u[block, :, None] - cp.knots, 0.0)
-            rows[block, schema.numeric_indices] = gamma + np.sum(sp.slopes_to_b(raw) * hinge, axis=2)
+            hinge = buffer[: block.stop - block.start]
+            np.subtract(u[block, :, None], cp.knots, out=hinge)
+            np.maximum(hinge, 0.0, out=hinge)
+            np.multiply(sp.slopes_to_b(raw), hinge, out=hinge)
+            rows[block, schema.numeric_indices] = gamma + np.sum(hinge, axis=2)
             for scores, col, g in zip(logits, schema.discrete_indices, noise):
                 rows[block, col] = gumbel_max(softmax(scores), g[block])
 

@@ -1,12 +1,13 @@
 """Shared oracles for the test suite: brute-force reference implementations
 that the fast closed-form code is checked against."""
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from tabsynth import gumbel_max, knot_values, round_ordinal, slopes_to_b, uniform_knots
-from tabsynth.data import KIND_ORDINAL
+from tabsynth.data import KIND_DISCRETE, KIND_ORDINAL, Table, _first_rejected
 from tabsynth import spline as sp
 from tabsynth.model import LossBreakdown, decoder_heads, encode_batch
 from tabsynth.nn import mlp_backward, mlp_forward, softmax
@@ -324,3 +325,61 @@ def column_major_elbo_grads(model, rows, noise):
     d_log_var = dz * 0.5 * sigma * noise + beta * 0.5 * (np.exp(log_var) - 1.0) / n
     _, enc_grad = mlp_backward(model.encoder, enc_cache, np.concatenate([d_mu, d_log_var], axis=1))
     return breakdown, np.concatenate([enc_grad, dec_grad])
+
+
+def whole_file_load_csv(path, schema):
+    """load_csv with every record of the file in one list and each column
+    parsed over all rows at once, wrong-length rows checked first: the
+    reference the blocked reader must match bit for bit."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        if header != schema.names:
+            raise ValueError(
+                f"{path}: header {header!r} does not match schema columns {schema.names!r}"
+            )
+        records = list(reader)
+    width = len(schema.columns)
+    for r, record in enumerate(records, start=1):
+        if len(record) != width:
+            raise ValueError(f"{path}: row {r} has {len(record)} cells, expected {width}")
+    rows = np.empty((len(records), width))
+    for j, (spec, cells) in enumerate(zip(schema.columns, list(zip(*records)) or [()] * width)):
+        if spec.kind == KIND_DISCRETE:
+            level_of = {label: k for k, label in enumerate(spec.levels)}
+            parse, problem = level_of.__getitem__, "unknown level"
+        else:
+            parse, problem = float, "unparseable value"
+        try:
+            rows[:, j] = list(map(parse, cells))
+        except (KeyError, ValueError):
+            r = _first_rejected(parse, cells)
+            raise ValueError(
+                f"{path}: {problem} {cells[r - 1]!r} for column {spec.name!r} at row {r}"
+            ) from None
+        finite = np.isfinite(rows[:, j])
+        if not finite.all():
+            r = int(np.argmin(finite)) + 1
+            raise ValueError(
+                f"{path}: non-finite value {cells[r - 1]!r} for column {spec.name!r} at row {r}"
+            )
+    return Table(schema=schema, rows=rows)
+
+
+def whole_file_save_csv(table, path):
+    """save_csv with every column formatted in full and all rows handed to
+    csv.writer at once: the reference whose bytes the blocked writer must
+    reproduce."""
+    columns = []
+    for spec, col in zip(table.schema.columns, table.rows.T):
+        if spec.kind == KIND_DISCRETE:
+            columns.append(list(map(spec.levels.__getitem__, col.astype(np.intp).tolist())))
+        else:
+            columns.append(list(map(repr, col.tolist())))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.schema.names)
+        writer.writerows(zip(*columns))

@@ -1,9 +1,14 @@
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import make_toy_table
+from helpers import whole_file_load_csv, whole_file_save_csv
 from tabsynth import (
     ColumnSpec,
     ScalingStats,
@@ -18,6 +23,7 @@ from tabsynth import (
     standardize,
     train_test_split,
 )
+from tabsynth import nn
 
 
 def small_schema() -> Schema:
@@ -166,6 +172,126 @@ def test_load_csv_errors_name_file_row_and_column(tmp_path, body, message):
     path.write_text("age,score,color\n" + body)
     with pytest.raises(ValueError, match=r"bad\.csv: " + message):
         load_csv(path, small_schema())
+
+
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    body = "age,score,color\n1.5,2.0,red\n-0.0,3.0,blue\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(body, encoding="utf-8")
+    marked.write_text("\ufeff" + body, encoding="utf-8")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    want = np.array([[1.5, 2.0, 0.0], [-0.0, 3.0, 2.0]])
+    for path in (plain, marked):
+        assert load_csv(path, small_schema()).rows.tobytes() == want.tobytes()
+
+
+def test_single_empty_label_column_is_written_quoted(tmp_path):
+    # the csv module quotes a row made of one empty field; an empty line
+    # would read back as a row of 0 cells
+    schema = Schema((ColumnSpec("g", "discrete", ("", "x")),))
+    rows = np.array([[0.0], [1.0], [0.0]])
+    path = tmp_path / "t.csv"
+    save_csv(Table(schema, rows), path)
+    assert path.read_bytes() == b'g\r\n""\r\nx\r\n""\r\n'
+    assert load_csv(path, schema).rows.tobytes() == rows.tobytes()
+
+
+_LABELS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "é", "日"]), max_size=4)
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 1e16, 1e-5, sys.float_info.max, -sys.float_info.max]
+
+
+@st.composite
+def _csv_cases(draw):
+    """(schema, rows, block rows): 1-4 columns whose names and labels hold
+    CSV specials, and a row count at or around a multiple of the block."""
+    width = draw(st.integers(1, 4))
+    names = draw(st.lists(_LABELS, min_size=width, max_size=width, unique=True))
+    specs, cells = [], []
+    for name in names:
+        kind = draw(st.sampled_from(["continuous", "ordinal", "discrete"]))
+        if kind == "discrete":
+            levels = draw(st.lists(_LABELS, min_size=2, max_size=4, unique=True))
+            specs.append(ColumnSpec(name, kind, tuple(levels)))
+            cells.append(st.integers(0, len(levels) - 1).map(float))
+        else:
+            specs.append(ColumnSpec(name, kind))
+            cells.append(st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False))
+    block = draw(st.integers(2, 5))
+    n = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 3 * block]))
+    rows = draw(st.lists(st.tuples(*cells), min_size=n, max_size=n))
+    return Schema(tuple(specs)), np.array(rows, dtype=np.float64).reshape(n, width), block
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_csv_cases())
+def test_blocked_csv_matches_the_whole_file_reference(tmp_path, case):
+    schema, rows, block = case
+    table = Table(schema, rows)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "BLOCK_ENTRIES", block * len(schema.columns))
+        save_csv(table, new)
+        whole_file_save_csv(table, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        back = load_csv(new, schema).rows
+    assert back.tobytes() == whole_file_load_csv(ref, schema).rows.tobytes() == rows.tobytes()
+
+
+def _twelve_rows(tmp_path, faults):
+    """A 12-row small_schema file with the given {row: line} replacements."""
+    lines = ["age,score,color"] + [faults.get(r, f"{r}.5,{r}.0,green") for r in range(1, 13)]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _load_error(load, path):
+    with pytest.raises(ValueError) as err:
+        load(path, small_schema())
+    return str(err.value)
+
+
+@pytest.mark.parametrize(("faults", "message"), [
+    ({10: "1.0,x,red"}, "unparseable value 'x' for column 'score' at row 10"),
+    ({9: "1.0,2.0"}, "row 9 has 2 cells, expected 3"),
+    ({12: "1.0,2.0,purple"}, "unknown level 'purple' for column 'color' at row 12"),
+    ({5: "inf,2.0,red"}, "non-finite value 'inf' for column 'age' at row 5"),
+    ({1: "1.0,2.0,red,4"}, "row 1 has 4 cells, expected 3"),
+    ({9: "1.0,2.0", 10: "1.0,2.0,red,4"}, "row 9 has 2 cells, expected 3"),  # 6 cells in 2 rows
+])
+def test_load_csv_errors_in_later_blocks_keep_absolute_rows(tmp_path, monkeypatch, faults, message):
+    monkeypatch.setattr(nn, "BLOCK_ENTRIES", 4 * 3)  # 4-row blocks
+    path = _twelve_rows(tmp_path, faults)
+    assert _load_error(load_csv, path) == f"{path}: {message}"
+    assert _load_error(whole_file_load_csv, path) == f"{path}: {message}"
+
+
+def test_load_csv_reports_the_earlier_block_first(tmp_path, monkeypatch):
+    # the whole-file reader checked every row's length before any cell
+    monkeypatch.setattr(nn, "BLOCK_ENTRIES", 4 * 3)
+    path = _twelve_rows(tmp_path, {2: "1.0,x,red", 9: "1.0,2.0"})
+    assert _load_error(load_csv, path).endswith("unparseable value 'x' for column 'score' at row 2")
+    assert _load_error(whole_file_load_csv, path).endswith("row 9 has 2 cells, expected 3")
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_memory_does_not_grow_with_the_rows(tmp_path):
+    # the whole-file writer peaks at 17.5 and 70 MB, the reader at 151 MB
+    path = tmp_path / "toy.csv"
+    for n in (100_000, 400_000):
+        table = make_toy_table(n, seed=3)
+        assert _peak_bytes(save_csv, table, path) < 8 * 2**20
+    # 27.5 MB of it is the parsed rows: block arrays, their concatenation
+    # and the Table's own copy, 9.2 MB each
+    assert _peak_bytes(load_csv, path, table.schema) < 40 * 2**20
 
 
 def test_standardize_hand_values():

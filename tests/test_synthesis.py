@@ -126,7 +126,7 @@ def test_generate_block_size_never_changes_a_byte(mixed_checkpoint, monkeypatch,
         monkeypatch.setattr(nn, "BLOCK_ENTRIES", 1 if block_rows == 2 else block_rows * width)
     block = max(2, nn.BLOCK_ENTRIES // width)
     assert block == (block_rows or 2**16 // width)
-    for n in (1, block - 1, block, block + 1, block + 2, 3 * block):
+    for n in (1, block - 1, block, block + 1, block + 2, 2 * block + 1, 3 * block):
         for rounding in ("integer", "decimal"):
             rows = generate(cp, n, seed=40 + n, ordinal_rounding=rounding).rows
             assert rows.tobytes() == one_shot_generate(cp, n, 40 + n, rounding).tobytes()
