@@ -35,13 +35,6 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .spline import (
-    chain_slope_grads,
-    crps_grad_from_alpha,
-    knot_values,
-    slopes_to_b,
-    uniform_knots,
-)
 from .synthesis import (
     CdfCurve,
     estimate_cdf,

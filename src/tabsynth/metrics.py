@@ -32,30 +32,31 @@ from .synthesis import generate
 # ---------------------------------------------------------------------------
 # marginal distances
 
-def ks_statistic(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic, the exact sup over the
-    merged order statistics of |F_a - F_b|."""
+def _step_cdfs(a, b, name):
+    """The merged sample of a and b, sorted, and each sample's empirical CDF
+    at every one of its points: (points, F_a, F_b)."""
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
-        raise ValueError("ks_statistic needs non-empty samples")
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
+        raise ValueError(f"{name} needs non-empty samples")
+    xs = np.sort(np.concatenate([a, b]))
+    fa = np.searchsorted(a, xs, side="right") / a.size
+    fb = np.searchsorted(b, xs, side="right") / b.size
+    return xs, fa, fb
+
+
+def ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic, the exact sup over the
+    merged order statistics of |F_a - F_b|."""
+    _, fa, fb = _step_cdfs(a, b, "ks_statistic")
     return float(np.max(np.abs(fa - fb)))
 
 
 def wasserstein1(a, b) -> float:
     """1-Wasserstein distance between empirical distributions: the area
     between the two step CDFs."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("wasserstein1 needs non-empty samples")
-    xs = np.sort(np.concatenate([a, b]))
-    fa = np.searchsorted(a, xs[:-1], side="right") / a.size
-    fb = np.searchsorted(b, xs[:-1], side="right") / b.size
-    return float(np.sum(np.abs(fa - fb) * np.diff(xs)))
+    xs, fa, fb = _step_cdfs(a, b, "wasserstein1")
+    return float(np.sum(np.abs(fa[:-1] - fb[:-1]) * np.diff(xs)))
 
 
 # ---------------------------------------------------------------------------

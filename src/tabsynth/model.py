@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Schema, ScalingStats, Table, one_hot_matrix
+from .data import OUTLIER_QUANTILES, Schema, ScalingStats, Table, one_hot_matrix
 from .nn import Mlp, adam_init, adam_step, layer_views, mlp_backward, mlp_forward, mlp_init
 from . import spline as sp
 
@@ -88,10 +88,10 @@ class VaeModel:
 @dataclass(frozen=True)
 class Checkpoint(VaeModel):
     """A trained model plus everything needed to resume sampling: the scaling,
-    the per-numeric-column 1%/99% quantiles of the standardized training data
-    (used as the default evaluation grid), and the loss trace. The file
-    format version is not a field: checkpoint.checkpoint_to_text writes
-    checkpoint.CHECKPOINT_FORMAT_VERSION, and loading rejects any other."""
+    the per-numeric-column data.OUTLIER_QUANTILES (1%/99%) of the standardized
+    training data (used as the default evaluation grid), and the loss trace.
+    The file format version is not a field: checkpoint.checkpoint_to_text
+    writes checkpoint.CHECKPOINT_FORMAT_VERSION, and loading rejects any other."""
 
     scaling: ScalingStats
     quantile_lo: np.ndarray
@@ -161,7 +161,7 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
 
     raw_flat = raw.reshape(-1, knots.size)
     x = rows[:, schema.numeric_indices].ravel()
-    loss, alpha, _ = sp.crps_loss_batch(gamma.ravel(), sp.slopes_to_b(raw_flat), knots, x)
+    loss, dg, db = sp.crps_loss_batch(gamma.ravel(), sp.slopes_to_b(raw_flat), knots, x)
     crps_sum = 0.0
     for column_loss in np.ascontiguousarray(loss.reshape(n, -1).T).sum(axis=1):
         crps_sum += 0.5 * column_loss
@@ -170,7 +170,6 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     d_dec = np.zeros_like(dec_out)
     d_gamma, d_raw, d_logits = decoder_heads(schema, model.config.knot_count, d_dec)
     # closed-form gradient, scaled by the 1/2 on the loss and the batch mean
-    dg, db = sp.crps_grad_from_alpha(alpha, knots)
     d_gamma[...] = (dg * (0.5 / n)).reshape(n, -1)
     d_raw[...] = sp.chain_slope_grads(db * (0.5 / n), raw_flat).reshape(d_raw.shape)
 
@@ -251,15 +250,13 @@ def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
         if progress is not None:
             progress(epoch, epoch_loss)
 
-    numeric = table.schema.numeric_indices
-    lo = np.quantile(rows[:, numeric], 0.01, axis=0) if numeric else np.empty(0)
-    hi = np.quantile(rows[:, numeric], 0.99, axis=0) if numeric else np.empty(0)
+    lo, hi = np.quantile(rows[:, table.schema.numeric_indices], OUTLIER_QUANTILES, axis=0)
     return Checkpoint(
         schema=table.schema,
         scaling=table.scaling,
         config=config,
         params=model.params,
-        quantile_lo=np.atleast_1d(lo),
-        quantile_hi=np.atleast_1d(hi),
+        quantile_lo=lo,
+        quantile_hi=hi,
         loss_trace=trace,
     )

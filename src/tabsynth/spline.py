@@ -63,8 +63,6 @@ class InverseTable(NamedTuple):
 def inverse_table(gamma, b, knots) -> InverseTable:
     """Build the x-independent table that spline_inverse_batch reads, once
     per batch of splines; any number of x batches can then be inverted."""
-    gamma = np.asarray(gamma, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     return InverseTable(
         gamma=gamma,
         knots=knots,
@@ -77,8 +75,8 @@ def inverse_table(gamma, b, knots) -> InverseTable:
 def spline_inverse_batch(table: InverseTable, x):
     """Vectorized inverse over a batch of splines, one x per spline.
 
-    Returns (alpha_tilde, segment). alpha_tilde solves D(alpha) = x on the
-    segment m0 whose knot values bracket x:
+    Returns alpha_tilde, which solves D(alpha) = x on the segment m0 whose
+    knot values bracket x:
 
         alpha_tilde = (x - gamma + sum_{m<=m0} b_m d_m) / sum_{m<=m0} b_m
 
@@ -100,7 +98,7 @@ def spline_inverse_batch(table: InverseTable, x):
     alpha = np.clip(alpha, knots[seg], knots[seg + 1])
     alpha[below] = 0.0
     alpha[above] = 1.0
-    return alpha, seg
+    return alpha
 
 
 def _crps_terms(alpha, knots):
@@ -110,22 +108,22 @@ def _crps_terms(alpha, knots):
 
 
 def crps_loss_batch(gamma, b, knots, x):
-    """Closed-form 2 * integral of rho_a(x - D(a)) da for a batch of splines.
+    """Closed-form 2 * integral of rho_a(x - D(a)) da for a batch of splines,
+    and its exact gradient.
 
-    Returns (loss, alpha_tilde, segment). With a_t = alpha_tilde:
+    Returns (loss (n,), d_gamma (n,), d_b (n, M+1)). With a_t = alpha_tilde:
 
         loss = (2 a_t - 1) x + (1 - 2 a_t) gamma
              + sum_m b_m [ (1 - d_m^3)/3 - d_m - max(a_t, d_m)^2 + 2 max(a_t, d_m) d_m ]
 
-    where the sum runs over every knot m = 0 .. M.
+    where the sum runs over every knot m = 0 .. M. The loss is linear in gamma
+    and b at fixed a_t, so the gradient's factors are the loss's own terms.
     """
-    gamma = np.asarray(gamma, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    alpha, seg = spline_inverse_batch(inverse_table(gamma, b, knots), x)
-    loss = (2.0 * alpha - 1.0) * x + (1.0 - 2.0 * alpha) * gamma
-    loss += np.sum(b * _crps_terms(alpha, knots), axis=1)
-    return loss, alpha, seg
+    alpha = spline_inverse_batch(inverse_table(gamma, b, knots), x)
+    d_gamma, d_b = crps_grad_from_alpha(alpha, knots)
+    loss = (2.0 * alpha - 1.0) * x + d_gamma * gamma
+    loss += np.sum(b * d_b, axis=1)
+    return loss, d_gamma, d_b
 
 
 def crps_grad_from_alpha(alpha: np.ndarray, knots: np.ndarray):

@@ -50,17 +50,19 @@ def gumbel_max(probs: np.ndarray, gumbel_noise: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=-1)
 
 
+def _check_rounding(mode: str) -> None:
+    if mode not in (ROUND_INTEGER, ROUND_DECIMAL):
+        raise ValueError(f"unknown ordinal rounding mode {mode!r}")
+
+
 def round_ordinal(value, mode: str = ROUND_INTEGER):
     """Post-process a generated ordinal value (in native units).
 
     integer: snap to the nearest integer level. decimal: keep one decimal
     place (the coarser treatment some pipelines use).
     """
-    if mode == ROUND_INTEGER:
-        return np.round(value)
-    if mode == ROUND_DECIMAL:
-        return np.round(value, 1)
-    raise ValueError(f"unknown ordinal rounding mode {mode!r}")
+    _check_rounding(mode)
+    return np.round(value, 1 if mode == ROUND_DECIMAL else 0)
 
 
 def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_INTEGER) -> Table:
@@ -76,6 +78,7 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
     if n < 0:
         raise ValueError("n must be non-negative")
     check_seed(seed)
+    _check_rounding(ordinal_rounding)
     schema = cp.schema
     rows = np.zeros((n, len(schema.columns)))
     if n > 0:
@@ -120,9 +123,12 @@ class CdfCurve:
         values = np.asarray(self.values, dtype=np.float64)
         if grid.shape != values.shape or grid.ndim != 1:
             raise ValueError("grid and values must be 1-D with equal shapes")
-        if np.any(np.diff(grid) <= 0):
+        # each property must hold: a comparison with NaN is false, so NaN fails it
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("grid must be finite")
+        if not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
-        if np.any(values < 0) or np.any(values > 1) or np.any(np.diff(values) < 0):
+        if not (np.all(values >= 0) and np.all(values <= 1) and np.all(np.diff(values) >= 0)):
             raise ValueError("cdf values must be non-decreasing within [0, 1]")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -154,8 +160,7 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     grid = np.asarray(grid, dtype=np.float64)
     values = np.empty_like(grid)
     for i, x in enumerate(grid):
-        alpha, _ = sp.spline_inverse_batch(table, np.full(n_mc, x))
-        values[i] = alpha.mean()
+        values[i] = sp.spline_inverse_batch(table, np.full(n_mc, x)).mean()
     # each per-draw inverse is monotone in x; guard the mean against round-off
     values = np.minimum(np.maximum.accumulate(values), 1.0)
     return CdfCurve(grid=grid, values=values)

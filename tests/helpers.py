@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tabsynth import gumbel_max, knot_values, round_ordinal, slopes_to_b, uniform_knots
+from tabsynth import gumbel_max, round_ordinal
 from tabsynth.data import KIND_DISCRETE, KIND_ORDINAL, Table, _first_rejected
 from tabsynth import spline as sp
 from tabsynth.model import LossBreakdown, decoder_heads, encode_batch
@@ -16,6 +16,12 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 _ALPHA_GRID = {}
 
+# 3-point Gauss-Legendre nodes and weights on [-1, 1]: exact for polynomials
+# of degree 5 or less, so for the check loss, which is quadratic in the level
+# on every piece where D is linear and x - D(a) keeps its sign
+_GL_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
+_GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
+
 
 def _alpha_grid(nodes):
     if nodes not in _ALPHA_GRID:
@@ -23,13 +29,51 @@ def _alpha_grid(nodes):
     return _ALPHA_GRID[nodes]
 
 
+def _knot_values(gamma, b, knots):
+    """D at each knot of a length-1 batch, built from the segment slopes
+    s = cumsum(b): D(d_0) = gamma, D(d_k) = gamma + sum_{m<k} s_m (d_{m+1} - d_m)."""
+    s = np.cumsum(b[0])[:-1]
+    return gamma[0] + np.concatenate([[0.0], np.cumsum(s * np.diff(knots))])
+
+
 def _check_loss(gamma, b, knots, x, alphas):
     """rho_a(x - D(a)) at each level a, for a length-1 batch of splines. D is
     piecewise linear between knots, so np.interp over the knot values
     reproduces it exactly at every level."""
-    d = np.interp(alphas, knots, knot_values(gamma, b, knots)[0])
+    d = np.interp(alphas, knots, _knot_values(gamma, b, knots))
     u = x[0] - d
     return u * (alphas - (u < 0.0))
+
+
+def _level_of(x, knots, values):
+    """A level a with D(a) = x, by bisection on np.interp; 0 below D's range
+    and 1 above it. On a flat stretch at height x any level of it will do,
+    because the check loss is 0 there."""
+    lo, hi = 0.0, 1.0
+    if x <= values[0]:
+        return lo
+    if x >= values[-1]:
+        return hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if np.interp(mid, knots, values) < x:
+            lo = mid
+        else:
+            hi = mid
+
+
+def crps_exact(gamma, b, knots, x) -> float:
+    """2 * integral of the check loss over alpha for a length-1 batch, by
+    3-point Gauss-Legendre on each piece between the knots and the level
+    where D crosses x. The integrand is quadratic on every piece, so the rule
+    is exact up to round-off."""
+    level = _level_of(x[0], knots, _knot_values(gamma, b, knots))
+    edges = np.union1d(knots, [level])
+    half = np.diff(edges)[:, None] / 2.0
+    alphas = (edges[:-1, None] + half + half * _GL_NODES).ravel()
+    return 2.0 * float(np.sum((half * _GL_WEIGHTS).ravel() * _check_loss(gamma, b, knots, x, alphas)))
 
 
 def crps_quadrature(gamma, b, knots, x, nodes: int = 1_000_001) -> float:
@@ -67,8 +111,9 @@ def random_spline(rng: np.random.Generator):
     slope_raw = rng.normal(0.0, 2.5, size=m + 1)
     if rng.random() < 0.15:
         slope_raw[rng.integers(0, m + 1)] = -40.0  # force a flat segment
-    knots = uniform_knots(m)
-    b = slopes_to_b(slope_raw)
+    knots = np.arange(m + 1, dtype=np.float64) / m
+    s = np.log1p(np.exp(slope_raw))  # softplus; exp cannot overflow at these raw slopes
+    b = np.concatenate([s[:1], np.diff(s)])
     hi = gamma + float(np.sum(b * (1.0 - knots)))
     x = float(rng.normal((gamma + hi) / 2.0, 1.0 + (hi - gamma)))
     return np.array([gamma]), b[None, :], knots, np.array([x])
@@ -203,7 +248,7 @@ def rebuilt_spline_inverse(gamma, b, knots, x):
     b = np.asarray(b, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     n, last = b.shape[0], b.shape[1] - 1
-    values = knot_values(gamma, b, knots)
+    values = sp.knot_values(gamma, b, knots)
     below = x <= values[:, 0]
     above = x >= values[:, -1]
     seg = np.clip(np.sum(values < x[:, None], axis=1) - 1, 0, last - 1)
@@ -215,7 +260,7 @@ def rebuilt_spline_inverse(gamma, b, knots, x):
     alpha = np.clip(alpha, knots[seg], knots[seg + 1])
     alpha[below] = 0.0
     alpha[above] = 1.0
-    return alpha, seg
+    return alpha
 
 
 def per_point_estimate_cdf(cp, column, grid=None, n_mc=5000, seed=0):
@@ -226,13 +271,13 @@ def per_point_estimate_cdf(cp, column, grid=None, n_mc=5000, seed=0):
     z = np.random.default_rng(seed).standard_normal((n_mc, cp.config.latent_dim))
     dec_out, _ = mlp_forward(cp.decoder, z)
     gamma, raw, _ = decoder_heads(schema, cp.config.knot_count, dec_out)
-    gamma, b, knots = gamma[:, k], slopes_to_b(raw[:, k]), cp.knots
+    gamma, b, knots = gamma[:, k], sp.slopes_to_b(raw[:, k]), cp.knots
     if grid is None:
         grid = np.linspace(cp.quantile_lo[k], cp.quantile_hi[k], 201)
     grid = np.asarray(grid, dtype=np.float64)
     values = np.empty_like(grid)
     for i, x in enumerate(grid):
-        values[i] = rebuilt_spline_inverse(gamma, b, knots, np.full(n_mc, x))[0].mean()
+        values[i] = rebuilt_spline_inverse(gamma, b, knots, np.full(n_mc, x)).mean()
     return np.minimum(np.maximum.accumulate(values), 1.0)
 
 
@@ -250,7 +295,7 @@ def one_shot_generate(cp, n, seed, ordinal_rounding="integer"):
         knots = cp.knots
         u = rng.random((n, len(schema.numeric_indices)))
         for k, col in enumerate(schema.numeric_indices):
-            b = slopes_to_b(raw[:, k])
+            b = sp.slopes_to_b(raw[:, k])
             hinge = np.maximum(u[:, k : k + 1] - knots[None, :], 0.0)
             rows[:, col] = gamma[:, k] + np.sum(b * hinge, axis=1)
         for block, col in zip(logits, schema.discrete_indices):
@@ -286,7 +331,7 @@ def column_major_elbo_grads(model, rows, noise):
 
     raw_flat = raw.transpose(1, 0, 2).reshape(gamma.size, knots.size)
     x = rows[:, schema.numeric_indices].T.ravel()
-    loss, alpha, _ = sp.crps_loss_batch(gamma.T.ravel(), slopes_to_b(raw_flat), knots, x)
+    loss, dg, db = sp.crps_loss_batch(gamma.T.ravel(), sp.slopes_to_b(raw_flat), knots, x)
     crps_sum = 0.0
     for column_loss in loss.reshape(gamma.shape[1], n).sum(axis=1):
         crps_sum += 0.5 * column_loss
@@ -313,7 +358,6 @@ def column_major_elbo_grads(model, rows, noise):
     d_dec = np.zeros_like(dec_out)
     d_gamma, d_raw, d_logits = decoder_heads(schema, model.config.knot_count, d_dec)
     p = d_gamma.shape[1]
-    dg, db = sp.crps_grad_from_alpha(alpha, knots)
     d_gamma[...] = (dg * (0.5 / n)).reshape(p, n).T
     d_raw[...] = sp.chain_slope_grads(db * (0.5 / n), raw_flat).reshape(p, n, knots.size).transpose(1, 0, 2)
     for d_block, (idx, probs) in zip(d_logits, discrete_parts):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    crps_exact,
     crps_loss_finite_k,
     crps_quadrature,
     grad_rel_err,
@@ -28,7 +29,6 @@ from tabsynth import (
     estimate_cdf,
     generate,
     ks_statistic,
-    knot_values,
     membership_inference,
     model_init,
     sample_prior,
@@ -39,7 +39,7 @@ from tabsynth import (
 from tabsynth.data import ColumnSpec, Schema, Table, save_csv
 from tabsynth.model import decoder_heads
 from tabsynth.nn import mlp_forward
-from tabsynth.spline import crps_loss_batch, slopes_to_b
+from tabsynth.spline import crps_loss_batch, knot_values, slopes_to_b
 from conftest import toy_schema
 
 
@@ -52,15 +52,20 @@ def test_01_closed_form_loss_matches_quadrature():
     rng = np.random.default_rng(1001)
     t0 = time.perf_counter()
     worst = 0.0
-    for _ in range(1000):
+    oracle_gap = 0.0
+    for i in range(1000):
         gamma, b, knots, x = random_spline(rng)
         loss, _, _ = crps_loss_batch(gamma, b, knots, x)
-        worst = max(worst, abs(loss[0] - crps_quadrature(gamma, b, knots, x)))
+        exact = crps_exact(gamma, b, knots, x)
+        worst = max(worst, abs(loss[0] - exact))
+        if i < 50:  # the exact oracle itself, against a plain trapezoid rule
+            oracle_gap = max(oracle_gap, abs(exact - crps_quadrature(gamma, b, knots, x, nodes=200_001)))
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-6 and elapsed < 60.0
+    ok = worst < 1e-12 and oracle_gap < 1e-9 and elapsed < 60.0
     assert report(
-        1, "closed-form loss vs 1e6-node quadrature, 1000 fixtures",
-        f"max |diff| {worst:.3g} (limit 1e-06), {elapsed:.1f} s (limit 60 s)", ok,
+        1, "closed-form loss vs exact piecewise Gauss-Legendre, 1000 fixtures",
+        f"max |diff| {worst:.3g} (limit 1e-12); oracle vs 2e5-node trapezoid on 50 fixtures "
+        f"{oracle_gap:.3g} (limit 1e-09), {elapsed:.1f} s (limit 60 s)", ok,
     )
 
 

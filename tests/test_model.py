@@ -12,14 +12,13 @@ from tabsynth import (
     TrainConfig,
     checkpoint_to_text,
     elbo_grads,
-    knot_values,
     model_init,
-    slopes_to_b,
     standardize,
     train,
 )
 from tabsynth.model import decoder_heads, decoder_width, encode_batch
 from tabsynth.nn import mlp_forward, softmax
+from tabsynth.spline import knot_values, slopes_to_b
 
 MIX_SCHEMA = Schema((
     ColumnSpec("x", "continuous"),

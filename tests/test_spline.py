@@ -1,6 +1,7 @@
 """Spline head tests on plain length-1 batches: gamma (1,), b (1, M+1),
 knots (M+1,) and x (1,), the shapes the training step passes."""
 
+import importlib
 import math
 
 import numpy as np
@@ -14,11 +15,28 @@ from helpers import (
     random_spline,
     rebuilt_spline_inverse,
 )
-from tabsynth import chain_slope_grads, crps_grad_from_alpha, knot_values, slopes_to_b, uniform_knots
-from tabsynth.spline import crps_loss_batch, inverse_table, spline_inverse_batch
+from tabsynth.spline import (
+    chain_slope_grads,
+    crps_grad_from_alpha,
+    crps_loss_batch,
+    inverse_table,
+    knot_values,
+    slopes_to_b,
+    spline_inverse_batch,
+    uniform_knots,
+)
 
 # D(a) = a + max(a - 0.5, 0): slope 1 on [0, 0.5], slope 2 on [0.5, 1]
 HAND = (np.array([0.0]), np.array([[1.0, 1.0, 0.0]]), np.array([0.0, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "name", ["slopes_to_b", "knot_values", "chain_slope_grads", "crps_grad_from_alpha", "uniform_knots"]
+)
+def test_spline_internals_are_not_package_exports(name):
+    with pytest.raises(ImportError):
+        exec(f"from tabsynth import {name}", {})
+    assert callable(getattr(importlib.import_module("tabsynth.spline"), name))
 
 
 def test_uniform_knots_spacing():
@@ -72,19 +90,18 @@ def test_eval_monotone_in_alpha():
 
 
 def test_inverse_hand_value():
-    alpha, seg = spline_inverse_batch(inverse_table(*HAND), np.array([1.0]))
+    alpha = spline_inverse_batch(inverse_table(*HAND), np.array([1.0]))
     assert alpha[0] == pytest.approx(0.75)
-    assert seg[0] == 1
 
 
 def test_inverse_at_gamma_is_zero():
-    alpha, _ = spline_inverse_batch(inverse_table(*HAND), np.array([0.0]))
+    alpha = spline_inverse_batch(inverse_table(*HAND), np.array([0.0]))
     assert alpha[0] == 0.0
 
 
 def test_inverse_clamps_outside_range():
     table = inverse_table(np.zeros(2), np.repeat(HAND[1], 2, axis=0), HAND[2])
-    alpha, _ = spline_inverse_batch(table, np.array([-5.0, 5.0]))
+    alpha = spline_inverse_batch(table, np.array([-5.0, 5.0]))
     assert alpha.tolist() == [0.0, 1.0]
 
 
@@ -98,28 +115,26 @@ def test_inverse_round_trip_on_increasing_segments():
         b = slopes_to_b(rng.uniform(-1.0, 2.0, (1, m + 1)))
         alphas = rng.uniform(0.0, 1.0, 5)
         x = np.interp(alphas, knots, knot_values(gamma, b, knots)[0])
-        back, _ = spline_inverse_batch(inverse_table(np.repeat(gamma, 5), np.repeat(b, 5, axis=0), knots), x)
+        back = spline_inverse_batch(inverse_table(np.repeat(gamma, 5), np.repeat(b, 5, axis=0), knots), x)
         assert back == pytest.approx(alphas, abs=1e-9)
 
 
 def test_inverse_flat_plateau_maps_to_left_knot():
     # rises to 1 on [0, 0.25], flat on [0.25, 0.5], rises again afterwards
-    alpha, seg = spline_inverse_batch(
+    alpha = spline_inverse_batch(
         inverse_table(np.array([0.0]), np.array([[4.0, -4.0, 2.0, 0.0]]), np.array([0.0, 0.25, 0.5, 1.0])),
         np.array([1.0]),
     )
     assert alpha[0] == 0.25
-    assert seg[0] == 0
 
 
 def test_inverse_zero_denominator_returns_left_knot():
     # first segment has vanishing slope; x just above gamma falls inside it
-    alpha, seg = spline_inverse_batch(
+    alpha = spline_inverse_batch(
         inverse_table(np.array([0.0]), np.array([[1e-310, 3.0, 0.0]]), np.array([0.0, 0.5, 1.0])),
         np.array([3e-311]),
     )
     assert alpha[0] == 0.0
-    assert seg[0] == 0
 
 
 def test_inverse_table_matches_rebuilt_inverse_bit_for_bit():
@@ -133,10 +148,8 @@ def test_inverse_table_matches_rebuilt_inverse_bit_for_bit():
         b = slopes_to_b(raw)
         table = inverse_table(gamma, b, knots)
         for x in (rng.normal(0.0, 4.0, 300), np.full(300, 0.5), knot_values(gamma, b, knots)[:, m // 2]):
-            alpha, seg = spline_inverse_batch(table, x)
-            ref_alpha, ref_seg = rebuilt_spline_inverse(gamma, b, knots, x)
-            assert alpha.tobytes() == ref_alpha.tobytes()
-            assert seg.tobytes() == ref_seg.tobytes()
+            alpha = spline_inverse_batch(table, x)
+            assert alpha.tobytes() == rebuilt_spline_inverse(gamma, b, knots, x).tobytes()
 
 
 def test_crps_constant_spline_is_absolute_error():
@@ -155,9 +168,9 @@ def test_crps_matches_quadrature_on_random_fixtures():
     rng = np.random.default_rng(3)
     for _ in range(50):
         gamma, b, knots, x = random_spline(rng)
-        loss, alpha, _ = crps_loss_batch(gamma, b, knots, x)
+        loss, d_gamma, _ = crps_loss_batch(gamma, b, knots, x)
         assert loss[0] >= 0.0
-        assert 0.0 <= alpha[0] <= 1.0
+        assert -1.0 <= d_gamma[0] <= 1.0  # d_gamma = 1 - 2 alpha_tilde
         assert abs(loss[0] - crps_quadrature(gamma, b, knots, x, nodes=200_001)) < 1e-6
 
 
@@ -171,7 +184,7 @@ def test_crps_envelope_is_flat_in_alpha():
         gamma = np.array([float(rng.normal())])
         b = slopes_to_b(rng.uniform(-2.0, 2.0, (1, m + 1)))
         x = np.interp([float(rng.uniform(0.05, 0.95))], knots, knot_values(gamma, b, knots)[0])
-        _, (alpha_tilde,), _ = crps_loss_batch(gamma, b, knots, x)
+        (alpha_tilde,) = spline_inverse_batch(inverse_table(gamma, b, knots), x)
 
         def loss_at(alpha):
             _, terms = crps_grad_from_alpha(np.array([alpha]), knots)
@@ -209,7 +222,7 @@ def test_mean_log_alpha_weight():
 def test_grad_saturated_clamps():
     knots = np.array([0.0, 1.0])
     table = inverse_table(np.zeros(2), np.array([[1.0, 0.0]] * 2), knots)
-    alphas, _ = spline_inverse_batch(table, np.array([50.0, -50.0]))
+    alphas = spline_inverse_batch(table, np.array([50.0, -50.0]))
     (dg_hi, dg_lo), _ = crps_grad_from_alpha(alphas, knots)
     assert dg_hi == pytest.approx(-1.0)
     assert dg_lo == pytest.approx(+1.0)
@@ -238,8 +251,7 @@ def test_grad_matches_finite_differences():
             continue
         gamma, b, knots, x = fixture
         checked += 1
-        _, alpha, _ = crps_loss_batch(gamma, b, knots, x)
-        (dg,), (db,) = crps_grad_from_alpha(alpha, knots)
+        _, (dg,), (db,) = crps_loss_batch(gamma, b, knots, x)
 
         # one batch of perturbed splines: row 0 moves gamma, row j + 1 moves
         # b_j, by +eps in the first half and by -eps in the second
@@ -263,8 +275,7 @@ def test_grad_chains_through_raw_slopes():
         x = np.array([float(rng.normal(gamma[0] + 0.5, 1.5))])
         if np.min(np.abs(knot_values(gamma, b, knots) - x)) < 1e-6:
             continue
-        _, alpha, _ = crps_loss_batch(gamma, b, knots, x)
-        _, db = crps_grad_from_alpha(alpha, knots)
+        _, _, db = crps_loss_batch(gamma, b, knots, x)
         (ds,) = chain_slope_grads(db, slope_raw)
 
         bumped = slope_raw + np.concatenate([eps * np.eye(7), -eps * np.eye(7)])

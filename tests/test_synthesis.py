@@ -199,6 +199,30 @@ def test_cdf_curve_validation():
         CdfCurve(np.array([0.0, 1.0]), np.array([0.5]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cdf_curve_rejects_non_finite_grid_and_values(bad):
+    with pytest.raises(ValueError, match="grid must be finite"):
+        CdfCurve(np.array([0.0, bad, 1.0]), np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError, match="grid must be finite"):
+        CdfCurve(np.array([0.0, 1.0, bad]), np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError, match="non-decreasing within"):
+        CdfCurve(np.array([0.0, 1.0]), np.array([bad, bad]))
+    with pytest.raises(ValueError, match="non-decreasing within"):
+        CdfCurve(np.array([0.0, 1.0, 2.0]), np.array([0.1, bad, 0.3]))
+
+
+def test_estimate_cdf_rejects_a_nan_grid_point(normal_checkpoint):
+    with pytest.raises(ValueError, match="grid must be finite"):
+        estimate_cdf(normal_checkpoint, "x", grid=[0.0, math.nan, 1.0], n_mc=50)
+
+
+def test_generate_rejects_unknown_rounding_mode_without_ordinals(normal_checkpoint, mixed_checkpoint):
+    # neither call reaches round_ordinal: no ordinal column, or no rows
+    for cp, n in ((normal_checkpoint, 5), (mixed_checkpoint, 0)):
+        with pytest.raises(ValueError, match="unknown ordinal rounding mode 'bogus'"):
+            generate(cp, n, seed=0, ordinal_rounding="bogus")
+
+
 def test_estimate_cdf_basic_shape(normal_checkpoint):
     curve = estimate_cdf(normal_checkpoint, "x", n_mc=500, seed=1)
     assert curve.grid.shape == (201,)
