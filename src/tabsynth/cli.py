@@ -165,7 +165,9 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # any runtime failure maps to exit 1
-        print(f"error: {err}", file=sys.stderr)
+        # str() of a KeyError quotes its message as a repr; print it plain
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -100,7 +100,9 @@ class Checkpoint(VaeModel):
 
 
 def decoder_width(schema: Schema, knot_count: int) -> int:
-    per_numeric = knot_count + 2  # gamma plus one raw slope per knot
+    # gamma, one raw slope per segment, and one output that reaches nothing
+    # (dropping it would change the init draw and every trained model)
+    per_numeric = knot_count + 2
     return len(schema.numeric_indices) * per_numeric + sum(
         schema.columns[i].n_levels for i in schema.discrete_indices
     )
@@ -108,8 +110,9 @@ def decoder_width(schema: Schema, knot_count: int) -> int:
 
 def decoder_heads(schema: Schema, knot_count: int, dec_out: np.ndarray):
     """Views, not copies, of decoder outputs (n, decoder_width): gamma (n, P) and
-    raw slopes (n, P, M+1) for the P numeric columns, each owning M+2 adjacent
-    outputs with gamma first, then one (n, t) logit block per discrete column."""
+    raw segment slopes (n, P, M) for the P numeric columns, each owning M+2
+    adjacent outputs (gamma, the slopes, one unused), then one (n, t) logit
+    block per discrete column."""
     n, p = dec_out.shape[0], len(schema.numeric_indices)
     pos = p * (knot_count + 2)
     numeric = dec_out[:, :pos].reshape(n, p, knot_count + 2)
@@ -118,7 +121,7 @@ def decoder_heads(schema: Schema, knot_count: int, dec_out: np.ndarray):
         t = schema.columns[i].n_levels
         logits.append(dec_out[:, pos : pos + t])
         pos += t
-    return numeric[:, :, 0], numeric[:, :, 1:], logits
+    return numeric[:, :, 0], numeric[:, :, 1:-1], logits
 
 
 def net_sizes(schema: Schema, config: TrainConfig):
@@ -159,9 +162,9 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     dec_out, dec_cache = mlp_forward(model.decoder, mu + sigma * noise)
     gamma, raw, logits = decoder_heads(schema, model.config.knot_count, dec_out)
 
-    raw_flat = raw.reshape(-1, knots.size)
+    raw_flat = raw.reshape(-1, knots.size - 1)
     x = rows[:, schema.numeric_indices].ravel()
-    loss, dg, db = sp.crps_loss_batch(gamma.ravel(), sp.slopes_to_b(raw_flat), knots, x)
+    loss, dg, ds = sp.crps_loss_batch(gamma.ravel(), sp.slopes_to_b(raw_flat), knots, x)
     crps_sum = 0.0
     for column_loss in np.ascontiguousarray(loss.reshape(n, -1).T).sum(axis=1):
         crps_sum += 0.5 * column_loss
@@ -171,7 +174,7 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     d_gamma, d_raw, d_logits = decoder_heads(schema, model.config.knot_count, d_dec)
     # closed-form gradient, scaled by the 1/2 on the loss and the batch mean
     d_gamma[...] = (dg * (0.5 / n)).reshape(n, -1)
-    d_raw[...] = sp.chain_slope_grads(db * (0.5 / n), raw_flat).reshape(d_raw.shape)
+    d_raw[...] = sp.chain_slope_grads(ds * (0.5 / n), raw_flat).reshape(d_raw.shape)
 
     ce_sum = 0.0
     for block, d_block, col in zip(logits, d_logits, schema.discrete_indices):

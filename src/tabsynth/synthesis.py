@@ -88,15 +88,25 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
         noise = [rng.gumbel(size=(n, schema.columns[col].n_levels)) for col in schema.discrete_indices]
 
         blocks = row_blocks(n, sum(net_sizes(schema, cp.config)[1]))
+        size = max(b.stop - b.start for b in blocks)
+        # every block is decoded at the same row count: OpenBLAS multiplies a
+        # matrix of few rows (under 42 on the toy decoder) in a kernel that
+        # rounds differently, so a short last block keeps the previous block's
+        # latents below its own, and their outputs are dropped
+        latent = np.zeros((size, z.shape[1]))
+        knots, widths = cp.knots[:-1], np.diff(cp.knots)
         # one hinge buffer, reused by every block: a fresh block-sized
         # temporary is large enough for malloc to map and unmap it each time
-        buffer = np.empty((max(b.stop - b.start for b in blocks), u.shape[1], cp.knots.size))
+        buffer = np.empty((size, u.shape[1], knots.size))
         for block in blocks:
-            dec_out, _ = mlp_forward(cp.decoder, z[block])
-            gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out)
-            hinge = buffer[: block.stop - block.start]
-            np.subtract(u[block, :, None], cp.knots, out=hinge)
-            np.maximum(hinge, 0.0, out=hinge)
+            count = block.stop - block.start
+            latent[:count] = z[block]
+            dec_out, _ = mlp_forward(cp.decoder, latent)
+            gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:count])
+            # the part of each segment below u: clip(u - d_m, 0, d_{m+1} - d_m)
+            hinge = buffer[:count]
+            np.subtract(u[block, :, None], knots, out=hinge)
+            np.clip(hinge, 0.0, widths, out=hinge)
             np.multiply(sp.slopes_to_b(raw), hinge, out=hinge)
             rows[block, schema.numeric_indices] = gamma + np.sum(hinge, axis=2)
             for scores, col, g in zip(logits, schema.discrete_indices, noise):

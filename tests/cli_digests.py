@@ -1,0 +1,91 @@
+"""Run the eight CLI commands whose outputs CHANGES.md records by sha256, and
+print the digest of each output. Not a test; pytest does not collect it.
+
+    python tests/cli_digests.py [--keep DIR]
+
+The inputs are the first 600 rows of the acceptance toy_train split and the
+first 300 rows of toy_test (tests/conftest.py), written with save_csv. The
+commands run in a fresh directory (DIR with --keep, a temporary one
+otherwise) against the src/ tree next to this file, so the relative paths
+in train's stdout are the same on every machine.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
+sys.path[:0] = [str(SRC), str(HERE)]
+
+from conftest import make_toy_table  # noqa: E402
+from tabsynth import Table, save_csv, train_test_split  # noqa: E402
+
+EVAL = ["evaluate", "--real-train", "train.csv", "--real-test", "test.csv", "--synth", "synth.csv",
+        "--schema", "schema.json", "--target-cls", "c"]
+# (output name, CLI arguments, file whose bytes are hashed; None hashes stdout)
+COMMANDS = [
+    ("train stdout", ["train", "--data", "train.csv", "--schema", "schema.json", "--seed", "99",
+                      "--epochs", "12", "--out", "model.json"], None),
+    ("model", None, "model.json"),
+    ("synth", ["generate", "--model", "model.json", "--n", "200", "--seed", "5", "--out", "synth.csv"],
+     "synth.csv"),
+    ("cdf a", ["cdf", "--model", "model.json", "--column", "a", "--out", "cdf_a.csv"], "cdf_a.csv"),
+    ("cdf b", ["cdf", "--model", "model.json", "--column", "b", "--mc", "300", "--out", "cdf_b.csv"],
+     "cdf_b.csv"),
+    ("report", EVAL + ["--target-reg", "b", "--out", "report.json"], "report.json"),
+    ("report known/secret", EVAL + ["--target-reg", "a", "--known-columns", "a", "--secret-columns", "c",
+                                    "--out", "report_known.json"], "report_known.json"),
+    ("report with MIA", EVAL + ["--target-reg", "b", "--with-mia", "--model", "model.json", "--seed", "3",
+                                "--out", "report_mia.json"], "report_mia.json"),
+]
+
+
+def write_inputs(root: Path) -> None:
+    toy_train, toy_test = train_test_split(make_toy_table(6250, seed=42), 0.2, seed=7)
+    schema = toy_train.schema
+    doc = {"columns": [{"name": c.name, "kind": c.kind, **({"levels": list(c.levels)} if c.levels else {})}
+                       for c in schema.columns]}
+    (root / "schema.json").write_text(json.dumps(doc), encoding="utf-8")
+    save_csv(Table(schema, toy_train.rows[:600]), root / "train.csv")
+    save_csv(Table(schema, toy_test.rows[:300]), root / "test.csv")
+
+
+def digests(root: Path) -> list:
+    write_inputs(root)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = []
+    for name, args, target in COMMANDS:
+        stdout = b""
+        if args is not None:
+            result = subprocess.run([sys.executable, "-m", "tabsynth.cli", *args], cwd=root, env=env,
+                                    capture_output=True, check=False)
+            if result.returncode != 0:
+                raise SystemExit(f"{name}: exit {result.returncode}: {result.stderr.decode()}")
+            stdout = result.stdout
+        data = stdout if target is None else (root / target).read_bytes()
+        out.append((name, hashlib.sha256(data).hexdigest()))
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", type=Path, help="run in this (new or empty) directory and keep it")
+    args = parser.parse_args()
+    if args.keep:
+        args.keep.mkdir(parents=True, exist_ok=True)
+        rows = digests(args.keep)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            rows = digests(Path(tmp))
+    for name, digest in rows:
+        print(f"{name:<20} {digest}")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,7 +10,7 @@ from tabsynth import gumbel_max, round_ordinal
 from tabsynth.data import KIND_DISCRETE, KIND_ORDINAL, Table, _first_rejected
 from tabsynth import spline as sp
 from tabsynth.model import LossBreakdown, decoder_heads, encode_batch
-from tabsynth.nn import mlp_backward, mlp_forward, softmax
+from tabsynth.nn import logistic, mlp_backward, mlp_forward, softmax, softplus
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -29,18 +29,17 @@ def _alpha_grid(nodes):
     return _ALPHA_GRID[nodes]
 
 
-def _knot_values(gamma, b, knots):
-    """D at each knot of a length-1 batch, built from the segment slopes
-    s = cumsum(b): D(d_0) = gamma, D(d_k) = gamma + sum_{m<k} s_m (d_{m+1} - d_m)."""
-    s = np.cumsum(b[0])[:-1]
-    return gamma[0] + np.concatenate([[0.0], np.cumsum(s * np.diff(knots))])
+def _knot_values(gamma, s, knots):
+    """D at each knot of a length-1 batch, built from the segment slopes s:
+    D(d_0) = gamma, D(d_k) = gamma + sum_{m<k} s_m (d_{m+1} - d_m)."""
+    return gamma[0] + np.concatenate([[0.0], np.cumsum(s[0] * np.diff(knots))])
 
 
-def _check_loss(gamma, b, knots, x, alphas):
+def _check_loss(gamma, s, knots, x, alphas):
     """rho_a(x - D(a)) at each level a, for a length-1 batch of splines. D is
     piecewise linear between knots, so np.interp over the knot values
     reproduces it exactly at every level."""
-    d = np.interp(alphas, knots, _knot_values(gamma, b, knots))
+    d = np.interp(alphas, knots, _knot_values(gamma, s, knots))
     u = x[0] - d
     return u * (alphas - (u < 0.0))
 
@@ -64,31 +63,31 @@ def _level_of(x, knots, values):
             hi = mid
 
 
-def crps_exact(gamma, b, knots, x) -> float:
+def crps_exact(gamma, s, knots, x) -> float:
     """2 * integral of the check loss over alpha for a length-1 batch, by
     3-point Gauss-Legendre on each piece between the knots and the level
     where D crosses x. The integrand is quadratic on every piece, so the rule
     is exact up to round-off."""
-    level = _level_of(x[0], knots, _knot_values(gamma, b, knots))
+    level = _level_of(x[0], knots, _knot_values(gamma, s, knots))
     edges = np.union1d(knots, [level])
     half = np.diff(edges)[:, None] / 2.0
     alphas = (edges[:-1, None] + half + half * _GL_NODES).ravel()
-    return 2.0 * float(np.sum((half * _GL_WEIGHTS).ravel() * _check_loss(gamma, b, knots, x, alphas)))
+    return 2.0 * float(np.sum((half * _GL_WEIGHTS).ravel() * _check_loss(gamma, s, knots, x, alphas)))
 
 
-def crps_quadrature(gamma, b, knots, x, nodes: int = 1_000_001) -> float:
+def crps_quadrature(gamma, s, knots, x, nodes: int = 1_000_001) -> float:
     """2 * integral of the check loss over alpha, by trapezoid quadrature."""
     alphas = _alpha_grid(nodes)
-    return 2.0 * float(_trapezoid(_check_loss(gamma, b, knots, x, alphas), alphas))
+    return 2.0 * float(_trapezoid(_check_loss(gamma, s, knots, x, alphas), alphas))
 
 
-def crps_loss_finite_k(gamma, b, knots, x, k: int) -> float:
+def crps_loss_finite_k(gamma, s, knots, x, k: int) -> float:
     """Composite check loss averaged over the level grid a_j = j/k, j = 1..k.
 
     Converges to half the closed-form loss as k grows.
     """
     alphas = np.arange(1, k + 1, dtype=np.float64) / k
-    return float(_check_loss(gamma, b, knots, x, alphas).mean())
+    return float(_check_loss(gamma, s, knots, x, alphas).mean())
 
 
 def mean_log_alpha_weight(k: int) -> float:
@@ -103,9 +102,10 @@ def mean_log_alpha_weight(k: int) -> float:
 
 
 def random_spline(rng: np.random.Generator):
-    """A random length-1 batch (gamma (1,), b (1, M+1), knots, x (1,)). Mixes
+    """A random length-1 batch (gamma (1,), s (1, M), knots, x (1,)). Mixes
     steep, gentle, and nearly flat slopes, and places x both inside and
-    outside the spline's range."""
+    outside the spline's range. Draws one raw slope per knot, as the decoder
+    emits them, and uses the first M."""
     m = int(rng.integers(1, 13))
     gamma = float(rng.normal(0.0, 2.0))
     slope_raw = rng.normal(0.0, 2.5, size=m + 1)
@@ -113,10 +113,10 @@ def random_spline(rng: np.random.Generator):
         slope_raw[rng.integers(0, m + 1)] = -40.0  # force a flat segment
     knots = np.arange(m + 1, dtype=np.float64) / m
     s = np.log1p(np.exp(slope_raw))  # softplus; exp cannot overflow at these raw slopes
-    b = np.concatenate([s[:1], np.diff(s)])
-    hi = gamma + float(np.sum(b * (1.0 - knots)))
+    # D(1), summed over hinge weights b = diff(s) as the fixtures were first drawn
+    hi = gamma + float(np.sum(np.diff(s, prepend=0.0) * (1.0 - knots)))
     x = float(rng.normal((gamma + hi) / 2.0, 1.0 + (hi - gamma)))
-    return np.array([gamma]), b[None, :], knots, np.array([x])
+    return np.array([gamma]), s[None, :m], knots, np.array([x])
 
 
 def brute_ks(a, b) -> float:
@@ -240,24 +240,22 @@ def blockwise_adam_step(params, tape, state: BlockwiseAdamState) -> None:
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
-def rebuilt_spline_inverse(gamma, b, knots, x):
-    """The batch inverse with its knot values and running sums rebuilt on
-    every call: the reference spline_inverse_batch over a prebuilt
-    inverse_table must match bit for bit."""
+def rebuilt_spline_inverse(gamma, s, knots, x):
+    """The batch inverse with its knot values rebuilt on every call: the
+    reference spline_inverse_batch over a prebuilt inverse_table must match
+    bit for bit."""
     gamma = np.asarray(gamma, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    n, last = b.shape[0], b.shape[1] - 1
-    values = sp.knot_values(gamma, b, knots)
+    n, last = s.shape
+    values = sp.knot_values(gamma, s, knots)
     below = x <= values[:, 0]
     above = x >= values[:, -1]
     seg = np.clip(np.sum(values < x[:, None], axis=1) - 1, 0, last - 1)
     rows = np.arange(n)
-    den = np.cumsum(b, axis=1)[rows, seg]
-    num = x - gamma + np.cumsum(b * knots[None, :], axis=1)[rows, seg]
-    flat = den <= 1e-300
-    alpha = np.where(flat, knots[seg], num / np.where(flat, 1.0, den))
-    alpha = np.clip(alpha, knots[seg], knots[seg + 1])
+    flat = s[rows, seg] <= 1e-300
+    rise = np.where(flat, 0.0, (x - values[rows, seg]) / np.where(flat, 1.0, s[rows, seg]))
+    alpha = np.clip(knots[seg] + rise, knots[seg], knots[seg + 1])
     alpha[below] = 0.0
     alpha[above] = 1.0
     return alpha
@@ -295,9 +293,8 @@ def one_shot_generate(cp, n, seed, ordinal_rounding="integer"):
         knots = cp.knots
         u = rng.random((n, len(schema.numeric_indices)))
         for k, col in enumerate(schema.numeric_indices):
-            b = sp.slopes_to_b(raw[:, k])
-            hinge = np.maximum(u[:, k : k + 1] - knots[None, :], 0.0)
-            rows[:, col] = gamma[:, k] + np.sum(b * hinge, axis=1)
+            hinge = np.clip(u[:, k : k + 1] - knots[None, :-1], 0.0, np.diff(knots))
+            rows[:, col] = gamma[:, k] + np.sum(sp.slopes_to_b(raw[:, k]) * hinge, axis=1)
         for block, col in zip(logits, schema.discrete_indices):
             probs = softmax(block)
             rows[:, col] = gumbel_max(probs, rng.gumbel(size=probs.shape))
@@ -329,9 +326,9 @@ def column_major_elbo_grads(model, rows, noise):
     schema, knots, beta = model.schema, model.knots, model.config.beta
     gamma, raw, logits = decoder_heads(schema, model.config.knot_count, dec_out)
 
-    raw_flat = raw.transpose(1, 0, 2).reshape(gamma.size, knots.size)
+    raw_flat = raw.transpose(1, 0, 2).reshape(gamma.size, knots.size - 1)
     x = rows[:, schema.numeric_indices].T.ravel()
-    loss, dg, db = sp.crps_loss_batch(gamma.T.ravel(), sp.slopes_to_b(raw_flat), knots, x)
+    loss, dg, ds = sp.crps_loss_batch(gamma.T.ravel(), sp.slopes_to_b(raw_flat), knots, x)
     crps_sum = 0.0
     for column_loss in loss.reshape(gamma.shape[1], n).sum(axis=1):
         crps_sum += 0.5 * column_loss
@@ -359,7 +356,7 @@ def column_major_elbo_grads(model, rows, noise):
     d_gamma, d_raw, d_logits = decoder_heads(schema, model.config.knot_count, d_dec)
     p = d_gamma.shape[1]
     d_gamma[...] = (dg * (0.5 / n)).reshape(p, n).T
-    d_raw[...] = sp.chain_slope_grads(db * (0.5 / n), raw_flat).reshape(p, n, knots.size).transpose(1, 0, 2)
+    d_raw[...] = sp.chain_slope_grads(ds * (0.5 / n), raw_flat).reshape(p, n, knots.size - 1).transpose(1, 0, 2)
     for d_block, (idx, probs) in zip(d_logits, discrete_parts):
         probs[np.arange(n), idx] -= 1.0
         d_block[...] = probs / n
@@ -369,6 +366,127 @@ def column_major_elbo_grads(model, rows, noise):
     d_log_var = dz * 0.5 * sigma * noise + beta * 0.5 * (np.exp(log_var) - 1.0) / n
     _, enc_grad = mlp_backward(model.encoder, enc_cache, np.concatenate([d_mu, d_log_var], axis=1))
     return breakdown, np.concatenate([enc_grad, dec_grad])
+
+
+# The hinge form of the spline head, as the package computed it before it
+# switched to segment slopes: all M+1 raw slope outputs of a numeric column
+# (the last included) become hinge weights b = diff(softplus(raw)), and
+# D(a) = gamma + sum_m b_m max(a - d_m, 0) is summed back from them at every
+# use. The segment-slope code must agree with it to round-off.
+
+
+def full_raw_head(schema, knot_count, dec_out):
+    """gamma (n, P) and all M+1 raw slope outputs (n, P, M+1) of the numeric columns."""
+    n, p = dec_out.shape[0], len(schema.numeric_indices)
+    numeric = dec_out[:, : p * (knot_count + 2)].reshape(n, p, knot_count + 2)
+    return numeric[:, :, 0], numeric[:, :, 1:]
+
+
+def hinge_weights(raw):
+    s = softplus(raw)
+    return np.concatenate([s[..., :1], np.diff(s, axis=-1)], axis=-1)
+
+
+def hinge_knot_values(gamma, b, knots):
+    return gamma[:, None] + b @ np.maximum(knots[None, :] - knots[:, None], 0.0)
+
+
+def hinge_inverse(gamma, b, knots, x):
+    n, last = b.shape[0], b.shape[1] - 1
+    values = hinge_knot_values(gamma, b, knots)
+    below = x <= values[:, 0]
+    above = x >= values[:, -1]
+    seg = np.clip(np.sum(values < x[:, None], axis=1) - 1, 0, last - 1)
+    rows = np.arange(n)
+    den = np.cumsum(b, axis=1)[rows, seg]
+    num = x - gamma + np.cumsum(b * knots[None, :], axis=1)[rows, seg]
+    flat = den <= 1e-300
+    alpha = np.where(flat, knots[seg], num / np.where(flat, 1.0, den))
+    alpha = np.clip(alpha, knots[seg], knots[seg + 1])
+    alpha[below] = 0.0
+    alpha[above] = 1.0
+    return alpha
+
+
+def hinge_crps_loss_batch(gamma, b, knots, x):
+    """(loss, d_gamma, d_b) with one term per knot: sum_m b_m T_m."""
+    alpha = hinge_inverse(gamma, b, knots, x)
+    mx = np.maximum(alpha[:, None], knots[None, :])
+    terms = (1.0 - knots**3) / 3.0 - knots - mx * mx + 2.0 * mx * knots
+    d_gamma = 1.0 - 2.0 * alpha
+    return (2.0 * alpha - 1.0) * x + d_gamma * gamma + np.sum(b * terms, axis=1), d_gamma, terms
+
+
+def hinge_elbo_grads(model, rows, noise):
+    """elbo_grads with the numeric head in the hinge form."""
+    n = rows.shape[0]
+    mu, log_var, enc_cache = encode_batch(model, rows)
+    sigma = np.exp(log_var / 2.0)
+    dec_out, dec_cache = mlp_forward(model.decoder, mu + sigma * noise)
+    schema, knots, beta, m = model.schema, model.knots, model.config.beta, model.config.knot_count
+    gamma, raw = full_raw_head(schema, m, dec_out)
+    _, _, logits = decoder_heads(schema, m, dec_out)
+
+    raw_flat = raw.reshape(-1, knots.size)
+    loss, dg, db = hinge_crps_loss_batch(
+        gamma.ravel(), hinge_weights(raw_flat), knots, rows[:, schema.numeric_indices].ravel()
+    )
+    crps = 0.5 * loss.sum()
+    d_dec = np.zeros_like(dec_out)
+    d_gamma, d_raw = full_raw_head(schema, m, d_dec)
+    _, _, d_logits = decoder_heads(schema, m, d_dec)
+    d_gamma[...] = (dg * (0.5 / n)).reshape(n, -1)
+    db = db * (0.5 / n)
+    ds = np.concatenate([db[:, :-1] - db[:, 1:], db[:, -1:]], axis=1)
+    d_raw[...] = (ds * logistic(raw_flat)).reshape(d_raw.shape)
+
+    ce = 0.0
+    for block, d_block, col in zip(logits, d_logits, schema.discrete_indices):
+        idx = rows[:, col].astype(np.intp)
+        shifted = block - block.max(axis=1, keepdims=True)
+        ce += (np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(n), idx]).sum()
+        probs = softmax(block)
+        probs[np.arange(n), idx] -= 1.0
+        d_block[...] = probs / n
+
+    kl = float(np.mean(0.5 * np.sum(mu * mu + np.exp(log_var) - log_var - 1.0, axis=1)))
+    breakdown = LossBreakdown(crps=crps / n, discrete=ce / n, kl=kl, total=crps / n + ce / n + beta * kl)
+    dz, dec_grad = mlp_backward(model.decoder, dec_cache, d_dec)
+    d_mu = dz + beta * mu / n
+    d_log_var = dz * 0.5 * sigma * noise + beta * 0.5 * (np.exp(log_var) - 1.0) / n
+    _, enc_grad = mlp_backward(model.encoder, enc_cache, np.concatenate([d_mu, d_log_var], axis=1))
+    return breakdown, np.concatenate([enc_grad, dec_grad])
+
+
+def hinge_generate(cp, n, seed):
+    """generate with every numeric cell drawn as gamma + sum_m b_m max(u - d_m, 0)."""
+    schema = cp.schema
+    rng = np.random.default_rng(seed)
+    dec_out, _ = mlp_forward(cp.decoder, rng.standard_normal((n, cp.config.latent_dim)))
+    gamma, raw = full_raw_head(schema, cp.config.knot_count, dec_out)
+    _, _, logits = decoder_heads(schema, cp.config.knot_count, dec_out)
+    u = rng.random((n, len(schema.numeric_indices)))
+    rows = np.zeros((n, len(schema.columns)))
+    hinge = np.maximum(u[:, :, None] - cp.knots, 0.0)
+    rows[:, schema.numeric_indices] = gamma + np.sum(hinge_weights(raw) * hinge, axis=2)
+    for block, col in zip(logits, schema.discrete_indices):
+        probs = softmax(block)
+        rows[:, col] = gumbel_max(probs, rng.gumbel(size=probs.shape))
+    rows[:, schema.numeric_indices] = rows[:, schema.numeric_indices] * cp.scaling.stddev + cp.scaling.mean
+    for col in schema.numeric_indices:
+        if schema.columns[col].kind == KIND_ORDINAL:
+            rows[:, col] = round_ordinal(rows[:, col])
+    return rows
+
+
+def hinge_estimate_cdf(cp, column, grid, n_mc, seed):
+    """estimate_cdf's values with every draw inverted in the hinge form."""
+    k = cp.schema.numeric_indices.index(cp.schema.index(column))
+    z = np.random.default_rng(seed).standard_normal((n_mc, cp.config.latent_dim))
+    gamma, raw = full_raw_head(cp.schema, cp.config.knot_count, mlp_forward(cp.decoder, z)[0])
+    b = hinge_weights(raw[:, k])
+    values = [hinge_inverse(gamma[:, k], b, cp.knots, np.full(n_mc, x)).mean() for x in grid]
+    return np.minimum(np.maximum.accumulate(values), 1.0)
 
 
 def whole_file_load_csv(path, schema):

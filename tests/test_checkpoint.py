@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +13,16 @@ from tabsynth import (
     TrainConfig,
     checkpoint_from_text,
     checkpoint_to_text,
+    generate,
     load_checkpoint,
+    load_csv,
     save_checkpoint,
     standardize,
     train,
 )
 from tabsynth.serialize import fmt_float, json_text
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -315,3 +320,15 @@ def test_fuzzed_checkpoint_loads_or_raises_value_error(small_checkpoint, data):
     except ValueError:
         return
     assert isinstance(loaded, Checkpoint)
+
+
+def test_format_1_checkpoint_from_the_hinge_form_generates_the_same_rows():
+    # written, and sampled with generate --n 200 --seed 3, by the release whose
+    # numeric head summed hinge weights: the segment slopes read the same
+    # decoder outputs, so only the last bits of numeric cells may move
+    cp = load_checkpoint(DATA / "checkpoint_v1.json")
+    expected = load_csv(DATA / "checkpoint_v1_n200_seed3.csv", cp.schema).rows
+    rows = generate(cp, 200, seed=3).rows
+    numeric, discrete = cp.schema.numeric_indices, cp.schema.discrete_indices
+    assert np.array_equal(rows[:, discrete], expected[:, discrete])
+    np.testing.assert_allclose(rows[:, numeric], expected[:, numeric], rtol=1e-9, atol=0.0)

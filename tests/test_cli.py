@@ -206,6 +206,24 @@ def test_cdf_rejects_discrete_column(workspace, trained):
     assert result.returncode == 1
 
 
+def test_cdf_unknown_column_names_it_without_repr_quotes(workspace, trained):
+    result = run_cli("cdf", "--model", trained, "--column", "zz", "--out", workspace / "no.csv")
+    assert result.returncode == 1
+    assert result.stderr == "error: no column named 'zz'\n"
+
+
+@pytest.mark.parametrize("flag", ["--target-reg", "--target-cls", "--known-columns", "--secret-columns"])
+def test_evaluate_unknown_column_names_it_without_repr_quotes(workspace, flag):
+    flags = {"--target-reg": "y", "--target-cls": "c", flag: "zz"}
+    result = run_cli(
+        "evaluate", "--real-train", workspace / "train.csv", "--real-test", workspace / "test.csv",
+        "--synth", workspace / "test.csv", "--schema", workspace / "schema.json",
+        "--out", workspace / "never.json", *[v for item in flags.items() for v in item],
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: no column named 'zz'\n"
+
+
 def test_evaluate_writes_full_report(workspace, trained):
     synth = workspace / "s1.csv"
     if not synth.exists():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import column_major_elbo_grads, grad_rel_err
+from helpers import column_major_elbo_grads, grad_rel_err, hinge_elbo_grads
 from tabsynth import (
     ColumnSpec,
     Schema,
@@ -77,13 +77,13 @@ def test_config_rejects_non_positive(overrides):
 
 
 def test_decoder_width_and_heads():
-    # two numeric heads of 1 + (M+1) outputs each, one 3-level softmax head
+    # two numeric heads of gamma, M slopes and one unused output each, one 3-level softmax head
     assert decoder_width(MIX_SCHEMA, 10) == 2 * 12 + 3
     out = np.arange(4 * 27, dtype=np.float64).reshape(4, 27)
     gamma, raw, logits = decoder_heads(MIX_SCHEMA, 10, out)
-    assert gamma.shape == (4, 2) and raw.shape == (4, 2, 11) and len(logits) == 1
-    assert np.array_equal(gamma[:, 0], out[:, 0]) and np.array_equal(raw[:, 0], out[:, 1:12])
-    assert np.array_equal(gamma[:, 1], out[:, 12]) and np.array_equal(raw[:, 1], out[:, 13:24])
+    assert gamma.shape == (4, 2) and raw.shape == (4, 2, 10) and len(logits) == 1
+    assert np.array_equal(gamma[:, 0], out[:, 0]) and np.array_equal(raw[:, 0], out[:, 1:11])
+    assert np.array_equal(gamma[:, 1], out[:, 12]) and np.array_equal(raw[:, 1], out[:, 13:23])
     assert np.array_equal(logits[0], out[:, 24:27])
     for view in (gamma, raw, *logits):
         assert np.shares_memory(view, out)
@@ -126,7 +126,7 @@ def test_decode_outputs_valid_heads():
     for k in range(gamma.shape[1]):
         # D is linear between knots, so non-decreasing knot values make it monotone
         values = knot_values(gamma[:, k], slopes_to_b(raw[:, k]), model.knots)
-        assert np.all(np.diff(values, axis=1) >= -1e-12)
+        assert np.all(np.diff(values, axis=1) >= 0.0)
     for block in logits:
         probs = softmax(block)
         assert np.all(probs >= 0.0)
@@ -214,6 +214,23 @@ def test_elbo_grads_match_column_major_reference_bit_for_bit(schema, n):
     ref_breakdown, ref_grads = column_major_elbo_grads(model, rows, noise)
     assert breakdown == ref_breakdown
     assert grads.tobytes() == ref_grads.tobytes()
+
+
+@pytest.mark.parametrize("schema", [MIX_SCHEMA, NUMERIC_SCHEMA], ids=["mixed", "numeric"])
+@pytest.mark.parametrize("n", [1, 3, 256])
+def test_elbo_grads_match_hinge_form_reference(schema, n):
+    # the segment-slope head against the hinge weights it replaced; the
+    # larger weights spread the raw slopes over softplus's curved range
+    rng = np.random.default_rng(n)
+    model = random_model(schema, seed=n, knot_count=7)
+    model.params[...] *= 4.0
+    rows = random_rows(schema, rng, n)
+    noise = rng.standard_normal((n, 2))
+    breakdown, grads = elbo_grads(model, rows, noise)
+    ref_breakdown, ref_grads = hinge_elbo_grads(model, rows, noise)
+    for name in ("crps", "discrete", "kl", "total"):
+        assert abs(getattr(breakdown, name) - getattr(ref_breakdown, name)) <= 1e-12
+    assert np.max(np.abs(grads - ref_grads)) <= 1e-12
 
 
 def gaussian_table(n=500, seed=9):

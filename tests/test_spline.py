@@ -1,4 +1,4 @@
-"""Spline head tests on plain length-1 batches: gamma (1,), b (1, M+1),
+"""Spline head tests on plain length-1 batches: gamma (1,), s (1, M),
 knots (M+1,) and x (1,), the shapes the training step passes."""
 
 import importlib
@@ -27,7 +27,7 @@ from tabsynth.spline import (
 )
 
 # D(a) = a + max(a - 0.5, 0): slope 1 on [0, 0.5], slope 2 on [0.5, 1]
-HAND = (np.array([0.0]), np.array([[1.0, 1.0, 0.0]]), np.array([0.0, 0.5, 1.0]))
+HAND = (np.array([0.0]), np.array([[1.0, 2.0]]), np.array([0.0, 0.5, 1.0]))
 
 
 @pytest.mark.parametrize(
@@ -47,25 +47,47 @@ def test_uniform_knots_spacing():
 
 
 def test_build_spline_flat_when_raw_slopes_very_negative():
-    values = knot_values(np.array([2.5]), slopes_to_b(np.full((1, 11), -40.0)), uniform_knots(10))
+    values = knot_values(np.array([2.5]), slopes_to_b(np.full((1, 10), -40.0)), uniform_knots(10))
     assert np.allclose(values, 2.5, atol=1e-12)
 
 
 def test_build_spline_identity_slope():
-    # softplus(c) = 1 at c = log(e - 1) makes b = (1, 0, ..., 0), D(a) = gamma + a
+    # softplus(c) = 1 at c = log(e - 1) makes every slope 1, D(a) = gamma + a
     c = math.log(math.e - 1.0)
     knots = uniform_knots(5)
-    b = slopes_to_b(np.full((1, 6), c))
-    assert np.allclose(b, [[1.0, 0, 0, 0, 0, 0]], atol=1e-12)
-    assert np.allclose(knot_values(np.array([0.25]), b, knots), 0.25 + knots)
+    s = slopes_to_b(np.full((1, 5), c))
+    assert np.allclose(s, 1.0, atol=1e-12)
+    assert np.allclose(knot_values(np.array([0.25]), s, knots), 0.25 + knots)
 
 
 def test_build_spline_partial_sums_never_negative():
     rng = np.random.default_rng(5)
     for _ in range(1000):
         m = int(rng.integers(1, 13))
-        b = slopes_to_b(rng.normal(0.0, 3.0, m + 1))
-        assert np.all(np.cumsum(b) >= 0.0)
+        assert np.all(slopes_to_b(rng.normal(0.0, 3.0, m + 1)) >= 0.0)
+
+
+def test_wide_raw_slopes_keep_d_monotone_and_invertible():
+    # raw ~ N(0, 10^2) mixes slopes near e^-30 with slopes near 30; summing
+    # hinge weights b = diff(s) back into slopes lost the small ones to
+    # round-off and made D decrease between knots
+    m, n = 10, 200_000
+    rng = np.random.default_rng(1)
+    gamma, raw = rng.normal(0.0, 1.0, n), rng.normal(0.0, 10.0, (n, m))
+    knots, s = uniform_knots(m), slopes_to_b(raw)
+    values = knot_values(gamma, s, knots)
+    assert np.all(np.diff(values, axis=1) >= 0.0)
+
+    # x = D(a) at a random level; alpha_tilde must be a level in [0, 1] that D maps back to x
+    a = rng.random(n)
+    seg = np.minimum((a * m).astype(np.intp), m - 1)
+    rows = np.arange(n)
+    x = values[rows, seg] + s[rows, seg] * (a - knots[seg])
+    alpha = spline_inverse_batch(inverse_table(gamma, s, knots), x)
+    assert np.all((alpha >= 0.0) & (alpha <= 1.0))
+    seg = np.minimum((alpha * m).astype(np.intp), m - 1)
+    back = values[rows, seg] + s[rows, seg] * (alpha - knots[seg])
+    assert np.all(np.abs(back - x) <= 1e-12 * np.maximum(1.0, np.abs(values).max(axis=1)))
 
 
 def test_eval_hand_values():
@@ -77,16 +99,16 @@ def test_eval_hand_values():
 def test_eval_at_zero_is_gamma():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        gamma, b, knots, _ = random_spline(rng)
-        assert knot_values(gamma, b, knots)[0, 0] == pytest.approx(gamma[0], abs=1e-12)
+        gamma, s, knots, _ = random_spline(rng)
+        assert knot_values(gamma, s, knots)[0, 0] == pytest.approx(gamma[0], abs=1e-12)
 
 
 def test_eval_monotone_in_alpha():
     # D is linear between knots, so non-decreasing knot values make it monotone
     rng = np.random.default_rng(1)
     for _ in range(200):
-        gamma, b, knots, _ = random_spline(rng)
-        assert np.all(np.diff(knot_values(gamma, b, knots)) >= -1e-12)
+        gamma, s, knots, _ = random_spline(rng)
+        assert np.all(np.diff(knot_values(gamma, s, knots)) >= 0.0)
 
 
 def test_inverse_hand_value():
@@ -112,17 +134,17 @@ def test_inverse_round_trip_on_increasing_segments():
         knots = uniform_knots(m)
         gamma = np.array([float(rng.normal())])
         # raw slopes bounded below so every segment rises strictly
-        b = slopes_to_b(rng.uniform(-1.0, 2.0, (1, m + 1)))
+        s = slopes_to_b(rng.uniform(-1.0, 2.0, (1, m + 1))[:, :m])
         alphas = rng.uniform(0.0, 1.0, 5)
-        x = np.interp(alphas, knots, knot_values(gamma, b, knots)[0])
-        back = spline_inverse_batch(inverse_table(np.repeat(gamma, 5), np.repeat(b, 5, axis=0), knots), x)
+        x = np.interp(alphas, knots, knot_values(gamma, s, knots)[0])
+        back = spline_inverse_batch(inverse_table(np.repeat(gamma, 5), np.repeat(s, 5, axis=0), knots), x)
         assert back == pytest.approx(alphas, abs=1e-9)
 
 
 def test_inverse_flat_plateau_maps_to_left_knot():
     # rises to 1 on [0, 0.25], flat on [0.25, 0.5], rises again afterwards
     alpha = spline_inverse_batch(
-        inverse_table(np.array([0.0]), np.array([[4.0, -4.0, 2.0, 0.0]]), np.array([0.0, 0.25, 0.5, 1.0])),
+        inverse_table(np.array([0.0]), np.array([[4.0, 0.0, 2.0]]), np.array([0.0, 0.25, 0.5, 1.0])),
         np.array([1.0]),
     )
     assert alpha[0] == 0.25
@@ -131,7 +153,7 @@ def test_inverse_flat_plateau_maps_to_left_knot():
 def test_inverse_zero_denominator_returns_left_knot():
     # first segment has vanishing slope; x just above gamma falls inside it
     alpha = spline_inverse_batch(
-        inverse_table(np.array([0.0]), np.array([[1e-310, 3.0, 0.0]]), np.array([0.0, 0.5, 1.0])),
+        inverse_table(np.array([0.0]), np.array([[1e-310, 3.0]]), np.array([0.0, 0.5, 1.0])),
         np.array([3e-311]),
     )
     assert alpha[0] == 0.0
@@ -145,33 +167,33 @@ def test_inverse_table_matches_rebuilt_inverse_bit_for_bit():
         gamma = rng.normal(0.0, 2.0, 300)
         raw = rng.normal(0.0, 2.5, (300, m + 1))
         raw[rng.random((300, m + 1)) < 0.1] = -800.0  # exactly flat segments
-        b = slopes_to_b(raw)
-        table = inverse_table(gamma, b, knots)
-        for x in (rng.normal(0.0, 4.0, 300), np.full(300, 0.5), knot_values(gamma, b, knots)[:, m // 2]):
+        s = slopes_to_b(raw[:, :m])
+        table = inverse_table(gamma, s, knots)
+        for x in (rng.normal(0.0, 4.0, 300), np.full(300, 0.5), knot_values(gamma, s, knots)[:, m // 2]):
             alpha = spline_inverse_batch(table, x)
-            assert alpha.tobytes() == rebuilt_spline_inverse(gamma, b, knots, x).tobytes()
+            assert alpha.tobytes() == rebuilt_spline_inverse(gamma, s, knots, x).tobytes()
 
 
 def test_crps_constant_spline_is_absolute_error():
     loss, _, _ = crps_loss_batch(
-        np.full(2, 0.3), np.zeros((2, 3)), np.array([0.0, 0.5, 1.0]), np.array([1.0, -0.4])
+        np.full(2, 0.3), np.zeros((2, 2)), np.array([0.0, 0.5, 1.0]), np.array([1.0, -0.4])
     )
     assert loss == pytest.approx([0.7, 0.7])
 
 
 def test_crps_hand_value_one_twelfth():
-    loss, _, _ = crps_loss_batch(np.array([0.0]), np.array([[1.0, 0.0]]), np.array([0.0, 1.0]), np.array([0.5]))
+    loss, _, _ = crps_loss_batch(np.array([0.0]), np.array([[1.0]]), np.array([0.0, 1.0]), np.array([0.5]))
     assert loss[0] == pytest.approx(1.0 / 12.0, abs=1e-12)
 
 
 def test_crps_matches_quadrature_on_random_fixtures():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        gamma, b, knots, x = random_spline(rng)
-        loss, d_gamma, _ = crps_loss_batch(gamma, b, knots, x)
+        gamma, s, knots, x = random_spline(rng)
+        loss, d_gamma, _ = crps_loss_batch(gamma, s, knots, x)
         assert loss[0] >= 0.0
         assert -1.0 <= d_gamma[0] <= 1.0  # d_gamma = 1 - 2 alpha_tilde
-        assert abs(loss[0] - crps_quadrature(gamma, b, knots, x, nodes=200_001)) < 1e-6
+        assert abs(loss[0] - crps_quadrature(gamma, s, knots, x, nodes=200_001)) < 1e-6
 
 
 def test_crps_envelope_is_flat_in_alpha():
@@ -182,13 +204,13 @@ def test_crps_envelope_is_flat_in_alpha():
         m = int(rng.integers(1, 13))
         knots = uniform_knots(m)
         gamma = np.array([float(rng.normal())])
-        b = slopes_to_b(rng.uniform(-2.0, 2.0, (1, m + 1)))
-        x = np.interp([float(rng.uniform(0.05, 0.95))], knots, knot_values(gamma, b, knots)[0])
-        (alpha_tilde,) = spline_inverse_batch(inverse_table(gamma, b, knots), x)
+        s = slopes_to_b(rng.uniform(-2.0, 2.0, (1, m + 1))[:, :m])
+        x = np.interp([float(rng.uniform(0.05, 0.95))], knots, knot_values(gamma, s, knots)[0])
+        (alpha_tilde,) = spline_inverse_batch(inverse_table(gamma, s, knots), x)
 
         def loss_at(alpha):
             _, terms = crps_grad_from_alpha(np.array([alpha]), knots)
-            return (2.0 * alpha - 1.0) * x[0] + (1.0 - 2.0 * alpha) * gamma[0] + float(b[0] @ terms[0])
+            return (2.0 * alpha - 1.0) * x[0] + (1.0 - 2.0 * alpha) * gamma[0] + float(s[0] @ terms[0])
 
         base = loss_at(alpha_tilde)
         for eps in (1e-4, -1e-4):
@@ -197,7 +219,7 @@ def test_crps_envelope_is_flat_in_alpha():
 
 
 def test_finite_k_single_term():
-    constant = (np.array([0.0]), np.zeros((1, 2)), np.array([0.0, 1.0]), np.array([1.0]))
+    constant = (np.array([0.0]), np.zeros((1, 1)), np.array([0.0, 1.0]), np.array([1.0]))
     assert crps_loss_finite_k(*constant, 1) == pytest.approx(1.0)
 
 
@@ -221,7 +243,7 @@ def test_mean_log_alpha_weight():
 
 def test_grad_saturated_clamps():
     knots = np.array([0.0, 1.0])
-    table = inverse_table(np.zeros(2), np.array([[1.0, 0.0]] * 2), knots)
+    table = inverse_table(np.zeros(2), np.array([[1.0]] * 2), knots)
     alphas = spline_inverse_batch(table, np.array([50.0, -50.0]))
     (dg_hi, dg_lo), _ = crps_grad_from_alpha(alphas, knots)
     assert dg_hi == pytest.approx(-1.0)
@@ -232,13 +254,13 @@ def _coeff_gradcheck_fixture(rng):
     m = int(rng.integers(1, 13))
     knots = uniform_knots(m)
     gamma = np.array([float(rng.normal())])
-    # raw slopes bounded below keep partial sums comfortably positive, so the
-    # finite-difference perturbations of b stay inside the valid region
-    b = slopes_to_b(rng.uniform(-1.5, 2.0, (1, m + 1)))
+    # raw slopes bounded below keep the slopes comfortably positive, so the
+    # finite-difference perturbations of s stay inside the valid region
+    s = slopes_to_b(rng.uniform(-1.5, 2.0, (1, m + 1))[:, :m])
     x = np.array([float(rng.normal(gamma[0] + 0.5, 1.5))])
-    if np.min(np.abs(knot_values(gamma, b, knots) - x)) < 1e-6:
+    if np.min(np.abs(knot_values(gamma, s, knots) - x)) < 1e-6:
         return None  # kink of the loss, gradient one-sided there
-    return gamma, b, knots, x
+    return gamma, s, knots, x
 
 
 def test_grad_matches_finite_differences():
@@ -249,19 +271,19 @@ def test_grad_matches_finite_differences():
         fixture = _coeff_gradcheck_fixture(rng)
         if fixture is None:
             continue
-        gamma, b, knots, x = fixture
+        gamma, s, knots, x = fixture
         checked += 1
-        _, (dg,), (db,) = crps_loss_batch(gamma, b, knots, x)
+        _, (dg,), (ds,) = crps_loss_batch(gamma, s, knots, x)
 
         # one batch of perturbed splines: row 0 moves gamma, row j + 1 moves
-        # b_j, by +eps in the first half and by -eps in the second
-        size = b.shape[1] + 1
+        # s_j, by +eps in the first half and by -eps in the second
+        size = s.shape[1] + 1
         step = np.concatenate([eps * np.eye(size), -eps * np.eye(size)])
-        losses, _, _ = crps_loss_batch(gamma + step[:, 0], b + step[:, 1:], knots, np.repeat(x, 2 * size))
+        losses, _, _ = crps_loss_batch(gamma + step[:, 0], s + step[:, 1:], knots, np.repeat(x, 2 * size))
         numeric = (losses[:size] - losses[size:]) / (2 * eps)
         assert grad_rel_err(dg, numeric[0]) < 1e-4
         for j in range(size - 1):
-            assert grad_rel_err(db[j], numeric[j + 1]) < 1e-4
+            assert grad_rel_err(ds[j], numeric[j + 1]) < 1e-4
 
 
 def test_grad_chains_through_raw_slopes():
@@ -270,16 +292,16 @@ def test_grad_chains_through_raw_slopes():
     knots = uniform_knots(6)
     for _ in range(50):
         gamma = np.array([float(rng.normal())])
-        slope_raw = rng.uniform(-1.5, 2.0, (1, 7))
-        b = slopes_to_b(slope_raw)
+        slope_raw = rng.uniform(-1.5, 2.0, (1, 7))[:, :6]
+        s = slopes_to_b(slope_raw)
         x = np.array([float(rng.normal(gamma[0] + 0.5, 1.5))])
-        if np.min(np.abs(knot_values(gamma, b, knots) - x)) < 1e-6:
+        if np.min(np.abs(knot_values(gamma, s, knots) - x)) < 1e-6:
             continue
-        _, _, db = crps_loss_batch(gamma, b, knots, x)
-        (ds,) = chain_slope_grads(db, slope_raw)
+        _, _, ds = crps_loss_batch(gamma, s, knots, x)
+        (d_raw,) = chain_slope_grads(ds, slope_raw)
 
-        bumped = slope_raw + np.concatenate([eps * np.eye(7), -eps * np.eye(7)])
-        losses, _, _ = crps_loss_batch(np.repeat(gamma, 14), slopes_to_b(bumped), knots, np.repeat(x, 14))
-        numeric = (losses[:7] - losses[7:]) / (2 * eps)
-        for j in range(7):
-            assert grad_rel_err(ds[j], numeric[j]) < 1e-4
+        bumped = slope_raw + np.concatenate([eps * np.eye(6), -eps * np.eye(6)])
+        losses, _, _ = crps_loss_batch(np.repeat(gamma, 12), slopes_to_b(bumped), knots, np.repeat(x, 12))
+        numeric = (losses[:6] - losses[6:]) / (2 * eps)
+        for j in range(6):
+            assert grad_rel_err(d_raw[j], numeric[j]) < 1e-4

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import one_shot_generate, per_point_estimate_cdf
+from helpers import hinge_estimate_cdf, hinge_generate, one_shot_generate, per_point_estimate_cdf
 from tabsynth import (
     CdfCurve,
     ColumnSpec,
@@ -132,6 +132,26 @@ def test_generate_block_size_never_changes_a_byte(mixed_checkpoint, monkeypatch,
             assert rows.tobytes() == one_shot_generate(cp, n, 40 + n, rounding).tobytes()
 
 
+def test_short_last_block_matches_one_shot(mixed_checkpoint):
+    # OpenBLAS multiplies a matrix of few rows through a separate small-matrix
+    # kernel that rounds differently; a short last block must not go through it
+    cp = mixed_checkpoint
+    block = nn.BLOCK_ENTRIES // sum(net_sizes(cp.schema, cp.config)[1])
+    for tail in (2, 3, 5, 17, 40):
+        rows = generate(cp, block + tail, seed=tail).rows
+        assert rows.tobytes() == one_shot_generate(cp, block + tail, tail).tobytes()
+
+
+@pytest.mark.parametrize("name", ["normal", "mixed"])
+def test_generate_matches_hinge_form_reference(normal_checkpoint, mixed_checkpoint, name):
+    cp = normal_checkpoint if name == "normal" else mixed_checkpoint
+    rows = generate(cp, 20_000, seed=11).rows
+    ref = hinge_generate(cp, 20_000, seed=11)
+    numeric, discrete = cp.schema.numeric_indices, cp.schema.discrete_indices
+    assert np.array_equal(rows[:, discrete], ref[:, discrete])
+    np.testing.assert_allclose(rows[:, numeric], ref[:, numeric], rtol=1e-9, atol=0.0)
+
+
 def test_generate_memory_does_not_grow_with_the_decoded_rows(default_run):
     # a one-pass decode of 4e5 toy rows peaks at about 464 MB
     tracemalloc.start()
@@ -251,6 +271,13 @@ def test_estimate_cdf_matches_per_point_reference(normal_checkpoint, grid):
     curve = estimate_cdf(normal_checkpoint, "x", grid=grid, n_mc=700, seed=3)
     expected = per_point_estimate_cdf(normal_checkpoint, "x", grid=grid, n_mc=700, seed=3)
     assert curve.values.tobytes() == expected.tobytes()
+
+
+def test_estimate_cdf_matches_hinge_form_reference(normal_checkpoint):
+    grid = np.linspace(-4.0, 9.0, 57)
+    curve = estimate_cdf(normal_checkpoint, "x", grid=grid, n_mc=700, seed=3)
+    expected = hinge_estimate_cdf(normal_checkpoint, "x", grid=grid, n_mc=700, seed=3)
+    assert np.max(np.abs(curve.values - expected)) <= 1e-12
 
 
 def test_estimate_cdf_rejects_discrete(normal_checkpoint):
