@@ -13,6 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -68,16 +69,18 @@ class Schema:
     def names(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    @property
+    # computed once per schema, since a training step reads them many times;
+    # every caller shares one list and must not mutate it
+    @cached_property
     def numeric_indices(self) -> list[int]:
         """Positions of continuous and ordinal columns, in schema order."""
         return [i for i, c in enumerate(self.columns) if c.kind != KIND_DISCRETE]
 
-    @property
+    @cached_property
     def discrete_indices(self) -> list[int]:
         return [i for i, c in enumerate(self.columns) if c.kind == KIND_DISCRETE]
 
-    @property
+    @cached_property
     def encoded_width(self) -> int:
         """Width of a one-hot encoded row: numeric columns + level indicators."""
         return len(self.numeric_indices) + sum(
@@ -349,10 +352,8 @@ def one_hot_matrix(schema: Schema, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
     out = np.zeros((n, schema.encoded_width))
-    pos = 0
-    for i in schema.numeric_indices:
-        out[:, pos] = rows[:, i]
-        pos += 1
+    pos = len(schema.numeric_indices)
+    out[:, :pos] = rows[:, schema.numeric_indices]
     for i in schema.discrete_indices:
         t = schema.columns[i].n_levels
         idx = rows[:, i].astype(np.intp)

@@ -413,6 +413,10 @@ def attribute_disclosure(real: Table, synth: Table, known_columns, secret_column
     over secrets of macro F1 against the true values; chance level means
     the synthetic data does not leak the secrets.
 
+    At k = 1 a tie in distance goes to the lowest synthetic row. At larger k
+    the neighbors are any k rows at the k smallest distances (numpy's
+    argpartition picks among ties at the k-th distance).
+
     Distances use the known columns as-is, so pass standardized tables.
     """
     if real.schema != synth.schema:
@@ -434,7 +438,11 @@ def attribute_disclosure(real: Table, synth: Table, known_columns, secret_column
     a = real.rows[:, known_idx]
     neighbor_idx = np.empty((a.shape[0], k), dtype=np.intp)
     for start, d2 in _squared_distance_chunks(a, synth.rows[:, known_idx]):
-        neighbor_idx[start : start + d2.shape[0]] = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        block = neighbor_idx[start : start + d2.shape[0]]
+        if k == 1:  # argmin scans once and takes the first of tied minima
+            block[:, 0] = np.argmin(d2, axis=1)
+        else:
+            block[...] = np.argpartition(d2, k - 1, axis=1)[:, :k]
 
     scores = []
     n = a.shape[0]

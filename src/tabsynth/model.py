@@ -21,7 +21,10 @@ from functools import cached_property
 import numpy as np
 
 from .data import OUTLIER_QUANTILES, Schema, ScalingStats, Table, one_hot_matrix
-from .nn import Mlp, adam_init, adam_step, layer_views, mlp_backward, mlp_forward, mlp_init
+from .nn import (
+    Mlp, adam_init, adam_step, last_axis_max, last_axis_sum, layer_views, mlp_backward,
+    mlp_forward, mlp_init,
+)
 from . import spline as sp
 
 
@@ -71,7 +74,7 @@ class VaeModel:
     config: TrainConfig
     params: np.ndarray
 
-    @property
+    @cached_property
     def knots(self) -> np.ndarray:
         return sp.uniform_knots(self.config.knot_count)
 
@@ -173,22 +176,27 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     d_dec = np.zeros_like(dec_out)
     d_gamma, d_raw, d_logits = decoder_heads(schema, model.config.knot_count, d_dec)
     # closed-form gradient, scaled by the 1/2 on the loss and the batch mean
-    d_gamma[...] = (dg * (0.5 / n)).reshape(n, -1)
-    d_raw[...] = sp.chain_slope_grads(ds * (0.5 / n), raw_flat).reshape(d_raw.shape)
+    np.multiply(dg.reshape(n, -1), 0.5 / n, out=d_gamma)
+    ds *= 0.5 / n
+    d_raw[...] = sp.chain_slope_grads(ds, raw_flat).reshape(d_raw.shape)
 
     ce_sum = 0.0
+    row_starts = np.arange(n)
     for block, d_block, col in zip(logits, d_logits, schema.discrete_indices):
-        shifted = block - block.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        norm = e.sum(axis=1)
-        idx = rows[:, col].astype(np.intp)
-        ce_sum += (np.log(norm) - shifted[np.arange(n), idx]).sum()
-        probs = e / norm[:, None]
-        probs[np.arange(n), idx] -= 1.0
-        d_block[...] = probs / n
+        e = block - last_axis_max(block)
+        # each row's entry at its level, by one flat index into the (n, t) block
+        picked = row_starts * block.shape[1] + rows[:, col].astype(np.intp)
+        true_shifted = np.take(e, picked)
+        np.exp(e, out=e)
+        norm = last_axis_sum(e)
+        ce_sum += (np.log(norm[:, 0]) - true_shifted).sum()
+        e /= norm
+        e.ravel()[picked] -= 1.0
+        np.divide(e, n, out=d_block)
 
     # per row, KL(N(mu, diag sigma^2) || N(0, I)) = 0.5 sum(mu^2 + sigma^2 - log sigma^2 - 1)
-    kl = float(np.mean(0.5 * np.sum(mu * mu + np.exp(log_var) - log_var - 1.0, axis=1)))
+    var = np.exp(log_var)
+    kl = float(np.mean(0.5 * last_axis_sum(mu * mu + var - log_var - 1.0)))
     breakdown = LossBreakdown(
         crps=crps_sum / n,
         discrete=ce_sum / n,
@@ -197,9 +205,11 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     )
 
     dz, dec_grad = mlp_backward(model.decoder, dec_cache, d_dec)
-    d_mu = dz + beta * mu / n
-    d_log_var = dz * 0.5 * sigma * noise + beta * 0.5 * (np.exp(log_var) - 1.0) / n
-    _, enc_grad = mlp_backward(model.encoder, enc_cache, np.concatenate([d_mu, d_log_var], axis=1))
+    d = mu.shape[1]
+    d_enc = np.empty((n, 2 * d))
+    np.add(dz, beta * mu / n, out=d_enc[:, :d])
+    np.add(dz * 0.5 * sigma * noise, beta * 0.5 * (var - 1.0) / n, out=d_enc[:, d:])
+    _, enc_grad = mlp_backward(model.encoder, enc_cache, d_enc)
     return breakdown, np.concatenate([enc_grad, dec_grad])
 
 
@@ -228,13 +238,13 @@ def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
     trace = []
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
-        sums = np.zeros(3)
-        for step, start in enumerate(range(0, n, config.batch_size), start=1):
-            batch = rows[perm[start : start + config.batch_size]]
-            noise = rng.standard_normal((batch.shape[0], d))
-            # a diverging step overflows on its way to a non-finite gradient;
-            # adam_step's check turns that into the one error raised below
-            with np.errstate(over="ignore", invalid="ignore"):
+        crps = disc = kl = 0.0
+        # a diverging step overflows on its way to a non-finite gradient;
+        # adam_step's check turns that into the one error raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step, start in enumerate(range(0, n, config.batch_size), start=1):
+                batch = rows[perm[start : start + config.batch_size]]
+                noise = rng.standard_normal((batch.shape[0], d))
                 breakdown, grads = elbo_grads(model, batch, noise)
                 try:
                     adam_step(model.params, grads, adam)
@@ -243,8 +253,11 @@ def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
                     raise FloatingPointError(
                         f"training diverged at epoch {epoch + 1}, step {step} (batch loss {parts}): {err}"
                     ) from err
-            sums += np.array([breakdown.crps, breakdown.discrete, breakdown.kl]) * batch.shape[0]
-        crps, disc, kl = sums / n
+                m = batch.shape[0]
+                crps += breakdown.crps * m
+                disc += breakdown.discrete * m
+                kl += breakdown.kl * m
+        crps, disc, kl = crps / n, disc / n, kl / n
         epoch_loss = LossBreakdown(
             crps=float(crps), discrete=float(disc), kl=float(kl),
             total=float(crps + disc + config.beta * kl),

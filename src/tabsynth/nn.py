@@ -44,6 +44,35 @@ def row_blocks(n: int, width: int):
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
 
 
+# numpy reduces an (n, t) array over a short last axis with one tiny inner
+# loop per row. Below this length the two helpers below reduce column by
+# column instead, which is far cheaper and, on numpy 2.4, gives the same
+# bits: its max and sum take the columns left to right, the sum from +0.0,
+# and from t = 8 on the sum switches to pairwise blocks (tests/test_nn.py
+# checks this order).
+SHORT_AXIS = 8
+
+
+def last_axis_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True), bit for bit."""
+    if not 0 < a.shape[-1] < SHORT_AXIS:
+        return a.max(axis=-1, keepdims=True)
+    out = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(out, a[..., j : j + 1], out=out)
+    return out
+
+
+def last_axis_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True), bit for bit."""
+    if not 0 < a.shape[-1] < SHORT_AXIS:
+        return a.sum(axis=-1, keepdims=True)
+    out = a[..., :1] + 0.0  # numpy starts from +0.0, so a lone -0.0 sums to +0.0
+    for j in range(1, a.shape[-1]):
+        out += a[..., j : j + 1]
+    return out
+
+
 def softplus(x):
     """log(1 + exp(x)) with overflow guards: x > 30 -> x, x < -30 -> exp(x)."""
     x = np.asarray(x, dtype=np.float64)
@@ -60,14 +89,18 @@ def logistic(x):
     """Sigmoid, the derivative of softplus, from exp(-|x|) so nothing overflows."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(np.minimum(x, -x))  # -|x|, but a NaN keeps its sign bit
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # the numerator is 1 from 0 up and e below 0; as e <= 1, a max against the
+    # sign mask picks it without np.where's branch per entry (NaN stays NaN)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def softmax(logits):
     """Normalized exponentials over the last axis, shifted by the max for stability."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    logits = np.asarray(logits, dtype=np.float64)
+    e = logits - last_axis_max(logits)
+    np.exp(e, out=e)
+    e /= last_axis_sum(e)
+    return e
 
 
 def relu(x):
@@ -166,6 +199,9 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         )
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    # the moments in place, in the order of m = b1 m + (1 - b1) g
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
     params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)

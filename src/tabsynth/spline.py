@@ -40,8 +40,13 @@ def slopes_to_b(slope_raw: np.ndarray) -> np.ndarray:
 def knot_values(gamma: np.ndarray, s: np.ndarray, knots: np.ndarray) -> np.ndarray:
     """D evaluated at every knot, for a batch: gamma (n,), s (n, M) -> (n, M+1).
     A running sum of non-negative rises, so never decreasing."""
-    rises = np.cumsum(s * np.diff(knots), axis=1)
-    return gamma[:, None] + np.concatenate([np.zeros((s.shape[0], 1)), rises], axis=1)
+    values = np.empty((s.shape[0], s.shape[1] + 1))
+    rises = values[:, 1:]
+    np.multiply(s, knots[1:] - knots[:-1], out=rises)
+    np.cumsum(rises, axis=1, out=rises)
+    values[:, 0] = 0.0
+    values += gamma[:, None]
+    return values
 
 
 class InverseTable(NamedTuple):
@@ -76,12 +81,21 @@ def spline_inverse_batch(table: InverseTable, x):
     n, last = values.shape[0], values.shape[1] - 1
     below = x <= values[:, 0]
     above = x >= values[:, -1]
-    seg = np.clip(np.sum(values < x[:, None], axis=1) - 1, 0, last - 1)
-    rows = np.arange(n)
-    slope = table.slopes[rows, seg]
+    # the segment whose left knot value is the last one below x, in [0, last)
+    seg = np.sum(values < x[:, None], axis=1)
+    seg -= 1
+    np.maximum(seg, 0, out=seg)
+    np.minimum(seg, last - 1, out=seg)
+    # one flat index per gather: row r's entry sits at r * width + seg
+    slope = np.take(table.slopes, np.arange(0, n * last, last) + seg)
+    start = np.take(values, np.arange(0, n * (last + 1), last + 1) + seg)
     flat = slope <= _FLAT_EPS
-    rise = np.where(flat, 0.0, (x - values[rows, seg]) / np.where(flat, 1.0, slope))
-    alpha = np.clip(knots[seg] + rise, knots[seg], knots[seg + 1])
+    rise = np.where(flat, 0.0, (x - start) / np.where(flat, 1.0, slope))
+    lo = knots[seg]
+    alpha = lo + rise
+    # np.clip's order: the lower bound first, then the upper
+    np.maximum(alpha, lo, out=alpha)
+    np.minimum(alpha, knots[seg + 1], out=alpha)
     alpha[below] = 0.0
     alpha[above] = 1.0
     return alpha
@@ -89,9 +103,15 @@ def spline_inverse_batch(table: InverseTable, x):
 
 def _crps_terms(alpha, knots):
     """Per-knot factors T_m of the closed-form integral: alpha (n,) -> (n, M+1).
-    T_M = 0 at d_M = 1."""
+    T_M = 0 at d_M = 1. Evaluated in two (n, M+1) buffers, in the order of
+    (1 - d^3)/3 - d - mx*mx + 2*mx*d with mx = max(alpha, d)."""
     mx = np.maximum(alpha[:, None], knots[None, :])
-    return (1.0 - knots**3) / 3.0 - knots - mx * mx + 2.0 * mx * knots
+    terms = mx * mx
+    np.subtract((1.0 - knots**3) / 3.0 - knots, terms, out=terms)
+    mx *= 2.0
+    mx *= knots
+    terms += mx
+    return terms
 
 
 def crps_loss_batch(gamma, s, knots, x):
@@ -108,7 +128,11 @@ def crps_loss_batch(gamma, s, knots, x):
     """
     alpha = spline_inverse_batch(inverse_table(gamma, s, knots), x)
     d_gamma, d_s = crps_grad_from_alpha(alpha, knots)
-    loss = (2.0 * alpha - 1.0) * x + d_gamma * gamma
+    # in place, in the order of (2 a_t - 1) x + d_gamma gamma + sum(s d_s)
+    loss = 2.0 * alpha
+    loss -= 1.0
+    loss *= x
+    loss += d_gamma * gamma
     loss += np.sum(s * d_s, axis=1)
     return loss, d_gamma, d_s
 
@@ -122,7 +146,9 @@ def crps_grad_from_alpha(alpha: np.ndarray, knots: np.ndarray):
     alpha_tilde is locally constant, so nothing propagates through it.
     """
     terms = _crps_terms(alpha, knots)
-    return 1.0 - 2.0 * alpha, terms[:, :-1] - terms[:, 1:]
+    d_gamma = 2.0 * alpha
+    np.subtract(1.0, d_gamma, out=d_gamma)
+    return d_gamma, terms[:, :-1] - terms[:, 1:]
 
 
 def chain_slope_grads(ds: np.ndarray, slope_raw: np.ndarray) -> np.ndarray:

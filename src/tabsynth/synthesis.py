@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import KIND_DISCRETE, KIND_ORDINAL, Table
 from .model import Checkpoint, check_seed, decoder_heads, net_sizes
-from .nn import mlp_forward, row_blocks, softmax
+from .nn import last_axis_sum, mlp_forward, row_blocks, softmax
 from . import spline as sp
 
 ROUND_INTEGER = "integer"
@@ -43,7 +43,8 @@ def gumbel_max(probs: np.ndarray, gumbel_noise: np.ndarray) -> np.ndarray:
     noise = np.asarray(gumbel_noise, dtype=np.float64)
     if probs.shape != noise.shape or probs.ndim < 1:
         raise ValueError("probs and gumbel_noise must be arrays with equal shapes")
-    if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-6):
+    # each property must hold: a comparison with NaN is false, so NaN fails it
+    if not (np.all(probs >= 0) and np.all(np.abs(last_axis_sum(probs) - 1.0) <= 1e-6)):
         raise ValueError("probs must hold probability vectors along the last axis")
     with np.errstate(divide="ignore"):
         scores = np.log(probs) + noise
@@ -110,7 +111,10 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
             np.multiply(sp.slopes_to_b(raw), hinge, out=hinge)
             rows[block, schema.numeric_indices] = gamma + np.sum(hinge, axis=2)
             for scores, col, g in zip(logits, schema.discrete_indices, noise):
-                rows[block, col] = gumbel_max(softmax(scores), g[block])
+                try:
+                    rows[block, col] = gumbel_max(softmax(scores), g[block])
+                except ValueError as err:
+                    raise ValueError(f"column {schema.columns[col].name!r}: {err}") from None
 
         # back to native units, then snap ordinals to their level grid
         numeric = schema.numeric_indices

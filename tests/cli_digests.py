@@ -1,5 +1,7 @@
-"""Run the eight CLI commands whose outputs CHANGES.md records by sha256, and
-print the digest of each output. Not a test; pytest does not collect it.
+"""Run eight CLI commands, print the sha256 of each output, and compare them
+with the digests committed in tests/data/cli_digests.json. Exits 1, naming
+every output whose digest differs, unless all eight match byte for byte.
+Not a test; pytest does not collect it.
 
     python tests/cli_digests.py [--keep DIR]
 
@@ -21,6 +23,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
+EXPECTED = HERE / "data" / "cli_digests.json"
 sys.path[:0] = [str(SRC), str(HERE)]
 
 from conftest import make_toy_table  # noqa: E402
@@ -83,8 +86,12 @@ def main() -> None:
     else:
         with tempfile.TemporaryDirectory() as tmp:
             rows = digests(Path(tmp))
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    changed = [name for name, digest in rows if expected.get(name) != digest]
     for name, digest in rows:
-        print(f"{name:<20} {digest}")
+        print(f"{name:<20} {digest}{'  CHANGED' if name in changed else ''}")
+    if changed:
+        raise SystemExit(f"digests differ from {EXPECTED.name}: {', '.join(changed)}")
 
 
 if __name__ == "__main__":

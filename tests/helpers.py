@@ -2,13 +2,14 @@
 that the fast closed-form code is checked against."""
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from tabsynth import gumbel_max, round_ordinal
+from tabsynth import gumbel_max, macro_f1, round_ordinal
 from tabsynth.data import KIND_DISCRETE, KIND_ORDINAL, Table, _first_rejected
 from tabsynth import spline as sp
+from tabsynth.metrics import _squared_distance_chunks
 from tabsynth.model import LossBreakdown, decoder_heads, encode_batch
 from tabsynth.nn import logistic, mlp_backward, mlp_forward, softmax, softplus
 
@@ -240,15 +241,22 @@ def blockwise_adam_step(params, tape, state: BlockwiseAdamState) -> None:
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
+def concatenated_knot_values(gamma, s, knots):
+    """Knot values as a zero column concatenated before the running sum of the
+    rises: the reference the in-place knot_values must match bit for bit."""
+    rises = np.cumsum(s * np.diff(knots), axis=1)
+    return gamma[:, None] + np.concatenate([np.zeros((s.shape[0], 1)), rises], axis=1)
+
+
 def rebuilt_spline_inverse(gamma, s, knots, x):
-    """The batch inverse with its knot values rebuilt on every call: the
-    reference spline_inverse_batch over a prebuilt inverse_table must match
-    bit for bit."""
+    """The batch inverse with its knot values rebuilt on every call, gathered
+    by (row, segment) pairs and clamped by np.clip: the reference
+    spline_inverse_batch over a prebuilt inverse_table must match bit for bit."""
     gamma = np.asarray(gamma, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     n, last = s.shape
-    values = sp.knot_values(gamma, s, knots)
+    values = concatenated_knot_values(gamma, s, knots)
     below = x <= values[:, 0]
     above = x >= values[:, -1]
     seg = np.clip(np.sum(values < x[:, None], axis=1) - 1, 0, last - 1)
@@ -259,6 +267,57 @@ def rebuilt_spline_inverse(gamma, s, knots, x):
     alpha[below] = 0.0
     alpha[above] = 1.0
     return alpha
+
+
+def expression_crps_loss_batch(gamma, s, knots, x):
+    """crps_loss_batch written as whole-array expressions, one fresh array per
+    operation: the reference the in-place crps_loss_batch must match bit for bit."""
+    alpha = rebuilt_spline_inverse(gamma, s, knots, x)
+    mx = np.maximum(alpha[:, None], knots[None, :])
+    terms = (1.0 - knots**3) / 3.0 - knots - mx * mx + 2.0 * mx * knots
+    d_gamma, d_s = 1.0 - 2.0 * alpha, terms[:, :-1] - terms[:, 1:]
+    loss = (2.0 * alpha - 1.0) * x + d_gamma * gamma
+    loss += np.sum(s * d_s, axis=1)
+    return loss, d_gamma, d_s
+
+
+def reduced_softmax(logits):
+    """softmax through numpy's own last-axis max and sum: the reference the
+    column-by-column nn.softmax must match bit for bit."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def argpartition_attribute_disclosure(real, synth, known_columns, secret_columns, k):
+    """attribute_disclosure with the k nearest rows taken by argpartition at
+    every k, k = 1 included, as the package took them before k = 1 used argmin."""
+    schema = real.schema
+    known_idx = [schema.index(name) for name in known_columns]
+    a = real.rows[:, known_idx]
+    neighbor_idx = np.empty((a.shape[0], k), dtype=np.intp)
+    for start, d2 in _squared_distance_chunks(a, synth.rows[:, known_idx]):
+        neighbor_idx[start : start + d2.shape[0]] = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    scores = []
+    n = a.shape[0]
+    for j in (schema.index(name) for name in secret_columns):
+        t = schema.columns[j].n_levels
+        votes = synth.rows[:, j].astype(np.intp)[neighbor_idx]
+        counts = np.bincount((np.arange(n)[:, None] * t + votes).ravel(), minlength=n * t)
+        scores.append(macro_f1(real.rows[:, j].astype(np.intp), np.argmax(counts.reshape(n, t), axis=1)))
+    return float(np.mean(scores))
+
+
+def overflowed_discrete_logits(cp):
+    """A copy of cp whose first discrete column's first two logits overflow:
+    their decoder bias is 1.79e308 and their weight rows 1e306, so wherever
+    the hidden layer is active both logits are inf and softmax gives NaN."""
+    out = replace(cp, params=cp.params.copy())
+    weight, bias = out.decoder[-1]
+    pos = len(cp.schema.numeric_indices) * (cp.config.knot_count + 2)
+    bias[pos : pos + 2] = 1.79e308
+    weight[pos : pos + 2] = 1e306
+    return out
 
 
 def per_point_estimate_cdf(cp, column, grid=None, n_mc=5000, seed=0):

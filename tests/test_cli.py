@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from tabsynth import TrainConfig, load_checkpoint
+from helpers import overflowed_discrete_logits
+from tabsynth import TrainConfig, load_checkpoint, save_checkpoint
 
 
 def run_cli(*args):
@@ -177,6 +178,16 @@ def test_evaluate_with_mia_rejects_negative_seed_naming_the_field(workspace, tra
     )
     assert result.returncode == 1
     assert result.stderr == "error: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+def test_generate_nan_probabilities_exit_1_naming_the_column(workspace, trained):
+    broken = workspace / "overflowed.json"
+    save_checkpoint(overflowed_discrete_logits(load_checkpoint(trained)), broken)
+    out = workspace / "never.csv"
+    result = run_cli("generate", "--model", broken, "--n", 50, "--seed", 1, "--out", out)
+    assert result.returncode == 1
+    assert "error: column 'c': probs must hold probability vectors" in result.stderr
     assert not out.exists()
 
 

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_auc, brute_ks, brute_majority_votes, brute_wd, one_shot_squared_distances
+from helpers import (
+    argpartition_attribute_disclosure,
+    brute_auc,
+    brute_ks,
+    brute_majority_votes,
+    brute_wd,
+    one_shot_squared_distances,
+)
 from tabsynth import (
     ColumnSpec,
     Schema,
@@ -361,6 +368,29 @@ def neighbour_results(real, synth):
     return dcr(real, synth), [
         attribute_disclosure(real, synth, ["x", "y"], ["s", "t"], k=k) for k in (1, 10, 100)
     ]
+
+
+def test_attribute_disclosure_distance_ties_at_k1_go_to_the_lowest_synthetic_row():
+    # every synthetic row appears twice with different secrets; a real row
+    # sits on each pair, so both rows of a pair are at distance exactly 0
+    x = np.arange(40.0)
+    secret = (np.arange(40) % 3 == 0).astype(float)
+    real = Table(attr_schema(), np.column_stack([x, secret]))
+
+    def pairs(first_secret, second_secret):
+        interleaved = np.column_stack([first_secret, second_secret]).ravel()
+        return Table(attr_schema(), np.column_stack([np.repeat(x, 2), interleaved]))
+
+    assert attribute_disclosure(real, pairs(secret, 1 - secret), ["x"], ["s"], k=1) == 1.0
+    assert attribute_disclosure(real, pairs(1 - secret, secret), ["x"], ["s"], k=1) == 0.0
+
+
+@pytest.mark.parametrize("n", [301, 2000])
+def test_attribute_disclosure_without_ties_matches_argpartition_at_every_k(n):
+    real, synth = neighbour_tables(n)
+    for k in (1, 10, 100):
+        got = attribute_disclosure(real, synth, ["x", "y"], ["s", "t"], k=k)
+        assert got == argpartition_attribute_disclosure(real, synth, ["x", "y"], ["s", "t"], k=k)
 
 
 @pytest.mark.parametrize("block_rows", [2, 7])

@@ -4,18 +4,28 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import blockwise_adam_init, blockwise_adam_step, grad_rel_err, masked_logistic, masked_softplus
+from helpers import (
+    blockwise_adam_init,
+    blockwise_adam_step,
+    grad_rel_err,
+    masked_logistic,
+    masked_softplus,
+    reduced_softmax,
+)
 from tabsynth import nn
 from tabsynth.nn import (
     AdamState,
     adam_init,
     adam_step,
+    last_axis_max,
+    last_axis_sum,
     layer_views,
     logistic,
     mlp_backward,
     mlp_forward,
     mlp_init,
     relu,
+    softmax,
     softplus,
 )
 
@@ -62,6 +72,56 @@ def test_matches_masked_reference_bit_for_bit(fast, reference):
         warnings.simplefilter("error")
         got, want = fast(x), reference(x)
     assert got.tobytes() == want.tobytes()
+
+
+def awkward_array(shape, seed):
+    """Normal draws over twenty decades, with about a third of the entries
+    replaced by +-0.0 and a few by +-inf and NaN."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-10, 10, size=shape)
+    special = rng.random(shape)
+    a[special < 0.3] = rng.choice([0.0, -0.0], size=int(np.sum(special < 0.3)))
+    a[special > 0.97] = rng.choice([np.inf, -np.inf, np.nan], size=int(np.sum(special > 0.97)))
+    return a
+
+
+AWKWARD_SHAPES = [(5000,), (2000, 4), (3, 7, 5)]
+
+
+@pytest.mark.parametrize("t", range(1, nn.SHORT_AXIS))
+@pytest.mark.parametrize("lead", AWKWARD_SHAPES)
+def test_numpy_sums_a_short_last_axis_left_to_right_from_positive_zero(lead, t):
+    # last_axis_sum relies on this order; a numpy release that changes it fails here
+    a = awkward_array(lead + (t,), seed=t)
+    left_to_right = np.zeros(lead)
+    with np.errstate(invalid="ignore"):
+        for j in range(t):
+            left_to_right = left_to_right + a[..., j]
+        assert a.sum(axis=-1).tobytes() == left_to_right.tobytes()
+
+
+@pytest.mark.parametrize("t", [*range(1, nn.SHORT_AXIS), 8, 10, 20])
+@pytest.mark.parametrize("lead", AWKWARD_SHAPES)
+def test_last_axis_reductions_match_numpy_bit_for_bit(lead, t):
+    # a contiguous array, and a strided view as the decoder's logit blocks are
+    for a in (awkward_array(lead + (t,), seed=100 + t),
+              awkward_array(lead + (t + 3,), seed=200 + t)[..., 1 : t + 1]):
+        with np.errstate(invalid="ignore"):
+            got = last_axis_max(a), last_axis_sum(a)
+            want = a.max(axis=-1, keepdims=True), a.sum(axis=-1, keepdims=True)
+        assert got[0].shape == got[1].shape == lead + (1,)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 7, 8, 12])
+def test_softmax_matches_numpy_reductions_bit_for_bit(t):
+    rng = np.random.default_rng(t)
+    logits = rng.normal(0.0, 30.0, size=(1500, t))
+    logits[::7, 0] = 800.0  # exp would overflow without the shift
+    logits[::11] = -0.0
+    got = softmax(logits)
+    assert got.tobytes() == reduced_softmax(logits).tobytes()
+    assert softmax(logits[3]).tobytes() == reduced_softmax(logits[3]).tobytes()
 
 
 def test_relu():

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    concatenated_knot_values,
     crps_loss_finite_k,
     crps_quadrature,
+    expression_crps_loss_batch,
     grad_rel_err,
     mean_log_alpha_weight,
     random_spline,
@@ -172,6 +174,34 @@ def test_inverse_table_matches_rebuilt_inverse_bit_for_bit():
         for x in (rng.normal(0.0, 4.0, 300), np.full(300, 0.5), knot_values(gamma, s, knots)[:, m // 2]):
             alpha = spline_inverse_batch(table, x)
             assert alpha.tobytes() == rebuilt_spline_inverse(gamma, s, knots, x).tobytes()
+
+
+def awkward_batch(rng, m, n=300):
+    """A batch with exactly flat segments, x below D(0), above D(1), at a
+    knot value and inside a segment, and a -0.0 gamma."""
+    knots = uniform_knots(m)
+    gamma = rng.normal(0.0, 2.0, n)
+    gamma[::13] = -0.0
+    raw = rng.normal(0.0, 2.5, (n, m))
+    raw[rng.random((n, m)) < 0.15] = -800.0  # softplus is exactly 0
+    s = slopes_to_b(raw)
+    values = concatenated_knot_values(gamma, s, knots)
+    x = rng.normal(0.0, 4.0, n)
+    x[0::5] = values[0::5, rng.integers(0, m + 1)]  # at a knot value
+    x[1::5] = values[1::5, 0] - 1.0  # below D(0)
+    x[2::5] = values[2::5, -1] + 1.0  # above D(1)
+    return gamma, s, knots, x
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 10, 17])
+def test_in_place_spline_head_matches_expression_reference_bit_for_bit(m):
+    rng = np.random.default_rng(40 + m)
+    gamma, s, knots, x = awkward_batch(rng, m)
+    assert knot_values(gamma, s, knots).tobytes() == concatenated_knot_values(gamma, s, knots).tobytes()
+    got = crps_loss_batch(gamma, s, knots, x)
+    want = expression_crps_loss_batch(gamma, s, knots, x)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert np.any(s == 0.0)
 
 
 def test_crps_constant_spline_is_absolute_error():

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import hinge_estimate_cdf, hinge_generate, one_shot_generate, per_point_estimate_cdf
+from helpers import (
+    hinge_estimate_cdf,
+    hinge_generate,
+    one_shot_generate,
+    overflowed_discrete_logits,
+    per_point_estimate_cdf,
+)
 from tabsynth import (
     CdfCurve,
     ColumnSpec,
@@ -99,6 +105,24 @@ def test_gumbel_max_validation():
         gumbel_max(np.array([0.5, 0.6]), np.zeros(2))
     with pytest.raises(ValueError):
         gumbel_max(np.array([0.5, 0.5]), np.zeros(3))
+
+
+@pytest.mark.parametrize("probs", [
+    [[np.nan, np.nan, np.nan]],
+    [[0.2, 0.7, 0.1], [np.nan, 0.5, 0.5]],
+    [[np.inf, 0.0, 0.0]],
+])
+def test_gumbel_max_rejects_nan_and_inf_probabilities(probs):
+    # a comparison with NaN is false, so checks written as faults let NaN through
+    probs = np.array(probs)
+    with pytest.raises(ValueError, match="probability vectors"):
+        gumbel_max(probs, np.zeros_like(probs))
+
+
+def test_generate_names_the_discrete_column_whose_probabilities_are_nan(mixed_checkpoint):
+    broken = overflowed_discrete_logits(mixed_checkpoint)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="column 'g'"):
+        generate(broken, 50, seed=0)
 
 
 def test_round_ordinal_modes():
