@@ -322,10 +322,7 @@ def standardize(table: Table) -> Table:
     for k, s in enumerate(stddev):
         if s <= 0:
             raise ValueError(f"column {names[k]!r} has zero variance, cannot standardize")
-    rows = table.rows.copy()
-    rows[:, idx] = (sub - mean) / stddev
-    stats = ScalingStats(names=names, mean=mean, stddev=stddev)
-    return Table(schema=table.schema, rows=rows, scaling=stats)
+    return apply_scaling(table, ScalingStats(names=names, mean=mean, stddev=stddev))
 
 
 def check_scaling_names(schema: Schema, stats: ScalingStats) -> None:
@@ -386,9 +383,7 @@ def drop_percentile_outliers(table: Table) -> Table:
     range. Off by default in the training pipeline."""
     if table.n_rows == 0:
         return table
-    keep = np.ones(table.n_rows, dtype=bool)
-    for i in table.schema.numeric_indices:
-        col = table.rows[:, i]
-        lo, hi = np.quantile(col, OUTLIER_QUANTILES)
-        keep &= (col >= lo) & (col <= hi)
+    numeric = table.rows[:, table.schema.numeric_indices]
+    lo, hi = np.quantile(numeric, OUTLIER_QUANTILES, axis=0)
+    keep = np.all((numeric >= lo) & (numeric <= hi), axis=1)
     return Table(schema=table.schema, rows=table.rows[keep], scaling=table.scaling)

@@ -229,8 +229,11 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.linalg.solve(xtx + 1e-6 * np.eye(x.shape[1]), xty)
 
 
-def fit_softmax(x: np.ndarray, y: np.ndarray, n_classes: int,
-                iters: int = 500, lr: float = 0.1) -> np.ndarray:
+# gradient-descent step size of every fit_softmax model
+SOFTMAX_LR = 0.1
+
+
+def fit_softmax(x: np.ndarray, y: np.ndarray, n_classes: int, iters: int = 500) -> np.ndarray:
     """Multinomial logistic regression without intercept, plain full-batch
     gradient descent from zero weights. Returns (n_classes, n_features)."""
     n = x.shape[0]
@@ -239,7 +242,7 @@ def fit_softmax(x: np.ndarray, y: np.ndarray, n_classes: int,
     w = np.zeros((n_classes, x.shape[1]))
     for _ in range(iters):
         p = softmax(x @ w.T)
-        w -= lr * ((p - onehot).T @ x) / n
+        w -= SOFTMAX_LR * ((p - onehot).T @ x) / n
     return w
 
 
@@ -321,9 +324,8 @@ def roc_auc(labels, scores) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-# gradient-descent steps and step size of each per-class attack model
+# gradient-descent steps of each per-class attack model
 ATTACK_ITERS = 300
-ATTACK_LR = 0.1
 
 
 @dataclass(frozen=True)
@@ -375,7 +377,7 @@ def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
         feats = np.vstack([feats_in, feats_out])
         labels = np.concatenate([np.ones(feats_in.shape[0], dtype=np.intp),
                                  np.zeros(feats_out.shape[0], dtype=np.intp)])
-        attacks[level] = fit_softmax(feats, labels, 2, iters=ATTACK_ITERS, lr=ATTACK_LR)
+        attacks[level] = fit_softmax(feats, labels, 2, iters=ATTACK_ITERS)
 
     if not attacks:
         raise ValueError("no attack model could be trained (all classes degenerate)")
@@ -508,7 +510,6 @@ def build_report(real_train: Table, real_test: Table, synth: Table,
             raise ValueError("membership inference needs the model checkpoint")
         check_seed(seed)
     train_std = standardize(real_train)
-    test_std = apply_scaling(real_test, train_std.scaling)
     synth_std = apply_scaling(synth, train_std.scaling)
 
     numeric = schema.numeric_indices

@@ -11,11 +11,10 @@ every slope is non-negative: slopes_to_b maps raw outputs through softplus.
 
 The training loss for an observation x is twice the integral over a of the
 check function rho_a(x - D(a)), which this module evaluates in closed form,
-with its exact gradient, for a batch of splines at once."""
+with its exact gradient, for a batch of splines at once. Its inverse reads
+the knot values, which a caller builds once and reuses for any number of x."""
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,23 +48,9 @@ def knot_values(gamma: np.ndarray, s: np.ndarray, knots: np.ndarray) -> np.ndarr
     return values
 
 
-class InverseTable(NamedTuple):
-    """The part of a batch of spline inverses that does not depend on x, one
-    row per spline: knots (M+1,), knot values (n, M+1) and slopes (n, M)."""
-
-    knots: np.ndarray
-    values: np.ndarray
-    slopes: np.ndarray
-
-
-def inverse_table(gamma, s, knots) -> InverseTable:
-    """Build the x-independent table that spline_inverse_batch reads, once
-    per batch of splines; any number of x batches can then be inverted."""
-    return InverseTable(knots=knots, values=knot_values(gamma, s, knots), slopes=s)
-
-
-def spline_inverse_batch(table: InverseTable, x):
-    """Vectorized inverse over a batch of splines, one x per spline.
+def spline_inverse_batch(values: np.ndarray, s: np.ndarray, knots: np.ndarray, x):
+    """Vectorized inverse over a batch of splines, one x per spline, given
+    their knot values (n, M+1) from knot_values and slopes (n, M).
 
     Returns alpha_tilde, which solves D(alpha) = x on the segment m whose
     knot values bracket x:
@@ -77,17 +62,16 @@ def spline_inverse_batch(table: InverseTable, x):
     distribution function.
     """
     x = np.asarray(x, dtype=np.float64)
-    values, knots = table.values, table.knots
-    n, last = values.shape[0], values.shape[1] - 1
-    below = x <= values[:, 0]
+    n, last = s.shape
     above = x >= values[:, -1]
-    # the segment whose left knot value is the last one below x, in [0, last)
+    # the segment whose left knot value is the last one below x, in [0, last);
+    # x at or below D(0) gets segment 0, where the lower clamp returns 0
     seg = np.sum(values < x[:, None], axis=1)
     seg -= 1
     np.maximum(seg, 0, out=seg)
     np.minimum(seg, last - 1, out=seg)
     # one flat index per gather: row r's entry sits at r * width + seg
-    slope = np.take(table.slopes, np.arange(0, n * last, last) + seg)
+    slope = np.take(s, np.arange(0, n * last, last) + seg)
     start = np.take(values, np.arange(0, n * (last + 1), last + 1) + seg)
     flat = slope <= _FLAT_EPS
     rise = np.where(flat, 0.0, (x - start) / np.where(flat, 1.0, slope))
@@ -96,22 +80,8 @@ def spline_inverse_batch(table: InverseTable, x):
     # np.clip's order: the lower bound first, then the upper
     np.maximum(alpha, lo, out=alpha)
     np.minimum(alpha, knots[seg + 1], out=alpha)
-    alpha[below] = 0.0
     alpha[above] = 1.0
     return alpha
-
-
-def _crps_terms(alpha, knots):
-    """Per-knot factors T_m of the closed-form integral: alpha (n,) -> (n, M+1).
-    T_M = 0 at d_M = 1. Evaluated in two (n, M+1) buffers, in the order of
-    (1 - d^3)/3 - d - mx*mx + 2*mx*d with mx = max(alpha, d)."""
-    mx = np.maximum(alpha[:, None], knots[None, :])
-    terms = mx * mx
-    np.subtract((1.0 - knots**3) / 3.0 - knots, terms, out=terms)
-    mx *= 2.0
-    mx *= knots
-    terms += mx
-    return terms
 
 
 def crps_loss_batch(gamma, s, knots, x):
@@ -126,7 +96,7 @@ def crps_loss_batch(gamma, s, knots, x):
     The loss is linear in gamma and s at fixed a_t, so the gradient's factors
     are the loss's own terms.
     """
-    alpha = spline_inverse_batch(inverse_table(gamma, s, knots), x)
+    alpha = spline_inverse_batch(knot_values(gamma, s, knots), s, knots, x)
     d_gamma, d_s = crps_grad_from_alpha(alpha, knots)
     # in place, in the order of (2 a_t - 1) x + d_gamma gamma + sum(s d_s)
     loss = 2.0 * alpha
@@ -145,7 +115,14 @@ def crps_grad_from_alpha(alpha: np.ndarray, knots: np.ndarray):
     d loss / d alpha = 2 (x - D(alpha_tilde)) = 0, and at the clamps
     alpha_tilde is locally constant, so nothing propagates through it.
     """
-    terms = _crps_terms(alpha, knots)
+    # T_m per knot, T_M = 0 at d_M = 1, in two (n, M+1) buffers, in the order
+    # of (1 - d^3)/3 - d - mx*mx + 2*mx*d with mx = max(alpha, d)
+    mx = np.maximum(alpha[:, None], knots[None, :])
+    terms = mx * mx
+    np.subtract((1.0 - knots**3) / 3.0 - knots, terms, out=terms)
+    mx *= 2.0
+    mx *= knots
+    terms += mx
     d_gamma = 2.0 * alpha
     np.subtract(1.0, d_gamma, out=d_gamma)
     return d_gamma, terms[:, :-1] - terms[:, 1:]

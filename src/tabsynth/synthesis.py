@@ -99,29 +99,32 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
         # one hinge buffer, reused by every block: a fresh block-sized
         # temporary is large enough for malloc to map and unmap it each time
         buffer = np.empty((size, u.shape[1], knots.size))
-        for block in blocks:
-            count = block.stop - block.start
-            latent[:count] = z[block]
-            dec_out, _ = mlp_forward(cp.decoder, latent)
-            gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:count])
-            # the part of each segment below u: clip(u - d_m, 0, d_{m+1} - d_m)
-            hinge = buffer[:count]
-            np.subtract(u[block, :, None], knots, out=hinge)
-            np.clip(hinge, 0.0, widths, out=hinge)
-            np.multiply(sp.slopes_to_b(raw), hinge, out=hinge)
-            rows[block, schema.numeric_indices] = gamma + np.sum(hinge, axis=2)
-            for scores, col, g in zip(logits, schema.discrete_indices, noise):
-                try:
-                    rows[block, col] = gumbel_max(softmax(scores), g[block])
-                except ValueError as err:
-                    raise ValueError(f"column {schema.columns[col].name!r}: {err}") from None
+        # an overflowing decoder gives inf and NaN outputs; gumbel_max's check
+        # or Table's finiteness check turns them into the one error raised
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in blocks:
+                count = block.stop - block.start
+                latent[:count] = z[block]
+                dec_out, _ = mlp_forward(cp.decoder, latent)
+                gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:count])
+                # the part of each segment below u: clip(u - d_m, 0, d_{m+1} - d_m)
+                hinge = buffer[:count]
+                np.subtract(u[block, :, None], knots, out=hinge)
+                np.clip(hinge, 0.0, widths, out=hinge)
+                np.multiply(sp.slopes_to_b(raw), hinge, out=hinge)
+                rows[block, schema.numeric_indices] = gamma + np.sum(hinge, axis=2)
+                for scores, col, g in zip(logits, schema.discrete_indices, noise):
+                    try:
+                        rows[block, col] = gumbel_max(softmax(scores), g[block])
+                    except ValueError as err:
+                        raise ValueError(f"column {schema.columns[col].name!r}: {err}") from None
 
-        # back to native units, then snap ordinals to their level grid
-        numeric = schema.numeric_indices
-        rows[:, numeric] = rows[:, numeric] * cp.scaling.stddev + cp.scaling.mean
-        for col in numeric:
-            if schema.columns[col].kind == KIND_ORDINAL:
-                rows[:, col] = round_ordinal(rows[:, col], ordinal_rounding)
+            # back to native units, then snap ordinals to their level grid
+            numeric = schema.numeric_indices
+            rows[:, numeric] = rows[:, numeric] * cp.scaling.stddev + cp.scaling.mean
+            for col in numeric:
+                if schema.columns[col].kind == KIND_ORDINAL:
+                    rows[:, col] = round_ordinal(rows[:, col], ordinal_rounding)
     return Table(schema=schema, rows=rows, scaling=None)
 
 
@@ -152,9 +155,9 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     """Monte Carlo estimate of a numeric column's marginal CDF.
 
     F(x) is the prior-average of the decoded quantile function's inverse at
-    x, evaluated over n_mc latent draws. The draws are decoded once, and the
-    part of their inverses that does not depend on x is built once; each
-    grid point then costs one inverse over the draws. x values are in
+    x, evaluated over n_mc latent draws. The draws are decoded and their
+    knot values built once; each grid point then costs one inverse over the
+    draws. x values are in
     standardized units; the default grid spans the column's 1%-99% training
     range.
     """
@@ -168,13 +171,14 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     z = sample_prior(n_mc, cp.config.latent_dim, seed)
     dec_out, _ = mlp_forward(cp.decoder, z)
     gamma, raw, _ = decoder_heads(schema, cp.config.knot_count, dec_out)
-    table = sp.inverse_table(gamma[:, k], sp.slopes_to_b(raw[:, k]), cp.knots)
+    s = sp.slopes_to_b(raw[:, k])
+    values = sp.knot_values(gamma[:, k], s, cp.knots)
     if grid is None:
         grid = np.linspace(cp.quantile_lo[k], cp.quantile_hi[k], 201)
     grid = np.asarray(grid, dtype=np.float64)
-    values = np.empty_like(grid)
+    cdf = np.empty_like(grid)
     for i, x in enumerate(grid):
-        values[i] = sp.spline_inverse_batch(table, np.full(n_mc, x)).mean()
+        cdf[i] = sp.spline_inverse_batch(values, s, cp.knots, np.full(n_mc, x)).mean()
     # each per-draw inverse is monotone in x; guard the mean against round-off
-    values = np.minimum(np.maximum.accumulate(values), 1.0)
-    return CdfCurve(grid=grid, values=values)
+    cdf = np.minimum(np.maximum.accumulate(cdf), 1.0)
+    return CdfCurve(grid=grid, values=cdf)

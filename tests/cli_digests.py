@@ -1,7 +1,8 @@
 """Run eight CLI commands, print the sha256 of each output, and compare them
 with the digests committed in tests/data/cli_digests.json. Exits 1, naming
 every output whose digest differs, unless all eight match byte for byte.
-Not a test; pytest does not collect it.
+pytest does not collect this script; tests/test_cli_digests.py runs it
+in the suite.
 
     python tests/cli_digests.py [--keep DIR]
 

@@ -250,8 +250,9 @@ def concatenated_knot_values(gamma, s, knots):
 
 def rebuilt_spline_inverse(gamma, s, knots, x):
     """The batch inverse with its knot values rebuilt on every call, gathered
-    by (row, segment) pairs and clamped by np.clip: the reference
-    spline_inverse_batch over a prebuilt inverse_table must match bit for bit."""
+    by (row, segment) pairs, clamped by np.clip and set to 0 at or below D(0)
+    by its own mask: the reference spline_inverse_batch over knot values built
+    once must match bit for bit."""
     gamma = np.asarray(gamma, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -322,7 +323,8 @@ def overflowed_discrete_logits(cp):
 
 def per_point_estimate_cdf(cp, column, grid=None, n_mc=5000, seed=0):
     """estimate_cdf with every grid point rebuilding its draws' inverse from
-    scratch: the reference the table-once estimate_cdf must match bit for bit."""
+    scratch: the reference estimate_cdf, which builds its knot values once, must
+    match bit for bit."""
     schema = cp.schema
     k = schema.numeric_indices.index(schema.index(column))
     z = np.random.default_rng(seed).standard_normal((n_mc, cp.config.latent_dim))

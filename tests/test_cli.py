@@ -187,7 +187,8 @@ def test_generate_nan_probabilities_exit_1_naming_the_column(workspace, trained)
     out = workspace / "never.csv"
     result = run_cli("generate", "--model", broken, "--n", 50, "--seed", 1, "--out", out)
     assert result.returncode == 1
-    assert "error: column 'c': probs must hold probability vectors" in result.stderr
+    assert result.stderr.startswith("error: column 'c': probs must hold probability vectors")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
     assert not out.exists()
 
 

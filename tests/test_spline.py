@@ -21,7 +21,6 @@ from tabsynth.spline import (
     chain_slope_grads,
     crps_grad_from_alpha,
     crps_loss_batch,
-    inverse_table,
     knot_values,
     slopes_to_b,
     spline_inverse_batch,
@@ -85,7 +84,7 @@ def test_wide_raw_slopes_keep_d_monotone_and_invertible():
     seg = np.minimum((a * m).astype(np.intp), m - 1)
     rows = np.arange(n)
     x = values[rows, seg] + s[rows, seg] * (a - knots[seg])
-    alpha = spline_inverse_batch(inverse_table(gamma, s, knots), x)
+    alpha = spline_inverse_batch(values, s, knots, x)
     assert np.all((alpha >= 0.0) & (alpha <= 1.0))
     seg = np.minimum((alpha * m).astype(np.intp), m - 1)
     back = values[rows, seg] + s[rows, seg] * (alpha - knots[seg])
@@ -114,18 +113,18 @@ def test_eval_monotone_in_alpha():
 
 
 def test_inverse_hand_value():
-    alpha = spline_inverse_batch(inverse_table(*HAND), np.array([1.0]))
+    alpha = spline_inverse_batch(knot_values(*HAND), HAND[1], HAND[2], np.array([1.0]))
     assert alpha[0] == pytest.approx(0.75)
 
 
 def test_inverse_at_gamma_is_zero():
-    alpha = spline_inverse_batch(inverse_table(*HAND), np.array([0.0]))
+    alpha = spline_inverse_batch(knot_values(*HAND), HAND[1], HAND[2], np.array([0.0]))
     assert alpha[0] == 0.0
 
 
 def test_inverse_clamps_outside_range():
-    table = inverse_table(np.zeros(2), np.repeat(HAND[1], 2, axis=0), HAND[2])
-    alpha = spline_inverse_batch(table, np.array([-5.0, 5.0]))
+    s = np.repeat(HAND[1], 2, axis=0)
+    alpha = spline_inverse_batch(knot_values(np.zeros(2), s, HAND[2]), s, HAND[2], np.array([-5.0, 5.0]))
     assert alpha.tolist() == [0.0, 1.0]
 
 
@@ -139,41 +138,47 @@ def test_inverse_round_trip_on_increasing_segments():
         s = slopes_to_b(rng.uniform(-1.0, 2.0, (1, m + 1))[:, :m])
         alphas = rng.uniform(0.0, 1.0, 5)
         x = np.interp(alphas, knots, knot_values(gamma, s, knots)[0])
-        back = spline_inverse_batch(inverse_table(np.repeat(gamma, 5), np.repeat(s, 5, axis=0), knots), x)
+        s = np.repeat(s, 5, axis=0)
+        back = spline_inverse_batch(knot_values(np.repeat(gamma, 5), s, knots), s, knots, x)
         assert back == pytest.approx(alphas, abs=1e-9)
 
 
 def test_inverse_flat_plateau_maps_to_left_knot():
     # rises to 1 on [0, 0.25], flat on [0.25, 0.5], rises again afterwards
-    alpha = spline_inverse_batch(
-        inverse_table(np.array([0.0]), np.array([[4.0, 0.0, 2.0]]), np.array([0.0, 0.25, 0.5, 1.0])),
-        np.array([1.0]),
-    )
+    s, knots = np.array([[4.0, 0.0, 2.0]]), np.array([0.0, 0.25, 0.5, 1.0])
+    alpha = spline_inverse_batch(knot_values(np.array([0.0]), s, knots), s, knots, np.array([1.0]))
     assert alpha[0] == 0.25
 
 
 def test_inverse_zero_denominator_returns_left_knot():
     # first segment has vanishing slope; x just above gamma falls inside it
-    alpha = spline_inverse_batch(
-        inverse_table(np.array([0.0]), np.array([[1e-310, 3.0]]), np.array([0.0, 0.5, 1.0])),
-        np.array([3e-311]),
-    )
+    s, knots = np.array([[1e-310, 3.0]]), np.array([0.0, 0.5, 1.0])
+    alpha = spline_inverse_batch(knot_values(np.array([0.0]), s, knots), s, knots, np.array([3e-311]))
     assert alpha[0] == 0.0
 
 
-def test_inverse_table_matches_rebuilt_inverse_bit_for_bit():
-    # one table serves several x batches, as in estimate_cdf
+def test_inverse_over_knot_values_built_once_matches_rebuilt_inverse_bit_for_bit():
+    # one knot_values build serves several x batches, as in estimate_cdf; the
+    # reference sets alpha to 0 at or below D(0) by a mask the package lacks
     rng = np.random.default_rng(9)
     for m in (1, 4, 10):
         knots = uniform_knots(m)
         gamma = rng.normal(0.0, 2.0, 300)
         raw = rng.normal(0.0, 2.5, (300, m + 1))
         raw[rng.random((300, m + 1)) < 0.1] = -800.0  # exactly flat segments
+        raw[::7, : (m + 1) // 2] = -800.0  # rows whose first segments are flat
         s = slopes_to_b(raw[:, :m])
-        table = inverse_table(gamma, s, knots)
-        for x in (rng.normal(0.0, 4.0, 300), np.full(300, 0.5), knot_values(gamma, s, knots)[:, m // 2]):
-            alpha = spline_inverse_batch(table, x)
+        values = knot_values(gamma, s, knots)
+        below = values[:, 0] - rng.exponential(1.0, 300)
+        batches = (rng.normal(0.0, 4.0, 300), np.full(300, 0.5), values[:, m // 2], values[:, 0],
+                   below, np.full(300, -np.inf), np.full(300, np.inf), np.full(300, np.nan))
+        for x in batches:
+            alpha = spline_inverse_batch(values, s, knots, x)
             assert alpha.tobytes() == rebuilt_spline_inverse(gamma, s, knots, x).tobytes()
+        # 0 at and below D(0), except that x = D(0) = D(1) on a flat D gives 1
+        at_start = spline_inverse_batch(values, s, knots, values[:, 0])
+        assert np.array_equal(at_start, np.where(values[:, 0] < values[:, -1], 0.0, 1.0))
+        assert not np.any(np.signbit(spline_inverse_batch(values, s, knots, below)))
 
 
 def awkward_batch(rng, m, n=300):
@@ -236,7 +241,7 @@ def test_crps_envelope_is_flat_in_alpha():
         gamma = np.array([float(rng.normal())])
         s = slopes_to_b(rng.uniform(-2.0, 2.0, (1, m + 1))[:, :m])
         x = np.interp([float(rng.uniform(0.05, 0.95))], knots, knot_values(gamma, s, knots)[0])
-        (alpha_tilde,) = spline_inverse_batch(inverse_table(gamma, s, knots), x)
+        (alpha_tilde,) = spline_inverse_batch(knot_values(gamma, s, knots), s, knots, x)
 
         def loss_at(alpha):
             _, terms = crps_grad_from_alpha(np.array([alpha]), knots)
@@ -273,8 +278,8 @@ def test_mean_log_alpha_weight():
 
 def test_grad_saturated_clamps():
     knots = np.array([0.0, 1.0])
-    table = inverse_table(np.zeros(2), np.array([[1.0]] * 2), knots)
-    alphas = spline_inverse_batch(table, np.array([50.0, -50.0]))
+    s = np.array([[1.0]] * 2)
+    alphas = spline_inverse_batch(knot_values(np.zeros(2), s, knots), s, knots, np.array([50.0, -50.0]))
     (dg_hi, dg_lo), _ = crps_grad_from_alpha(alphas, knots)
     assert dg_hi == pytest.approx(-1.0)
     assert dg_lo == pytest.approx(+1.0)

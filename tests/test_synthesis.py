@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,8 +122,19 @@ def test_gumbel_max_rejects_nan_and_inf_probabilities(probs):
 
 
 def test_generate_names_the_discrete_column_whose_probabilities_are_nan(mixed_checkpoint):
+    # the overflow on the way to NaN warns nothing; the error is the one message
     broken = overflowed_discrete_logits(mixed_checkpoint)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="column 'g'"):
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"), pytest.raises(ValueError, match="column 'g'"):
+        warnings.simplefilter("error")
+        generate(broken, 50, seed=0)
+
+
+def test_generate_numeric_overflow_fails_at_the_finiteness_check(mixed_checkpoint):
+    broken = replace(mixed_checkpoint, params=mixed_checkpoint.params.copy())
+    weight, bias = broken.decoder[-1]
+    bias[0], weight[0] = 1.79e308, 1e306  # column x's gamma
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"), pytest.raises(ValueError, match="must be finite"):
+        warnings.simplefilter("error")
         generate(broken, 50, seed=0)
 
 
