@@ -150,8 +150,9 @@ def encode_batch(model: VaeModel, rows: np.ndarray):
 def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     """A training step's LossBreakdown on a batch with frozen reparameterization
     noise, and its exact gradient, a flat vector laid out like model.params.
-    All (row, numeric column) splines go through the loss in one row-major
-    pass; each column's loss is summed on its own, added in column order."""
+    All (row, numeric column) splines go through the loss in one knot-major
+    pass, spline r * P + p for row r and numeric column p; each column's loss
+    is summed on its own, added in column order."""
     rows = np.asarray(rows, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     n = rows.shape[0]
@@ -165,9 +166,10 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     dec_out, dec_cache = mlp_forward(model.decoder, mu + sigma * noise)
     gamma, raw, logits = decoder_heads(schema, model.config.knot_count, dec_out)
 
-    raw_flat = raw.reshape(-1, knots.size - 1)
+    m = knots.size - 1
+    raw_km = raw.transpose(2, 0, 1).reshape(m, -1)
     x = rows[:, schema.numeric_indices].ravel()
-    loss, dg, ds = sp.crps_loss_batch(gamma.ravel(), sp.slopes_to_b(raw_flat), knots, x)
+    loss, dg, ds = sp.crps_loss_batch(gamma.ravel(), sp.slopes_to_b(raw_km), knots, x)
     crps_sum = 0.0
     for column_loss in np.ascontiguousarray(loss.reshape(n, -1).T).sum(axis=1):
         crps_sum += 0.5 * column_loss
@@ -178,7 +180,7 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     # closed-form gradient, scaled by the 1/2 on the loss and the batch mean
     np.multiply(dg.reshape(n, -1), 0.5 / n, out=d_gamma)
     ds *= 0.5 / n
-    d_raw[...] = sp.chain_slope_grads(ds, raw_flat).reshape(d_raw.shape)
+    d_raw[...] = sp.chain_slope_grads(ds, raw_km).reshape(m, n, -1).transpose(1, 2, 0)
 
     ce_sum = 0.0
     row_starts = np.arange(n)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import KIND_DISCRETE, KIND_ORDINAL, Table
 from .model import Checkpoint, check_seed, decoder_heads, net_sizes
-from .nn import last_axis_sum, mlp_forward, row_blocks, softmax
+from .nn import last_axis_sum, leading_axis_sum, mlp_forward, row_blocks, softmax
 from . import spline as sp
 
 ROUND_INTEGER = "integer"
@@ -95,12 +95,13 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
         # rounds differently, so a short last block keeps the previous block's
         # latents below its own, and their outputs are dropped
         latent = np.zeros((size, z.shape[1]))
-        knots, widths = cp.knots[:-1], np.diff(cp.knots)
-        # one hinge buffer, reused by every block: a fresh block-sized
-        # temporary is large enough for malloc to map and unmap it each time
-        buffer = np.empty((size, u.shape[1], knots.size))
+        knots, widths = cp.knots[:-1, None, None], np.diff(cp.knots)[:, None, None]
+        # one knot-major hinge buffer (M, rows, P), reused by every block: a
+        # fresh block-sized temporary is large enough for malloc to map and
+        # unmap it each time
+        buffer = np.empty((knots.size, size, u.shape[1]))
         # an overflowing decoder gives inf and NaN outputs; gumbel_max's check
-        # or Table's finiteness check turns them into the one error raised
+        # or the finiteness check below turns them into the one error raised
         with np.errstate(over="ignore", invalid="ignore"):
             for block in blocks:
                 count = block.stop - block.start
@@ -108,11 +109,11 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
                 dec_out, _ = mlp_forward(cp.decoder, latent)
                 gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:count])
                 # the part of each segment below u: clip(u - d_m, 0, d_{m+1} - d_m)
-                hinge = buffer[:count]
-                np.subtract(u[block, :, None], knots, out=hinge)
+                hinge = buffer[:, :count]
+                np.subtract(u[block], knots, out=hinge)
                 np.clip(hinge, 0.0, widths, out=hinge)
-                np.multiply(sp.slopes_to_b(raw), hinge, out=hinge)
-                rows[block, schema.numeric_indices] = gamma + np.sum(hinge, axis=2)
+                np.multiply(sp.slopes_to_b(raw).transpose(2, 0, 1), hinge, out=hinge)
+                rows[block, schema.numeric_indices] = gamma + leading_axis_sum(hinge)
                 for scores, col, g in zip(logits, schema.discrete_indices, noise):
                     try:
                         rows[block, col] = gumbel_max(softmax(scores), g[block])
@@ -123,6 +124,8 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
             numeric = schema.numeric_indices
             rows[:, numeric] = rows[:, numeric] * cp.scaling.stddev + cp.scaling.mean
             for col in numeric:
+                if not np.all(np.isfinite(rows[:, col])):
+                    raise ValueError(f"column {schema.columns[col].name!r}: sampled values are not finite")
                 if schema.columns[col].kind == KIND_ORDINAL:
                     rows[:, col] = round_ordinal(rows[:, col], ordinal_rounding)
     return Table(schema=schema, rows=rows, scaling=None)
@@ -171,7 +174,7 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     z = sample_prior(n_mc, cp.config.latent_dim, seed)
     dec_out, _ = mlp_forward(cp.decoder, z)
     gamma, raw, _ = decoder_heads(schema, cp.config.knot_count, dec_out)
-    s = sp.slopes_to_b(raw[:, k])
+    s = sp.slopes_to_b(np.ascontiguousarray(raw[:, k].T))
     values = sp.knot_values(gamma[:, k], s, cp.knots)
     if grid is None:
         grid = np.linspace(cp.quantile_lo[k], cp.quantile_hi[k], 201)

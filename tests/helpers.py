@@ -389,7 +389,8 @@ def column_major_elbo_grads(model, rows, noise):
 
     raw_flat = raw.transpose(1, 0, 2).reshape(gamma.size, knots.size - 1)
     x = rows[:, schema.numeric_indices].T.ravel()
-    loss, dg, ds = sp.crps_loss_batch(gamma.T.ravel(), sp.slopes_to_b(raw_flat), knots, x)
+    loss, dg, ds = sp.crps_loss_batch(gamma.T.ravel(), sp.slopes_to_b(raw_flat).T, knots, x)
+    ds = ds.T
     crps_sum = 0.0
     for column_loss in loss.reshape(gamma.shape[1], n).sum(axis=1):
         crps_sum += 0.5 * column_loss

@@ -55,7 +55,7 @@ def test_01_closed_form_loss_matches_quadrature():
     oracle_gap = 0.0
     for i in range(1000):
         gamma, s, knots, x = random_spline(rng)
-        loss, _, _ = crps_loss_batch(gamma, s, knots, x)
+        loss, _, _ = crps_loss_batch(gamma, s.T, knots, x)
         exact = crps_exact(gamma, s, knots, x)
         worst = max(worst, abs(loss[0] - exact))
         if i < 50:  # the exact oracle itself, against a plain trapezoid rule
@@ -75,7 +75,7 @@ def test_02_finite_sum_loss_and_weight_converge():
     worst = 0.0
     for _ in range(100):
         gamma, s, knots, x = random_spline(rng)
-        loss, _, _ = crps_loss_batch(gamma, s, knots, x)
+        loss, _, _ = crps_loss_batch(gamma, s.T, knots, x)
         worst = max(worst, abs(crps_loss_finite_k(gamma, s, knots, x, k) - loss[0] / 2.0))
     weight_err = abs(mean_log_alpha_weight(k) + 2.0)
     ok = worst < 1e-3 and weight_err < 1e-2
@@ -130,8 +130,8 @@ def test_04_decoder_outputs_are_valid_distributions(default_run):
         out, _ = mlp_forward(model.decoder, z)
         gamma, raw, logit_blocks = decoder_heads(schema, model.config.knot_count, out)
         for k in range(gamma.shape[1]):
-            kv = knot_values(gamma[:, k], slopes_to_b(raw[:, k]), model.knots)
-            monotone_ok &= bool(np.all(np.diff(kv, axis=1) >= 0.0))
+            kv = knot_values(gamma[:, k], slopes_to_b(raw[:, k].T), model.knots)
+            monotone_ok &= bool(np.all(np.diff(kv, axis=0) >= 0.0))
         for logits in logit_blocks:
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             probs = e / e.sum(axis=1, keepdims=True)

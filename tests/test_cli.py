@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,6 +190,20 @@ def test_generate_nan_probabilities_exit_1_naming_the_column(workspace, trained)
     assert result.returncode == 1
     assert result.stderr.startswith("error: column 'c': probs must hold probability vectors")
     assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+    assert not out.exists()
+
+
+def test_generate_numeric_overflow_exit_1_naming_the_column(workspace, trained):
+    cp = load_checkpoint(trained)
+    broken_cp = replace(cp, params=cp.params.copy())
+    weight, bias = broken_cp.decoder[-1]
+    bias[0], weight[0] = 1.79e308, 1e306  # column x's gamma
+    broken = workspace / "overflowed_numeric.json"
+    save_checkpoint(broken_cp, broken)
+    out = workspace / "never_numeric.csv"
+    result = run_cli("generate", "--model", broken, "--n", 50, "--seed", 1, "--out", out)
+    assert result.returncode == 1
+    assert result.stderr == "error: column 'x': sampled values are not finite\n"
     assert not out.exists()
 
 

@@ -125,8 +125,8 @@ def test_decode_outputs_valid_heads():
     assert gamma.shape[1] == 2 and len(logits) == 1
     for k in range(gamma.shape[1]):
         # D is linear between knots, so non-decreasing knot values make it monotone
-        values = knot_values(gamma[:, k], slopes_to_b(raw[:, k]), model.knots)
-        assert np.all(np.diff(values, axis=1) >= 0.0)
+        values = knot_values(gamma[:, k], slopes_to_b(raw[:, k].T), model.knots)
+        assert np.all(np.diff(values, axis=0) >= 0.0)
     for block in logits:
         probs = softmax(block)
         assert np.all(probs >= 0.0)

@@ -19,6 +19,7 @@ from tabsynth.nn import (
     adam_step,
     last_axis_max,
     last_axis_sum,
+    leading_axis_sum,
     layer_views,
     logistic,
     mlp_backward,
@@ -98,6 +99,46 @@ def test_numpy_sums_a_short_last_axis_left_to_right_from_positive_zero(lead, t):
         for j in range(t):
             left_to_right = left_to_right + a[..., j]
         assert a.sum(axis=-1).tobytes() == left_to_right.tobytes()
+
+
+def nan_blind_bits(a):
+    """a's bytes with every NaN written as one NaN. Which of two NaNs an add
+    returns depends on the lane numpy's loop computes it in (a vector body
+    keeps the first operand's, a scalar tail the second's), so no order of
+    adds pins a NaN's sign."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@pytest.mark.parametrize("t", range(nn.SHORT_AXIS, 41))
+@pytest.mark.parametrize("lead", AWKWARD_SHAPES)
+def test_numpy_sums_a_last_axis_from_8_on_by_eight_accumulators_and_a_tree(lead, t):
+    # leading_axis_sum relies on this order (numpy's pairwise sum up to its
+    # block of 128 entries); a numpy release that changes it fails here
+    a = awkward_array(lead + (t,), seed=300 + t)
+    a[(0,) * len(lead)] = -0.0  # a row of -0.0 sums to +0.0
+    with np.errstate(invalid="ignore"):
+        acc = [a[..., j] for j in range(8)]
+        stop = t - t % 8
+        for i in range(8, stop, 8):
+            acc = [acc[j] + a[..., i + j] for j in range(8)]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for j in range(stop, t):
+            total = total + a[..., j]
+        total = 0.0 + total
+        assert nan_blind_bits(a.sum(axis=-1)) == nan_blind_bits(total)
+    assert not np.signbit(total[(0,) * len(lead)])
+
+
+@pytest.mark.parametrize("t", [1, 2, 7, 8, 9, 10, 16, 17, 24, 40, 127, 128, 129, 300])
+@pytest.mark.parametrize("lead", AWKWARD_SHAPES)
+def test_leading_axis_sum_matches_numpy_last_axis_sum_bit_for_bit(lead, t):
+    a = awkward_array(lead + (t,), seed=400 + t)
+    a[(0,) * len(lead)] = -0.0
+    with np.errstate(invalid="ignore"):
+        want = a.sum(axis=-1)
+        got = leading_axis_sum(np.ascontiguousarray(np.moveaxis(a, -1, 0)))
+    assert got.shape == want.shape
+    assert nan_blind_bits(got) == nan_blind_bits(want)
 
 
 @pytest.mark.parametrize("t", [*range(1, nn.SHORT_AXIS), 8, 10, 20])

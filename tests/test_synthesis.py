@@ -133,7 +133,7 @@ def test_generate_numeric_overflow_fails_at_the_finiteness_check(mixed_checkpoin
     broken = replace(mixed_checkpoint, params=mixed_checkpoint.params.copy())
     weight, bias = broken.decoder[-1]
     bias[0], weight[0] = 1.79e308, 1e306  # column x's gamma
-    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"), pytest.raises(ValueError, match="must be finite"):
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"), pytest.raises(ValueError, match="^column 'x': sampled values are not finite$"):
         warnings.simplefilter("error")
         generate(broken, 50, seed=0)
 
