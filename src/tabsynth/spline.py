@@ -44,7 +44,12 @@ def slopes_to_b(slope_raw: np.ndarray) -> np.ndarray:
 
 def _check_layout(s: np.ndarray, **arrays) -> None:
     """Row-major arrays can broadcast against knot-major ones without error,
-    so each input's shape is checked against the slopes' (M, N)."""
+    so each input's shape is checked against the slopes' (M, N).
+
+    Shapes cannot tell a square s apart: with N == M, a row-major s (N, M)
+    passes as knot-major, and knot_values and crps_loss_batch return the
+    results of the transposed splines without an error. Only row-major knot
+    values (N, M+1) handed to spline_inverse_batch are caught."""
     m, n = s.shape
     for name, a in arrays.items():
         want = (m + 1, n) if name == "values" else (n,)

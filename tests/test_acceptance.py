@@ -27,7 +27,6 @@ from tabsynth import (
     dcr,
     elbo_grads,
     estimate_cdf,
-    generate,
     ks_statistic,
     membership_inference,
     model_init,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from helpers import (
-    argpartition_attribute_disclosure,
     brute_auc,
     brute_ks,
     brute_majority_votes,
@@ -383,14 +382,6 @@ def test_attribute_disclosure_distance_ties_at_k1_go_to_the_lowest_synthetic_row
 
     assert attribute_disclosure(real, pairs(secret, 1 - secret), ["x"], ["s"], k=1) == 1.0
     assert attribute_disclosure(real, pairs(1 - secret, secret), ["x"], ["s"], k=1) == 0.0
-
-
-@pytest.mark.parametrize("n", [301, 2000])
-def test_attribute_disclosure_without_ties_matches_argpartition_at_every_k(n):
-    real, synth = neighbour_tables(n)
-    for k in (1, 10, 100):
-        got = attribute_disclosure(real, synth, ["x", "y"], ["s", "t"], k=k)
-        assert got == argpartition_attribute_disclosure(real, synth, ["x", "y"], ["s", "t"], k=k)
 
 
 @pytest.mark.parametrize("block_rows", [2, 7])

@@ -4,14 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (
-    blockwise_adam_init,
-    blockwise_adam_step,
-    grad_rel_err,
-    masked_logistic,
-    masked_softplus,
-    reduced_softmax,
-)
+from helpers import grad_rel_err, masked_logistic, masked_softplus, reduced_softmax
 from tabsynth import nn
 from tabsynth.nn import (
     AdamState,
@@ -241,15 +234,16 @@ def test_layer_views_lay_out_weight_row_major_then_bias():
 
 
 def _reference_adam(p0, grads, lr):
-    p = float(p0)
-    m = v = 0.0
+    """Textbook bias-corrected Adam over gradients of p0's shape: (p, m, v)."""
+    p = np.array(p0, dtype=np.float64)
+    m = v = np.zeros_like(p)
     for t, g in enumerate(grads, start=1):
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
         m_hat = m / (1.0 - 0.9**t)
         v_hat = v / (1.0 - 0.999**t)
-        p -= lr * m_hat / (math.sqrt(v_hat) + 1e-8)
-    return p
+        p = p - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return p, m, v
 
 
 def test_adam_matches_reference_sequence():
@@ -258,7 +252,7 @@ def test_adam_matches_reference_sequence():
     grads = [0.5, -0.2, 0.9, 0.05]
     for g in grads:
         adam_step(param, np.array([g]), state)
-    assert param[0] == pytest.approx(_reference_adam(1.0, grads, 0.1), abs=1e-14)
+    assert param[0] == pytest.approx(_reference_adam(1.0, grads, 0.1)[0], abs=1e-14)
     assert state.t == 4
 
 
@@ -275,37 +269,35 @@ def test_adam_updates_in_place_across_shapes():
 MIXED_SHAPES = [(3, 2), (3,), (1, 3), (1,), (4, 1, 2), ()]
 
 
-def test_flat_adam_matches_blockwise_reference_bit_for_bit():
+def test_adam_step_matches_reference_adam_bit_for_bit():
     rng = np.random.default_rng(7)
-    blocks = [rng.normal(size=s) for s in MIXED_SHAPES]
-    flat = np.concatenate([b.ravel() for b in blocks])
-    reference = blockwise_adam_init(blocks, lr=0.05)
+    flat = rng.normal(size=sum(math.prod(s) for s in MIXED_SHAPES))
+    start = flat.copy()
     state = adam_init(MIXED_SHAPES, lr=0.05)
+    grads = []
     for step in range(6):
-        grads = [rng.normal(scale=10.0 ** (step - 3), size=s) for s in MIXED_SHAPES]
-        blockwise_adam_step(blocks, grads, reference)
-        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state)
-        assert flat.tobytes() == np.concatenate([b.ravel() for b in blocks]).tobytes()
-        assert state.m.tobytes() == np.concatenate([m.ravel() for m in reference.m]).tobytes()
-        assert state.v.tobytes() == np.concatenate([v.ravel() for v in reference.v]).tobytes()
+        grads.append(rng.normal(scale=10.0 ** (step - 3), size=flat.size))
+        adam_step(flat, grads[-1], state)
+        p, m, v = _reference_adam(start, grads, lr=0.05)
+        assert flat.tobytes() == p.tobytes()
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
 
 
 def test_adam_rejects_non_finite_gradients():
-    # the flat step names the block the blockwise reference stops at: the
-    # first and last element of every block, and an inf behind a NaN
-    sizes = [math.prod(s) for s in MIXED_SHAPES]
-    ends = np.cumsum(sizes)
-    cases = [{int(i): np.nan} for i in [*(ends - sizes), *(ends - 1)]] + [{8: np.inf, 14: np.nan}]
-    for case in cases:
-        grad = np.zeros(ends[-1])
-        grad[list(case)] = list(case.values())
-        grads = [g.reshape(s) for g, s in zip(np.split(grad, ends[:-1]), MIXED_SHAPES)]
-        blocks = [np.zeros(s) for s in MIXED_SHAPES]
-        with pytest.raises(FloatingPointError) as want:
-            blockwise_adam_step(blocks, grads, blockwise_adam_init(blocks))
-        with pytest.raises(FloatingPointError, match=r"^non-finite gradient in parameter block \d+ \(shape") as got:
-            adam_step(np.zeros(grad.size), grad, adam_init(MIXED_SHAPES))
-        assert str(got.value) == str(want.value)
+    # the first and last entry of each block (sizes 6, 3, 3, 1, 8, 1); an inf before a NaN
+    cases = [
+        ({0: np.nan}, 0, "(3, 2)"), ({5: np.nan}, 0, "(3, 2)"), ({6: np.nan}, 1, "(3,)"),
+        ({8: np.nan}, 1, "(3,)"), ({9: np.nan}, 2, "(1, 3)"), ({11: np.nan}, 2, "(1, 3)"),
+        ({12: np.nan}, 3, "(1,)"), ({13: np.nan}, 4, "(4, 1, 2)"), ({20: np.nan}, 4, "(4, 1, 2)"),
+        ({21: np.nan}, 5, "()"), ({8: np.inf, 14: np.nan}, 1, "(3,)"),
+    ]
+    for bad, block, shape in cases:
+        grad = np.zeros(22)
+        grad[list(bad)] = list(bad.values())
+        with pytest.raises(FloatingPointError) as info:
+            adam_step(np.zeros(22), grad, adam_init(MIXED_SHAPES))
+        assert str(info.value) == f"non-finite gradient in parameter block {block} (shape {shape})"
 
 
 def test_adam_rejects_misaligned_vectors():

@@ -8,8 +8,6 @@ import pytest
 from scipy import stats
 
 from helpers import (
-    hinge_estimate_cdf,
-    hinge_generate,
     one_shot_generate,
     overflowed_discrete_logits,
     per_point_estimate_cdf,
@@ -179,16 +177,6 @@ def test_short_last_block_matches_one_shot(mixed_checkpoint):
         assert rows.tobytes() == one_shot_generate(cp, block + tail, tail).tobytes()
 
 
-@pytest.mark.parametrize("name", ["normal", "mixed"])
-def test_generate_matches_hinge_form_reference(normal_checkpoint, mixed_checkpoint, name):
-    cp = normal_checkpoint if name == "normal" else mixed_checkpoint
-    rows = generate(cp, 20_000, seed=11).rows
-    ref = hinge_generate(cp, 20_000, seed=11)
-    numeric, discrete = cp.schema.numeric_indices, cp.schema.discrete_indices
-    assert np.array_equal(rows[:, discrete], ref[:, discrete])
-    np.testing.assert_allclose(rows[:, numeric], ref[:, numeric], rtol=1e-9, atol=0.0)
-
-
 def test_generate_memory_does_not_grow_with_the_decoded_rows(default_run):
     # a one-pass decode of 4e5 toy rows peaks at about 464 MB
     tracemalloc.start()
@@ -308,13 +296,6 @@ def test_estimate_cdf_matches_per_point_reference(normal_checkpoint, grid):
     curve = estimate_cdf(normal_checkpoint, "x", grid=grid, n_mc=700, seed=3)
     expected = per_point_estimate_cdf(normal_checkpoint, "x", grid=grid, n_mc=700, seed=3)
     assert curve.values.tobytes() == expected.tobytes()
-
-
-def test_estimate_cdf_matches_hinge_form_reference(normal_checkpoint):
-    grid = np.linspace(-4.0, 9.0, 57)
-    curve = estimate_cdf(normal_checkpoint, "x", grid=grid, n_mc=700, seed=3)
-    expected = hinge_estimate_cdf(normal_checkpoint, "x", grid=grid, n_mc=700, seed=3)
-    assert np.max(np.abs(curve.values - expected)) <= 1e-12
 
 
 def test_estimate_cdf_rejects_discrete(normal_checkpoint):
