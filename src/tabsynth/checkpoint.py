@@ -3,7 +3,7 @@
 Floats are written with 17 significant digits, which is enough for the
 parsed value to equal the original bit for bit, so save -> load -> save
 reproduces the file exactly. Weight shapes are validated against the
-stored config on load.
+stored config on load; format 1 files load through model.format_1_decoder.
 """
 
 from __future__ import annotations
@@ -11,17 +11,17 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict, fields
-from functools import cache
+from functools import cache, partial
 from typing import get_type_hints
 
 import numpy as np
 
 from .data import ScalingStats, check_scaling_names, schema_from_doc
-from .model import Checkpoint, LossBreakdown, TrainConfig, net_sizes
+from .model import Checkpoint, LossBreakdown, TrainConfig, format_1_decoder, net_sizes
 from .nn import Mlp
 from .serialize import json_text
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 ACTIVATIONS = ["relu", "identity"]  # the fixed two-layer networks: relu after the hidden layer only
 
 # resolving annotations takes ~40 us, and the loss trace holds one entry per epoch
@@ -108,9 +108,9 @@ def _reject_constant(name):
     raise ValueError(f"corrupt checkpoint: non-finite number {name}")
 
 
-def _mlp_from_doc(doc, path, sizes) -> list[np.ndarray]:
-    """The network's weight and bias arrays, layer by layer, each weight
-    checked against the shape that sizes gives it."""
+def _mlp_from_doc(doc, path, sizes) -> np.ndarray:
+    """The network's flat parameters, as nn.layer_views reads them, each
+    weight checked against the shape that sizes gives it."""
     if _require(doc, "activations", path, list) != ACTIVATIONS:
         raise ValueError(f"corrupt checkpoint: {path}.activations must be {ACTIVATIONS}")
     blocks = []
@@ -122,7 +122,7 @@ def _mlp_from_doc(doc, path, sizes) -> list[np.ndarray]:
         blocks += [weight, bias]
     if [w.shape for w in blocks[::2]] != [(n_out, n_in) for n_in, n_out in zip(sizes[:-1], sizes[1:])]:
         raise ValueError(f"corrupt checkpoint: {path} shape does not match schema/config")
-    return blocks
+    return np.concatenate([b.ravel() for b in blocks])
 
 
 def checkpoint_from_text(text: str) -> Checkpoint:
@@ -131,10 +131,10 @@ def checkpoint_from_text(text: str) -> Checkpoint:
     except json.JSONDecodeError as err:
         raise ValueError(f"corrupt checkpoint: not valid JSON ({err})") from None
     version = _require(doc, "format_version", "checkpoint")
-    if version != CHECKPOINT_FORMAT_VERSION or isinstance(version, bool):
+    if version not in (1, CHECKPOINT_FORMAT_VERSION) or isinstance(version, bool):
         raise ValueError(
             f"unsupported checkpoint format version {version!r} "
-            f"(this build reads version {CHECKPOINT_FORMAT_VERSION})"
+            f"(this build reads versions 1 and {CHECKPOINT_FORMAT_VERSION})"
         )
     schema = schema_from_doc(_require(doc, "schema", "checkpoint"), "corrupt checkpoint: schema")
 
@@ -147,9 +147,10 @@ def checkpoint_from_text(text: str) -> Checkpoint:
     check_scaling_names(schema, scaling)
 
     config = _fields_from_doc(TrainConfig, _require(doc, "config", "checkpoint"), "config")
-    blocks = []
-    for name, sizes in zip(("encoder", "decoder"), net_sizes(schema, config)):
-        blocks += _mlp_from_doc(_require(doc, name, "checkpoint"), name, sizes)
+    encoder_sizes, decoder_sizes = net_sizes(schema, config)
+    encoder = _mlp_from_doc(_require(doc, "encoder", "checkpoint"), "encoder", encoder_sizes)
+    read_decoder = partial(_mlp_from_doc, _require(doc, "decoder", "checkpoint"), "decoder")
+    decoder = format_1_decoder(schema, config, read_decoder) if version == 1 else read_decoder(decoder_sizes)
 
     quantiles = _require(doc, "quantiles", "checkpoint")
     bounds = [_float_array(quantiles, key, "quantiles", 1) for key in ("low", "high")]
@@ -164,7 +165,7 @@ def checkpoint_from_text(text: str) -> Checkpoint:
         schema=schema,
         scaling=scaling,
         config=config,
-        params=np.concatenate([b.ravel() for b in blocks]),
+        params=np.concatenate([encoder, decoder]),
         quantile_lo=bounds[0],
         quantile_hi=bounds[1],
         loss_trace=trace,

@@ -29,16 +29,7 @@ def cmd_train(args) -> int:
     if args.clip_percentiles:
         table = drop_percentile_outliers(table)
     table = standardize(table)
-    config = TrainConfig(
-        seed=args.seed,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        beta=args.beta,
-        latent_dim=args.latent_dim,
-        knot_count=args.knots,
-        hidden_width=args.hidden,
-    )
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
     def progress(epoch, loss):
         print(
@@ -110,12 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     default = {f.name: f.default for f in fields(TrainConfig)}
     p.add_argument("--epochs", type=int, default=default["epochs"])
     p.add_argument("--batch-size", type=int, default=default["batch_size"])
-    p.add_argument("--lr", type=float, default=default["learning_rate"])
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=default["learning_rate"])
     p.add_argument("--beta", type=float, default=default["beta"],
                    help="weight of the KL term; larger trades fidelity for privacy")
     p.add_argument("--latent-dim", type=int, default=default["latent_dim"])
-    p.add_argument("--knots", type=int, default=default["knot_count"], help="spline segment count")
-    p.add_argument("--hidden", type=int, default=default["hidden_width"])
+    p.add_argument("--knots", dest="knot_count", metavar="KNOTS", type=int, default=default["knot_count"],
+                   help="spline segment count")
+    p.add_argument("--hidden", dest="hidden_width", metavar="HIDDEN", type=int, default=default["hidden_width"])
     p.add_argument("--clip-percentiles", action="store_true",
                    help="drop rows outside the 1%%-99%% numeric ranges before training")
     p.set_defaults(func=cmd_train)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import KIND_DISCRETE, Schema, Table, apply_scaling, one_hot_matrix, standardize
+from .data import KIND_DISCRETE, Schema, ScalingStats, Table, apply_scaling, one_hot_matrix, standardize
 from .model import Checkpoint, check_seed, encode_batch, train
 from .nn import row_blocks, softmax
 from .synthesis import generate
@@ -256,16 +256,16 @@ class MluResult:
     f1: float
 
 
-def mlu(real_train: Table, real_test: Table, synth: Table,
+def mlu(train_scaling: ScalingStats, real_test: Table, synth: Table,
         reg_target: str, cls_target: str) -> MluResult:
     """Machine learning utility: fit on synthetic rows, score on real test
     rows. Regression is OLS without intercept scored by MARE;
     classification is multinomial logistic regression scored by macro F1.
-    Tables are in native units; features are standardized internally by the
-    real training stats.
+    Tables are in native units; features are standardized internally by
+    train_scaling, the real training split's stats.
     """
-    schema = real_train.schema
-    if real_test.schema != schema or synth.schema != schema:
+    schema = real_test.schema
+    if synth.schema != schema:
         raise ValueError("mlu needs tables with equal schemas")
     jr = schema.index(reg_target)
     jc = schema.index(cls_target)
@@ -273,9 +273,8 @@ def mlu(real_train: Table, real_test: Table, synth: Table,
         raise ValueError(f"regression target {reg_target!r} must be numeric")
     if schema.columns[jc].kind != KIND_DISCRETE:
         raise ValueError(f"classification target {cls_target!r} must be discrete")
-    scaling = standardize(real_train).scaling
-    fit_rows = apply_scaling(synth, scaling).rows
-    eval_rows = apply_scaling(real_test, scaling).rows
+    fit_rows = apply_scaling(synth, train_scaling).rows
+    eval_rows = apply_scaling(real_test, train_scaling).rows
 
     def features(rows, target):
         # every column but the target, in the encoder's one-hot layout
@@ -531,7 +530,7 @@ def build_report(real_train: Table, real_test: Table, synth: Table,
         ]))
 
     dcr_result = dcr(train_std, synth_std)
-    utility = mlu(real_train, real_test, synth, reg_target, cls_target)
+    utility = mlu(train_std.scaling, real_test, synth, reg_target, cls_target)
 
     vrates = {}
     for alpha in VRATE_ALPHAS:

@@ -94,7 +94,8 @@ class Checkpoint(VaeModel):
     the per-numeric-column data.OUTLIER_QUANTILES (1%/99%) of the standardized
     training data (used as the default evaluation grid), and the loss trace.
     The file format version is not a field: checkpoint.checkpoint_to_text
-    writes checkpoint.CHECKPOINT_FORMAT_VERSION, and loading rejects any other."""
+    writes checkpoint.CHECKPOINT_FORMAT_VERSION (2); loading also reads
+    format 1 through format_1_decoder and rejects any other version."""
 
     scaling: ScalingStats
     quantile_lo: np.ndarray
@@ -103,28 +104,25 @@ class Checkpoint(VaeModel):
 
 
 def decoder_width(schema: Schema, knot_count: int) -> int:
-    # gamma, one raw slope per segment, and one output that reaches nothing
-    # (dropping it would change the init draw and every trained model)
-    per_numeric = knot_count + 2
-    return len(schema.numeric_indices) * per_numeric + sum(
+    return len(schema.numeric_indices) * (knot_count + 1) + sum(
         schema.columns[i].n_levels for i in schema.discrete_indices
     )
 
 
 def decoder_heads(schema: Schema, knot_count: int, dec_out: np.ndarray):
     """Views, not copies, of decoder outputs (n, decoder_width): gamma (n, P) and
-    raw segment slopes (n, P, M) for the P numeric columns, each owning M+2
-    adjacent outputs (gamma, the slopes, one unused), then one (n, t) logit
-    block per discrete column."""
+    raw segment slopes (n, P, M) for the P numeric columns, each owning M+1
+    adjacent outputs (gamma, then the slopes), then one (n, t) logit block
+    per discrete column."""
     n, p = dec_out.shape[0], len(schema.numeric_indices)
-    pos = p * (knot_count + 2)
-    numeric = dec_out[:, :pos].reshape(n, p, knot_count + 2)
+    pos = p * (knot_count + 1)
+    numeric = dec_out[:, :pos].reshape(n, p, knot_count + 1)
     logits = []
     for i in schema.discrete_indices:
         t = schema.columns[i].n_levels
         logits.append(dec_out[:, pos : pos + t])
         pos += t
-    return numeric[:, :, 0], numeric[:, :, 1:-1], logits
+    return numeric[:, :, 0], numeric[:, :, 1:], logits
 
 
 def net_sizes(schema: Schema, config: TrainConfig):
@@ -133,10 +131,25 @@ def net_sizes(schema: Schema, config: TrainConfig):
     return (schema.encoded_width, h, 2 * d), (d, h, decoder_width(schema, config.knot_count))
 
 
+def format_1_decoder(schema: Schema, config: TrainConfig, read) -> np.ndarray:
+    """Map a format-1 decoder, which gave each numeric column p the M+2 outputs
+    gamma, M slopes and one that reached nothing, to the current layout by
+    dropping the last layer's row p*(M+2) + M+1. read(sizes) gives the format-1
+    decoder's flat parameters at its layer widths."""
+    p, m = len(schema.numeric_indices), config.knot_count
+    d, h, width = net_sizes(schema, config)[1]
+    sizes = (d, h, width + p)
+    (w1, b1), (w2, b2) = layer_views(sizes, read(sizes))
+    dead = np.arange(p) * (m + 2) + m + 1
+    return np.concatenate([w1.ravel(), b1, np.delete(w2, dead, axis=0).ravel(), np.delete(b2, dead)])
+
+
 def model_init(schema: Schema, config: TrainConfig, rng: np.random.Generator) -> VaeModel:
-    """Glorot-uniform weights and zero biases, the encoder's drawn first."""
-    params = np.concatenate([mlp_init(sizes, rng) for sizes in net_sizes(schema, config)])
-    return VaeModel(schema=schema, config=config, params=params)
+    """Glorot-uniform weights and zero biases, the encoder's drawn first; the
+    decoder is drawn at format 1's widths, so a seed keeps its format-1 weights."""
+    encoder = mlp_init(net_sizes(schema, config)[0], rng)
+    decoder = format_1_decoder(schema, config, lambda sizes: mlp_init(sizes, rng))
+    return VaeModel(schema=schema, config=config, params=np.concatenate([encoder, decoder]))
 
 
 def encode_batch(model: VaeModel, rows: np.ndarray):

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite, of three kinds only:
 
 - independent oracles that share no code with the src they check (the
-  exact and quadrature CRPS, the brute_* metrics, grad_rel_err);
+  exact and quadrature CRPS, the exact CRPS gradient, the brute_* metrics,
+  grad_rel_err);
 - references for a claim src documents, each naming the claim in its
   docstring; the fast code must match them bit for bit;
 - builders of pinned inputs: random_spline and overflowed_discrete_logits.
@@ -71,16 +72,35 @@ def _level_of(x, knots, values):
             hi = mid
 
 
+def _piecewise_nodes(gamma, s, knots, x):
+    """3-point Gauss-Legendre levels and weights on each piece between the
+    knots and the level where D crosses x, and that level."""
+    level = _level_of(x[0], knots, _knot_values(gamma, s, knots))
+    edges = np.union1d(knots, [level])
+    half = np.diff(edges)[:, None] / 2.0
+    alphas = (edges[:-1, None] + half + half * _GL_NODES).ravel()
+    return alphas, (half * _GL_WEIGHTS).ravel(), level
+
+
 def crps_exact(gamma, s, knots, x) -> float:
     """2 * integral of the check loss over alpha for a length-1 batch, by
     3-point Gauss-Legendre on each piece between the knots and the level
     where D crosses x. The integrand is quadratic on every piece, so the rule
     is exact up to round-off."""
-    level = _level_of(x[0], knots, _knot_values(gamma, s, knots))
-    edges = np.union1d(knots, [level])
-    half = np.diff(edges)[:, None] / 2.0
-    alphas = (edges[:-1, None] + half + half * _GL_NODES).ravel()
-    return 2.0 * float(np.sum((half * _GL_WEIGHTS).ravel() * _check_loss(gamma, s, knots, x, alphas)))
+    alphas, weights, _ = _piecewise_nodes(gamma, s, knots, x)
+    return 2.0 * float(np.sum(weights * _check_loss(gamma, s, knots, x, alphas)))
+
+
+def crps_grads_exact(gamma, s, knots, x):
+    """crps_exact's gradient in gamma and in each slope s_m, for a length-1
+    batch: 2 * integral over alpha of (1{alpha > a_t} - alpha) dD/dtheta,
+    with dD/dgamma = 1 and dD/ds_m = clip(alpha - d_m, 0, d_{m+1} - d_m),
+    where a_t is the level at which D crosses x. Integrated as crps_exact is:
+    the integrand is a polynomial of degree 2 at most on every piece."""
+    alphas, weights, level = _piecewise_nodes(gamma, s, knots, x)
+    weights = 2.0 * weights * ((alphas > level) - alphas)
+    rise = np.clip(alphas[None, :] - knots[:-1, None], 0.0, np.diff(knots)[:, None])
+    return float(weights.sum()), rise @ weights
 
 
 def crps_quadrature(gamma, s, knots, x, nodes: int = 1_000_001) -> float:
@@ -112,8 +132,8 @@ def mean_log_alpha_weight(k: int) -> float:
 def random_spline(rng: np.random.Generator):
     """A random length-1 batch (gamma (1,), s (1, M), knots, x (1,)). Mixes
     steep, gentle, and nearly flat slopes, and places x both inside and
-    outside the spline's range. Draws one raw slope per knot, as the decoder
-    emits them, and uses the first M."""
+    outside the spline's range. Draws M+1 raw slopes, as the fixtures were
+    first drawn, and uses the first M."""
     m = int(rng.integers(1, 13))
     gamma = float(rng.normal(0.0, 2.0))
     slope_raw = rng.normal(0.0, 2.5, size=m + 1)

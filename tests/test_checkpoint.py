@@ -322,13 +322,48 @@ def test_fuzzed_checkpoint_loads_or_raises_value_error(small_checkpoint, data):
     assert isinstance(loaded, Checkpoint)
 
 
-def test_format_1_checkpoint_from_the_hinge_form_generates_the_same_rows():
+def assert_generates_the_committed_v1_rows(cp):
     # written, and sampled with generate --n 200 --seed 3, by the release whose
     # numeric head summed hinge weights: the segment slopes read the same
     # decoder outputs, so only the last bits of numeric cells may move
-    cp = load_checkpoint(DATA / "checkpoint_v1.json")
     expected = load_csv(DATA / "checkpoint_v1_n200_seed3.csv", cp.schema).rows
     rows = generate(cp, 200, seed=3).rows
     numeric, discrete = cp.schema.numeric_indices, cp.schema.discrete_indices
     assert np.array_equal(rows[:, discrete], expected[:, discrete])
     np.testing.assert_allclose(rows[:, numeric], expected[:, numeric], rtol=1e-9, atol=0.0)
+
+
+def test_format_1_checkpoint_from_the_hinge_form_generates_the_same_rows():
+    assert_generates_the_committed_v1_rows(load_checkpoint(DATA / "checkpoint_v1.json"))
+
+
+def test_format_1_checkpoint_loads_without_its_dead_decoder_outputs():
+    # format 1 gave each of the 2 numeric columns M+2 = 8 outputs, the last one
+    # dead: rows 7 and 15 of the 19 in the last layer
+    cp = load_checkpoint(DATA / "checkpoint_v1.json")
+    doc = json.loads((DATA / "checkpoint_v1.json").read_text(encoding="utf-8"))
+    (w1, b1), (w2, b2) = [(np.array(layer["weight"]), np.array(layer["bias"])) for layer in doc["decoder"]["layers"]]
+    want = [w1, b1, np.delete(w2, [7, 15], axis=0), np.delete(b2, [7, 15])]
+    got = [a for layer in cp.decoder for a in layer]
+    assert [a.shape for a in got] == [a.shape for a in want]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_format_1_checkpoint_saves_as_format_2(tmp_path):
+    cp = load_checkpoint(DATA / "checkpoint_v1.json")
+    path = tmp_path / "model.json"
+    save_checkpoint(cp, path)
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text)["format_version"] == 2
+    again = load_checkpoint(path)
+    assert again.params.tobytes() == cp.params.tobytes()
+    assert checkpoint_to_text(again) == text
+    assert_generates_the_committed_v1_rows(again)
+
+
+def test_format_2_document_labelled_version_1_names_the_decoder_shape(small_checkpoint):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    assert doc["format_version"] == 2
+    doc["format_version"] = 1
+    with pytest.raises(ValueError, match="corrupt checkpoint: decoder shape does not match"):
+        checkpoint_from_text(json.dumps(doc))

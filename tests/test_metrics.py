@@ -223,7 +223,7 @@ def test_mlu_on_self_is_strong():
     c = (x > 2.0).astype(float)
     table = Table(schema, np.column_stack([x, y, c]))
     fit, hold = train_test_split(table, 0.25, seed=0)
-    result = mlu(fit, hold, fit, reg_target="y", cls_target="c")
+    result = mlu(standardize(fit).scaling, hold, fit, reg_target="y", cls_target="c")
     assert result.mare < 0.05
     assert result.f1 > 0.9
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import grad_rel_err
+from helpers import crps_grads_exact, grad_rel_err
 from tabsynth import (
     ColumnSpec,
     Schema,
@@ -17,7 +17,7 @@ from tabsynth import (
     train,
 )
 from tabsynth.model import decoder_heads, decoder_width, encode_batch
-from tabsynth.nn import mlp_forward, softmax
+from tabsynth.nn import layer_views, mlp_forward, mlp_init, softmax
 from tabsynth.spline import knot_values, slopes_to_b
 
 MIX_SCHEMA = Schema((
@@ -77,14 +77,14 @@ def test_config_rejects_non_positive(overrides):
 
 
 def test_decoder_width_and_heads():
-    # two numeric heads of gamma, M slopes and one unused output each, one 3-level softmax head
-    assert decoder_width(MIX_SCHEMA, 10) == 2 * 12 + 3
-    out = np.arange(4 * 27, dtype=np.float64).reshape(4, 27)
+    # two numeric heads of gamma and M slopes each, one 3-level softmax head
+    assert decoder_width(MIX_SCHEMA, 10) == 2 * 11 + 3
+    out = np.arange(4 * 25, dtype=np.float64).reshape(4, 25)
     gamma, raw, logits = decoder_heads(MIX_SCHEMA, 10, out)
     assert gamma.shape == (4, 2) and raw.shape == (4, 2, 10) and len(logits) == 1
     assert np.array_equal(gamma[:, 0], out[:, 0]) and np.array_equal(raw[:, 0], out[:, 1:11])
-    assert np.array_equal(gamma[:, 1], out[:, 12]) and np.array_equal(raw[:, 1], out[:, 13:23])
-    assert np.array_equal(logits[0], out[:, 24:27])
+    assert np.array_equal(gamma[:, 1], out[:, 11]) and np.array_equal(raw[:, 1], out[:, 12:22])
+    assert np.array_equal(logits[0], out[:, 22:25])
     for view in (gamma, raw, *logits):
         assert np.shares_memory(view, out)
 
@@ -92,9 +92,23 @@ def test_decoder_width_and_heads():
 def test_params_hold_encoder_then_decoder_as_views():
     model = random_model()
     blocks = [a for net in (model.encoder, model.decoder) for layer in net for a in layer]
-    assert [a.shape for a in blocks] == [(32, 5), (32,), (4, 32), (4,), (32, 2), (32,), (27, 32), (27,)]
+    assert [a.shape for a in blocks] == [(32, 5), (32,), (4, 32), (4,), (32, 2), (32,), (25, 32), (25,)]
     assert np.concatenate([a.ravel() for a in blocks]).tobytes() == model.params.tobytes()
     assert all(np.shares_memory(a, model.params) for a in blocks)
+
+
+def test_model_init_keeps_the_format_1_draw_without_its_dead_outputs():
+    # format 1 drew the decoder with M+2 outputs per numeric column, the last
+    # one dead: rows 4 and 9 of 13 at M = 3; every other weight is kept
+    config = TrainConfig(seed=4, knot_count=3, latent_dim=4, hidden_width=17)
+    model = model_init(MIX_SCHEMA, config, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    mlp_init((5, 17, 8), rng)  # the encoder is drawn first
+    (w1, b1), (w2, b2) = layer_views((4, 17, 13), mlp_init((4, 17, 13), rng))
+    want = [w1, b1, np.delete(w2, [4, 9], axis=0), np.delete(b2, [4, 9])]
+    got = [a for layer in model.decoder for a in layer]
+    assert [a.shape for a in got] == [a.shape for a in want]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_encode_zero_weights_is_standard_normal():
@@ -200,6 +214,33 @@ def test_elbo_grads_match_finite_differences(schema):
             lo = elbo_grads(model, rows, noise)[0].total
             model.params[j] = orig
             assert grad_rel_err(grads[j], (hi - lo) / (2 * eps)) < 1e-4
+
+
+def test_elbo_grads_numeric_head_bias_gradients_match_the_exact_integral():
+    # the encoder's output layer zeroed gives mu = log_var = 0, so z = noise exactly;
+    # each numeric column p owns decoder outputs p*(M+1) (gamma) to p*(M+1) + M
+    m, n = 4, 12
+    model = random_model(seed=3, knot_count=m, hidden_width=9)
+    for a in model.encoder[-1]:
+        a[...] = 0.0
+    rng = np.random.default_rng(11)
+    rows = random_rows(MIX_SCHEMA, rng, n)
+    rows[:, :2] = rng.uniform(-0.5, 1.5, (n, 2))  # about half inside D's range, half clamped
+    noise = rng.standard_normal((n, 2))
+    _, grads = elbo_grads(model, rows, noise)
+    (w1, b1), (w2, b2) = model.decoder
+    out = np.maximum(noise @ w1.T + b1, 0.0) @ w2.T + b2
+    knots = np.arange(m + 1) / m
+    want = np.zeros(2 * (m + 1))
+    for r in range(n):
+        for p in range(2):
+            gamma, raw = out[r, p * (m + 1) : p * (m + 1) + 1], out[r, p * (m + 1) + 1 : (p + 1) * (m + 1)]
+            dg, ds = crps_grads_exact(gamma, np.log1p(np.exp(raw))[None, :], knots, rows[r, p : p + 1])
+            # the loss is half the CRPS, averaged over the batch
+            want[p * (m + 1)] += 0.5 / n * dg
+            want[p * (m + 1) + 1 : (p + 1) * (m + 1)] += 0.5 / n * ds / (1.0 + np.exp(-raw))
+    got = grads[grads.size - b2.size :][: want.size]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def gaussian_table(n=500, seed=9):
