@@ -13,8 +13,8 @@ from dataclasses import fields
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import drop_percentile_outliers, load_csv, load_schema, save_csv, standardize
-from .metrics import build_report
-from .model import TrainConfig, train
+from .metrics import build_report, membership_inference
+from .model import TrainConfig, check_seed, train
 from .serialize import json_text
 from .synthesis import ROUND_DECIMAL, ROUND_INTEGER, estimate_cdf, generate
 
@@ -72,15 +72,19 @@ def cmd_evaluate(args) -> int:
     synth = load_csv(args.synth, schema)
     known = args.known_columns.split(",") if args.known_columns else None
     secrets = args.secret_columns.split(",") if args.secret_columns else None
-    checkpoint = load_checkpoint(args.model) if args.model else None
-    report = build_report(
+    if args.with_mia:  # fail before the metrics run, not after
+        checkpoint = load_checkpoint(args.model)
+        check_seed(args.seed)
+    doc = build_report(
         real_train, real_test, synth,
         reg_target=args.target_reg, cls_target=args.target_cls,
         known_columns=known, secret_columns=secrets,
-        checkpoint=checkpoint, with_mia=args.with_mia, seed=args.seed,
-    )
+    ).to_doc()
+    if args.with_mia:
+        mia = membership_inference(checkpoint, real_train, real_test, args.target_cls, seed=args.seed)
+        doc["mia_accuracy"], doc["mia_auc"] = mia.accuracy, mia.auc
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_text(report.to_doc()))
+        fh.write(json_text(doc))
     print(f"metric report written to {args.out}")
     return 0
 

@@ -10,10 +10,11 @@ scored on held-out real data (MARE, macro F1), plus quantile coverage
 (Vrate: the share of real test values falling below a synthetic quantile).
 
 Privacy: distance to closest record (lower means synthetic rows sit closer
-to real ones), a shadow-model membership inference attack on the encoder
-representations, and attribute disclosure via nearest-neighbor majority
-votes. For the privacy metrics, higher DCR and chance-level attack scores
-are better.
+to real ones), attribute disclosure via nearest-neighbor majority votes,
+and a shadow-model membership inference attack on the encoder
+representations. For the privacy metrics, higher DCR and chance-level
+attack scores are better. build_report runs every metric but the attack,
+which needs the trained model as well: see membership_inference.
 """
 
 from __future__ import annotations
@@ -477,37 +478,27 @@ class MetricReport:
     f1: float
     vrate: dict[float, float]
     attr_disclosure_f1: dict[int, float]
-    mia_accuracy: float | None = None
-    mia_auc: float | None = None
 
     def to_doc(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["vrate"] = {repr(a): v for a, v in self.vrate.items()}
         doc["attr_disclosure_f1"] = {str(k): v for k, v in self.attr_disclosure_f1.items()}
-        if self.mia_accuracy is None:
-            del doc["mia_accuracy"], doc["mia_auc"]
         return doc
 
 
 def build_report(real_train: Table, real_test: Table, synth: Table,
                  reg_target: str, cls_target: str, *,
-                 known_columns=None, secret_columns=None,
-                 checkpoint: Checkpoint | None = None, with_mia: bool = False,
-                 seed: int = 0) -> MetricReport:
-    """Run the full metric battery. Tables are in native units; similarity
+                 known_columns=None, secret_columns=None) -> MetricReport:
+    """Run the metric battery on three tables in native units; similarity
     and privacy metrics standardize internally by the real training stats.
 
     Marginal and association metrics compare synth against the training
     split it was modeled on; utility and Vrate score against the test
-    split. with_mia requires the trained model's checkpoint.
+    split. The membership attack is a separate call: membership_inference.
     """
     schema = real_train.schema
     if real_test.schema != schema or synth.schema != schema:
         raise ValueError("the three tables must share one schema")
-    if with_mia:  # fail before the metrics run, not after
-        if checkpoint is None:
-            raise ValueError("membership inference needs the model checkpoint")
-        check_seed(seed)
     train_std = standardize(real_train)
     synth_std = apply_scaling(synth, train_std.scaling)
 
@@ -545,16 +536,10 @@ def build_report(real_train: Table, real_test: Table, synth: Table,
         for k in ATTR_NEIGHBOR_KS
     }
 
-    mia_accuracy = mia_auc = None
-    if with_mia:
-        result = membership_inference(checkpoint, real_train, real_test, cls_target, seed=seed)
-        mia_accuracy, mia_auc = result.accuracy, result.auc
-
     return MetricReport(
         ks_cont=ks_cont, ks_disc=ks_disc, wd1_cont=wd_cont, wd1_disc=wd_disc,
         corr_dist=correlation_distance(real_train, synth),
         dcr_rs=dcr_result.rs, dcr_rr=dcr_result.rr, dcr_ss=dcr_result.ss,
         mare=utility.mare, f1=utility.f1,
         vrate=vrates, attr_disclosure_f1=attr,
-        mia_accuracy=mia_accuracy, mia_auc=mia_auc,
     )

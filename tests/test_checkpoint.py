@@ -78,6 +78,22 @@ def test_json_text_is_valid_json():
     assert json.loads(json_text(doc)) == doc
 
 
+def test_json_text_writes_empty_dicts_inline():
+    assert json_text({}) == "{}\n"
+    assert json_text({"a": {}}) == '{\n  "a": {}\n}\n'
+    assert json.loads(json_text({"a": {}, "b": [{}]})) == {"a": {}, "b": [{}]}
+
+
+@pytest.mark.parametrize(("doc", "name"), [
+    ({"a": object()}, "object"),
+    ([{1, 2}], "set"),
+    ({"a": [b"raw"]}, "bytes"),
+], ids=["object", "set-in-list", "bytes-in-list"])
+def test_json_text_rejects_unknown_types_by_name(doc, name):
+    with pytest.raises(TypeError, match=f"^cannot serialize <class '{name}'>$"):
+        json_text(doc)
+
+
 def test_rejects_invalid_json():
     with pytest.raises(ValueError, match="not valid JSON"):
         checkpoint_from_text("{not json")

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from helpers import overflowed_discrete_logits
-from tabsynth import TrainConfig, load_checkpoint, save_checkpoint
+from tabsynth import (
+    TrainConfig,
+    cli,
+    drop_percentile_outliers,
+    load_checkpoint,
+    load_csv,
+    load_schema,
+    save_checkpoint,
+    standardize,
+)
 
 
 def run_cli(*args):
@@ -180,6 +189,65 @@ def test_evaluate_with_mia_rejects_negative_seed_naming_the_field(workspace, tra
     assert result.returncode == 1
     assert result.stderr == "error: seed must be non-negative, got -1\n"
     assert not out.exists()
+
+
+def test_train_clip_percentiles_scales_by_the_clipped_table(workspace, trained):
+    out = workspace / "clipped.json"
+    result = run_cli(
+        "train", "--data", workspace / "train.csv", "--schema", workspace / "schema.json",
+        "--seed", 51, "--out", out, "--epochs", 1, "--clip-percentiles",
+    )
+    assert result.returncode == 0, result.stderr
+    table = load_csv(workspace / "train.csv", load_schema(workspace / "schema.json"))
+    expected = standardize(drop_percentile_outliers(table)).scaling.mean
+    mean = load_checkpoint(out).scaling.mean
+    assert mean.tobytes() == expected.tobytes()
+    assert mean.tobytes() != load_checkpoint(trained).scaling.mean.tobytes()
+
+
+def evaluate_argv(workspace, *extra):
+    return [
+        "evaluate", "--real-train", str(workspace / "train.csv"), "--real-test", str(workspace / "test.csv"),
+        "--synth", str(workspace / "test.csv"), "--schema", str(workspace / "schema.json"),
+        "--target-reg", "y", "--target-cls", "c", *map(str, extra),
+    ]
+
+
+@pytest.fixture
+def report_calls(monkeypatch):
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("build_report must not run")
+
+    monkeypatch.setattr(cli, "build_report", refuse)
+    return calls
+
+
+def test_evaluate_with_mia_rejects_a_negative_seed_before_the_report(workspace, trained, report_calls, capsys):
+    out = workspace / "never_seed.json"
+    argv = evaluate_argv(workspace, "--out", out, "--with-mia", "--model", trained, "--seed", -1)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert report_calls == [] and not out.exists()
+
+
+def test_evaluate_with_mia_rejects_a_corrupt_model_before_the_report(workspace, report_calls, capsys):
+    bad = workspace / "corrupt_model.json"
+    bad.write_text("{broken", encoding="utf-8")
+    out = workspace / "never_model.json"
+    assert cli.main(evaluate_argv(workspace, "--out", out, "--with-mia", "--model", bad)) == 1
+    assert "not valid JSON" in capsys.readouterr().err
+    assert report_calls == [] and not out.exists()
+
+
+def test_evaluate_reads_the_model_only_with_mia(workspace):
+    bad = workspace / "unread_model.json"
+    bad.write_text("{broken", encoding="utf-8")
+    out = workspace / "report_without_mia.json"
+    assert cli.main(evaluate_argv(workspace, "--out", out, "--model", bad)) == 0
+    assert "mia_auc" not in json.loads(out.read_text(encoding="utf-8"))
 
 
 def test_generate_nan_probabilities_exit_1_naming_the_column(workspace, trained):

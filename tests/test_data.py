@@ -60,6 +60,29 @@ def test_schema_rejects_duplicate_names():
         Schema((ColumnSpec("x", "continuous"), ColumnSpec("x", "continuous")))
 
 
+def _load_schema_text(tmp_path, text):
+    path = tmp_path / "s.json"
+    path.write_text(text, encoding="utf-8")
+    return load_schema(path)
+
+
+def _load_empty_csv(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("", encoding="utf-8")
+    return load_csv(path, small_schema())
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda tmp: ColumnSpec("c", "discrete", ("a", "b", "a")), r"^column 'c': duplicate level labels$"),
+    (lambda tmp: Schema(()), r"^schema has no columns$"),
+    (lambda tmp: _load_schema_text(tmp, '["x"]'), r"s\.json: schema must contain a 'columns' list$"),
+    (_load_empty_csv, r"empty\.csv: empty file$"),
+], ids=["duplicate-levels", "no-columns", "non-dict-schema", "empty-csv"])
+def test_data_input_checks_name_the_fault(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)
+
+
 def test_load_schema_round_trip(tmp_path):
     doc = {"columns": [
         {"name": "age", "kind": "continuous"},

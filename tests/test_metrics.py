@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from tabsynth import (
     wasserstein1,
 )
 from tabsynth import nn
-from tabsynth.metrics import _squared_distance_chunks, fit_ols, fit_softmax, predict_softmax
+from tabsynth.metrics import _squared_distance_chunks, association_matrix, fit_ols, fit_softmax, predict_softmax
 
 NUM_SCHEMA = Schema((ColumnSpec("x", "continuous"),))
 
@@ -133,6 +134,40 @@ def test_correlation_distance_schema_mismatch():
     other = Table(Schema((ColumnSpec("y", "continuous"),)), np.array([[1.0], [2.0]]))
     with pytest.raises(ValueError):
         correlation_distance(t, other)
+
+
+def test_association_matrix_takes_each_pair_kind_in_either_column_order():
+    # a discrete column first, a pair of discrete columns, and a numeric
+    # column followed by a discrete one
+    rng = np.random.default_rng(4)
+    schema = Schema((
+        ColumnSpec("d", "discrete", ("p", "q", "r")),
+        ColumnSpec("x", "continuous"),
+        ColumnSpec("e", "discrete", ("u", "v")),
+    ))
+    n = 300
+    d = rng.integers(0, 3, n).astype(float)
+    x = d + rng.normal(size=n)
+    e = np.where(rng.random(n) < 0.7, d % 2, 1 - d % 2)
+    table = Table(schema, np.column_stack([d, x, e]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = association_matrix(table)
+    assert np.array_equal(m, m.T)
+    assert np.array_equal(np.diag(m), np.ones(3))
+    assert m[0, 1] == correlation_ratio(x, d)
+    assert m[0, 2] == cramers_v(d, e)
+    assert m[1, 2] == correlation_ratio(x, e)
+    # no entry sits at 0 or 1, where two different statistics could agree
+    assert 0.0 < min(m[0, 1], m[0, 2], m[1, 2]) < max(m[0, 1], m[0, 2], m[1, 2]) < 1.0
+
+
+def test_association_matrix_zeroes_a_constant_numeric_pair_with_a_warning():
+    schema = Schema((ColumnSpec("x", "continuous"), ColumnSpec("k", "continuous")))
+    table = Table(schema, np.column_stack([np.arange(5.0), np.full(5, 2.0)]))
+    with pytest.warns(UserWarning, match=r"^degenerate column pair \('x', 'k'\); association set to 0$"):
+        m = association_matrix(table)
+    assert np.array_equal(m, np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +467,44 @@ def test_membership_inference_rejects_negative_seed_by_name(mia_setup):
     cp, fit, hold = mia_setup
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
         membership_inference(cp, fit, hold, "s", seed=-1)
-    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
-        build_report(fit, hold, fit, reg_target="x", cls_target="s", checkpoint=cp, with_mia=True, seed=-1)
 
 
 def test_membership_inference_needs_discrete_target(mia_setup):
     cp, fit, hold = mia_setup
     with pytest.raises(ValueError, match="discrete"):
         membership_inference(cp, fit, hold, "x")
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+MIXED_SCHEMA = Schema((
+    ColumnSpec("x", "continuous"),
+    ColumnSpec("y", "continuous"),
+    ColumnSpec("c", "discrete", ("a", "b")),
+))
+MIXED = Table(MIXED_SCHEMA, np.array([[0.0, 1.0, 0.0], [1.0, 0.5, 1.0], [2.0, 0.0, 1.0]]))
+ONE_COLUMN = num_table([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: dcr(MIXED, ONE_COLUMN), r"^dcr needs tables with equal schemas$"),
+    (lambda: mlu(None, MIXED, ONE_COLUMN, "y", "c"), r"^mlu needs tables with equal schemas$"),
+    (lambda: attribute_disclosure(MIXED, ONE_COLUMN, ["x"], ["c"]),
+     r"^attribute_disclosure needs tables with equal schemas$"),
+    (lambda: build_report(MIXED, MIXED, ONE_COLUMN, "y", "c"), r"^the three tables must share one schema$"),
+    (lambda: build_report(MIXED, ONE_COLUMN, MIXED, "y", "c"), r"^the three tables must share one schema$"),
+    (lambda: mlu(None, MIXED, MIXED, "c", "c"), r"^regression target 'c' must be numeric$"),
+    (lambda: mlu(None, MIXED, MIXED, "y", "x"), r"^classification target 'x' must be discrete$"),
+    (lambda: vrate([], [1.0], 0.5), r"^vrate needs non-empty samples$"),
+    (lambda: vrate([1.0], [], 0.5), r"^vrate needs non-empty samples$"),
+    (lambda: attribute_disclosure(MIXED, MIXED, ["x"], ["c"], k=0), r"^k must be at least 1$"),
+], ids=["dcr-schemas", "mlu-schemas", "attribute-schemas", "report-synth-schema", "report-test-schema",
+        "mlu-discrete-regression", "mlu-numeric-classification", "vrate-empty-test", "vrate-empty-synth",
+        "attribute-k0"])
+def test_metric_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +542,6 @@ def test_build_report_fields(report_setup):
     assert report.mare >= 0.0 and 0.0 <= report.f1 <= 1.0
     assert sorted(report.vrate) == [0.1, 0.3, 0.5, 0.7, 0.9]
     assert sorted(report.attr_disclosure_f1) == [1, 10, 100]
-    assert report.mia_accuracy is None and report.mia_auc is None
 
 
 def test_build_report_doc_keys(report_setup):
@@ -487,8 +551,3 @@ def test_build_report_doc_keys(report_setup):
     assert set(doc["attr_disclosure_f1"]) == {"1", "10", "100"}
     assert "mia_accuracy" not in doc
 
-
-def test_build_report_mia_requires_checkpoint(report_setup):
-    fit, hold, synth = report_setup
-    with pytest.raises(ValueError, match="checkpoint"):
-        build_report(fit, hold, synth, reg_target="y", cls_target="c", with_mia=True)

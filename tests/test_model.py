@@ -263,6 +263,23 @@ def test_train_requires_standardized_table():
         train(raw, TrainConfig(seed=1, epochs=1))
 
 
+def one_row_table():
+    std = gaussian_table()
+    return Table(std.schema, std.rows[:1], std.scaling)
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: elbo_grads(random_model(), np.zeros((3, 3)), np.zeros((3, 3))),
+     r"^noise must have shape \(3, 2\), got \(3, 3\)$"),
+    (lambda: elbo_grads(random_model(), np.zeros((3, 3)), np.zeros(3)),
+     r"^noise must have shape \(3, 2\), got \(3,\)$"),
+    (lambda: train(one_row_table(), TrainConfig(seed=1, epochs=1)), r"^train needs at least 2 rows$"),
+], ids=["noise-width", "noise-rank", "one-row"])
+def test_model_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_train_deterministic():
     table = gaussian_table()
     config = TrainConfig(seed=11, epochs=5)

@@ -12,6 +12,8 @@ def test_readme_python_api_block_runs(capsys):
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     namespace = {}
     exec(compile(block, f"{README}:Python API", "exec"), namespace)
-    report = namespace["report"]
+    report, doc = namespace["report"], namespace["doc"]
     assert 0.0 <= report.ks_cont <= 1.0 and 0.0 <= report.f1 <= 1.0
+    assert 0.0 <= doc["mia_accuracy"] <= 1.0 and 0.0 <= doc["mia_auc"] <= 1.0
+    assert list(doc)[-2:] == ["mia_accuracy", "mia_auc"]
     assert "ks_cont" in capsys.readouterr().out

@@ -48,6 +48,12 @@ def test_uniform_knots_spacing():
     assert np.allclose(np.diff(knots), 0.1)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_uniform_knots_needs_a_segment(count):
+    with pytest.raises(ValueError, match="^need at least 1 spline segment$"):
+        uniform_knots(count)
+
+
 def test_build_spline_flat_when_raw_slopes_very_negative():
     values = knot_values(np.array([2.5]), slopes_to_b(np.full((10, 1), -40.0)), uniform_knots(10))
     assert np.allclose(values, 2.5, atol=1e-12)

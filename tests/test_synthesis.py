@@ -261,6 +261,12 @@ def test_estimate_cdf_rejects_a_nan_grid_point(normal_checkpoint):
         estimate_cdf(normal_checkpoint, "x", grid=[0.0, math.nan, 1.0], n_mc=50)
 
 
+@pytest.mark.parametrize("n_mc", [0, -5])
+def test_estimate_cdf_needs_a_draw(normal_checkpoint, n_mc):
+    with pytest.raises(ValueError, match="^n_mc must be at least 1$"):
+        estimate_cdf(normal_checkpoint, "x", n_mc=n_mc)
+
+
 def test_generate_rejects_unknown_rounding_mode_without_ordinals(normal_checkpoint, mixed_checkpoint):
     # neither call reaches round_ordinal: no ordinal column, or no rows
     for cp, n in ((normal_checkpoint, 5), (mixed_checkpoint, 0)):
