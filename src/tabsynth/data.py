@@ -145,7 +145,12 @@ class ScalingStats:
 
 @dataclass(frozen=True, eq=False)
 class Table:
-    """Immutable n x c float64 matrix plus its schema and optional scaling."""
+    """Immutable n x c float64 matrix plus its schema and optional scaling.
+
+    Rows are copied unless they are a C-ordered float64 array that owns its
+    memory and is read-only, as a table's own rows are. Tables thus share
+    rows, and a caller hands a fresh array over by making it read-only.
+    """
 
     schema: Schema
     rows: np.ndarray
@@ -168,8 +173,9 @@ class Table:
                     f"column {spec.name!r}: discrete cells must be integer level "
                     f"indices in [0, {spec.n_levels})"
                 )
-        rows = rows.copy()
-        rows.flags.writeable = False
+        if not (rows.flags.owndata and rows.flags.c_contiguous and not rows.flags.writeable):
+            rows = rows.copy()
+            rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -218,6 +224,7 @@ def load_csv(path, schema: Schema) -> Table:
             for k, records in enumerate(_record_blocks(reader, step))
         ]
     rows = np.concatenate(blocks) if blocks else np.empty((0, len(parsers)))
+    rows.flags.writeable = False
     return Table(schema=schema, rows=rows)
 
 

@@ -419,6 +419,10 @@ def attribute_disclosure(real: Table, synth: Table, known_columns, secret_column
     the neighbors are any k rows at the k smallest distances (numpy's
     argpartition picks among ties at the k-th distance).
 
+    The votes of each chunk of distances are tallied as soon as the chunk
+    is searched, so memory grows with the chunk and the tables, not with
+    n * k.
+
     Distances use the known columns as-is, so pass standardized tables.
     """
     if real.schema != synth.schema:
@@ -437,23 +441,24 @@ def attribute_disclosure(real: Table, synth: Table, known_columns, secret_column
         if schema.columns[j].kind != KIND_DISCRETE:
             raise ValueError(f"secret column {schema.columns[j].name!r} must be discrete")
 
-    a = real.rows[:, known_idx]
-    neighbor_idx = np.empty((a.shape[0], k), dtype=np.intp)
-    for start, d2 in _squared_distance_chunks(a, synth.rows[:, known_idx]):
-        block = neighbor_idx[start : start + d2.shape[0]]
+    levels = [synth.rows[:, j].astype(np.intp) for j in secret_idx]
+    predicted = np.empty((len(secret_idx), real.n_rows), dtype=np.intp)
+    for start, d2 in _squared_distance_chunks(real.rows[:, known_idx], synth.rows[:, known_idx]):
         if k == 1:  # argmin scans once and takes the first of tied minima
-            block[:, 0] = np.argmin(d2, axis=1)
+            neighbors = np.argmin(d2, axis=1)[:, None]
         else:
-            block[...] = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            neighbors = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        # each row's votes per level, tallied as one bincount over row * t + level
+        count = d2.shape[0]
+        row = np.arange(count)[:, None]
+        for out, synth_levels, j in zip(predicted, levels, secret_idx):
+            t = schema.columns[j].n_levels
+            votes = np.bincount((row * t + synth_levels[neighbors]).ravel(), minlength=count * t)
+            out[start : start + count] = np.argmax(votes.reshape(count, t), axis=1)
 
-    scores = []
-    n = a.shape[0]
-    for j in secret_idx:
-        t = schema.columns[j].n_levels
-        votes = synth.rows[:, j].astype(np.intp)[neighbor_idx]
-        counts = np.bincount((np.arange(n)[:, None] * t + votes).ravel(), minlength=n * t)
-        predicted = np.argmax(counts.reshape(n, t), axis=1)
-        scores.append(macro_f1(real.rows[:, j].astype(np.intp), predicted))
+    scores = [
+        macro_f1(real.rows[:, j].astype(np.intp), out) for out, j in zip(predicted, secret_idx)
+    ]
     return float(np.mean(scores))
 
 

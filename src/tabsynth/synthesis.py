@@ -66,15 +66,41 @@ def round_ordinal(value, mode: str = ROUND_INTEGER):
     return np.round(value, 1 if mode == ROUND_DECIMAL else 0)
 
 
+def _pcg64_at(state: dict, ahead: int = 0) -> np.random.Generator:
+    """A generator whose first output is the one `ahead` outputs past the
+    PCG64 `state`."""
+    bits = np.random.PCG64()
+    bits.state = state
+    return np.random.Generator(bits.advance(ahead))
+
+
+def _stream_starts(state: dict, lengths) -> list[dict]:
+    """The states at which streams of the given output counts start when
+    they are laid end to end from `state`."""
+    starts = [state]
+    for length in lengths[:-1]:
+        starts.append(_pcg64_at(starts[-1], length).bit_generator.state)
+    return starts
+
+
 def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_INTEGER) -> Table:
     """Draw n synthetic rows in native units.
 
-    Every random number is drawn first, in a fixed order: the latents, then
-    the uniform levels of the numeric columns, then the Gumbel noise of each
-    discrete column in turn. Rows are then decoded and sampled in blocks of
-    nn.BLOCK_ENTRIES entries of decoder activations, so the working set stays
-    in cache and the block size never changes a value. Identical
-    (checkpoint, n, seed) give identical tables.
+    The random numbers are those of one generator seeded with `seed` that
+    draws, in order, the latents of every row, the uniform levels of the
+    numeric columns, then the Gumbel noise of each discrete column in turn.
+    Each of these streams is drawn block by block from its own PCG64 copy,
+    placed where that stream begins: the latents' end is found by one
+    discarded pass of their draws, and the later streams sit one output per
+    value after it. A Gumbel draw whose uniform is exactly 0 is drawn again
+    (probability 2**-53), so a stream that ends past the next one's start
+    moves the later streams there and the rows are sampled again.
+
+    Rows are decoded, sampled, rescaled and rounded in blocks of
+    nn.BLOCK_ENTRIES entries of decoder activations, so the working set
+    stays in cache, memory beyond the output does not grow with n, and the
+    block size never changes a value. Identical (checkpoint, n, seed) give
+    identical tables.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -83,52 +109,76 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
     schema = cp.schema
     rows = np.zeros((n, len(schema.columns)))
     if n > 0:
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, cp.config.latent_dim))
-        u = rng.random((n, len(schema.numeric_indices)))
-        noise = [rng.gumbel(size=(n, schema.columns[col].n_levels)) for col in schema.discrete_indices]
-
         blocks = row_blocks(n, sum(net_sizes(schema, cp.config)[1]))
         size = max(b.stop - b.start for b in blocks)
         # every block is decoded at the same row count: OpenBLAS multiplies a
         # matrix of few rows (under 42 on the toy decoder) in a kernel that
         # rounds differently, so a short last block keeps the previous block's
         # latents below its own, and their outputs are dropped
-        latent = np.zeros((size, z.shape[1]))
-        knots, widths = cp.knots[:-1, None, None], np.diff(cp.knots)[:, None, None]
-        # one knot-major hinge buffer (M, rows, P), reused by every block: a
-        # fresh block-sized temporary is large enough for malloc to map and
-        # unmap it each time
-        buffer = np.empty((knots.size, size, u.shape[1]))
-        # an overflowing decoder gives inf and NaN outputs; gumbel_max's check
-        # or the finiteness check below turns them into the one error raised
-        with np.errstate(over="ignore", invalid="ignore"):
-            for block in blocks:
-                count = block.stop - block.start
-                latent[:count] = z[block]
-                dec_out, _ = mlp_forward(cp.decoder, latent)
-                gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:count])
-                # the part of each segment below u: clip(u - d_m, 0, d_{m+1} - d_m)
-                hinge = buffer[:, :count]
-                np.subtract(u[block], knots, out=hinge)
-                np.clip(hinge, 0.0, widths, out=hinge)
-                np.multiply(sp.slopes_to_b(raw).transpose(2, 0, 1), hinge, out=hinge)
-                rows[block, schema.numeric_indices] = gamma + leading_axis_sum(hinge)
-                for scores, col, g in zip(logits, schema.discrete_indices, noise):
-                    try:
-                        rows[block, col] = gumbel_max(softmax(scores), g[block])
-                    except ValueError as err:
-                        raise ValueError(f"column {schema.columns[col].name!r}: {err}") from None
-
-            # back to native units, then snap ordinals to their level grid
-            numeric = schema.numeric_indices
-            rows[:, numeric] = rows[:, numeric] * cp.scaling.stddev + cp.scaling.mean
-            for col in numeric:
-                if not np.all(np.isfinite(rows[:, col])):
-                    raise ValueError(f"column {schema.columns[col].name!r}: sampled values are not finite")
-                if schema.columns[col].kind == KIND_ORDINAL:
-                    rows[:, col] = round_ordinal(rows[:, col], ordinal_rounding)
+        latent = np.zeros((size, cp.config.latent_dim))
+        # ziggurat normals take a variable number of outputs: draw and drop
+        # them once to find where the uniforms begin
+        rng = np.random.default_rng(seed)
+        for block in blocks:
+            rng.standard_normal(out=latent[: block.stop - block.start])
+        # one output per uniform or Gumbel value
+        widths = [len(schema.numeric_indices)] + [schema.columns[j].n_levels for j in schema.discrete_indices]
+        lengths = [n * width for width in widths]
+        starts = _stream_starts(rng.bit_generator.state, lengths)
+        while True:
+            streams = [_pcg64_at(state) for state in starts]
+            _sample_blocks(cp, rows, blocks, latent, np.random.default_rng(seed), streams, ordinal_rounding)
+            ends = [g.bit_generator.state for g in streams[:-1]]
+            late = next((i for i, (end, start) in enumerate(zip(ends, starts[1:])) if end != start), None)
+            if late is None:
+                break
+            starts[late + 1 :] = _stream_starts(ends[late], lengths[late + 1 :])
+    rows.flags.writeable = False
     return Table(schema=schema, rows=rows, scaling=None)
+
+
+def _sample_blocks(cp: Checkpoint, rows, blocks, latent, normals, streams, ordinal_rounding) -> None:
+    """Fill rows block by block: latents from `normals`, the uniform levels
+    from streams[0] and each discrete column's Gumbel noise from the next."""
+    schema = cp.schema
+    numeric = schema.numeric_indices
+    uniforms, noise = streams[0], streams[1:]
+    knots, widths = cp.knots[:-1, None, None], np.diff(cp.knots)[:, None, None]
+    # one knot-major hinge buffer (M, rows, P), reused by every block: a
+    # fresh block-sized temporary is large enough for malloc to map and
+    # unmap it each time
+    buffer = np.empty((knots.size, latent.shape[0], len(numeric)))
+    u = np.empty((latent.shape[0], len(numeric)))
+    finite = np.ones(len(numeric), dtype=bool)
+    # an overflowing decoder gives inf and NaN outputs; gumbel_max's check
+    # or the finiteness check below turns them into the one error raised
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            count = block.stop - block.start
+            normals.standard_normal(out=latent[:count])
+            uniforms.random(out=u[:count])
+            dec_out, _ = mlp_forward(cp.decoder, latent)
+            gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:count])
+            # the part of each segment below u: clip(u - d_m, 0, d_{m+1} - d_m)
+            hinge = buffer[:, :count]
+            np.subtract(u[:count], knots, out=hinge)
+            np.clip(hinge, 0.0, widths, out=hinge)
+            np.multiply(sp.slopes_to_b(raw).transpose(2, 0, 1), hinge, out=hinge)
+            # back to native units, then snap ordinals to their level grid
+            values = (gamma + leading_axis_sum(hinge)) * cp.scaling.stddev + cp.scaling.mean
+            finite &= np.isfinite(values).all(axis=0)
+            for k, col in enumerate(numeric):
+                if schema.columns[col].kind == KIND_ORDINAL:
+                    values[:, k] = round_ordinal(values[:, k], ordinal_rounding)
+            rows[block, numeric] = values
+            for scores, col, g in zip(logits, schema.discrete_indices, noise):
+                try:
+                    rows[block, col] = gumbel_max(softmax(scores), g.gumbel(size=scores.shape))
+                except ValueError as err:
+                    raise ValueError(f"column {schema.columns[col].name!r}: {err}") from None
+    if not finite.all():
+        col = numeric[int(np.argmin(finite))]
+        raise ValueError(f"column {schema.columns[col].name!r}: sampled values are not finite")
 
 
 @dataclass(frozen=True)

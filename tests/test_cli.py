@@ -8,6 +8,8 @@ import pytest
 
 from helpers import overflowed_discrete_logits
 from tabsynth import (
+    ColumnSpec,
+    Schema,
     TrainConfig,
     cli,
     drop_percentile_outliers,
@@ -239,6 +241,25 @@ def test_evaluate_with_mia_rejects_a_corrupt_model_before_the_report(workspace, 
     out = workspace / "never_model.json"
     assert cli.main(evaluate_argv(workspace, "--out", out, "--with-mia", "--model", bad)) == 1
     assert "not valid JSON" in capsys.readouterr().err
+    assert report_calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("column, spec, described", [
+    (1, ColumnSpec("q", "continuous"), "column 2 is 'q' (continuous), {schema} has 'y' (continuous)"),
+    (2, ColumnSpec("c", "discrete", ("a", "z")), "column 3 is 'c' (discrete: a|z), {schema} has 'c' (discrete: a|b)"),
+])
+def test_evaluate_with_mia_rejects_a_model_of_another_schema_before_the_report(
+        workspace, trained, report_calls, capsys, column, spec, described):
+    cp = load_checkpoint(trained)
+    columns = list(cp.schema.columns)
+    columns[column] = spec
+    names = tuple(columns[j].name for j in cp.schema.numeric_indices)
+    other = workspace / f"other_schema_{column}.json"
+    save_checkpoint(replace(cp, schema=Schema(tuple(columns)), scaling=replace(cp.scaling, names=names)), other)
+    out = workspace / "never_schema.json"
+    assert cli.main(evaluate_argv(workspace, "--out", out, "--with-mia", "--model", other)) == 1
+    schema = workspace / "schema.json"
+    assert capsys.readouterr().err == f"error: {other}: the checkpoint's {described.format(schema=schema)}\n"
     assert report_calls == [] and not out.exists()
 
 

@@ -26,7 +26,7 @@ from tabsynth import (
     standardize,
     train,
 )
-from tabsynth import nn
+from tabsynth import nn, synthesis
 from tabsynth.model import net_sizes
 
 
@@ -67,6 +67,27 @@ def mixed_checkpoint():
         x, rng.integers(1, 6, n), np.clip(np.round(x + 1.0), 0, 2), (rng.random(n) < 0.3),
     ]).astype(float)
     return train(standardize(Table(schema, rows)), TrainConfig(seed=37, epochs=5))
+
+
+@pytest.fixture(scope="module")
+def numeric_checkpoint():
+    # continuous and ordinal columns only: no Gumbel streams
+    rng = np.random.default_rng(38)
+    schema = Schema((ColumnSpec("x", "continuous"), ColumnSpec("k", "ordinal")))
+    rows = np.column_stack([rng.normal(size=300), rng.integers(1, 6, 300)]).astype(float)
+    return train(standardize(Table(schema, rows)), TrainConfig(seed=39, epochs=5))
+
+
+@pytest.fixture(scope="module")
+def discrete_checkpoint():
+    # discrete columns only: the uniform stream is empty
+    rng = np.random.default_rng(40)
+    schema = Schema((
+        ColumnSpec("g", "discrete", ("p", "q", "r")),
+        ColumnSpec("h", "discrete", ("u", "v")),
+    ))
+    rows = np.column_stack([rng.integers(0, 3, 300), rng.random(300) < 0.3]).astype(float)
+    return train(standardize(Table(schema, rows)), TrainConfig(seed=41, epochs=5))
 
 
 def test_prior_deterministic_and_validated():
@@ -153,18 +174,75 @@ def test_generate_deterministic(normal_checkpoint):
 
 
 @pytest.mark.parametrize("block_rows", [2, 7, None])
-def test_generate_block_size_never_changes_a_byte(mixed_checkpoint, monkeypatch, block_rows):
-    # 2 rows is the smallest block: BLOCK_ENTRIES = 1 asks for less
-    cp = mixed_checkpoint
-    width = sum(net_sizes(cp.schema, cp.config)[1])
-    if block_rows is not None:
-        monkeypatch.setattr(nn, "BLOCK_ENTRIES", 1 if block_rows == 2 else block_rows * width)
-    block = max(2, nn.BLOCK_ENTRIES // width)
-    assert block == (block_rows or 2**16 // width)
-    for n in (1, block - 1, block, block + 1, block + 2, 2 * block + 1, 3 * block):
-        for rounding in ("integer", "decimal"):
-            rows = generate(cp, n, seed=40 + n, ordinal_rounding=rounding).rows
-            assert rows.tobytes() == one_shot_generate(cp, n, 40 + n, rounding).tobytes()
+def test_generate_block_size_never_changes_a_byte(
+        mixed_checkpoint, numeric_checkpoint, discrete_checkpoint, monkeypatch, block_rows):
+    for cp in (mixed_checkpoint, numeric_checkpoint, discrete_checkpoint):
+        width = sum(net_sizes(cp.schema, cp.config)[1])
+        # 2 rows is the smallest block: BLOCK_ENTRIES = 1 asks for less
+        if block_rows is not None:
+            monkeypatch.setattr(nn, "BLOCK_ENTRIES", 1 if block_rows == 2 else block_rows * width)
+        block = max(2, nn.BLOCK_ENTRIES // width)
+        assert block == (block_rows or 2**16 // width)
+        for n in (1, block - 1, block, block + 1, block + 2, 2 * block + 1, 3 * block):
+            for rounding in ("integer", "decimal"):
+                rows = generate(cp, n, seed=40 + n, ordinal_rounding=rounding).rows
+                assert rows.tobytes() == one_shot_generate(cp, n, 40 + n, rounding).tobytes()
+
+
+def _counting_stream_starts(monkeypatch, late=None):
+    """Record synthesis._stream_starts's calls; with `late`, its first call
+    starts that stream one draw past its true start."""
+    calls = []
+    original = synthesis._stream_starts
+
+    def patched(state, lengths):
+        starts = original(state, lengths)
+        if late is not None and not calls:
+            starts[late] = synthesis._pcg64_at(starts[late], 1).bit_generator.state
+        calls.append(len(lengths))
+        return starts
+
+    monkeypatch.setattr(synthesis, "_stream_starts", patched)
+    return calls
+
+
+@pytest.mark.parametrize("late", [1, 2])
+def test_a_stream_placed_one_draw_late_is_placed_again(mixed_checkpoint, monkeypatch, late):
+    # streams: the uniforms, then g's and h's Gumbel noise; the one before
+    # `late` ends where `late` truly starts, so `late` onwards is re-placed
+    calls = _counting_stream_starts(monkeypatch, late)
+    rows = generate(mixed_checkpoint, 1500, seed=8).rows
+    assert calls == [3, 3 - late]
+    assert rows.tobytes() == one_shot_generate(mixed_checkpoint, 1500, 8).tobytes()
+
+
+def _pcg64_state_with_zero_output(index):
+    """A PCG64 state whose output number `index` (from 0) is 0. PCG64 steps
+    its 128-bit state s to s * MULT + inc, then outputs the high and low
+    halves xor-ed and rotated, which is 0 when the halves are equal."""
+    mult = (2549297995355413924 << 64) | 4865540595714422341
+    state = np.random.default_rng(0).bit_generator.state
+    s = (1 << 64) | 1
+    for _ in range(index + 1):
+        s = (s - state["state"]["inc"]) * pow(mult, -1, 2**128) % 2**128
+    state["state"]["state"] = s
+    return state
+
+
+def test_a_redrawn_gumbel_moves_the_later_streams(mixed_checkpoint, monkeypatch):
+    # seed the one whole-table generator so that the first of column g's
+    # Gumbel draws meets a zero uniform: g then ends one output late
+    cp, n = mixed_checkpoint, 50
+    normals = n * cp.config.latent_dim  # one output each unless the ziggurat rejects
+    state = _pcg64_state_with_zero_output(normals + n * len(cp.schema.numeric_indices))
+    first = synthesis._pcg64_at(state)
+    first.standard_normal(normals)
+    assert first.bit_generator.state == synthesis._pcg64_at(state, normals).bit_generator.state
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: synthesis._pcg64_at(state))
+    calls = _counting_stream_starts(monkeypatch)
+    rows = generate(cp, n, seed=0).rows
+    assert calls == [3, 1]
+    assert rows.tobytes() == one_shot_generate(cp, n, 0).tobytes()
 
 
 def test_short_last_block_matches_one_shot(mixed_checkpoint):
@@ -178,14 +256,16 @@ def test_short_last_block_matches_one_shot(mixed_checkpoint):
 
 
 def test_generate_memory_does_not_grow_with_the_decoded_rows(default_run):
-    # a one-pass decode of 4e5 toy rows peaks at about 464 MB
+    # a one-pass decode of 4e5 toy rows peaks at about 464 MB, and drawing
+    # every random number first at 43.7 MB; streamed, it peaks at 12.7 MB,
+    # 9.2 MB of it the output
     tracemalloc.start()
     try:
-        generate(default_run["checkpoint"], 400_000, seed=1)
+        rows = generate(default_run["checkpoint"], 400_000, seed=1).rows
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < rows.nbytes + 8 * 2**20
 
 
 @pytest.mark.parametrize("call", [
