@@ -344,9 +344,12 @@ def check_scaling_names(schema: Schema, stats: ScalingStats) -> None:
 def apply_scaling(table: Table, stats: ScalingStats) -> Table:
     """Standardize a table with existing stats (e.g. scale test data by train stats)."""
     check_scaling_names(table.schema, stats)
-    idx = table.schema.numeric_indices
     rows = table.rows.copy()
-    rows[:, idx] = (rows[:, idx] - stats.mean) / stats.stddev
+    # one column at a time, in place: no whole-table temporaries
+    for j, mean, stddev in zip(table.schema.numeric_indices, stats.mean, stats.stddev):
+        rows[:, j] -= mean
+        rows[:, j] /= stddev
+    rows.flags.writeable = False
     return Table(schema=table.schema, rows=rows, scaling=stats)
 
 

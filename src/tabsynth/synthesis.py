@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import KIND_DISCRETE, KIND_ORDINAL, Table
-from .model import Checkpoint, check_seed, decoder_heads, net_sizes
-from .nn import last_axis_sum, leading_axis_sum, mlp_forward, row_blocks, softmax
+from .model import Checkpoint, check_seed, decoder_heads
+from .nn import last_axis_sum, leading_axis_sum, mlp_forward, softmax
 from . import spline as sp
 
 ROUND_INTEGER = "integer"
@@ -66,102 +66,46 @@ def round_ordinal(value, mode: str = ROUND_INTEGER):
     return np.round(value, 1 if mode == ROUND_DECIMAL else 0)
 
 
-def _pcg64_at(state: dict, ahead: int = 0) -> np.random.Generator:
-    """A generator whose first output is the one `ahead` outputs past the
-    PCG64 `state`."""
-    bits = np.random.PCG64()
-    bits.state = state
-    return np.random.Generator(bits.advance(ahead))
-
-
-def _stream_starts(state: dict, lengths) -> list[dict]:
-    """The states at which streams of the given output counts start when
-    they are laid end to end from `state`."""
-    starts = [state]
-    for length in lengths[:-1]:
-        starts.append(_pcg64_at(starts[-1], length).bit_generator.state)
-    return starts
+PAGE_ROWS = 2**10  # rows per page of generate: one generator and one decoder pass each
 
 
 def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_INTEGER) -> Table:
     """Draw n synthetic rows in native units.
 
-    The random numbers are those of one generator seeded with `seed` that
-    draws, in order, the latents of every row, the uniform levels of the
-    numeric columns, then the Gumbel noise of each discrete column in turn.
-    Each of these streams is drawn block by block from its own PCG64 copy,
-    placed where that stream begins: the latents' end is found by one
-    discarded pass of their draws, and the later streams sit one output per
-    value after it. A Gumbel draw whose uniform is exactly 0 is drawn again
-    (probability 2**-53), so a stream that ends past the next one's start
-    moves the later streams there and the rows are sampled again.
-
-    Rows are decoded, sampled, rescaled and rounded in blocks of
-    nn.BLOCK_ENTRIES entries of decoder activations, so the working set
-    stays in cache, memory beyond the output does not grow with n, and the
-    block size never changes a value. Identical (checkpoint, n, seed) give
-    identical tables.
+    Page p of PAGE_ROWS rows draws from its own generator, seeded with
+    SeedSequence(seed, spawn_key=(p,)), always for a whole page and in this
+    order: the latents, the uniform levels of the numeric columns, then the
+    Gumbel noise of each discrete column in turn. Every page is decoded at
+    PAGE_ROWS rows (OpenBLAS multiplies a matrix of few rows in a kernel
+    that rounds differently) and only the rows asked for are kept. So
+    generate(cp, n, s) is the first n rows of generate(cp, n + k, s), and
+    memory beyond the output does not grow with n.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     check_seed(seed)
     _check_rounding(ordinal_rounding)
     schema = cp.schema
-    rows = np.zeros((n, len(schema.columns)))
-    if n > 0:
-        blocks = row_blocks(n, sum(net_sizes(schema, cp.config)[1]))
-        size = max(b.stop - b.start for b in blocks)
-        # every block is decoded at the same row count: OpenBLAS multiplies a
-        # matrix of few rows (under 42 on the toy decoder) in a kernel that
-        # rounds differently, so a short last block keeps the previous block's
-        # latents below its own, and their outputs are dropped
-        latent = np.zeros((size, cp.config.latent_dim))
-        # ziggurat normals take a variable number of outputs: draw and drop
-        # them once to find where the uniforms begin
-        rng = np.random.default_rng(seed)
-        for block in blocks:
-            rng.standard_normal(out=latent[: block.stop - block.start])
-        # one output per uniform or Gumbel value
-        widths = [len(schema.numeric_indices)] + [schema.columns[j].n_levels for j in schema.discrete_indices]
-        lengths = [n * width for width in widths]
-        starts = _stream_starts(rng.bit_generator.state, lengths)
-        while True:
-            streams = [_pcg64_at(state) for state in starts]
-            _sample_blocks(cp, rows, blocks, latent, np.random.default_rng(seed), streams, ordinal_rounding)
-            ends = [g.bit_generator.state for g in streams[:-1]]
-            late = next((i for i, (end, start) in enumerate(zip(ends, starts[1:])) if end != start), None)
-            if late is None:
-                break
-            starts[late + 1 :] = _stream_starts(ends[late], lengths[late + 1 :])
-    rows.flags.writeable = False
-    return Table(schema=schema, rows=rows, scaling=None)
-
-
-def _sample_blocks(cp: Checkpoint, rows, blocks, latent, normals, streams, ordinal_rounding) -> None:
-    """Fill rows block by block: latents from `normals`, the uniform levels
-    from streams[0] and each discrete column's Gumbel noise from the next."""
-    schema = cp.schema
     numeric = schema.numeric_indices
-    uniforms, noise = streams[0], streams[1:]
+    rows = np.zeros((n, len(schema.columns)))
     knots, widths = cp.knots[:-1, None, None], np.diff(cp.knots)[:, None, None]
-    # one knot-major hinge buffer (M, rows, P), reused by every block: a
-    # fresh block-sized temporary is large enough for malloc to map and
-    # unmap it each time
-    buffer = np.empty((knots.size, latent.shape[0], len(numeric)))
-    u = np.empty((latent.shape[0], len(numeric)))
+    # one knot-major hinge buffer (M, rows, P) for all pages, so malloc maps it once
+    buffer = np.empty((knots.size, PAGE_ROWS, len(numeric)))
     finite = np.ones(len(numeric), dtype=bool)
     # an overflowing decoder gives inf and NaN outputs; gumbel_max's check
     # or the finiteness check below turns them into the one error raised
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in blocks:
-            count = block.stop - block.start
-            normals.standard_normal(out=latent[:count])
-            uniforms.random(out=u[:count])
+        for page, start in enumerate(range(0, n, PAGE_ROWS)):
+            out = rows[start : start + PAGE_ROWS]
+            count = len(out)
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(page,)))
+            latent = rng.standard_normal((PAGE_ROWS, cp.config.latent_dim))
+            u = rng.random((PAGE_ROWS, len(numeric)))[:count]
             dec_out, _ = mlp_forward(cp.decoder, latent)
             gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:count])
             # the part of each segment below u: clip(u - d_m, 0, d_{m+1} - d_m)
             hinge = buffer[:, :count]
-            np.subtract(u[:count], knots, out=hinge)
+            np.subtract(u, knots, out=hinge)
             np.clip(hinge, 0.0, widths, out=hinge)
             np.multiply(sp.slopes_to_b(raw).transpose(2, 0, 1), hinge, out=hinge)
             # back to native units, then snap ordinals to their level grid
@@ -170,15 +114,18 @@ def _sample_blocks(cp: Checkpoint, rows, blocks, latent, normals, streams, ordin
             for k, col in enumerate(numeric):
                 if schema.columns[col].kind == KIND_ORDINAL:
                     values[:, k] = round_ordinal(values[:, k], ordinal_rounding)
-            rows[block, numeric] = values
-            for scores, col, g in zip(logits, schema.discrete_indices, noise):
+            out[:, numeric] = values
+            for scores, col in zip(logits, schema.discrete_indices):
+                noise = rng.gumbel(size=(PAGE_ROWS, scores.shape[1]))[:count]
                 try:
-                    rows[block, col] = gumbel_max(softmax(scores), g.gumbel(size=scores.shape))
+                    out[:, col] = gumbel_max(softmax(scores), noise)
                 except ValueError as err:
                     raise ValueError(f"column {schema.columns[col].name!r}: {err}") from None
     if not finite.all():
         col = numeric[int(np.argmin(finite))]
         raise ValueError(f"column {schema.columns[col].name!r}: sampled values are not finite")
+    rows.flags.writeable = False
+    return Table(schema=schema, rows=rows, scaling=None)
 
 
 @dataclass(frozen=True)
@@ -210,9 +157,8 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     F(x) is the prior-average of the decoded quantile function's inverse at
     x, evaluated over n_mc latent draws. The draws are decoded and their
     knot values built once; each grid point then costs one inverse over the
-    draws. x values are in
-    standardized units; the default grid spans the column's 1%-99% training
-    range.
+    draws. x values are in standardized units; the default grid spans the
+    column's 1%-99% training range.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")

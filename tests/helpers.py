@@ -20,6 +20,7 @@ from tabsynth.data import KIND_DISCRETE, KIND_ORDINAL, Table, _first_rejected
 from tabsynth import spline as sp
 from tabsynth.model import decoder_heads, decoder_width
 from tabsynth.nn import mlp_forward, softmax
+from tabsynth.synthesis import PAGE_ROWS
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -307,25 +308,46 @@ def per_point_estimate_cdf(cp, column, grid=None, n_mc=5000, seed=0):
     return np.minimum(np.maximum.accumulate(values), 1.0)
 
 
-def one_shot_generate(cp, n, seed, ordinal_rounding="integer"):
-    """generate with all n rows decoded in one pass and each discrete column's
-    noise drawn just before it is used. Guards generate's claim that the
-    block size never changes a value."""
+def page_draws(cp, n, seed):
+    """generate's random numbers for n rows, padded to whole pages: the
+    latents, the uniform levels and each discrete column's Gumbel noise,
+    each page's drawn in that order by its own generator seeded with
+    SeedSequence(seed, spawn_key=(page,))."""
+    pages = []
+    for page in range(-(-n // PAGE_ROWS)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(page,)))
+        draws = [rng.standard_normal((PAGE_ROWS, cp.config.latent_dim)),
+                 rng.random((PAGE_ROWS, len(cp.schema.numeric_indices)))]
+        pages.append(draws + [rng.gumbel(size=(PAGE_ROWS, cp.schema.columns[j].n_levels))
+                              for j in cp.schema.discrete_indices])
+    return [np.concatenate(role) for role in zip(*pages)]
+
+
+def whole_table_draws(cp, n, seed):
+    """The random numbers of n rows as releases before page-seeded sampling
+    laid them out: one generator seeded with `seed` draws every row's latents,
+    then the uniform levels, then each discrete column's Gumbel noise."""
+    rng = np.random.default_rng(seed)
+    draws = [rng.standard_normal((n, cp.config.latent_dim)), rng.random((n, len(cp.schema.numeric_indices)))]
+    return draws + [rng.gumbel(size=(n, cp.schema.columns[j].n_levels)) for j in cp.schema.discrete_indices]
+
+
+def one_shot_generate(cp, n, seed, draws, ordinal_rounding="integer"):
+    """generate from the random numbers `draws` lays out, with every row
+    decoded in one pass and each column sampled over all rows at once.
+    Guards generate's claim that its pages change no value."""
     schema = cp.schema
     rows = np.zeros((n, len(schema.columns)))
     if n > 0:
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, cp.config.latent_dim))
+        z, u, *noise = draws(cp, n, seed)
         dec_out, _ = mlp_forward(cp.decoder, z)
-        gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out)
+        gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:n])
         knots = cp.knots
-        u = rng.random((n, len(schema.numeric_indices)))
         for k, col in enumerate(schema.numeric_indices):
-            hinge = np.clip(u[:, k : k + 1] - knots[None, :-1], 0.0, np.diff(knots))
+            hinge = np.clip(u[:n, k : k + 1] - knots[None, :-1], 0.0, np.diff(knots))
             rows[:, col] = gamma[:, k] + np.sum(sp.slopes_to_b(raw[:, k]) * hinge, axis=1)
-        for block, col in zip(logits, schema.discrete_indices):
-            probs = softmax(block)
-            rows[:, col] = gumbel_max(probs, rng.gumbel(size=probs.shape))
+        for block, col, g in zip(logits, schema.discrete_indices, noise):
+            rows[:, col] = gumbel_max(softmax(block), g[:n])
         numeric = schema.numeric_indices
         rows[:, numeric] = rows[:, numeric] * cp.scaling.stddev + cp.scaling.mean
         for col in numeric:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import one_shot_generate, whole_table_draws
 from tabsynth import (
     Checkpoint,
     ColumnSpec,
@@ -13,7 +14,6 @@ from tabsynth import (
     TrainConfig,
     checkpoint_from_text,
     checkpoint_to_text,
-    generate,
     load_checkpoint,
     load_csv,
     save_checkpoint,
@@ -340,10 +340,11 @@ def test_fuzzed_checkpoint_loads_or_raises_value_error(small_checkpoint, data):
 
 def assert_generates_the_committed_v1_rows(cp):
     # written, and sampled with generate --n 200 --seed 3, by the release whose
-    # numeric head summed hinge weights: the segment slopes read the same
-    # decoder outputs, so only the last bits of numeric cells may move
+    # numeric head summed hinge weights and whose random numbers were laid out
+    # over the whole table: the segment slopes read the same decoder outputs,
+    # so only the last bits of numeric cells may move
     expected = load_csv(DATA / "checkpoint_v1_n200_seed3.csv", cp.schema).rows
-    rows = generate(cp, 200, seed=3).rows
+    rows = one_shot_generate(cp, 200, 3, whole_table_draws)
     numeric, discrete = cp.schema.numeric_indices, cp.schema.discrete_indices
     assert np.array_equal(rows[:, discrete], expected[:, discrete])
     np.testing.assert_allclose(rows[:, numeric], expected[:, numeric], rtol=1e-9, atol=0.0)

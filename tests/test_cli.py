@@ -166,6 +166,16 @@ def test_generate_deterministic_bytes(workspace, trained):
     assert all(line.rsplit(",", 1)[1] in {"a", "b"} for line in rows)
 
 
+def test_generate_fewer_rows_are_the_leading_lines_of_more(workspace, trained):
+    short, long = workspace / "n200.csv", workspace / "n1500.csv"
+    for n, out in ((200, short), (1500, long)):
+        result = run_cli("generate", "--model", trained, "--n", n, "--seed", 5, "--out", out)
+        assert result.returncode == 0, result.stderr
+    lines = short.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 201
+    assert long.read_bytes().splitlines(keepends=True)[:201] == lines
+
+
 def test_generate_zero_rows(workspace, trained):
     out = workspace / "empty.csv"
     result = run_cli("generate", "--model", trained, "--n", 0, "--seed", 7, "--out", out)

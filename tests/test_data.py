@@ -361,6 +361,17 @@ def test_standardize_leaves_discrete_untouched():
     assert std.scaling.names == ("age", "score")
 
 
+def test_standardize_peaks_below_twice_its_table():
+    # the numeric columns' copy for the stats and the scaled table; scaling
+    # whole columns at once and copying into the Table peaked at 3.4x
+    schema = Schema(tuple(ColumnSpec(f"x{j}", "continuous") for j in range(40))
+                    + tuple(ColumnSpec(f"d{j}", "discrete", ("p", "q", "r")) for j in range(10)))
+    rng = np.random.default_rng(5)
+    rows = np.column_stack([rng.normal(size=(10_000, 40)), rng.integers(0, 3, (10_000, 10))])
+    table = Table(schema, rows.astype(float))
+    assert _peak_bytes(standardize, table) <= 2 * table.rows.nbytes
+
+
 def test_standardize_needs_rows_and_variance():
     schema = Schema((ColumnSpec("x", "continuous"),))
     with pytest.raises(ValueError, match="2 rows"):

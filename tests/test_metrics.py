@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -490,6 +491,26 @@ def test_membership_inference_needs_discrete_target(mia_setup):
     cp, fit, hold = mia_setup
     with pytest.raises(ValueError, match="discrete"):
         membership_inference(cp, fit, hold, "x")
+
+
+def test_membership_inference_skips_a_level_the_model_never_samples(mia_setup):
+    cp, fit, hold = mia_setup
+    assert np.any(fit.rows[:, 1] == 1.0) and np.any(hold.rows[:, 1] == 1.0)
+    never = replace(cp, params=cp.params.copy())
+    weight, bias = never.decoder[-1]
+    weight[-1], bias[-1] = 0.0, -1e300  # level 1 of s, the decoder's last output
+    with (pytest.warns(UserWarning, match="^class 1 has one membership label only; attack skipped$"),
+          pytest.warns(UserWarning, match="^evaluation records of skipped classes were excluded$")):
+        result = membership_inference(never, fit, hold, "s", seed=0)
+    assert 0.0 <= result.accuracy <= 1.0
+
+
+def test_membership_inference_without_test_records_trains_no_attack(mia_setup):
+    cp, fit, hold = mia_setup
+    empty = Table(hold.schema, np.empty((0, 2)))
+    with (pytest.warns(UserWarning, match="attack skipped$"),
+          pytest.raises(ValueError, match=r"^no attack model could be trained \(all classes degenerate\)$")):
+        membership_inference(cp, fit, empty, "s", seed=0)
 
 
 # ---------------------------------------------------------------------------
