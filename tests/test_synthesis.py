@@ -27,6 +27,8 @@ from tabsynth import (
     standardize,
     train,
 )
+from tabsynth import nn
+from tabsynth.model import net_sizes
 from tabsynth.synthesis import PAGE_ROWS
 
 
@@ -194,6 +196,34 @@ def test_generate_matches_its_pages_decoded_in_one_pass(
         for n in PAGE_COUNTS:
             rows = generate(cp, n, seed=40 + n, ordinal_rounding=rounding).rows
             assert rows.tobytes() == one_shot_generate(cp, n, 40 + n, page_draws, rounding).tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [2, 7, None])
+def test_generate_block_size_never_changes_a_byte(
+        mixed_checkpoint, numeric_checkpoint, discrete_checkpoint, monkeypatch, block_rows):
+    # generate works in its own fixed pages: the row blocks that other
+    # row-wise work takes from nn.BLOCK_ENTRIES change none of its bytes
+    for cp in (mixed_checkpoint, numeric_checkpoint, discrete_checkpoint):
+        width = sum(net_sizes(cp.schema, cp.config)[1])
+        # 2 rows is the smallest block: BLOCK_ENTRIES = 1 asks for less
+        if block_rows is not None:
+            monkeypatch.setattr(nn, "BLOCK_ENTRIES", 1 if block_rows == 2 else block_rows * width)
+        block = max(2, nn.BLOCK_ENTRIES // width)
+        assert block == (block_rows or 2**16 // width)
+        for n in (1, block - 1, block, block + 1, 2 * block + 1, PAGE_ROWS + 1):
+            for rounding in ("integer", "decimal"):
+                rows = generate(cp, n, seed=40 + n, ordinal_rounding=rounding).rows
+                assert rows.tobytes() == one_shot_generate(cp, n, 40 + n, page_draws, rounding).tobytes()
+
+
+def test_short_last_block_matches_one_shot(mixed_checkpoint):
+    # OpenBLAS multiplies a matrix of few rows through a separate small-matrix
+    # kernel that rounds differently; a short last page is still decoded at
+    # the full page size, so it must not go through it
+    cp = mixed_checkpoint
+    for tail in (2, 3, 5, 17, 40):
+        rows = generate(cp, PAGE_ROWS + tail, seed=tail).rows
+        assert rows.tobytes() == one_shot_generate(cp, PAGE_ROWS + tail, tail, page_draws).tobytes()
 
 
 def test_generate_memory_does_not_grow_with_the_decoded_rows(default_run):
