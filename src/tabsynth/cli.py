@@ -24,11 +24,19 @@ class UsageError(Exception):
     pass
 
 
+def _enough_rows(table, path, minimum: int, after: str = ""):
+    """table, if it has the minimum number of rows its command needs; an
+    error naming path otherwise."""
+    if table.n_rows < minimum:
+        raise ValueError(f"{path}: needs at least {minimum} data rows, has {table.n_rows}{after}")
+    return table
+
+
 def cmd_train(args) -> int:
     schema = load_schema(args.schema)
-    table = load_csv(args.data, schema)
+    table = _enough_rows(load_csv(args.data, schema), args.data, 2)
     if args.clip_percentiles:
-        table = drop_percentile_outliers(table)
+        table = _enough_rows(drop_percentile_outliers(table), args.data, 2, " after --clip-percentiles")
     table = standardize(table)
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
@@ -75,9 +83,9 @@ def cmd_evaluate(args) -> int:
     if args.with_mia and not args.model:
         raise UsageError("--with-mia requires --model")
     schema = load_schema(args.schema)
-    real_train = load_csv(args.real_train, schema)
-    real_test = load_csv(args.real_test, schema)
-    synth = load_csv(args.synth, schema)
+    real_train = _enough_rows(load_csv(args.real_train, schema), args.real_train, 2)
+    real_test = _enough_rows(load_csv(args.real_test, schema), args.real_test, 1)
+    synth = _enough_rows(load_csv(args.synth, schema), args.synth, 2)
     known = args.known_columns.split(",") if args.known_columns else None
     secrets = args.secret_columns.split(",") if args.secret_columns else None
     if args.with_mia:  # fail before the metrics run, not after

@@ -199,6 +199,8 @@ def mare(y_true, y_pred) -> float:
     """Mean absolute relative error with the denominator floored at 1e-8."""
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
+    if y_true.size == 0:
+        raise ValueError("mare needs non-empty samples")
     return float(np.mean(np.abs(y_true - y_pred) / np.maximum(np.abs(y_true), 1e-8)))
 
 
@@ -206,6 +208,8 @@ def macro_f1(y_true, y_pred) -> float:
     """Unweighted mean of per-class F1 over the classes present in y_true."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
+    if y_true.size == 0:
+        raise ValueError("macro_f1 needs non-empty samples")
     scores = []
     for c in np.unique(y_true):
         tp = np.sum((y_pred == c) & (y_true == c))

@@ -164,8 +164,7 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     """A training step's LossBreakdown on a batch with frozen reparameterization
     noise, and its exact gradient, a flat vector laid out like model.params.
     All (row, numeric column) splines go through the loss in one knot-major
-    pass, spline r * P + p for row r and numeric column p; each column's loss
-    is summed on its own, added in column order."""
+    pass, spline r * P + p for row r and numeric column p."""
     rows = np.asarray(rows, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     n = rows.shape[0]
@@ -183,9 +182,7 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     raw_km = raw.transpose(2, 0, 1).reshape(m, -1)
     x = rows[:, schema.numeric_indices].ravel()
     loss, dg, ds = sp.crps_loss_batch(gamma.ravel(), sp.slopes_to_b(raw_km), knots, x)
-    crps_sum = 0.0
-    for column_loss in np.ascontiguousarray(loss.reshape(n, -1).T).sum(axis=1):
-        crps_sum += 0.5 * column_loss
+    crps_sum = 0.5 * loss.sum()
 
     # allocated only now, so it is not live during the loss pass's temporaries
     d_dec = np.zeros_like(dec_out)

@@ -45,37 +45,18 @@ def row_blocks(n: int, width: int):
 
 
 # numpy reduces an (n, t) array over a short last axis with one tiny inner
-# loop per row, and numpy 2.4 sums each row in a fixed order (its pairwise
-# sum; tests/test_nn.py checks it): for t < 8 left to right from +0.0; for
-# 8 <= t <= 128 into 8 accumulators over the whole blocks of 8, then a fixed
-# tree, then the rest left to right, all added to +0.0. leading_axis_sum takes
-# the same steps as whole-array adds, so it gives the same bits, up to the sign
-# of a NaN: which of two NaNs an add returns depends on the lane it runs in.
-# Below SHORT_AXIS, last_axis_max and last_axis_sum reduce column by column.
+# loop per row. Below SHORT_AXIS, last_axis_max and last_axis_sum reduce
+# column by column instead. For t < 8 numpy sums each row left to right from
+# +0.0 (tests/test_nn.py checks it), so leading_axis_sum gives numpy's bits.
 SHORT_AXIS = 8
-PAIRWISE_BLOCK = 128
 
 
 def leading_axis_sum(a: np.ndarray) -> np.ndarray:
-    """The sum over a's first axis as numpy sums a contiguous last axis of
-    that length: np.ascontiguousarray(np.moveaxis(a, 0, -1)).sum(-1), bit for bit."""
-    t = a.shape[0]
-    if not 0 < t <= PAIRWISE_BLOCK:
-        return np.ascontiguousarray(np.moveaxis(a, 0, -1)).sum(axis=-1)
-    if t < 8:
-        out = a[0] + 0.0  # numpy starts from +0.0, so a lone -0.0 sums to +0.0
-        for j in range(1, t):
-            out += a[j]
-        return out
-    stop = t - t % 8
-    acc = a[:8]
-    for i in range(8, stop, 8):
-        acc = acc + a[i : i + 8]
-    out = (acc[0] + acc[1]) + (acc[2] + acc[3])
-    out += (acc[4] + acc[5]) + (acc[6] + acc[7])
-    for j in range(stop, t):
-        out += a[j]
-    out += 0.0
+    """The sum over a's first axis, its rows added left to right to +0.0, so
+    a lone -0.0 sums to +0.0."""
+    out = np.zeros(a.shape[1:])
+    for row in a:
+        out += row
     return out
 
 

@@ -16,9 +16,9 @@ the knot values, which a caller builds once and reuses for any number of x.
 
 A batch of N splines is stored knot-major: slopes s (M, N), knot values
 (M+1, N), one entry per spline in gamma (N,), x (N,) and alpha_tilde (N,).
-Every scan or sum over the knots is then M whole-row operations on
-contiguous length-N rows, in the order numpy would take along a last axis,
-so the results match a row-major (N, M) layout bit for bit."""
+Every scan over the knots is then M whole-row operations on contiguous
+length-N rows, so the knot values and the inverse match a row-major (N, M)
+layout bit for bit. The loss adds its M segment terms left to right."""
 
 from __future__ import annotations
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import KIND_DISCRETE, KIND_ORDINAL, Table
 from .model import Checkpoint, check_seed, decoder_heads
-from .nn import last_axis_sum, leading_axis_sum, mlp_forward, softmax
+from .nn import last_axis_sum, mlp_forward, softmax
 from . import spline as sp
 
 ROUND_INTEGER = "integer"
@@ -88,9 +88,10 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
     schema = cp.schema
     numeric = schema.numeric_indices
     rows = np.zeros((n, len(schema.columns)))
-    knots, widths = cp.knots[:-1, None, None], np.diff(cp.knots)[:, None, None]
-    # one knot-major hinge buffer (M, rows, P) for all pages, so malloc maps it once
-    buffer = np.empty((knots.size, PAGE_ROWS, len(numeric)))
+    knots, widths = cp.knots[:-1], np.diff(cp.knots)
+    # one hinge buffer for all pages, so malloc maps it once, in the decoder's
+    # own (rows, P, M) layout: row r, numeric column p, segment m
+    buffer = np.empty((PAGE_ROWS, len(numeric), knots.size))
     finite = np.ones(len(numeric), dtype=bool)
     # an overflowing decoder gives inf and NaN outputs; gumbel_max's check
     # or the finiteness check below turns them into the one error raised
@@ -104,12 +105,12 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
             dec_out, _ = mlp_forward(cp.decoder, latent)
             gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:count])
             # the part of each segment below u: clip(u - d_m, 0, d_{m+1} - d_m)
-            hinge = buffer[:, :count]
-            np.subtract(u, knots, out=hinge)
+            hinge = buffer[:count]
+            np.subtract(u[:, :, None], knots, out=hinge)
             np.clip(hinge, 0.0, widths, out=hinge)
-            np.multiply(sp.slopes_to_b(raw).transpose(2, 0, 1), hinge, out=hinge)
+            hinge *= sp.slopes_to_b(raw)
             # back to native units, then snap ordinals to their level grid
-            values = (gamma + leading_axis_sum(hinge)) * cp.scaling.stddev + cp.scaling.mean
+            values = (gamma + hinge.sum(axis=-1)) * cp.scaling.stddev + cp.scaling.mean
             finite &= np.isfinite(values).all(axis=0)
             for k, col in enumerate(numeric):
                 if schema.columns[col].kind == KIND_ORDINAL:

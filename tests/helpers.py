@@ -229,7 +229,7 @@ def masked_logistic(x):
 def concatenated_knot_values(gamma, s, knots):
     """Row-major knot values (N, M+1) of slopes s (N, M), a zero column before
     the running sum of the rises. Guards spline.py's claim that knot-major
-    results match a row-major layout bit for bit."""
+    knot values match a row-major layout bit for bit."""
     rises = np.cumsum(s * np.diff(knots), axis=1)
     return gamma[:, None] + np.concatenate([np.zeros((s.shape[0], 1)), rises], axis=1)
 
@@ -258,13 +258,18 @@ def rebuilt_spline_inverse(gamma, s, knots, x):
 
 def expression_crps_loss_batch(gamma, s, knots, x):
     """The row-major crps_loss_batch as whole-array expressions, one fresh
-    array per operation. Guards spline.py's row-major claim for the loss."""
+    array per operation, its M segment terms added left to right to +0.0.
+    Guards spline.py's claims for the loss: its gradient matches a row-major
+    layout bit for bit, and it sums the segments in that order."""
     alpha = rebuilt_spline_inverse(gamma, s, knots, x)
     mx = np.maximum(alpha[:, None], knots[None, :])
     terms = (1.0 - knots**3) / 3.0 - knots - mx * mx + 2.0 * mx * knots
     d_gamma, d_s = 1.0 - 2.0 * alpha, terms[:, :-1] - terms[:, 1:]
     loss = (2.0 * alpha - 1.0) * x + d_gamma * gamma
-    loss += np.sum(s * d_s, axis=1)
+    segments = np.zeros_like(loss)
+    for term in np.ascontiguousarray((s * d_s).T):
+        segments += term
+    loss += segments
     return loss, d_gamma, d_s
 
 
@@ -334,7 +339,8 @@ def whole_table_draws(cp, n, seed):
 
 def one_shot_generate(cp, n, seed, draws, ordinal_rounding="integer"):
     """generate from the random numbers `draws` lays out, with every row
-    decoded in one pass and each column sampled over all rows at once.
+    decoded in one pass and each column sampled over all rows at once, its
+    hinges summed by numpy's own last-axis sum of each row's (M,) segments.
     Guards generate's claim that its pages change no value."""
     schema = cp.schema
     rows = np.zeros((n, len(schema.columns)))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -223,6 +224,38 @@ def evaluate_argv(workspace, *extra):
         "--synth", str(workspace / "test.csv"), "--schema", str(workspace / "schema.json"),
         "--target-reg", "y", "--target-cls", "c", *map(str, extra),
     ]
+
+
+def write_rows(path, lines):
+    path.write_text("".join(f"{line}\n" for line in ["x,y,c", *lines]), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("flag, lines, clip, has, minimum", [
+    ("--data", [], False, 0, 2),
+    ("--data", ["0.5,1.0,a"], False, 1, 2),
+    ("--data", ["0.5,1.0,a", "1.5,2.0,b"], True, "0 after --clip-percentiles", 2),
+    ("--real-train", ["0.5,1.0,a"], False, 1, 2),
+    ("--real-test", [], False, 0, 1),
+    ("--synth", [], False, 0, 2),
+    ("--synth", ["0.5,1.0,a"], False, 1, 2),
+], ids=["data-header-only", "data-one-row", "data-clipped-empty", "real-train-one-row",
+        "real-test-header-only", "synth-header-only", "synth-one-row"])
+def test_too_few_rows_fail_naming_the_file(workspace, capsys, flag, lines, clip, has, minimum):
+    short = write_rows(workspace / f"short{flag}-{len(lines)}.csv", lines)
+    out = workspace / "never_short.json"
+    if flag == "--data":
+        argv = ["train", "--data", str(short), "--schema", str(workspace / "schema.json"),
+                "--seed", "1", "--out", str(out), "--epochs", "1"] + ["--clip-percentiles"] * clip
+    else:
+        argv = evaluate_argv(workspace, "--out", out)
+        argv[argv.index(flag) + 1] = str(short)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {short}: needs at least {minimum} data rows, has {has}\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.fixture

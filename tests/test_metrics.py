@@ -536,10 +536,12 @@ ONE_COLUMN = num_table([1.0, 2.0, 3.0])
     (lambda: mlu(None, MIXED, MIXED, "y", "x"), r"^classification target 'x' must be discrete$"),
     (lambda: vrate([], [1.0], 0.5), r"^vrate needs non-empty samples$"),
     (lambda: vrate([1.0], [], 0.5), r"^vrate needs non-empty samples$"),
+    (lambda: mare([], []), r"^mare needs non-empty samples$"),
+    (lambda: macro_f1([], []), r"^macro_f1 needs non-empty samples$"),
     (lambda: attribute_disclosure(MIXED, MIXED, ["x"], ["c"], k=0), r"^k must be at least 1$"),
 ], ids=["dcr-schemas", "mlu-schemas", "attribute-schemas", "report-synth-schema", "report-test-schema",
         "mlu-discrete-regression", "mlu-numeric-classification", "vrate-empty-test", "vrate-empty-synth",
-        "attribute-k0"])
+        "mare-empty", "macro-f1-empty", "attribute-k0"])
 def test_metric_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -18,6 +18,7 @@ from tabsynth import (
 )
 from tabsynth.model import decoder_heads, decoder_width, encode_batch
 from tabsynth.nn import layer_views, mlp_forward, mlp_init, softmax
+from tabsynth import spline
 from tabsynth.spline import knot_values, slopes_to_b
 
 MIX_SCHEMA = Schema((
@@ -299,6 +300,27 @@ def test_train_divergence_names_epoch_step_and_loss(toy_std):
         warnings.simplefilter("error")
         train(toy_std, TrainConfig(seed=2024, learning_rate=10.0))
     assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+def test_trained_params_do_not_depend_on_the_order_of_the_loss_sum(monkeypatch):
+    # the loss never feeds the gradient: summing each spline's segment terms
+    # by numpy's pairwise sum, not left to right, moves at most the last bits
+    # of the loss trace and no bit of the trained parameters
+    table = gaussian_table()
+    config = TrainConfig(seed=15, epochs=2, batch_size=64, knot_count=17)
+    left_to_right = train(table, config)
+    calls = []
+
+    def pairwise(a):
+        calls.append(a.shape)
+        return np.ascontiguousarray(np.moveaxis(a, 0, -1)).sum(axis=-1)
+
+    monkeypatch.setattr(spline, "leading_axis_sum", pairwise)
+    reference = train(table, config)
+    assert calls
+    assert left_to_right.params.tobytes() == reference.params.tobytes()
+    for got, want in zip(left_to_right.loss_trace, reference.loss_trace):
+        assert got.crps == pytest.approx(want.crps, rel=1e-12)
 
 
 def test_train_stores_quantile_band():

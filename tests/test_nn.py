@@ -105,8 +105,9 @@ def nan_blind_bits(a):
 @pytest.mark.parametrize("t", range(nn.SHORT_AXIS, 41))
 @pytest.mark.parametrize("lead", AWKWARD_SHAPES)
 def test_numpy_sums_a_last_axis_from_8_on_by_eight_accumulators_and_a_tree(lead, t):
-    # leading_axis_sum relies on this order (numpy's pairwise sum up to its
-    # block of 128 entries); a numpy release that changes it fails here
+    # numpy's pairwise sum up to its block of 128 entries. No src code relies
+    # on this order; it shows why leading_axis_sum, which adds left to right,
+    # stands in for a numpy last-axis sum only below 8 entries.
     a = awkward_array(lead + (t,), seed=300 + t)
     a[(0,) * len(lead)] = -0.0  # a row of -0.0 sums to +0.0
     with np.errstate(invalid="ignore"):
@@ -122,16 +123,39 @@ def test_numpy_sums_a_last_axis_from_8_on_by_eight_accumulators_and_a_tree(lead,
     assert not np.signbit(total[(0,) * len(lead)])
 
 
+def left_to_right_sum(a):
+    """The sum over a's first axis as one running total that starts at +0.0."""
+    total = np.zeros(a.shape[1:])
+    for j in range(a.shape[0]):
+        total = total + a[j]
+    return total
+
+
 @pytest.mark.parametrize("t", [1, 2, 7, 8, 9, 10, 16, 17, 24, 40, 127, 128, 129, 300])
 @pytest.mark.parametrize("lead", AWKWARD_SHAPES)
 def test_leading_axis_sum_matches_numpy_last_axis_sum_bit_for_bit(lead, t):
+    # left to right from +0.0 for every t; below 8 that is numpy's own order,
+    # which last_axis_sum relies on
     a = awkward_array(lead + (t,), seed=400 + t)
     a[(0,) * len(lead)] = -0.0
+    leading = np.ascontiguousarray(np.moveaxis(a, -1, 0))
     with np.errstate(invalid="ignore"):
-        want = a.sum(axis=-1)
-        got = leading_axis_sum(np.ascontiguousarray(np.moveaxis(a, -1, 0)))
-    assert got.shape == want.shape
+        got = leading_axis_sum(leading)
+        want = left_to_right_sum(leading)
+        if t < nn.SHORT_AXIS:
+            assert got.tobytes() == a.sum(axis=-1).tobytes()
+    assert got.shape == lead
     assert nan_blind_bits(got) == nan_blind_bits(want)
+    assert not np.signbit(got[(0,) * len(lead)])
+
+
+def test_leading_axis_sum_adds_left_to_right_for_every_row_count():
+    for t in range(301):
+        a = awkward_array((t, 97), seed=t)
+        with np.errstate(invalid="ignore"):
+            got, want = leading_axis_sum(a), left_to_right_sum(a)
+        assert got.shape == (97,)
+        assert nan_blind_bits(got) == nan_blind_bits(want)
 
 
 @pytest.mark.parametrize("t", [*range(1, nn.SHORT_AXIS), 8, 10, 20])

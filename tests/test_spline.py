@@ -205,7 +205,7 @@ def awkward_batch(rng, m, n=300):
     return gamma, s, knots, x
 
 
-@pytest.mark.parametrize("m", [1, 2, 4, 10, 17])
+@pytest.mark.parametrize("m", [1, 2, 4, 10, 17, 128, 129, 300])
 def test_in_place_spline_head_matches_expression_reference_bit_for_bit(m):
     rng = np.random.default_rng(40 + m)
     gamma, s, knots, x = awkward_batch(rng, m)
@@ -216,7 +216,7 @@ def test_in_place_spline_head_matches_expression_reference_bit_for_bit(m):
     assert np.any(s == 0.0)
 
 
-@pytest.mark.parametrize("m", [1, 2, 4, 7, 8, 9, 10, 16, 17])
+@pytest.mark.parametrize("m", [1, 2, 4, 7, 8, 9, 10, 16, 17, 128, 129, 300])
 def test_knot_major_head_matches_row_major_references_bit_for_bit(m):
     # the row-major references take the transposed slopes and give the
     # transposed knot values and d_s; x also sits at D(0), at +-inf and at NaN

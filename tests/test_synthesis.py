@@ -92,6 +92,23 @@ def discrete_checkpoint():
     return train(standardize(Table(schema, rows)), TrainConfig(seed=41, epochs=5))
 
 
+@pytest.fixture(scope="module")
+def knot_count_checkpoints():
+    # one epoch on a small mixed table at segment counts on both sides of 8,
+    # where numpy's last-axis sum stops adding left to right
+    rng = np.random.default_rng(42)
+    schema = Schema((
+        ColumnSpec("x", "continuous"),
+        ColumnSpec("k", "ordinal"),
+        ColumnSpec("g", "discrete", ("p", "q", "r")),
+    ))
+    rows = np.column_stack([
+        rng.normal(size=200), rng.integers(1, 6, 200), rng.integers(0, 3, 200),
+    ]).astype(float)
+    table = standardize(Table(schema, rows))
+    return [train(table, TrainConfig(seed=43, epochs=1, knot_count=m)) for m in (1, 7, 8, 17)]
+
+
 def test_prior_deterministic_and_validated():
     assert np.array_equal(sample_prior(5, 3, seed=7), sample_prior(5, 3, seed=7))
     assert sample_prior(1, 1, seed=0).shape == (1, 1)
@@ -191,8 +208,8 @@ def test_fewer_rows_are_the_leading_rows_of_more(
 
 @pytest.mark.parametrize("rounding", ["integer", "decimal"])
 def test_generate_matches_its_pages_decoded_in_one_pass(
-        mixed_checkpoint, numeric_checkpoint, discrete_checkpoint, rounding):
-    for cp in (mixed_checkpoint, numeric_checkpoint, discrete_checkpoint):
+        mixed_checkpoint, numeric_checkpoint, discrete_checkpoint, knot_count_checkpoints, rounding):
+    for cp in (mixed_checkpoint, numeric_checkpoint, discrete_checkpoint, *knot_count_checkpoints):
         for n in PAGE_COUNTS:
             rows = generate(cp, n, seed=40 + n, ordinal_rounding=rounding).rows
             assert rows.tobytes() == one_shot_generate(cp, n, 40 + n, page_draws, rounding).tobytes()
