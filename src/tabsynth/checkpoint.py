@@ -16,7 +16,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .data import ScalingStats, check_scaling_names, schema_from_doc
+from .data import ScalingStats, check_scaling_names, not_utf8, schema_from_doc
 from .model import Checkpoint, LossBreakdown, TrainConfig, format_1_decoder, net_sizes
 from .nn import Mlp
 from .serialize import json_text
@@ -179,5 +179,11 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "r", encoding="utf-8") as fh:
-        return checkpoint_from_text(fh.read())
+    """Read a checkpoint file; its errors start with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return checkpoint_from_text(fh.read())
+    except UnicodeDecodeError as err:  # a ValueError too, so caught first
+        raise not_utf8(path, err) from None
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -18,8 +18,6 @@ from itertools import chain, islice
 
 import numpy as np
 
-from . import nn
-
 KIND_CONTINUOUS = "continuous"
 KIND_ORDINAL = "ordinal"
 KIND_DISCRETE = "discrete"
@@ -118,6 +116,15 @@ def schema_from_doc(doc, where) -> Schema:
     return Schema(columns=tuple(cols))
 
 
+def not_utf8(path, err: UnicodeDecodeError) -> ValueError:
+    """The error a loader raises for a file that is not UTF-8 text. The
+    decoder's position counts from the start of a read chunk, not of the
+    file, so it is left out."""
+    return ValueError(
+        f"{path}: not UTF-8 text, cannot decode byte 0x{err.object[err.start]:02x} ({err.reason})"
+    )
+
+
 def load_schema(path) -> Schema:
     """Read a schema file; see schema_from_doc for the layout."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -125,6 +132,8 @@ def load_schema(path) -> Schema:
             return schema_from_doc(json.load(fh), path)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: schema is not valid JSON ({err})") from None
+        except UnicodeDecodeError as err:
+            raise not_utf8(path, err) from None
 
 
 @dataclass(frozen=True)
@@ -192,14 +201,21 @@ def _first_rejected(parse, cells) -> int:
             return r
 
 
+# cells of CSV text that load_csv parses and save_csv formats at a time. A
+# cell becomes a str, a list slot and a float object, about 100 bytes, so
+# this is sized for Python objects, not for nn.BLOCK_ENTRIES' 8-byte entries
+CSV_BLOCK_CELLS = 2**12
+
+
 def load_csv(path, schema: Schema) -> Table:
     """Load a CSV whose header matches the schema exactly, in order.
 
     Discrete cells must be level labels. Any unparseable, missing, or
     unknown cell raises with the 1-based data row and the column name. A
     UTF-8 byte-order mark before the header is skipped. Records are parsed
-    nn.BLOCK_ENTRIES cells at a time, so only the parsed floats grow with
-    the file; faults are reported block by block, the earliest block first.
+    CSV_BLOCK_CELLS cells at a time into one float array, which grows in
+    place and becomes the table's rows, so the floats are held once; faults
+    are reported block by block, the earliest block first.
     """
     parsers = []
     for spec in schema.columns:
@@ -208,34 +224,40 @@ def load_csv(path, schema: Schema) -> Table:
             parsers.append((level_of.__getitem__, "unknown level"))
         else:
             parsers.append((float, "unparseable value"))
-    step = max(1, nn.BLOCK_ENTRIES // len(parsers))
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if header != schema.names:
-            raise ValueError(
-                f"{path}: header {header!r} does not match schema columns {schema.names!r}"
-            )
-        blocks = [
-            _parse_block(path, schema, parsers, records, k * step)
-            for k, records in enumerate(_record_blocks(reader, step))
-        ]
-    rows = np.concatenate(blocks) if blocks else np.empty((0, len(parsers)))
+    width = len(parsers)
+    rows = np.empty((0, width))
+    n = 0
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file") from None
+            if header != schema.names:
+                raise ValueError(
+                    f"{path}: header {header!r} does not match schema columns {schema.names!r}"
+                )
+            step = max(1, CSV_BLOCK_CELLS // width)
+            while records := list(islice(reader, step)):
+                stop = n + len(records)
+                if stop > rows.shape[0]:
+                    # realloc, with a quarter to spare; resize refuses while
+                    # a view of rows lives, so each block's view is a temporary
+                    rows.resize((stop + stop // 4, width))
+                _parse_block(path, schema, parsers, records, rows[n:stop], n)
+                n = stop
+    except UnicodeDecodeError as err:
+        raise not_utf8(path, err) from None
+    except csv.Error as err:
+        raise ValueError(f"{path}: {err} at line {reader.line_num}") from None
+    rows.resize((n, width))
     rows.flags.writeable = False
     return Table(schema=schema, rows=rows)
 
 
-def _record_blocks(reader, step: int):
-    """Lists of step records from a csv reader, the last one shorter."""
-    while records := list(islice(reader, step)):
-        yield records
-
-
-def _parse_block(path, schema: Schema, parsers, records, done: int) -> np.ndarray:
-    """Records as a float array; errors count rows from done + 1."""
+def _parse_block(path, schema: Schema, parsers, records, out: np.ndarray, done: int) -> None:
+    """Parse records into out, one row each; errors count rows from done + 1."""
     width = len(parsers)
     if set(map(len, records)) != {width}:
         r = next(r for r, record in enumerate(records, start=1) if len(record) != width)
@@ -243,24 +265,22 @@ def _parse_block(path, schema: Schema, parsers, records, done: int) -> np.ndarra
             f"{path}: row {done + r} has {len(records[r - 1])} cells, expected {width}"
         )
     cells = list(chain.from_iterable(records))
-    block = np.empty((len(records), width))
     for j, (spec, (parse, problem)) in enumerate(zip(schema.columns, parsers)):
         column = cells[j::width]
         try:
-            block[:, j] = list(map(parse, column))
+            out[:, j] = list(map(parse, column))
         except (KeyError, ValueError):
             r = _first_rejected(parse, column)
             raise ValueError(
                 f"{path}: {problem} {column[r - 1]!r} for column {spec.name!r} at row {done + r}"
             ) from None
-        finite = np.isfinite(block[:, j])
+        finite = np.isfinite(out[:, j])
         if not finite.all():
             r = int(np.argmin(finite)) + 1
             raise ValueError(
                 f"{path}: non-finite value {column[r - 1]!r} for column {spec.name!r} "
                 f"at row {done + r}"
             )
-    return block
 
 
 def _csv_forms(labels, width: int) -> list[str]:
@@ -287,7 +307,7 @@ def save_csv(table: Table, path) -> None:
     numeric cells as repr(float), which reads back to the same bits.
 
     The bytes are those of csv.writer, but rows are formatted and written
-    nn.BLOCK_ENTRIES cells at a time, so no list grows with the table.
+    CSV_BLOCK_CELLS cells at a time, so no list grows with the table.
     """
     schema = table.schema
     width = len(schema.columns)
@@ -297,8 +317,9 @@ def save_csv(table: Table, path) -> None:
     ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(schema.names)
-        for block in nn.row_blocks(table.n_rows, width):
-            fh.write(_csv_lines(table.rows[block], forms))
+        step = max(1, CSV_BLOCK_CELLS // width)
+        for start in range(0, table.n_rows, step):
+            fh.write(_csv_lines(table.rows[start : start + step], forms))
             fh.write("\r\n")
 
 

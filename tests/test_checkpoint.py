@@ -99,6 +99,19 @@ def test_rejects_invalid_json():
         checkpoint_from_text("{not json")
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"format_version": 2}', "corrupt checkpoint: missing checkpoint.schema"),
+    (b"{not json", "corrupt checkpoint: not valid JSON (Expecting property name"),
+    (b'{"format_version": 2, "schema": "r\xe9d"}', "not UTF-8 text, cannot decode byte 0xe9 (invalid continuation byte)"),
+], ids=["missing-schema", "not-json", "not-utf8"])
+def test_load_checkpoint_errors_start_with_the_path(tmp_path, content, message):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
 def test_rejects_unknown_format_version(small_checkpoint):
     doc = json.loads(checkpoint_to_text(small_checkpoint))
     doc["format_version"] = 99

@@ -413,5 +413,30 @@ def test_evaluate_mia_needs_model(workspace, trained):
     assert "usage error" in result.stderr
 
 
+NOT_UTF8 = "not UTF-8 text, cannot decode byte 0xe9 (invalid continuation byte)"
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--data", b"x,y,c\n0.5,1.0,a\n0.5,1.0,r\xe9d\n", NOT_UTF8),
+    ("--data", b"x,y,c\n0.5,1.0,a\n" + b"1" * 2**17 + b"1,1.0,a\n", "field larger than field limit (131072) at line 3"),
+    ("--schema", b'{"columns": [{"name": "r\xe9d"}]}', NOT_UTF8),
+    ("--model", b'{"format_version": 2, "schema": "r\xe9d"}', NOT_UTF8),
+    ("--model", b'{"format_version": 2}', "corrupt checkpoint: missing checkpoint.schema"),
+], ids=["csv-not-utf8", "csv-cell-too-long", "schema-not-utf8", "checkpoint-not-utf8", "checkpoint-missing-schema"])
+def test_unreadable_input_fails_naming_the_file(workspace, capsys, flag, content, message):
+    bad = workspace / f"unreadable{flag}"
+    bad.write_bytes(content)
+    out = workspace / "never_unreadable"
+    if flag == "--model":
+        argv = ["generate", "--model", bad, "--n", 5, "--seed", 0, "--out", out]
+    else:
+        argv = ["train", "--data", workspace / "train.csv", "--schema", workspace / "schema.json",
+                "--seed", 1, "--out", out, "--epochs", 1]
+        argv[argv.index(flag) + 1] = bad
+    assert cli.main(list(map(str, argv))) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
+
+
 def test_unknown_subcommand(workspace):
     assert run_cli("frobnicate").returncode == 2

@@ -23,7 +23,7 @@ from tabsynth import (
     standardize,
     train_test_split,
 )
-from tabsynth import nn
+from tabsynth import data
 
 
 def small_schema() -> Schema:
@@ -66,6 +66,11 @@ def _load_schema_text(tmp_path, text):
     return load_schema(path)
 
 
+def _load_bytes(load, path, content, *args):
+    path.write_bytes(content)
+    return load(path, *args)
+
+
 def _load_empty_csv(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
@@ -77,7 +82,15 @@ def _load_empty_csv(tmp_path):
     (lambda tmp: Schema(()), r"^schema has no columns$"),
     (lambda tmp: _load_schema_text(tmp, '["x"]'), r"s\.json: schema must contain a 'columns' list$"),
     (_load_empty_csv, r"empty\.csv: empty file$"),
-], ids=["duplicate-levels", "no-columns", "non-dict-schema", "empty-csv"])
+    (lambda tmp: _load_bytes(load_schema, tmp / "s.json", b'{"columns": [{"name": "\xe9"}]}'),
+     r"s\.json: not UTF-8 text, cannot decode byte 0xe9 \(invalid continuation byte\)$"),
+    (lambda tmp: _load_bytes(load_csv, tmp / "t.csv", b"age,score,color\n1.0,2.0,r\xe9d\n", small_schema()),
+     r"t\.csv: not UTF-8 text, cannot decode byte 0xe9 \(invalid continuation byte\)$"),
+    (lambda tmp: _load_bytes(load_csv, tmp / "t.csv", b"age,score,color\n1.0,2.0,red\n"
+                             + b"1" * 2**17 + b"1,2.0,red\n", small_schema()),
+     r"t\.csv: field larger than field limit \(131072\) at line 3$"),
+], ids=["duplicate-levels", "no-columns", "non-dict-schema", "empty-csv", "schema-not-utf8",
+        "csv-not-utf8", "csv-cell-too-long"])
 def test_data_input_checks_name_the_fault(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)
@@ -253,7 +266,11 @@ _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 1e16, 1e-5, sys.float_info.max, -s
 @st.composite
 def _csv_cases(draw):
     """(schema, rows, block rows): 1-4 columns whose names and labels hold
-    CSV specials, and a row count at or around a multiple of the block."""
+    CSV specials, and a row count at or around a multiple of the block, or
+    any count up to 12 blocks. The reader's array grows when a block ends
+    past its capacity, to a quarter over that row count, so 12 blocks pass
+    several growth steps and end both on the capacity and short of it,
+    where the array is trimmed."""
     width = draw(st.integers(1, 4))
     names = draw(st.lists(_LABELS, min_size=width, max_size=width, unique=True))
     specs, cells = [], []
@@ -267,7 +284,7 @@ def _csv_cases(draw):
             specs.append(ColumnSpec(name, kind))
             cells.append(st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False))
     block = draw(st.integers(2, 5))
-    n = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 3 * block]))
+    n = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 3 * block]) | st.integers(0, 12 * block))
     rows = draw(st.lists(st.tuples(*cells), min_size=n, max_size=n))
     return Schema(tuple(specs)), np.array(rows, dtype=np.float64).reshape(n, width), block
 
@@ -279,7 +296,7 @@ def test_blocked_csv_matches_the_whole_file_reference(tmp_path, case):
     table = Table(schema, rows)
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nn, "BLOCK_ENTRIES", block * len(schema.columns))
+        mp.setattr(data, "CSV_BLOCK_CELLS", block * len(schema.columns))
         save_csv(table, new)
         whole_file_save_csv(table, ref)
         assert new.read_bytes() == ref.read_bytes()
@@ -310,7 +327,7 @@ def _load_error(load, path):
     ({9: "1.0,2.0", 10: "1.0,2.0,red,4"}, "row 9 has 2 cells, expected 3"),  # 6 cells in 2 rows
 ])
 def test_load_csv_errors_in_later_blocks_keep_absolute_rows(tmp_path, monkeypatch, faults, message):
-    monkeypatch.setattr(nn, "BLOCK_ENTRIES", 4 * 3)  # 4-row blocks
+    monkeypatch.setattr(data, "CSV_BLOCK_CELLS", 4 * 3)  # 4-row blocks
     path = _twelve_rows(tmp_path, faults)
     assert _load_error(load_csv, path) == f"{path}: {message}"
     assert _load_error(whole_file_load_csv, path) == f"{path}: {message}"
@@ -318,10 +335,32 @@ def test_load_csv_errors_in_later_blocks_keep_absolute_rows(tmp_path, monkeypatc
 
 def test_load_csv_reports_the_earlier_block_first(tmp_path, monkeypatch):
     # the whole-file reader checked every row's length before any cell
-    monkeypatch.setattr(nn, "BLOCK_ENTRIES", 4 * 3)
+    monkeypatch.setattr(data, "CSV_BLOCK_CELLS", 4 * 3)
     path = _twelve_rows(tmp_path, {2: "1.0,x,red", 9: "1.0,2.0"})
     assert _load_error(load_csv, path).endswith("unparseable value 'x' for column 'score' at row 2")
     assert _load_error(whole_file_load_csv, path).endswith("row 9 has 2 cells, expected 3")
+
+
+# with 4-row blocks the array grows to 5, 10 and 15 rows after rows 4, 8
+# and 12: 5 rows end on the capacity, 13 rows are trimmed from 15
+@pytest.mark.parametrize("n", [0, 1, 4, 5, 9, 13])
+def test_loaded_rows_are_the_one_array_the_table_keeps(tmp_path, monkeypatch, n):
+    monkeypatch.setattr(data, "CSV_BLOCK_CELLS", 4 * 3)
+    handed = []
+
+    class Recording(Table):
+        def __post_init__(self):
+            handed.append(self.rows)
+            super().__post_init__()
+
+    monkeypatch.setattr(data, "Table", Recording)
+    path = tmp_path / "t.csv"
+    path.write_text("age,score,color\n" + "".join(f"{r}.5,{r}.0,green\n" for r in range(n)))
+    rows = load_csv(path, small_schema()).rows
+    assert rows.shape == (n, 3) and rows.base is None
+    assert rows.flags.owndata and rows.flags.c_contiguous and not rows.flags.writeable
+    assert rows is handed[0] and (n == 0 or np.shares_memory(rows, handed[0]))  # no bytes to share at 0
+    assert rows.tobytes() == np.array([[r + 0.5, r, 1.0] for r in range(n)]).reshape(n, 3).tobytes()
 
 
 def _peak_bytes(fn, *args):
@@ -338,10 +377,10 @@ def test_csv_memory_does_not_grow_with_the_rows(tmp_path):
     path = tmp_path / "toy.csv"
     for n in (100_000, 400_000):
         table = make_toy_table(n, seed=3)
-        assert _peak_bytes(save_csv, table, path) < 8 * 2**20
-    # the reader peaks at 21.8 MB, 18.3 MB of it the parsed rows: block
-    # arrays and their concatenation, 9.2 MB each, which the Table keeps
-    assert _peak_bytes(load_csv, path, table.schema) < 32 * 2**20
+        assert _peak_bytes(save_csv, table, path) < 2**20  # 0.25 MB
+    # the reader peaks at 12.6 MB: the 9.2 MB of rows that the Table keeps,
+    # up to a quarter of them spare while the array grows, and one block
+    assert _peak_bytes(load_csv, path, table.schema) < 1.5 * table.rows.nbytes
 
 
 def test_standardize_hand_values():
