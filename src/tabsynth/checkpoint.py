@@ -1,9 +1,10 @@
 """Checkpoint serialization: a versioned JSON document with decimal floats.
 
-Floats are written with 17 significant digits, which is enough for the
-parsed value to equal the original bit for bit, so save -> load -> save
-reproduces the file exactly. Weight shapes are validated against the
-stored config on load; format 1 files load through model.format_1_decoder.
+Floats are written as repr(float), the shortest text that parses back to
+the same bits, so save -> load -> save reproduces the file exactly; older
+files with 17-digit floats load to the same values. Weight shapes are
+validated against the stored config on load; format 1 files load through
+model.format_1_decoder.
 """
 
 from __future__ import annotations
@@ -157,6 +158,8 @@ def checkpoint_from_text(text: str) -> Checkpoint:
     for key, values in zip(("low", "high"), bounds):
         if values.shape != (len(schema.numeric_indices),):
             raise ValueError(f"corrupt checkpoint: quantiles.{key} needs one entry per numeric column")
+    if np.any(bounds[0] > bounds[1]):
+        raise ValueError("corrupt checkpoint: quantiles.low must not exceed quantiles.high")
     trace = [
         _fields_from_doc(LossBreakdown, t, f"loss_trace[{i}]")
         for i, t in enumerate(_require(doc, "loss_trace", "checkpoint", list))

@@ -1,70 +1,16 @@
-"""Deterministic JSON writing with full-precision decimal floats.
+"""JSON text for checkpoints and metric reports.
 
-Floats carry 17 significant digits so that parse(write(x)) == x bit for
-bit and rewriting a parsed document reproduces it byte for byte. Used for
-checkpoints and metric reports.
+json.dumps writes every float as repr(float), the shortest decimal that
+parses back to the same bits, so parse(write(x)) == x and rewriting a
+parsed document reproduces it byte for byte. NaN and infinity raise
+ValueError, since JSON has no text for them.
 """
 
 from __future__ import annotations
 
 import json
-import math
-
-import numpy as np
-
-
-def fmt_float(x) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("cannot serialize non-finite float")
-    s = format(x, ".17g")
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
-
-
-def _scalar(v) -> str:
-    if v is None or isinstance(v, (str, bool)):
-        return json.dumps(v)
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return fmt_float(v)
-    raise TypeError(f"cannot serialize {type(v)!r}")
-
-
-def _emit(obj, lines, indent):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            lines.append("{}")
-            return
-        lines.append("{")
-        items = list(obj.items())
-        for i, (key, value) in enumerate(items):
-            lines.append(f"\n{pad}  {json.dumps(key)}: ")
-            _emit(value, lines, indent + 1)
-            if i < len(items) - 1:
-                lines.append(",")
-        lines.append(f"\n{pad}}}")
-    elif isinstance(obj, (list, tuple)):
-        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
-            lines.append("[" + ", ".join(_scalar(v) for v in obj) + "]")
-            return
-        lines.append("[")
-        for i, value in enumerate(obj):
-            lines.append(f"\n{pad}  ")
-            _emit(value, lines, indent + 1)
-            if i < len(obj) - 1:
-                lines.append(",")
-        lines.append(f"\n{pad}]")
-    else:
-        lines.append(_scalar(obj))
 
 
 def json_text(doc) -> str:
-    """Serialize a document of dicts/lists/scalars to deterministic JSON."""
-    lines = []
-    _emit(doc, lines, 0)
-    lines.append("\n")
-    return "".join(lines)
+    """A document of dicts, lists and scalars as indented JSON text."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"

@@ -60,7 +60,7 @@ def round_ordinal(value, mode: str = ROUND_INTEGER):
     """Post-process a generated ordinal value (in native units).
 
     integer: snap to the nearest integer level. decimal: keep one decimal
-    place (the coarser treatment some pipelines use).
+    place (finer than integer levels, as some pipelines use).
     """
     _check_rounding(mode)
     return np.round(value, 1 if mode == ROUND_DECIMAL else 0)
@@ -159,7 +159,8 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     x, evaluated over n_mc latent draws. The draws are decoded and their
     knot values built once; each grid point then costs one inverse over the
     draws. x values are in standardized units; the default grid spans the
-    column's 1%-99% training range.
+    column's 1%-99% training range, or the draws' own range when one value
+    fills it (a zero-inflated column).
     """
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
@@ -174,7 +175,10 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     s = sp.slopes_to_b(np.ascontiguousarray(raw[:, k].T))
     values = sp.knot_values(gamma[:, k], s, cp.knots)
     if grid is None:
-        grid = np.linspace(cp.quantile_lo[k], cp.quantile_hi[k], 201)
+        lo, hi = cp.quantile_lo[k], cp.quantile_hi[k]
+        if lo == hi:  # one value fills the 1%-99% range: span the draws instead
+            lo, hi = values[0].min(), values[-1].max()
+        grid = np.linspace(lo, hi, 201)
     grid = np.asarray(grid, dtype=np.float64)
     cdf = np.empty_like(grid)
     for i, x in enumerate(grid):

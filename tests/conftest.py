@@ -89,3 +89,15 @@ def beta5_run(toy_std):
     """Same data and seed as default_run but with the KL weight at 5."""
     cp = train(toy_std, TrainConfig(seed=2024, beta=5.0))
     return {"checkpoint": cp, "synth": generate(cp, 5000, seed=123)}
+
+
+@pytest.fixture(scope="session")
+def zero_inflated_checkpoint():
+    """A model of a table whose column 'gain' is 0 in 99.5% of its 1,000
+    rows, so its stored 1% and 99% quantiles are equal."""
+    rng = np.random.default_rng(61)
+    schema = Schema((ColumnSpec("x", "continuous"), ColumnSpec("gain", "continuous")))
+    gain = np.zeros(1000)
+    gain[::200] = rng.exponential(5000.0, 5)
+    rows = np.column_stack([rng.normal(size=1000), gain])
+    return train(standardize(Table(schema, rows)), TrainConfig(seed=62, epochs=3))

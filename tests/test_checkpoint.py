@@ -1,9 +1,10 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import one_shot_generate, whole_table_draws
 from tabsynth import (
@@ -20,7 +21,7 @@ from tabsynth import (
     standardize,
     train,
 )
-from tabsynth.serialize import fmt_float, json_text
+from tabsynth.serialize import json_text
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -62,15 +63,20 @@ def test_awkward_floats_survive_exactly(small_checkpoint):
     assert np.array_equal(loaded.encoder[0][0], weight)
 
 
-def test_float_formatting():
-    assert fmt_float(1.0) == "1.0"
-    assert fmt_float(-2.0) == "-2.0"
-    for x in (0.1, 1.0 / 3.0, 1e-300, 6.02214076e23, 5e-324):
-        assert float(fmt_float(x)) == x
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(1.7976931348623157e308)
+@example(-1.7976931348623157e308)
+def test_json_text_floats_parse_back_to_the_same_bits(x):
+    assert struct.pack("<d", json.loads(json_text([x]))[0]) == struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_json_text_rejects_non_finite_floats(x):
     with pytest.raises(ValueError):
-        fmt_float(float("nan"))
-    with pytest.raises(ValueError):
-        fmt_float(float("inf"))
+        json_text([x])
 
 
 def test_json_text_is_valid_json():
@@ -90,7 +96,7 @@ def test_json_text_writes_empty_dicts_inline():
     ({"a": [b"raw"]}, "bytes"),
 ], ids=["object", "set-in-list", "bytes-in-list"])
 def test_json_text_rejects_unknown_types_by_name(doc, name):
-    with pytest.raises(TypeError, match=f"^cannot serialize <class '{name}'>$"):
+    with pytest.raises(TypeError, match=f"^Object of type {name} is not JSON serializable$"):
         json_text(doc)
 
 
@@ -389,6 +395,24 @@ def test_format_1_checkpoint_saves_as_format_2(tmp_path):
     assert again.params.tobytes() == cp.params.tobytes()
     assert checkpoint_to_text(again) == text
     assert_generates_the_committed_v1_rows(again)
+
+
+def test_checkpoint_written_at_17_digits_keeps_its_values_and_resaves_stably(tmp_path):
+    # the committed file writes its floats at 17 significant digits, not repr
+    fixture = DATA / "checkpoint_v1.json"
+    doc = json.loads(fixture.read_text(encoding="utf-8"))
+    cp = load_checkpoint(fixture)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_checkpoint(cp, first)
+    save_checkpoint(load_checkpoint(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    want = [np.array(layer[key]) for layer in doc["encoder"]["layers"] for key in ("weight", "bias")]
+    want += [np.array(doc["scaling"][key]) for key in ("mean", "stddev")]
+    want += [np.array(doc["quantiles"][key]) for key in ("low", "high")]
+    got = [a for layer in cp.encoder for a in layer]
+    got += [cp.scaling.mean, cp.scaling.stddev, cp.quantile_lo, cp.quantile_hi]
+    assert [a.shape for a in got] == [a.shape for a in want]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_format_2_document_labelled_version_1_names_the_decoder_shape(small_checkpoint):

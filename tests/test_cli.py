@@ -12,6 +12,7 @@ from tabsynth import (
     ColumnSpec,
     Schema,
     TrainConfig,
+    checkpoint_to_text,
     cli,
     drop_percentile_outliers,
     load_checkpoint,
@@ -358,6 +359,33 @@ def test_cdf_curve_output(workspace, trained):
     assert np.all(np.diff(values) >= 0)
     assert values[0] < 0.1
     assert values[-1] > 0.9
+
+
+def test_cdf_of_a_zero_inflated_column(workspace, zero_inflated_checkpoint, capsys):
+    model, out = workspace / "zero_inflated.json", workspace / "cdf_gain.csv"
+    save_checkpoint(zero_inflated_checkpoint, model)
+    assert cli.main(["cdf", "--model", str(model), "--column", "gain", "--out", str(out), "--mc", "300"]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "x,cdf"
+    grid, values = np.array([line.split(",") for line in lines[1:]], dtype=float).T
+    assert len(values) == 201
+    assert np.all(np.diff(grid) > 0)
+    assert np.all(np.diff(values) >= 0)
+    assert np.all((values >= 0) & (values <= 1))
+    assert capsys.readouterr().err == ""
+
+
+def test_cdf_rejects_quantiles_out_of_order(workspace, zero_inflated_checkpoint, capsys):
+    model = workspace / "swapped_quantiles.json"
+    doc = json.loads(checkpoint_to_text(zero_inflated_checkpoint))
+    doc["quantiles"]["low"][0], doc["quantiles"]["high"][0] = 1.0, -1.0
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    out = workspace / "never_cdf.csv"
+    assert cli.main(["cdf", "--model", str(model), "--column", "x", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}: corrupt checkpoint: quantiles.low must not exceed quantiles.high\n"
+    )
+    assert not out.exists()
 
 
 def test_cdf_rejects_discrete_column(workspace, trained):

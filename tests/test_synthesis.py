@@ -348,6 +348,19 @@ def test_estimate_cdf_basic_shape(normal_checkpoint):
     assert np.all((curve.values >= 0) & (curve.values <= 1))
 
 
+def test_estimate_cdf_spans_the_draws_when_the_quantiles_tie(zero_inflated_checkpoint):
+    cp = zero_inflated_checkpoint
+    k = cp.schema.numeric_indices.index(cp.schema.index("gain"))
+    assert cp.quantile_lo[k] == cp.quantile_hi[k]
+    curve = estimate_cdf(cp, "gain", n_mc=500, seed=1)
+    assert curve.grid.shape == (201,)
+    assert np.all(np.diff(curve.grid) > 0)
+    assert np.all(np.diff(curve.values) >= 0)
+    # the grid runs from the lowest draw's D(0) to the highest draw's D(1)
+    assert curve.values[0] == 0.0
+    assert curve.values[-1] == 1.0
+
+
 def test_estimate_cdf_tail_saturation(normal_checkpoint):
     curve = estimate_cdf(
         normal_checkpoint, "x", grid=np.array([-60.0, 60.0]), n_mc=500, seed=1,
