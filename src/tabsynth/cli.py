@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
-from itertools import zip_longest
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import drop_percentile_outliers, load_csv, load_schema, save_csv, standardize
 from .metrics import build_report, membership_inference
-from .model import TrainConfig, check_seed, train
+from .model import TrainConfig, check_schema, check_seed, train
 from .serialize import json_text
 from .synthesis import ROUND_DECIMAL, ROUND_INTEGER, estimate_cdf, generate
 
@@ -72,13 +71,6 @@ def cmd_cdf(args) -> int:
     return 0
 
 
-def _describe(spec) -> str:
-    if spec is None:
-        return "no column"
-    levels = f": {'|'.join(spec.levels)}" if spec.levels else ""
-    return f"{spec.name!r} ({spec.kind}{levels})"
-
-
 def cmd_evaluate(args) -> int:
     if args.with_mia and not args.model:
         raise UsageError("--with-mia requires --model")
@@ -90,13 +82,7 @@ def cmd_evaluate(args) -> int:
     secrets = args.secret_columns.split(",") if args.secret_columns else None
     if args.with_mia:  # fail before the metrics run, not after
         checkpoint = load_checkpoint(args.model)
-        pairs = enumerate(zip_longest(checkpoint.schema.columns, schema.columns), start=1)
-        for i, (trained, given) in pairs:
-            if trained != given:
-                raise ValueError(
-                    f"{args.model}: the checkpoint's column {i} is {_describe(trained)}, "
-                    f"{args.schema} has {_describe(given)}"
-                )
+        check_schema(checkpoint.schema, schema, args.model, args.schema)
         check_seed(args.seed)
     doc = build_report(
         real_train, real_test, synth,

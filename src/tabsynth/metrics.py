@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import KIND_DISCRETE, Schema, ScalingStats, Table, apply_scaling, one_hot_matrix, standardize
-from .model import Checkpoint, check_seed, encode_batch, train
+from .model import Checkpoint, check_schema, check_seed, encode_batch, train
 from .nn import row_blocks, softmax
 from .synthesis import generate
 
@@ -165,13 +165,79 @@ def _nearest_squared(a: np.ndarray, b: np.ndarray, exclude_diag: bool) -> np.nda
     return out
 
 
-def dcr(real: Table, synth: Table, percentile: float = 5.0) -> DcrResult:
+def _nearest_first(d2: np.ndarray, k: int) -> np.ndarray:
+    """The columns of each row's k smallest entries of d2, ordered by
+    (value, column): ties go to the lowest column, the k-th value's too."""
+    if k == 1:  # argmin scans once and takes the first of tied minima
+        return np.argmin(d2, axis=1)[:, None]
+    rows, n = d2.shape
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    near = d2 <= kth
+    if np.count_nonzero(near) > rows * k:
+        # a row with more entries tied at its k-th value than it has room
+        # for keeps the lowest columns among them
+        tied = d2 == kth
+        room = k - np.count_nonzero(d2 < kth, axis=1, keepdims=True)
+        near &= ~tied | (np.cumsum(tied, axis=1) <= room)
+    # k marked entries per row, so the flat positions split into rows of
+    # ascending columns, which a stable sort by value keeps among equals
+    cols = np.flatnonzero(near).reshape(rows, k) - np.arange(0, rows * n, n)[:, None]
+    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
+@dataclass(frozen=True)
+class _NeighborSearch:
+    """What one search of the real rows' nearest synthetic rows on some
+    columns leaves: each real row's nearest squared distance (floored at 0),
+    and for each k the majority vote of its k nearest on each secret column,
+    one (secrets, real rows) array of level indices per k."""
+    columns: tuple[int, ...]
+    secrets: tuple[int, ...]
+    nearest_squared: np.ndarray
+    votes: dict[int, np.ndarray]
+
+
+def _neighbor_search(real: Table, synth: Table, columns, secrets, ks) -> _NeighborSearch:
+    """One chunked search that serves dcr's real-to-synthetic distances and
+    attribute_disclosure at every k in ks (each at most synth.n_rows).
+
+    Each chunk's rows take their max(ks) nearest synthetic rows, ordered by
+    (squared distance, synthetic row), and tally the votes of every k from
+    that one order, so memory grows with the chunk and the tables, not with
+    n * k. At k = 1 the order's first row is argmin's, the lowest of tied
+    minima.
+    """
+    columns, secrets = tuple(columns), tuple(secrets)
+    levels = [(synth.rows[:, j].astype(np.intp), real.schema.columns[j].n_levels) for j in secrets]
+    nearest = np.empty(real.n_rows)
+    votes = {k: np.empty((len(secrets), real.n_rows), dtype=np.intp) for k in ks}
+    for start, d2 in _squared_distance_chunks(real.rows[:, columns], synth.rows[:, columns]):
+        order = _nearest_first(d2, max(ks))
+        count = d2.shape[0]
+        span = slice(start, start + count)
+        nearest[span] = np.maximum(d2[np.arange(count), order[:, 0]], 0.0)
+        # each row's votes per level, tallied as one bincount over row * t + level
+        row = np.arange(count)[:, None]
+        for k, out in votes.items():
+            for (synth_levels, t), dst in zip(levels, out):
+                tally = np.bincount((row * t + synth_levels[order[:, :k]]).ravel(), minlength=count * t)
+                dst[span] = np.argmax(tally.reshape(count, t), axis=1)
+    return _NeighborSearch(columns, secrets, nearest, votes)
+
+
+def dcr(real: Table, synth: Table, percentile: float = 5.0, *,
+        search: _NeighborSearch | None = None) -> DcrResult:
     """Distance to closest record over the numeric columns.
 
     Reports the given percentile (default 5th, linear interpolation) of the
     nearest-neighbor L2 distances: real to synth, within real, and within
     synth (self-pairs excluded). Values are taken as-is, so pass tables in
     standardized units.
+
+    search, a _neighbor_search of the same two tables on their numeric
+    columns, supplies the real-to-synthetic distances in place of a search
+    of dcr's own; they are the same values.
     """
     if real.schema != synth.schema:
         raise ValueError("dcr needs tables with equal schemas")
@@ -182,7 +248,9 @@ def dcr(real: Table, synth: Table, percentile: float = 5.0) -> DcrResult:
     b = synth.rows[:, idx]
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ValueError("dcr needs at least 2 rows per table")
-    rs = np.sqrt(_nearest_squared(a, b, exclude_diag=False))
+    if search is not None and (search.columns != tuple(idx) or search.nearest_squared.shape[0] != a.shape[0]):
+        raise ValueError("dcr needs a search on the numeric columns of the real rows")
+    rs = np.sqrt(_nearest_squared(a, b, exclude_diag=False) if search is None else search.nearest_squared)
     rr = np.sqrt(_nearest_squared(a, a, exclude_diag=True))
     ss = np.sqrt(_nearest_squared(b, b, exclude_diag=True))
     return DcrResult(
@@ -351,9 +419,12 @@ def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
     model's encoder. Accuracy and AUC near 0.5 mean the attack learned
     nothing, which is the privacy-preserving outcome.
 
-    real_train and real_test are in native units.
+    real_train and real_test are in native units, and their schema must be
+    the checkpoint's: a ValueError names the first column that differs.
     """
     schema = cp.schema
+    check_schema(schema, real_train.schema, "membership_inference", "real_train")
+    check_schema(schema, real_test.schema, "membership_inference", "real_test")
     jc = schema.index(cls_target)
     if schema.columns[jc].kind != KIND_DISCRETE:
         raise ValueError(f"classification target {cls_target!r} must be discrete")
@@ -411,21 +482,36 @@ def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
     return MiaResult(accuracy=accuracy, auc=roc_auc(truth, scores))
 
 
+def _disclosure_columns(schema: Schema, known_columns, secret_columns):
+    """The known and secret column indices of attribute_disclosure, checked."""
+    known_idx = [schema.index(name) for name in known_columns]
+    secret_idx = [schema.index(name) for name in secret_columns]
+    if not known_idx or not secret_idx:
+        raise ValueError("need at least one known and one secret column")
+    for j in secret_idx:
+        if schema.columns[j].kind != KIND_DISCRETE:
+            raise ValueError(f"secret column {schema.columns[j].name!r} must be discrete")
+    return known_idx, secret_idx
+
+
 def attribute_disclosure(real: Table, synth: Table, known_columns, secret_columns,
-                         k: int = 1) -> float:
+                         k: int = 1, *, search: _NeighborSearch | None = None) -> float:
     """Attribute disclosure risk: predict each real record's secret discrete
     attributes by majority vote among its k nearest synthetic neighbors on
     the known columns (ties to the lowest level index). Returns the mean
     over secrets of macro F1 against the true values; chance level means
     the synthetic data does not leak the secrets.
 
-    At k = 1 a tie in distance goes to the lowest synthetic row. At larger k
-    the neighbors are any k rows at the k smallest distances (numpy's
-    argpartition picks among ties at the k-th distance).
+    The k nearest are taken by distance, and a tie in distance goes to the
+    lowest synthetic row, at every k: at k = 1 the nearest row with the
+    lowest index, at larger k the lowest rows among those tied at the k-th
+    distance.
 
     The votes of each chunk of distances are tallied as soon as the chunk
     is searched, so memory grows with the chunk and the tables, not with
-    n * k.
+    n * k. search, a _neighbor_search of the same two tables on the known
+    and secret columns at this k, supplies the votes in place of a search
+    of its own; they are the same votes.
 
     Distances use the known columns as-is, so pass standardized tables.
     """
@@ -436,32 +522,13 @@ def attribute_disclosure(real: Table, synth: Table, known_columns, secret_column
     if k > synth.n_rows:
         warnings.warn(f"k={k} exceeds the {synth.n_rows} synthetic rows; clamped")
         k = synth.n_rows
-    schema = real.schema
-    known_idx = [schema.index(name) for name in known_columns]
-    secret_idx = [schema.index(name) for name in secret_columns]
-    if not known_idx or not secret_idx:
-        raise ValueError("need at least one known and one secret column")
-    for j in secret_idx:
-        if schema.columns[j].kind != KIND_DISCRETE:
-            raise ValueError(f"secret column {schema.columns[j].name!r} must be discrete")
-
-    levels = [synth.rows[:, j].astype(np.intp) for j in secret_idx]
-    predicted = np.empty((len(secret_idx), real.n_rows), dtype=np.intp)
-    for start, d2 in _squared_distance_chunks(real.rows[:, known_idx], synth.rows[:, known_idx]):
-        if k == 1:  # argmin scans once and takes the first of tied minima
-            neighbors = np.argmin(d2, axis=1)[:, None]
-        else:
-            neighbors = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        # each row's votes per level, tallied as one bincount over row * t + level
-        count = d2.shape[0]
-        row = np.arange(count)[:, None]
-        for out, synth_levels, j in zip(predicted, levels, secret_idx):
-            t = schema.columns[j].n_levels
-            votes = np.bincount((row * t + synth_levels[neighbors]).ravel(), minlength=count * t)
-            out[start : start + count] = np.argmax(votes.reshape(count, t), axis=1)
-
+    known_idx, secret_idx = _disclosure_columns(real.schema, known_columns, secret_columns)
+    if search is None:
+        search = _neighbor_search(real, synth, known_idx, secret_idx, (k,))
+    elif (search.columns, search.secrets) != (tuple(known_idx), tuple(secret_idx)) or k not in search.votes:
+        raise ValueError(f"attribute_disclosure needs a search on these columns at k={k}")
     scores = [
-        macro_f1(real.rows[:, j].astype(np.intp), out) for out, j in zip(predicted, secret_idx)
+        macro_f1(real.rows[:, j].astype(np.intp), out) for out, j in zip(search.votes[k], secret_idx)
     ]
     return float(np.mean(scores))
 
@@ -503,7 +570,10 @@ def build_report(real_train: Table, real_test: Table, synth: Table,
 
     Marginal and association metrics compare synth against the training
     split it was modeled on; utility and Vrate score against the test
-    split. The membership attack is a separate call: membership_inference.
+    split. Attribute disclosure at every k, and DCR's real-to-synthetic
+    distances when the known columns are the numeric ones, come from one
+    neighbor search. The membership attack is a separate call:
+    membership_inference.
     """
     schema = real_train.schema
     if real_test.schema != schema or synth.schema != schema:
@@ -529,7 +599,13 @@ def build_report(real_train: Table, real_test: Table, synth: Table,
             wasserstein1(real_train.rows[:, j], synth.rows[:, j]) for j in discrete
         ]))
 
-    dcr_result = dcr(train_std, synth_std)
+    known = list(known_columns) if known_columns else [schema.columns[j].name for j in numeric]
+    secrets = list(secret_columns) if secret_columns else [schema.columns[j].name for j in discrete]
+    known_idx, secret_idx = _disclosure_columns(schema, known, secrets)
+    # one search serves every k, and dcr too when the known columns are its own
+    ks = sorted({min(k, synth.n_rows) for k in ATTR_NEIGHBOR_KS})
+    search = _neighbor_search(train_std, synth_std, known_idx, secret_idx, ks)
+    dcr_result = dcr(train_std, synth_std, search=search if known_idx == numeric else None)
     utility = mlu(train_std.scaling, real_test, synth, reg_target, cls_target)
 
     vrates = {}
@@ -538,10 +614,8 @@ def build_report(real_train: Table, real_test: Table, synth: Table,
             vrate(real_test.rows[:, j], synth.rows[:, j], alpha) for j in numeric
         ])) if numeric else 0.0
 
-    known = list(known_columns) if known_columns else [schema.columns[j].name for j in numeric]
-    secrets = list(secret_columns) if secret_columns else [schema.columns[j].name for j in discrete]
     attr = {
-        k: attribute_disclosure(train_std, synth_std, known, secrets, k=k)
+        k: attribute_disclosure(train_std, synth_std, known, secrets, k=k, search=search)
         for k in ATTR_NEIGHBOR_KS
     }
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 
@@ -32,6 +33,25 @@ def check_seed(seed: int) -> None:
     """numpy seeds must be non-negative; say so by name, not numpy's way."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def _describe(spec) -> str:
+    if spec is None:
+        return "no column"
+    levels = f": {'|'.join(spec.levels)}" if spec.levels else ""
+    return f"{spec.name!r} ({spec.kind}{levels})"
+
+
+def check_schema(trained: Schema, given: Schema, where: str, given_name: str) -> None:
+    """Raise a ValueError naming the first column in which the schema given
+    differs from trained, the schema of a checkpoint; where and given_name
+    say whose checkpoint and schema they are."""
+    for i, (mine, theirs) in enumerate(zip_longest(trained.columns, given.columns), start=1):
+        if mine != theirs:
+            raise ValueError(
+                f"{where}: the checkpoint's column {i} is {_describe(mine)}, "
+                f"{given_name} has {_describe(theirs)}"
+            )
 
 
 @dataclass(frozen=True)

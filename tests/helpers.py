@@ -184,10 +184,11 @@ def brute_auc(labels, scores) -> float:
 
 def brute_majority_votes(known_real, known_synth, secret_synth, k, n_levels):
     """Per real row, the most common secret among its k nearest synthetic rows
-    (full sort of every distance), ties to the lowest level."""
+    (full stable sort of every distance, so a distance tie goes to the lowest
+    synthetic row), ties to the lowest level."""
     out = []
     for row in known_real:
-        nearest = np.argsort(np.sum((known_synth - row) ** 2, axis=1))[:k]
+        nearest = np.argsort(np.sum((known_synth - row) ** 2, axis=1), kind="stable")[:k]
         counts = [0] * n_levels
         for level in secret_synth[nearest]:
             counts[int(level)] += 1

@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -19,6 +21,7 @@ from tabsynth import (
     Schema,
     Table,
     TrainConfig,
+    apply_scaling,
     attribute_disclosure,
     build_report,
     correlation_distance,
@@ -37,8 +40,8 @@ from tabsynth import (
     vrate,
     wasserstein1,
 )
-from tabsynth import nn
-from tabsynth.metrics import _squared_distance_chunks, association_matrix, fit_ols, fit_softmax, predict_softmax
+from tabsynth import metrics, nn
+from tabsynth.metrics import _nearest_first, _squared_distance_chunks, association_matrix, fit_ols, fit_softmax, predict_softmax
 
 NUM_SCHEMA = Schema((ColumnSpec("x", "continuous"),))
 
@@ -348,8 +351,9 @@ def test_attribute_disclosure_vote_ties_take_lowest_level():
     assert attribute_disclosure(real, synth, ["x"], ["s"], k=2) == 0.0
 
 
-@pytest.mark.parametrize("k", [1, 4, 7, 50])
-def test_attribute_disclosure_matches_vote_oracle(k):
+@pytest.mark.parametrize(("k", "copies"), [(1, 1), (4, 1), (7, 1), (50, 1), (10, 3)],
+                         ids=["1", "4", "7", "50", "10-duplicated"])
+def test_attribute_disclosure_matches_vote_oracle(k, copies):
     schema = Schema((
         ColumnSpec("x", "continuous"),
         ColumnSpec("y", "continuous"),
@@ -362,7 +366,13 @@ def test_attribute_disclosure_matches_vote_oracle(k):
         s = np.clip(np.round(xy[:, 0] + rng.normal(0.0, 0.7, n) + 1.5), 0, 3)
         return Table(schema, np.column_stack([xy, s]))
 
-    real, synth = table(120), table(90)
+    real, synth = table(120), table(90 // copies)
+    if copies > 1:
+        # each synthetic point repeated with fresh secrets: the k-th nearest
+        # often ties, and the lowest synthetic rows must win
+        rows = np.tile(synth.rows, (copies, 1))
+        rows[:, 2] = rng.integers(0, 4, rows.shape[0])
+        synth = Table(schema, rows)
     votes = brute_majority_votes(real.rows[:, :2], synth.rows[:, :2], synth.rows[:, 2], k, 4)
     expected = macro_f1(real.rows[:, 2].astype(np.intp), votes)
     assert attribute_disclosure(real, synth, ["x", "y"], ["s"], k=k) == expected
@@ -432,6 +442,14 @@ def test_neighbour_search_block_size_never_changes_a_result(monkeypatch, block_r
     assert neighbour_results(real, synth) == expected
 
 
+@pytest.mark.parametrize("k", [1, 2, 10, 100, 200])
+def test_nearest_first_orders_ties_by_the_lowest_column(k):
+    # five distinct values in 200 columns: every row ties at every k
+    d2 = np.random.default_rng(18).integers(0, 5, size=(30, 200)).astype(np.float64)
+    got = _nearest_first(d2, k)
+    assert np.array_equal(got, np.argsort(d2, axis=1, kind="stable")[:, :k])
+
+
 @pytest.mark.parametrize("n", [2_000, 8_000])
 def test_attribute_disclosure_memory_does_not_grow_with_n_times_k(n):
     # whole-table (n, k) neighbour, vote and tally arrays peak at 4.9 and
@@ -487,6 +505,21 @@ def test_membership_inference_rejects_negative_seed_by_name(mia_setup):
         membership_inference(cp, fit, hold, "s", seed=-1)
 
 
+@pytest.mark.parametrize("table", ["real_train", "real_test"])
+@pytest.mark.parametrize("levels, described", [
+    (("y", "n"), "'s' (discrete: y|n)"),
+    (("n", "y", "m"), "'s' (discrete: n|y|m)"),
+], ids=["levels-reversed", "extra-level"])
+def test_membership_inference_rejects_tables_of_another_schema(mia_setup, table, levels, described):
+    cp, fit, hold = mia_setup
+    other = Schema((cp.schema.columns[0], ColumnSpec("s", "discrete", levels)))
+    tables = {"real_train": fit, "real_test": hold}
+    tables[table] = Table(other, tables[table].rows)
+    message = f"^membership_inference: the checkpoint's column 2 is 's' \\(discrete: n\\|y\\), {table} has "
+    with pytest.raises(ValueError, match=message + re.escape(described) + "$"):
+        membership_inference(cp, tables["real_train"], tables["real_test"], "s", seed=0)
+
+
 def test_membership_inference_needs_discrete_target(mia_setup):
     cp, fit, hold = mia_setup
     with pytest.raises(ValueError, match="discrete"):
@@ -539,9 +572,14 @@ ONE_COLUMN = num_table([1.0, 2.0, 3.0])
     (lambda: mare([], []), r"^mare needs non-empty samples$"),
     (lambda: macro_f1([], []), r"^macro_f1 needs non-empty samples$"),
     (lambda: attribute_disclosure(MIXED, MIXED, ["x"], ["c"], k=0), r"^k must be at least 1$"),
+    (lambda: dcr(MIXED, MIXED, search=metrics._neighbor_search(MIXED, MIXED, [0], [2], (1,))),
+     r"^dcr needs a search on the numeric columns of the real rows$"),
+    (lambda: attribute_disclosure(MIXED, MIXED, ["x"], ["c"], k=2,
+                                  search=metrics._neighbor_search(MIXED, MIXED, [0], [2], (1,))),
+     r"^attribute_disclosure needs a search on these columns at k=2$"),
 ], ids=["dcr-schemas", "mlu-schemas", "attribute-schemas", "report-synth-schema", "report-test-schema",
         "mlu-discrete-regression", "mlu-numeric-classification", "vrate-empty-test", "vrate-empty-synth",
-        "mare-empty", "macro-f1-empty", "attribute-k0"])
+        "mare-empty", "macro-f1-empty", "attribute-k0", "dcr-search-columns", "attribute-search-k"])
 def test_metric_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -591,3 +629,67 @@ def test_build_report_doc_keys(report_setup):
     assert set(doc["attr_disclosure_f1"]) == {"1", "10", "100"}
     assert "mia_accuracy" not in doc
 
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(metrics, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("known, searches", [(None, 3), (["x"], 4)], ids=["default-known", "explicit-known"])
+def test_build_report_searches_once_per_column_set(monkeypatch, report_setup, known, searches):
+    # the bench pins one dcr and one attribute_disclosure call per k; the
+    # distance searches are dcr's two within-table passes plus one shared
+    # search, and a search of dcr's own when the known columns differ
+    fit, hold, synth = report_setup
+    dcr_calls = count_calls(monkeypatch, "dcr")
+    disclosure_calls = count_calls(monkeypatch, "attribute_disclosure")
+    chunk_walks = count_calls(monkeypatch, "_squared_distance_chunks")
+    build_report(fit, hold, synth, reg_target="y", cls_target="c", known_columns=known)
+    assert len(dcr_calls) == 1
+    assert len(disclosure_calls) == len(metrics.ATTR_NEIGHBOR_KS)
+    assert len(chunk_walks) == searches
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("known, synth_rows, copies", [
+    (None, None, 1), (["x"], None, 1), (None, 60, 1), (None, 130, 3),
+], ids=["default-known", "explicit-known", "clamped", "duplicated"])
+def test_build_report_shared_search_equals_standalone_calls(report_setup, known, synth_rows, copies):
+    fit, hold, synth = report_setup
+    if synth_rows is not None:
+        # copies of each synthetic row with fresh secrets tie at every k
+        rows = np.tile(synth.rows[:synth_rows], (copies, 1))
+        rows[:, 2] = np.random.default_rng(17).integers(0, 2, rows.shape[0])
+        synth = Table(synth.schema, rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = build_report(fit, hold, synth, reg_target="y", cls_target="c", known_columns=known)
+    clamped = [str(w.message) for w in caught if "clamped" in str(w.message)]
+    n_synth = synth.n_rows
+    assert clamped == ([f"k=100 exceeds the {n_synth} synthetic rows; clamped"] if n_synth < 100 else [])
+
+    train_std = standardize(fit)
+    synth_std = apply_scaling(synth, train_std.scaling)
+    alone = dcr(train_std, synth_std)
+    assert [bits(v) for v in (report.dcr_rs, report.dcr_rr, report.dcr_ss)] == [
+        bits(v) for v in (alone.rs, alone.rr, alone.ss)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = {
+            k: attribute_disclosure(train_std, synth_std, known or ["x", "y"], ["c"], k=k)
+            for k in metrics.ATTR_NEIGHBOR_KS
+        }
+    assert {k: bits(v) for k, v in report.attr_disclosure_f1.items()} == {
+        k: bits(v) for k, v in expected.items()
+    }
