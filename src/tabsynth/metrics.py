@@ -154,13 +154,12 @@ def _squared_distance_chunks(a: np.ndarray, b: np.ndarray):
         yield block.start, np.subtract(d2, cross, out=d2)
 
 
-def _nearest_squared(a: np.ndarray, b: np.ndarray, exclude_diag: bool) -> np.ndarray:
-    """Min squared L2 from each row of a to the rows of b."""
+def _nearest_other_squared(a: np.ndarray) -> np.ndarray:
+    """Min squared L2 from each row of a to the other rows of a."""
     out = np.empty(a.shape[0])
-    for start, d2 in _squared_distance_chunks(a, b):
-        if exclude_diag:
-            rows = np.arange(d2.shape[0])
-            d2[rows, start + rows] = np.inf
+    for start, d2 in _squared_distance_chunks(a, a):
+        rows = np.arange(d2.shape[0])
+        d2[rows, start + rows] = np.inf
         out[start : start + d2.shape[0]] = np.maximum(d2.min(axis=1), 0.0)
     return out
 
@@ -226,6 +225,18 @@ def _neighbor_search(real: Table, synth: Table, columns, secrets, ks) -> _Neighb
     return _NeighborSearch(columns, secrets, nearest, votes)
 
 
+def _dcr_columns(real: Table, synth: Table) -> list[int]:
+    """The numeric column indices dcr measures on, after dcr's checks."""
+    if real.schema != synth.schema:
+        raise ValueError("dcr needs tables with equal schemas")
+    idx = real.schema.numeric_indices
+    if not idx:
+        raise ValueError("dcr needs at least one numeric column")
+    if real.n_rows < 2 or synth.n_rows < 2:
+        raise ValueError("dcr needs at least 2 rows per table")
+    return idx
+
+
 def dcr(real: Table, synth: Table, percentile: float = 5.0, *,
         search: _NeighborSearch | None = None) -> DcrResult:
     """Distance to closest record over the numeric columns.
@@ -235,24 +246,18 @@ def dcr(real: Table, synth: Table, percentile: float = 5.0, *,
     synth (self-pairs excluded). Values are taken as-is, so pass tables in
     standardized units.
 
-    search, a _neighbor_search of the same two tables on their numeric
-    columns, supplies the real-to-synthetic distances in place of a search
-    of dcr's own; they are the same values.
+    The real-to-synthetic distances come from a _neighbor_search on the
+    numeric columns; search, one made by the caller for the same two
+    tables, takes the place of dcr's own.
     """
-    if real.schema != synth.schema:
-        raise ValueError("dcr needs tables with equal schemas")
-    idx = real.schema.numeric_indices
-    if not idx:
-        raise ValueError("dcr needs at least one numeric column")
-    a = real.rows[:, idx]
-    b = synth.rows[:, idx]
-    if a.shape[0] < 2 or b.shape[0] < 2:
-        raise ValueError("dcr needs at least 2 rows per table")
-    if search is not None and (search.columns != tuple(idx) or search.nearest_squared.shape[0] != a.shape[0]):
+    idx = _dcr_columns(real, synth)
+    if search is None:
+        search = _neighbor_search(real, synth, idx, (), (1,))
+    elif search.columns != tuple(idx) or search.nearest_squared.shape[0] != real.n_rows:
         raise ValueError("dcr needs a search on the numeric columns of the real rows")
-    rs = np.sqrt(_nearest_squared(a, b, exclude_diag=False) if search is None else search.nearest_squared)
-    rr = np.sqrt(_nearest_squared(a, a, exclude_diag=True))
-    ss = np.sqrt(_nearest_squared(b, b, exclude_diag=True))
+    rs = np.sqrt(search.nearest_squared)
+    rr = np.sqrt(_nearest_other_squared(real.rows[:, idx]))
+    ss = np.sqrt(_nearest_other_squared(synth.rows[:, idx]))
     return DcrResult(
         rs=float(np.percentile(rs, percentile)),
         rr=float(np.percentile(rr, percentile)),
@@ -599,13 +604,9 @@ def build_report(real_train: Table, real_test: Table, synth: Table,
             wasserstein1(real_train.rows[:, j], synth.rows[:, j]) for j in discrete
         ]))
 
-    known = list(known_columns) if known_columns else [schema.columns[j].name for j in numeric]
-    secrets = list(secret_columns) if secret_columns else [schema.columns[j].name for j in discrete]
-    known_idx, secret_idx = _disclosure_columns(schema, known, secrets)
-    # one search serves every k, and dcr too when the known columns are its own
-    ks = sorted({min(k, synth.n_rows) for k in ATTR_NEIGHBOR_KS})
-    search = _neighbor_search(train_std, synth_std, known_idx, secret_idx, ks)
-    dcr_result = dcr(train_std, synth_std, search=search if known_idx == numeric else None)
+    # dcr's and mlu's checks run before the search, so a call with a fault
+    # in either fails on it before any distance is computed
+    numeric_idx = _dcr_columns(train_std, synth_std)
     utility = mlu(train_std.scaling, real_test, synth, reg_target, cls_target)
 
     vrates = {}
@@ -614,6 +615,13 @@ def build_report(real_train: Table, real_test: Table, synth: Table,
             vrate(real_test.rows[:, j], synth.rows[:, j], alpha) for j in numeric
         ])) if numeric else 0.0
 
+    known = list(known_columns) if known_columns else [schema.columns[j].name for j in numeric]
+    secrets = list(secret_columns) if secret_columns else [schema.columns[j].name for j in discrete]
+    known_idx, secret_idx = _disclosure_columns(schema, known, secrets)
+    # one search serves every k, and dcr too when the known columns are its own
+    ks = sorted({min(k, synth.n_rows) for k in ATTR_NEIGHBOR_KS})
+    search = _neighbor_search(train_std, synth_std, known_idx, secret_idx, ks)
+    dcr_result = dcr(train_std, synth_std, search=search if known_idx == numeric_idx else None)
     attr = {
         k: attribute_disclosure(train_std, synth_std, known, secrets, k=k, search=search)
         for k in ATTR_NEIGHBOR_KS

@@ -577,9 +577,14 @@ ONE_COLUMN = num_table([1.0, 2.0, 3.0])
     (lambda: attribute_disclosure(MIXED, MIXED, ["x"], ["c"], k=2,
                                   search=metrics._neighbor_search(MIXED, MIXED, [0], [2], (1,))),
      r"^attribute_disclosure needs a search on these columns at k=2$"),
+    (lambda: build_report(MIXED, MIXED, MIXED, "c", "c", known_columns=["nope"]),
+     r"^regression target 'c' must be numeric$"),
+    (lambda: build_report(MIXED, MIXED, Table(MIXED_SCHEMA, MIXED.rows[:1]), "y", "c", known_columns=["nope"]),
+     r"^dcr needs at least 2 rows per table$"),
 ], ids=["dcr-schemas", "mlu-schemas", "attribute-schemas", "report-synth-schema", "report-test-schema",
         "mlu-discrete-regression", "mlu-numeric-classification", "vrate-empty-test", "vrate-empty-synth",
-        "mare-empty", "macro-f1-empty", "attribute-k0", "dcr-search-columns", "attribute-search-k"])
+        "mare-empty", "macro-f1-empty", "attribute-k0", "dcr-search-columns", "attribute-search-k",
+        "report-mlu-before-disclosure", "report-dcr-before-disclosure"])
 def test_metric_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()
