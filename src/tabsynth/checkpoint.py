@@ -3,8 +3,7 @@
 Floats are written as repr(float), the shortest text that parses back to
 the same bits, so save -> load -> save reproduces the file exactly; older
 files with 17-digit floats load to the same values. Weight shapes are
-validated against the stored config on load; format 1 files load through
-model.format_1_decoder.
+validated against the stored config on load.
 """
 
 from __future__ import annotations
@@ -12,13 +11,13 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict, fields
-from functools import cache, partial
+from functools import cache
 from typing import get_type_hints
 
 import numpy as np
 
 from .data import ScalingStats, check_scaling_names, not_utf8, schema_from_doc
-from .model import Checkpoint, LossBreakdown, TrainConfig, format_1_decoder, net_sizes
+from .model import Checkpoint, LossBreakdown, TrainConfig, net_sizes
 from .nn import Mlp
 from .serialize import json_text
 
@@ -131,11 +130,11 @@ def checkpoint_from_text(text: str) -> Checkpoint:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as err:
         raise ValueError(f"corrupt checkpoint: not valid JSON ({err})") from None
-    version = _require(doc, "format_version", "checkpoint")
-    if version not in (1, CHECKPOINT_FORMAT_VERSION) or isinstance(version, bool):
+    version = _number(doc, "format_version", "checkpoint", int)
+    if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(
-            f"unsupported checkpoint format version {version!r} "
-            f"(this build reads versions 1 and {CHECKPOINT_FORMAT_VERSION})"
+            f"unsupported checkpoint format version {version} "
+            f"(this build reads version {CHECKPOINT_FORMAT_VERSION})"
         )
     schema = schema_from_doc(_require(doc, "schema", "checkpoint"), "corrupt checkpoint: schema")
 
@@ -150,8 +149,7 @@ def checkpoint_from_text(text: str) -> Checkpoint:
     config = _fields_from_doc(TrainConfig, _require(doc, "config", "checkpoint"), "config")
     encoder_sizes, decoder_sizes = net_sizes(schema, config)
     encoder = _mlp_from_doc(_require(doc, "encoder", "checkpoint"), "encoder", encoder_sizes)
-    read_decoder = partial(_mlp_from_doc, _require(doc, "decoder", "checkpoint"), "decoder")
-    decoder = format_1_decoder(schema, config, read_decoder) if version == 1 else read_decoder(decoder_sizes)
+    decoder = _mlp_from_doc(_require(doc, "decoder", "checkpoint"), "decoder", decoder_sizes)
 
     quantiles = _require(doc, "quantiles", "checkpoint")
     bounds = [_float_array(quantiles, key, "quantiles", 1) for key in ("low", "high")]

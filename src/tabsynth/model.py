@@ -114,8 +114,8 @@ class Checkpoint(VaeModel):
     the per-numeric-column data.OUTLIER_QUANTILES (1%/99%) of the standardized
     training data (used as the default evaluation grid), and the loss trace.
     The file format version is not a field: checkpoint.checkpoint_to_text
-    writes checkpoint.CHECKPOINT_FORMAT_VERSION (2); loading also reads
-    format 1 through format_1_decoder and rejects any other version."""
+    writes checkpoint.CHECKPOINT_FORMAT_VERSION (2), the only version that
+    loading reads."""
 
     scaling: ScalingStats
     quantile_lo: np.ndarray
@@ -151,25 +151,19 @@ def net_sizes(schema: Schema, config: TrainConfig):
     return (schema.encoded_width, h, 2 * d), (d, h, decoder_width(schema, config.knot_count))
 
 
-def format_1_decoder(schema: Schema, config: TrainConfig, read) -> np.ndarray:
-    """Map a format-1 decoder, which gave each numeric column p the M+2 outputs
-    gamma, M slopes and one that reached nothing, to the current layout by
-    dropping the last layer's row p*(M+2) + M+1. read(sizes) gives the format-1
-    decoder's flat parameters at its layer widths."""
-    p, m = len(schema.numeric_indices), config.knot_count
-    d, h, width = net_sizes(schema, config)[1]
-    sizes = (d, h, width + p)
-    (w1, b1), (w2, b2) = layer_views(sizes, read(sizes))
-    dead = np.arange(p) * (m + 2) + m + 1
-    return np.concatenate([w1.ravel(), b1, np.delete(w2, dead, axis=0).ravel(), np.delete(b2, dead)])
-
-
 def model_init(schema: Schema, config: TrainConfig, rng: np.random.Generator) -> VaeModel:
-    """Glorot-uniform weights and zero biases, the encoder's drawn first; the
-    decoder is drawn at format 1's widths, so a seed keeps its format-1 weights."""
-    encoder = mlp_init(net_sizes(schema, config)[0], rng)
-    decoder = format_1_decoder(schema, config, lambda sizes: mlp_init(sizes, rng))
-    return VaeModel(schema=schema, config=config, params=np.concatenate([encoder, decoder]))
+    """Glorot-uniform weights and zero biases, the encoder's drawn first. The
+    decoder is drawn with the M+2 outputs per numeric column p it had before
+    checkpoint format 2, then the last layer's row p*(M+2) + M+1 is dropped,
+    so every seed keeps its weights."""
+    encoder_sizes, (d, h, width) = net_sizes(schema, config)
+    encoder = mlp_init(encoder_sizes, rng)
+    p, m = len(schema.numeric_indices), config.knot_count
+    sizes = (d, h, width + p)
+    (w1, b1), (w2, b2) = layer_views(sizes, mlp_init(sizes, rng))
+    dead = np.arange(p) * (m + 2) + m + 1
+    params = np.concatenate([encoder, w1.ravel(), b1, np.delete(w2, dead, axis=0).ravel(), np.delete(b2, dead)])
+    return VaeModel(schema=schema, config=config, params=params)
 
 
 def encode_batch(model: VaeModel, rows: np.ndarray):

@@ -13,7 +13,7 @@ once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,9 @@ def leading_axis_sum(a: np.ndarray) -> np.ndarray:
 
 
 def last_axis_max(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=-1, keepdims=True), bit for bit."""
+    """a.max(axis=-1, keepdims=True) by value. Below SHORT_AXIS it is
+    np.maximum of the columns in order, so a tie of +0.0 and -0.0 may give
+    the other zero than numpy's max, whose pick depends on its SIMD loop."""
     if not 0 < a.shape[-1] < SHORT_AXIS:
         return a.max(axis=-1, keepdims=True)
     out = a[..., :1].copy()
@@ -177,14 +179,14 @@ class AdamState:
     """Adam moments for one flat parameter vector. shapes are the blocks it is
     cut into, in order; they only name the block of a non-finite gradient."""
 
-    lr: float = 0.001
+    lr: float
+    m: np.ndarray
+    v: np.ndarray
+    shapes: list[tuple[int, ...]]
     t: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    shapes: list[tuple[int, ...]] = field(default_factory=list)
 
 
-def adam_init(shapes, lr: float = 0.001) -> AdamState:
+def adam_init(shapes, lr: float) -> AdamState:
     """Zero moments for a flat vector made of blocks of these shapes."""
     n = sum(math.prod(s) for s in shapes)
     return AdamState(lr=lr, m=np.zeros(n), v=np.zeros(n), shapes=[tuple(s) for s in shapes])

@@ -275,8 +275,9 @@ def expression_crps_loss_batch(gamma, s, knots, x):
 
 
 def reduced_softmax(logits):
-    """softmax by numpy's own last-axis max and sum. Guards nn.last_axis_max
-    and nn.last_axis_sum's bit-for-bit claim, through nn.softmax."""
+    """softmax by numpy's own last-axis max and sum. Guards nn.softmax bit for
+    bit: the sign of a zero max, where nn.last_axis_max may differ from
+    numpy's, reaches no exp."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -314,7 +315,7 @@ def per_point_estimate_cdf(cp, column, grid=None, n_mc=5000, seed=0):
     return np.minimum(np.maximum.accumulate(values), 1.0)
 
 
-def page_draws(cp, n, seed):
+def _page_draws(cp, n, seed):
     """generate's random numbers for n rows, padded to whole pages: the
     latents, the uniform levels and each discrete column's Gumbel noise,
     each page's drawn in that order by its own generator seeded with
@@ -329,24 +330,15 @@ def page_draws(cp, n, seed):
     return [np.concatenate(role) for role in zip(*pages)]
 
 
-def whole_table_draws(cp, n, seed):
-    """The random numbers of n rows as releases before page-seeded sampling
-    laid them out: one generator seeded with `seed` draws every row's latents,
-    then the uniform levels, then each discrete column's Gumbel noise."""
-    rng = np.random.default_rng(seed)
-    draws = [rng.standard_normal((n, cp.config.latent_dim)), rng.random((n, len(cp.schema.numeric_indices)))]
-    return draws + [rng.gumbel(size=(n, cp.schema.columns[j].n_levels)) for j in cp.schema.discrete_indices]
-
-
-def one_shot_generate(cp, n, seed, draws, ordinal_rounding="integer"):
-    """generate from the random numbers `draws` lays out, with every row
+def one_shot_generate(cp, n, seed, ordinal_rounding="integer"):
+    """generate from the random numbers _page_draws lays out, with every row
     decoded in one pass and each column sampled over all rows at once, its
     hinges summed by numpy's own last-axis sum of each row's (M,) segments.
     Guards generate's claim that its pages change no value."""
     schema = cp.schema
     rows = np.zeros((n, len(schema.columns)))
     if n > 0:
-        z, u, *noise = draws(cp, n, seed)
+        z, u, *noise = _page_draws(cp, n, seed)
         dec_out, _ = mlp_forward(cp.decoder, z)
         gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:n])
         knots = cp.knots

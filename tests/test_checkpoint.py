@@ -1,12 +1,11 @@
 import json
+import re
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import one_shot_generate, whole_table_draws
 from tabsynth import (
     Checkpoint,
     ColumnSpec,
@@ -16,14 +15,13 @@ from tabsynth import (
     checkpoint_from_text,
     checkpoint_to_text,
     load_checkpoint,
-    load_csv,
     save_checkpoint,
     standardize,
     train,
 )
 from tabsynth.serialize import json_text
 
-DATA = Path(__file__).resolve().parent / "data"
+FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]\d+)?|-?\d+e[-+]\d+")  # a float's repr, never an int's
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +107,10 @@ def test_rejects_invalid_json():
     (b'{"format_version": 2}', "corrupt checkpoint: missing checkpoint.schema"),
     (b"{not json", "corrupt checkpoint: not valid JSON (Expecting property name"),
     (b'{"format_version": 2, "schema": "r\xe9d"}', "not UTF-8 text, cannot decode byte 0xe9 (invalid continuation byte)"),
-], ids=["missing-schema", "not-json", "not-utf8"])
+    (b'{"format_version": 1}', "unsupported checkpoint format version 1 (this build reads version 2)"),
+    (b'{"format_version": 2.0}', "corrupt checkpoint: checkpoint.format_version has the wrong type float"),
+    (b'{"format_version": "2"}', "corrupt checkpoint: checkpoint.format_version has the wrong type str"),
+], ids=["missing-schema", "not-json", "not-utf8", "version-1", "version-float", "version-str"])
 def test_load_checkpoint_errors_start_with_the_path(tmp_path, content, message):
     path = tmp_path / "model.json"
     path.write_bytes(content)
@@ -257,7 +258,7 @@ def test_rejects_array_entry_that_is_not_a_float(small_checkpoint, literal):
 def test_rejects_boolean_format_version(small_checkpoint):
     doc = json.loads(checkpoint_to_text(small_checkpoint))
     doc["format_version"] = True
-    with pytest.raises(ValueError, match="^unsupported checkpoint format version True"):
+    with pytest.raises(ValueError, match="^corrupt checkpoint: checkpoint.format_version has the wrong type bool$"):
         checkpoint_from_text(json.dumps(doc))
 
 
@@ -357,67 +358,16 @@ def test_fuzzed_checkpoint_loads_or_raises_value_error(small_checkpoint, data):
     assert isinstance(loaded, Checkpoint)
 
 
-def assert_generates_the_committed_v1_rows(cp):
-    # written, and sampled with generate --n 200 --seed 3, by the release whose
-    # numeric head summed hinge weights and whose random numbers were laid out
-    # over the whole table: the segment slopes read the same decoder outputs,
-    # so only the last bits of numeric cells may move
-    expected = load_csv(DATA / "checkpoint_v1_n200_seed3.csv", cp.schema).rows
-    rows = one_shot_generate(cp, 200, 3, whole_table_draws)
-    numeric, discrete = cp.schema.numeric_indices, cp.schema.discrete_indices
-    assert np.array_equal(rows[:, discrete], expected[:, discrete])
-    np.testing.assert_allclose(rows[:, numeric], expected[:, numeric], rtol=1e-9, atol=0.0)
-
-
-def test_format_1_checkpoint_from_the_hinge_form_generates_the_same_rows():
-    assert_generates_the_committed_v1_rows(load_checkpoint(DATA / "checkpoint_v1.json"))
-
-
-def test_format_1_checkpoint_loads_without_its_dead_decoder_outputs():
-    # format 1 gave each of the 2 numeric columns M+2 = 8 outputs, the last one
-    # dead: rows 7 and 15 of the 19 in the last layer
-    cp = load_checkpoint(DATA / "checkpoint_v1.json")
-    doc = json.loads((DATA / "checkpoint_v1.json").read_text(encoding="utf-8"))
-    (w1, b1), (w2, b2) = [(np.array(layer["weight"]), np.array(layer["bias"])) for layer in doc["decoder"]["layers"]]
-    want = [w1, b1, np.delete(w2, [7, 15], axis=0), np.delete(b2, [7, 15])]
-    got = [a for layer in cp.decoder for a in layer]
-    assert [a.shape for a in got] == [a.shape for a in want]
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
-def test_format_1_checkpoint_saves_as_format_2(tmp_path):
-    cp = load_checkpoint(DATA / "checkpoint_v1.json")
-    path = tmp_path / "model.json"
-    save_checkpoint(cp, path)
-    text = path.read_text(encoding="utf-8")
-    assert json.loads(text)["format_version"] == 2
-    again = load_checkpoint(path)
-    assert again.params.tobytes() == cp.params.tobytes()
-    assert checkpoint_to_text(again) == text
-    assert_generates_the_committed_v1_rows(again)
-
-
-def test_checkpoint_written_at_17_digits_keeps_its_values_and_resaves_stably(tmp_path):
-    # the committed file writes its floats at 17 significant digits, not repr
-    fixture = DATA / "checkpoint_v1.json"
-    doc = json.loads(fixture.read_text(encoding="utf-8"))
-    cp = load_checkpoint(fixture)
+def test_checkpoint_written_at_17_digits_keeps_its_values_and_resaves_stably(tmp_path, small_checkpoint):
+    # releases before floats were written as repr gave each 17 significant digits
+    text = checkpoint_to_text(small_checkpoint)
+    old = tmp_path / "digits17.json"
+    old.write_text(FLOAT.sub(lambda m: format(float(m[0]), ".17g"), text), encoding="utf-8")
+    assert old.read_text(encoding="utf-8") != text
+    cp = load_checkpoint(old)
+    assert cp.params.tobytes() == small_checkpoint.params.tobytes()
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     save_checkpoint(cp, first)
     save_checkpoint(load_checkpoint(first), second)
-    assert first.read_bytes() == second.read_bytes()
-    want = [np.array(layer[key]) for layer in doc["encoder"]["layers"] for key in ("weight", "bias")]
-    want += [np.array(doc["scaling"][key]) for key in ("mean", "stddev")]
-    want += [np.array(doc["quantiles"][key]) for key in ("low", "high")]
-    got = [a for layer in cp.encoder for a in layer]
-    got += [cp.scaling.mean, cp.scaling.stddev, cp.quantile_lo, cp.quantile_hi]
-    assert [a.shape for a in got] == [a.shape for a in want]
-    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-
-
-def test_format_2_document_labelled_version_1_names_the_decoder_shape(small_checkpoint):
-    doc = json.loads(checkpoint_to_text(small_checkpoint))
-    assert doc["format_version"] == 2
-    doc["format_version"] = 1
-    with pytest.raises(ValueError, match="corrupt checkpoint: decoder shape does not match"):
-        checkpoint_from_text(json.dumps(doc))
+    assert first.read_text(encoding="utf-8") == text  # repr is exact: every value kept its bits
+    assert second.read_bytes() == first.read_bytes()

@@ -450,7 +450,9 @@ NOT_UTF8 = "not UTF-8 text, cannot decode byte 0xe9 (invalid continuation byte)"
     ("--schema", b'{"columns": [{"name": "r\xe9d"}]}', NOT_UTF8),
     ("--model", b'{"format_version": 2, "schema": "r\xe9d"}', NOT_UTF8),
     ("--model", b'{"format_version": 2}', "corrupt checkpoint: missing checkpoint.schema"),
-], ids=["csv-not-utf8", "csv-cell-too-long", "schema-not-utf8", "checkpoint-not-utf8", "checkpoint-missing-schema"])
+    ("--model", b'{"format_version": 1}', "unsupported checkpoint format version 1 (this build reads version 2)"),
+], ids=["csv-not-utf8", "csv-cell-too-long", "schema-not-utf8", "checkpoint-not-utf8", "checkpoint-missing-schema",
+        "checkpoint-version-1"])
 def test_unreadable_input_fails_naming_the_file(workspace, capsys, flag, content, message):
     bad = workspace / f"unreadable{flag}"
     bad.write_bytes(content)

@@ -98,9 +98,9 @@ def test_params_hold_encoder_then_decoder_as_views():
     assert all(np.shares_memory(a, model.params) for a in blocks)
 
 
-def test_model_init_keeps_the_format_1_draw_without_its_dead_outputs():
-    # format 1 drew the decoder with M+2 outputs per numeric column, the last
-    # one dead: rows 4 and 9 of 13 at M = 3; every other weight is kept
+def test_model_init_draws_m_plus_2_outputs_per_numeric_column_and_drops_the_last():
+    # the decoder is drawn with M+2 outputs per numeric column and the last
+    # one dropped: rows 4 and 9 of 13 at M = 3; every other weight is kept
     config = TrainConfig(seed=4, knot_count=3, latent_dim=4, hidden_width=17)
     model = model_init(MIX_SCHEMA, config, np.random.default_rng(4))
     rng = np.random.default_rng(4)

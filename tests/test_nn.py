@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,7 +10,6 @@ import pytest
 from helpers import grad_rel_err, masked_logistic, masked_softplus, reduced_softmax
 from tabsynth import nn
 from tabsynth.nn import (
-    AdamState,
     adam_init,
     adam_step,
     last_axis_max,
@@ -158,17 +160,43 @@ def test_leading_axis_sum_adds_left_to_right_for_every_row_count():
         assert nan_blind_bits(got) == nan_blind_bits(want)
 
 
+def column_by_column_max(a):
+    """np.maximum of a's last-axis columns, from the first to the last."""
+    out = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(out, a[..., j : j + 1], out=out)
+    return out
+
+
 @pytest.mark.parametrize("t", [*range(1, nn.SHORT_AXIS), 8, 10, 20])
 @pytest.mark.parametrize("lead", AWKWARD_SHAPES)
 def test_last_axis_reductions_match_numpy_bit_for_bit(lead, t):
-    # a contiguous array, and a strided view as the decoder's logit blocks are
+    # a contiguous array, and a strided view as the decoder's logit blocks are.
+    # For a tie of +0.0 and -0.0 numpy's max returns either zero, by its SIMD
+    # loop, so last_axis_max matches it by value and its own order bit for bit.
     for a in (awkward_array(lead + (t,), seed=100 + t),
               awkward_array(lead + (t + 3,), seed=200 + t)[..., 1 : t + 1]):
         with np.errstate(invalid="ignore"):
             got = last_axis_max(a), last_axis_sum(a)
             want = a.max(axis=-1, keepdims=True), a.sum(axis=-1, keepdims=True)
+            own_max = column_by_column_max(a) if t < nn.SHORT_AXIS else want[0]
         assert got[0].shape == got[1].shape == lead + (1,)
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert got[0].tobytes() == own_max.tobytes()
+        assert np.array_equal(got[0], want[0], equal_nan=True)
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_reductions_match_numpy_without_avx512():
+    # run them as numpy runs on a host without AVX-512, whose max takes other SIMD loops
+    disabled = ["X86_V4", "AVX512_ICL", "AVX512_SPR"]
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    if not (set(disabled) <= set(umath.__cpu_dispatch__) and umath.__cpu_features__.get("X86_V4")):
+        pytest.skip("numpy is not using X86_V4 dispatch here")
+    names = ["test_last_axis_reductions_match_numpy_bit_for_bit", "test_softmax_matches_numpy_reductions_bit_for_bit"]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *(f"{__file__}::{n}" for n in names)],
+        capture_output=True, text=True, env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)})
+    assert result.returncode == 0, result.stdout[-3000:] + result.stderr
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 7, 8, 12])
@@ -320,13 +348,13 @@ def test_adam_rejects_non_finite_gradients():
         grad = np.zeros(22)
         grad[list(bad)] = list(bad.values())
         with pytest.raises(FloatingPointError) as info:
-            adam_step(np.zeros(22), grad, adam_init(MIXED_SHAPES))
+            adam_step(np.zeros(22), grad, adam_init(MIXED_SHAPES, lr=0.001))
         assert str(info.value) == f"non-finite gradient in parameter block {block} (shape {shape})"
 
 
 def test_adam_rejects_misaligned_vectors():
     with pytest.raises(ValueError, match="align"):
-        adam_step(np.zeros(3), np.zeros(2), adam_init([(3,)]))
+        adam_step(np.zeros(3), np.zeros(2), adam_init([(3,)], lr=0.001))
 
 
 @pytest.mark.parametrize("n, width, entries, sizes", [
@@ -346,5 +374,7 @@ def test_row_blocks_cover_the_rows_without_a_lone_row(monkeypatch, n, width, ent
 
 
 def test_adam_state_defaults():
-    state = AdamState()
-    assert (state.lr, nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS) == (0.001, 0.9, 0.999, 1e-8)
+    state = adam_init([(2, 3), (3,)], lr=0.5)
+    assert (state.lr, state.t, state.shapes) == (0.5, 0, [(2, 3), (3,)])
+    assert state.m.tobytes() == state.v.tobytes() == np.zeros(9).tobytes()
+    assert (nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS) == (0.9, 0.999, 1e-8)

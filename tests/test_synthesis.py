@@ -10,7 +10,6 @@ from scipy import stats
 from helpers import (
     one_shot_generate,
     overflowed_discrete_logits,
-    page_draws,
     per_point_estimate_cdf,
 )
 from tabsynth import (
@@ -212,7 +211,7 @@ def test_generate_matches_its_pages_decoded_in_one_pass(
     for cp in (mixed_checkpoint, numeric_checkpoint, discrete_checkpoint, *knot_count_checkpoints):
         for n in PAGE_COUNTS:
             rows = generate(cp, n, seed=40 + n, ordinal_rounding=rounding).rows
-            assert rows.tobytes() == one_shot_generate(cp, n, 40 + n, page_draws, rounding).tobytes()
+            assert rows.tobytes() == one_shot_generate(cp, n, 40 + n, rounding).tobytes()
 
 
 @pytest.mark.parametrize("block_rows", [2, 7, None])
@@ -230,7 +229,7 @@ def test_generate_block_size_never_changes_a_byte(
         for n in (1, block - 1, block, block + 1, 2 * block + 1, PAGE_ROWS + 1):
             for rounding in ("integer", "decimal"):
                 rows = generate(cp, n, seed=40 + n, ordinal_rounding=rounding).rows
-                assert rows.tobytes() == one_shot_generate(cp, n, 40 + n, page_draws, rounding).tobytes()
+                assert rows.tobytes() == one_shot_generate(cp, n, 40 + n, rounding).tobytes()
 
 
 def test_short_last_block_matches_one_shot(mixed_checkpoint):
@@ -240,7 +239,7 @@ def test_short_last_block_matches_one_shot(mixed_checkpoint):
     cp = mixed_checkpoint
     for tail in (2, 3, 5, 17, 40):
         rows = generate(cp, PAGE_ROWS + tail, seed=tail).rows
-        assert rows.tobytes() == one_shot_generate(cp, PAGE_ROWS + tail, tail, page_draws).tobytes()
+        assert rows.tobytes() == one_shot_generate(cp, PAGE_ROWS + tail, tail).tobytes()
 
 
 def test_generate_memory_does_not_grow_with_the_decoded_rows(default_run):
