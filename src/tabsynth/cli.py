@@ -8,6 +8,7 @@ required arguments).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -31,7 +32,16 @@ def _enough_rows(table, path, minimum: int, after: str = ""):
     return table
 
 
+def _check_out_dir(path) -> None:
+    """Raise, naming path, unless the directory it is to be written in
+    exists, so that a command fails before its work rather than after."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"{path}: directory {directory} does not exist")
+
+
 def cmd_train(args) -> int:
+    _check_out_dir(args.out)
     schema = load_schema(args.schema)
     table = _enough_rows(load_csv(args.data, schema), args.data, 2)
     if args.clip_percentiles:
@@ -53,6 +63,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    _check_out_dir(args.out)
     cp = load_checkpoint(args.model)
     table = generate(cp, args.n, args.seed, ordinal_rounding=args.ordinal_rounding)
     save_csv(table, args.out)
@@ -61,6 +72,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_cdf(args) -> int:
+    _check_out_dir(args.out)
     cp = load_checkpoint(args.model)
     curve = estimate_cdf(cp, args.column, n_mc=args.mc)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -74,6 +86,7 @@ def cmd_cdf(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.with_mia and not args.model:
         raise UsageError("--with-mia requires --model")
+    _check_out_dir(args.out)
     schema = load_schema(args.schema)
     real_train = _enough_rows(load_csv(args.real_train, schema), args.real_train, 2)
     real_test = _enough_rows(load_csv(args.real_test, schema), args.real_test, 1)

@@ -206,17 +206,96 @@ def _first_rejected(parse, cells) -> int:
 # this is sized for Python objects, not for nn.BLOCK_ENTRIES' 8-byte entries
 CSV_BLOCK_CELLS = 2**12
 
+# bytes of a file that load_csv scans at a time before numpy's reader parses
+# it; no longer line is passed to that reader
+CSV_SCAN_BYTES = 2**20
+
+# bytes with which numpy's reader could part from the csv module: a quote
+# lets a record span lines and a field hold commas; the csv module refuses
+# NUL before Python 3.11; numpy's float parser skips 0x1c-0x1f as white
+# space around a number, where float() refuses them
+_NOT_PLAIN = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
 
 def load_csv(path, schema: Schema) -> Table:
     """Load a CSV whose header matches the schema exactly, in order.
 
     Discrete cells must be level labels. Any unparseable, missing, or
     unknown cell raises with the 1-based data row and the column name. A
-    UTF-8 byte-order mark before the header is skipped. Records are parsed
+    UTF-8 byte-order mark before the header is skipped. A plain file, one
+    record on each line and no quote byte, is parsed by numpy's C reader
+    (np.loadtxt), whose rows are returned only where the csv module's
+    reader could not give other rows or an error. Every other file, and
+    every fault, goes through that csv-module reader from the start, so
+    each table and each message is the same whichever reader ran.
+    """
+    rows = _plain_csv_rows(path, schema)
+    if rows is None:
+        rows = _csv_module_rows(path, schema)
+    rows.flags.writeable = False
+    return Table(schema=schema, rows=rows)
+
+
+def _plain_csv_rows(path, schema: Schema) -> np.ndarray | None:
+    """A plain file's rows as np.loadtxt parses them, or None wherever they
+    could differ from _csv_module_rows' rows or error: a file that is not
+    plain or has no data row, a header other than the schema's names, a
+    cell that loadtxt rejects, and a non-finite cell, which the csv-module
+    reader names."""
+    lines = _plain_line_count(path)
+    if lines is None or lines < 2:  # loadtxt warns on a file without data
+        return None
+    converters = {
+        j: {label: k for k, label in enumerate(spec.levels)}.__getitem__
+        for j, spec in enumerate(schema.columns)
+        if spec.kind == KIND_DISCRETE
+    }
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            header = fh.readline().removesuffix("\n")
+            if not header or header.split(",") != schema.names:
+                return None
+            rows = np.loadtxt(fh, delimiter=",", comments=None, converters=converters, ndmin=2)
+    except ValueError:  # converter faults and UnicodeDecodeError among them
+        return None
+    if rows.shape != (lines - 1, len(schema.columns)) or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
+def _plain_line_count(path) -> int | None:
+    """The number of lines in a plain CSV file, whose every line is one
+    record that the csv module and np.loadtxt split alike; None for any
+    other file: one that holds a _NOT_PLAIN byte, a carriage return outside
+    a \\r\\n line end, a blank line, or a line longer than the csv module's
+    field limit or CSV_SCAN_BYTES."""
+    limit = min(csv.field_size_limit(), CSV_SCAN_BYTES)
+    lines = 0
+    with open(path, "rb") as fh:
+        # each chunk ends at a line end, at the end of the file, or inside a
+        # line over the limit, so no line and no \r\n spans two chunks
+        while chunk := fh.read(CSV_SCAN_BYTES) + fh.readline(limit + 1):
+            # a chunk starts a line, so a leading \n ends a blank line
+            if chunk.startswith(b"\n") or any(map(chunk.__contains__, _NOT_PLAIN)):
+                return None
+            text = np.frombuffer(chunk, np.uint8)
+            ends = np.flatnonzero(text == ord("\n"))  # so ends[0] > 0
+            crlf = text[ends - 1] == ord("\r")
+            if np.count_nonzero(text == ord("\r")) != np.count_nonzero(crlf):
+                return None
+            length = np.diff(ends, prepend=-1) - 1 - crlf  # without the line end
+            tail = len(chunk) - 1 - (ends[-1] if ends.size else -1)  # a last line without one
+            if length.min(initial=1) < 1 or max(length.max(initial=0), tail) > limit:
+                return None
+            lines += ends.size + (tail > 0)
+    return lines
+
+
+def _csv_module_rows(path, schema: Schema) -> np.ndarray:
+    """Any CSV file's rows, read by the csv module. Records are parsed
     CSV_BLOCK_CELLS cells at a time into one float array, which grows in
     place and becomes the table's rows, so the floats are held once; faults
-    are reported block by block, the earliest block first.
-    """
+    are reported block by block, the earliest block first."""
     parsers = []
     for spec in schema.columns:
         if spec.kind == KIND_DISCRETE:
@@ -252,8 +331,7 @@ def load_csv(path, schema: Schema) -> Table:
     except csv.Error as err:
         raise ValueError(f"{path}: {err} at line {reader.line_num}") from None
     rows.resize((n, width))
-    rows.flags.writeable = False
-    return Table(schema=schema, rows=rows)
+    return rows
 
 
 def _parse_block(path, schema: Schema, parsers, records, out: np.ndarray, done: int) -> None:

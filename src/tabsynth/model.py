@@ -188,6 +188,9 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
         )
     schema, knots, beta = model.schema, model.knots, model.config.beta
     mu, log_var, enc_cache = encode_batch(model, rows)
+    # contiguous copies of the encoder output's two halves: numpy runs one
+    # inner loop per row of a strided view, and a dozen ops read them
+    mu, log_var = np.ascontiguousarray(mu), np.ascontiguousarray(log_var)
     sigma = np.exp(log_var / 2.0)
     dec_out, dec_cache = mlp_forward(model.decoder, mu + sigma * noise)
     gamma, raw, logits = decoder_heads(schema, model.config.knot_count, dec_out)
@@ -222,7 +225,7 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
 
     # per row, KL(N(mu, diag sigma^2) || N(0, I)) = 0.5 sum(mu^2 + sigma^2 - log sigma^2 - 1)
     var = np.exp(log_var)
-    kl = float(np.mean(0.5 * last_axis_sum(mu * mu + var - log_var - 1.0)))
+    kl = float((0.5 * last_axis_sum(mu * mu + var - log_var - 1.0)).sum() / n)
     breakdown = LossBreakdown(
         crps=crps_sum / n,
         discrete=ce_sum / n,

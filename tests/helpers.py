@@ -362,10 +362,11 @@ def one_shot_squared_distances(a, b):
 
 
 def whole_file_load_csv(path, schema):
-    """load_csv with every record in one list and each column parsed over all
-    rows at once, wrong-length rows first. Guards load_csv's claim that its
-    blocks change neither the table nor the error reported."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """load_csv's csv-module reader with every record in one list and each
+    column parsed over all rows at once, wrong-length rows first. Guards
+    load_csv's claim that its blocks change neither the table nor the error
+    reported."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

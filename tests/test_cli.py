@@ -468,5 +468,26 @@ def test_unreadable_input_fails_naming_the_file(workspace, capsys, flag, content
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "generate", "cdf", "evaluate"])
+def test_out_in_a_missing_directory_fails_before_any_work(workspace, trained, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} must not start its work")
+
+    for name in ("load_schema", "load_checkpoint"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = workspace / "missing_dir" / "out"
+    argv = {
+        "train": ["train", "--data", workspace / "train.csv", "--schema", workspace / "schema.json",
+                  "--seed", 1, "--epochs", 1],
+        "generate": ["generate", "--model", trained, "--n", 5, "--seed", 0],
+        "cdf": ["cdf", "--model", trained, "--column", "x"],
+        "evaluate": evaluate_argv(workspace, "--with-mia", "--model", trained),
+    }[command]
+    assert cli.main(list(map(str, [*argv, "--out", out]))) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: directory {out.parent} does not exist\n"
+    assert captured.out == ""  # train prints no epoch line
+
+
 def test_unknown_subcommand(workspace):
     assert run_cli("frobnicate").returncode == 2
