@@ -321,27 +321,34 @@ def _csv_module_rows(path, schema: Schema) -> np.ndarray:
             while records := list(islice(reader, step)):
                 stop = n + len(records)
                 if stop > rows.shape[0]:
-                    # realloc, with a quarter to spare; resize refuses while
-                    # a view of rows lives, so each block's view is a temporary
-                    rows.resize((stop + stop // 4, width))
-                _parse_block(path, schema, parsers, records, rows[n:stop], n)
+                    # realloc, with a quarter to spare. No view of rows
+                    # outlives a statement here: each block is parsed into an
+                    # array of its own and copied in. So nothing can dangle,
+                    # and resize's reference count check is off, as it would
+                    # also count the references that a tracer reading frame
+                    # locals (a debugger, coverage, hypothesis's explain
+                    # phase) holds to rows itself, and refuse
+                    rows.resize((stop + stop // 4, width), refcheck=False)
+                rows[n:stop] = _parse_block(path, schema, parsers, records, n)
                 n = stop
     except UnicodeDecodeError as err:
         raise not_utf8(path, err) from None
     except csv.Error as err:
         raise ValueError(f"{path}: {err} at line {reader.line_num}") from None
-    rows.resize((n, width))
+    rows.resize((n, width), refcheck=False)
     return rows
 
 
-def _parse_block(path, schema: Schema, parsers, records, out: np.ndarray, done: int) -> None:
-    """Parse records into out, one row each; errors count rows from done + 1."""
+def _parse_block(path, schema: Schema, parsers, records, done: int) -> np.ndarray:
+    """Parse records into a new array, one row each; errors count rows from
+    done + 1."""
     width = len(parsers)
     if set(map(len, records)) != {width}:
         r = next(r for r, record in enumerate(records, start=1) if len(record) != width)
         raise ValueError(
             f"{path}: row {done + r} has {len(records[r - 1])} cells, expected {width}"
         )
+    out = np.empty((len(records), width))
     cells = list(chain.from_iterable(records))
     for j, (spec, (parse, problem)) in enumerate(zip(schema.columns, parsers)):
         column = cells[j::width]
@@ -359,6 +366,7 @@ def _parse_block(path, schema: Schema, parsers, records, out: np.ndarray, done: 
                 f"{path}: non-finite value {column[r - 1]!r} for column {spec.name!r} "
                 f"at row {done + r}"
             )
+    return out
 
 
 def _csv_forms(labels, width: int) -> list[str]:

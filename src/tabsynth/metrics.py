@@ -442,8 +442,10 @@ def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
     shadow_std = standardize(shadow_train)
     shadow_cp = train(shadow_std, cp.config)
 
-    z_in, _, _ = encode_batch(shadow_cp, shadow_std.rows)
-    z_out, _, _ = encode_batch(shadow_cp, apply_scaling(shadow_test, shadow_cp.scaling).rows)
+    # the encoder's posterior means are feature-major, (d, rows): one attack
+    # feature row per record is their transpose
+    z_in = encode_batch(shadow_cp, shadow_std.rows)[0].T
+    z_out = encode_batch(shadow_cp, apply_scaling(shadow_test, shadow_cp.scaling).rows)[0].T
     y_in = shadow_train.rows[:, jc].astype(np.intp)
     y_out = shadow_test.rows[:, jc].astype(np.intp)
 
@@ -466,8 +468,8 @@ def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
     pick = np.random.default_rng(seed_pick)
     idx_tr = np.sort(pick.choice(real_train.n_rows, size=n_eval, replace=False))
     idx_te = np.sort(pick.choice(real_test.n_rows, size=n_eval, replace=False))
-    z_tr, _, _ = encode_batch(cp, apply_scaling(real_train, cp.scaling).rows[idx_tr])
-    z_te, _, _ = encode_batch(cp, apply_scaling(real_test, cp.scaling).rows[idx_te])
+    z_tr = encode_batch(cp, apply_scaling(real_train, cp.scaling).rows[idx_tr])[0].T
+    z_te = encode_batch(cp, apply_scaling(real_test, cp.scaling).rows[idx_te])[0].T
     y_tr = real_train.rows[idx_tr, jc].astype(np.intp)
     y_te = real_test.rows[idx_te, jc].astype(np.intp)
 

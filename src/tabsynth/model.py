@@ -11,6 +11,15 @@ level probabilities. Training minimizes
 
 with one reparameterized latent sample per row. elbo_grads gives a batch's
 loss and its exact, hand-derived gradient; tests check it by finite differences.
+
+Tables are row-major, (rows, columns); the networks run feature-major,
+(features, rows), as nn does. The decoder's last layer is read through one
+fixed permutation of its outputs, head_order: every numeric column's gamma,
+then segment m's raw slope of every numeric column for m = 0..M-1, then the
+logits. Its output then holds the knot-major (M, P * rows) slopes of the
+spline head as one contiguous block, spline p * rows + r for numeric column
+p and row r, and the head's gradient goes back into it by a reshape. The
+parameters keep the layout of the checkpoint.
 """
 
 from __future__ import annotations
@@ -23,8 +32,7 @@ import numpy as np
 
 from .data import OUTLIER_QUANTILES, Schema, ScalingStats, Table, one_hot_matrix
 from .nn import (
-    Mlp, adam_init, adam_step, last_axis_max, last_axis_sum, layer_views, mlp_backward,
-    mlp_forward, mlp_init,
+    Mlp, adam_init, adam_step, layer_views, mlp_backward, mlp_forward, mlp_init,
 )
 from . import spline as sp
 
@@ -107,6 +115,10 @@ class VaeModel:
         start = sum(a.size for layer in self.encoder for a in layer)
         return layer_views(net_sizes(self.schema, self.config)[1], self.params[start:])
 
+    @cached_property
+    def head_order(self) -> np.ndarray:
+        return head_order(self.schema, self.config.knot_count)
+
 
 @dataclass(frozen=True)
 class Checkpoint(VaeModel):
@@ -129,20 +141,29 @@ def decoder_width(schema: Schema, knot_count: int) -> int:
     )
 
 
+def head_order(schema: Schema, knot_count: int) -> np.ndarray:
+    """The order in which the decoder's outputs are read, as indices into the
+    stored last layer, which gives each numeric column M+1 adjacent outputs
+    (gamma, then its M raw slopes) and then the logits: the P gammas, then
+    segment m's slope of every numeric column for m = 0..M-1, then the
+    logits in place."""
+    p, m = len(schema.numeric_indices), knot_count
+    numeric = np.arange(p * (m + 1)).reshape(p, m + 1)
+    return np.concatenate([numeric.T.ravel(), np.arange(p * (m + 1), decoder_width(schema, m))])
+
+
 def decoder_heads(schema: Schema, knot_count: int, dec_out: np.ndarray):
-    """Views, not copies, of decoder outputs (n, decoder_width): gamma (n, P) and
-    raw segment slopes (n, P, M) for the P numeric columns, each owning M+1
-    adjacent outputs (gamma, then the slopes), then one (n, t) logit block
-    per discrete column."""
-    n, p = dec_out.shape[0], len(schema.numeric_indices)
-    pos = p * (knot_count + 1)
-    numeric = dec_out[:, :pos].reshape(n, p, knot_count + 1)
+    """Views, not copies, of feature-major decoder outputs (decoder_width, n)
+    read in head_order: gamma (P, n) and raw segment slopes (M, P, n) for the
+    P numeric columns, then one (t, n) logit block per discrete column."""
+    p, m = len(schema.numeric_indices), knot_count
+    pos = p * (m + 1)
     logits = []
     for i in schema.discrete_indices:
         t = schema.columns[i].n_levels
-        logits.append(dec_out[:, pos : pos + t])
+        logits.append(dec_out[pos : pos + t])
         pos += t
-    return numeric[:, :, 0], numeric[:, :, 1:], logits
+    return dec_out[:p], dec_out[p : p * (m + 1)].reshape(m, p, dec_out.shape[1]), logits
 
 
 def net_sizes(schema: Schema, config: TrainConfig):
@@ -167,18 +188,21 @@ def model_init(schema: Schema, config: TrainConfig, rng: np.random.Generator) ->
 
 
 def encode_batch(model: VaeModel, rows: np.ndarray):
-    """Posterior parameters for a batch of rows: (mu, log_var), each (n, d)."""
+    """Posterior parameters for a batch of table rows (n, columns): mu and
+    log_var, each a feature-major (d, n) view, and the encoder's cache."""
     x = one_hot_matrix(model.schema, rows)
-    out, cache = mlp_forward(model.encoder, x)
+    out, cache = mlp_forward(model.encoder, x.T)
     d = model.config.latent_dim
-    return out[:, :d], out[:, d:], cache
+    return out[:d], out[d:], cache
 
 
 def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
-    """A training step's LossBreakdown on a batch with frozen reparameterization
-    noise, and its exact gradient, a flat vector laid out like model.params.
-    All (row, numeric column) splines go through the loss in one knot-major
-    pass, spline r * P + p for row r and numeric column p."""
+    """A training step's LossBreakdown on a batch of table rows (n, columns)
+    with frozen reparameterization noise (n, d), and its exact gradient, a
+    flat vector laid out like model.params. All (row, numeric column)
+    splines go through the loss in one knot-major pass, spline p * n + r for
+    row r and numeric column p; their losses are summed in row order,
+    r * P + p."""
     rows = np.asarray(rows, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     n = rows.shape[0]
@@ -188,44 +212,43 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
         )
     schema, knots, beta = model.schema, model.knots, model.config.beta
     mu, log_var, enc_cache = encode_batch(model, rows)
-    # contiguous copies of the encoder output's two halves: numpy runs one
-    # inner loop per row of a strided view, and a dozen ops read them
-    mu, log_var = np.ascontiguousarray(mu), np.ascontiguousarray(log_var)
+    eps = np.ascontiguousarray(noise.T)
     sigma = np.exp(log_var / 2.0)
-    dec_out, dec_cache = mlp_forward(model.decoder, mu + sigma * noise)
+    dec_out, dec_cache = mlp_forward(model.decoder, mu + sigma * eps, model.head_order)
     gamma, raw, logits = decoder_heads(schema, model.config.knot_count, dec_out)
 
-    m = knots.size - 1
-    raw_km = raw.transpose(2, 0, 1).reshape(m, -1)
-    x = rows[:, schema.numeric_indices].ravel()
+    m, p = raw.shape[:2]
+    raw_km = raw.reshape(m, p * n)
+    x = rows[:, schema.numeric_indices].T.ravel()
     loss, dg, ds = sp.crps_loss_batch(gamma.ravel(), sp.slopes_to_b(raw_km), knots, x)
-    crps_sum = 0.5 * loss.sum()
+    crps_sum = 0.5 * loss.reshape(p, n).T.ravel().sum()
 
-    # allocated only now, so it is not live during the loss pass's temporaries
-    d_dec = np.zeros_like(dec_out)
+    # allocated only now, so it is not live during the loss pass's temporaries;
+    # the heads below write every one of its rows
+    d_dec = np.empty_like(dec_out)
     d_gamma, d_raw, d_logits = decoder_heads(schema, model.config.knot_count, d_dec)
     # closed-form gradient, scaled by the 1/2 on the loss and the batch mean
-    np.multiply(dg.reshape(n, -1), 0.5 / n, out=d_gamma)
+    np.multiply(dg.reshape(p, n), 0.5 / n, out=d_gamma)
     ds *= 0.5 / n
-    d_raw[...] = sp.chain_slope_grads(ds, raw_km).reshape(m, n, -1).transpose(1, 2, 0)
+    d_raw.reshape(m, p * n)[...] = sp.chain_slope_grads(ds, raw_km)
 
     ce_sum = 0.0
-    row_starts = np.arange(n)
-    for block, d_block, col in zip(logits, d_logits, schema.discrete_indices):
-        e = block - last_axis_max(block)
-        # each row's entry at its level, by one flat index into the (n, t) block
-        picked = row_starts * block.shape[1] + rows[:, col].astype(np.intp)
+    columns = np.arange(n)
+    for block, e, col in zip(logits, d_logits, schema.discrete_indices):
+        np.subtract(block, block.max(axis=0), out=e)
+        # each row's entry at its level, by one flat index into the (t, n) block
+        picked = rows[:, col].astype(np.intp) * n + columns
         true_shifted = np.take(e, picked)
         np.exp(e, out=e)
-        norm = last_axis_sum(e)
-        ce_sum += (np.log(norm[:, 0]) - true_shifted).sum()
+        norm = e.sum(axis=0)
+        ce_sum += (np.log(norm) - true_shifted).sum()
         e /= norm
         e.ravel()[picked] -= 1.0
-        np.divide(e, n, out=d_block)
+        e /= n
 
     # per row, KL(N(mu, diag sigma^2) || N(0, I)) = 0.5 sum(mu^2 + sigma^2 - log sigma^2 - 1)
     var = np.exp(log_var)
-    kl = float((0.5 * last_axis_sum(mu * mu + var - log_var - 1.0)).sum() / n)
+    kl = float((0.5 * (mu * mu + var - log_var - 1.0).sum(axis=0)).sum() / n)
     breakdown = LossBreakdown(
         crps=crps_sum / n,
         discrete=ce_sum / n,
@@ -234,10 +257,10 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     )
 
     dz, dec_grad = mlp_backward(model.decoder, dec_cache, d_dec)
-    d = mu.shape[1]
-    d_enc = np.empty((n, 2 * d))
-    np.add(dz, beta * mu / n, out=d_enc[:, :d])
-    np.add(dz * 0.5 * sigma * noise, beta * 0.5 * (var - 1.0) / n, out=d_enc[:, d:])
+    d = mu.shape[0]
+    d_enc = np.empty((2 * d, n))
+    np.add(dz, beta * mu / n, out=d_enc[:d])
+    np.add(dz * 0.5 * sigma * eps, beta * 0.5 * (var - 1.0) / n, out=d_enc[d:])
     _, enc_grad = mlp_backward(model.encoder, enc_cache, d_enc)
     return breakdown, np.concatenate([enc_grad, dec_grad])
 

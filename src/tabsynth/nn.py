@@ -8,6 +8,12 @@ updates the network. Forward returns a cache that backward consumes to
 produce the exact parameter gradient, a flat vector with the same layout.
 Adam is the standard bias-corrected update, applied to the whole vector at
 once.
+
+Activations are feature-major: a batch is an (features, rows) array, one
+row per feature, so every layer is W @ h + b[:, None] and the relu, its
+mask and the bias gradient run over whole rows of the batch. numpy runs a
+short last axis one tiny inner loop per row, which a batch of a few
+hundred rows of a narrow layer would otherwise pay at every operation.
 """
 
 from __future__ import annotations
@@ -138,40 +144,57 @@ def mlp_init(sizes, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def mlp_forward(net: Mlp, x: np.ndarray):
-    """Run the network on a (batch, n_in) input; the output is (batch, n_out).
+def mlp_forward(net: Mlp, x: np.ndarray, order=None):
+    """Run the network on a feature-major (n_in, rows) input; the output is
+    (n_out, rows).
 
-    Returns (output, cache); the cache holds the layer inputs and
-    pre-activations needed by mlp_backward.
+    order, if given, permutes the output features: output row i is the last
+    layer's output order[i]. The last layer's weight and bias rows are read
+    in that order, so the output comes out permuted at the cost of a copy
+    of that layer, not of the output.
+
+    Returns (output, cache); the cache holds the layers as read, the layer
+    inputs and the pre-activations needed by mlp_backward.
     """
     h = np.asarray(x, dtype=np.float64)
     n_in = net[0][0].shape[1]
-    if h.ndim != 2 or h.shape[1] != n_in:
+    if h.ndim != 2 or h.shape[0] != n_in:
         raise ValueError(f"input shape {h.shape} does not match network width ({n_in})")
+    layers = list(net)
+    if order is not None:
+        weight, bias = layers[-1]
+        layers[-1] = weight[order], bias[order]
     inputs, pres = [], []
-    for i, (weight, bias) in enumerate(net):
+    for i, (weight, bias) in enumerate(layers):
         inputs.append(h)
-        pre = h @ weight.T + bias
+        pre = weight @ h
+        pre += bias[:, None]
         pres.append(pre)
-        h = pre if i == len(net) - 1 else relu(pre)
-    return h, (inputs, pres)
+        h = pre if i == len(layers) - 1 else relu(pre)
+    return h, (layers, order, inputs, pres)
 
 
 def mlp_backward(net: Mlp, cache, grad_out: np.ndarray):
-    """Backpropagate grad_out (same shape as the forward output).
+    """Backpropagate grad_out (same shape as the forward output, permuted
+    by the same order).
 
-    Returns (grad_input, grad) where grad is one flat vector laid out as
-    layer_views reads it.
+    Returns (grad_input, grad) where grad_input is (n_in, rows) and grad is
+    one flat vector laid out as layer_views reads it, whatever the order.
     """
-    inputs, pres = cache
+    layers, order, inputs, pres = cache
     g = np.asarray(grad_out, dtype=np.float64)
-    tape = []
-    for i in range(len(net) - 1, -1, -1):
-        if i < len(net) - 1:
-            g = g * (pres[i] > 0)
-        tape[:0] = [(g.T @ inputs[i]).ravel(), g.sum(axis=0)]
-        g = g @ net[i][0]
-    return g, np.concatenate(tape)
+    grad = np.empty(sum(w.size + b.size for w, b in net))
+    views = layer_views([net[0][0].shape[1]] + [w.shape[0] for w, _ in net], grad)
+    last = len(layers) - 1
+    for i in range(last, -1, -1):
+        if i < last:
+            g *= pres[i] > 0  # g is this function's own product
+        rows = order if i == last and order is not None else slice(None)
+        grad_w, grad_b = views[i]
+        grad_w[rows] = g @ inputs[i].T
+        grad_b[rows] = g.sum(axis=1)
+        g = layers[i][0].T @ g
+    return g, grad
 
 
 @dataclass

@@ -18,7 +18,13 @@ A batch of N splines is stored knot-major: slopes s (M, N), knot values
 (M+1, N), one entry per spline in gamma (N,), x (N,) and alpha_tilde (N,).
 Every scan over the knots is then M whole-row operations on contiguous
 length-N rows, so the knot values and the inverse match a row-major (N, M)
-layout bit for bit. The loss adds its M segment terms left to right."""
+layout bit for bit. The loss adds its M segment terms left to right.
+
+A training step's batch of n rows and P numeric columns is N = P * n
+splines, spline p * n + r for row r and column p. The feature-major decoder
+(model.head_order) emits the slopes as this (M, N) block and gamma as N
+entries in the same order, so neither they nor their gradients are
+transposed on the way in or out."""
 
 from __future__ import annotations
 

@@ -76,7 +76,7 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
     SeedSequence(seed, spawn_key=(p,)), always for a whole page and in this
     order: the latents, the uniform levels of the numeric columns, then the
     Gumbel noise of each discrete column in turn. Every page is decoded at
-    PAGE_ROWS rows (OpenBLAS multiplies a matrix of few rows in a kernel
+    PAGE_ROWS rows (OpenBLAS multiplies a batch of few rows in a kernel
     that rounds differently) and only the rows asked for are kept. So
     generate(cp, n, s) is the first n rows of generate(cp, n + k, s), and
     memory beyond the output does not grow with n.
@@ -88,10 +88,11 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
     schema = cp.schema
     numeric = schema.numeric_indices
     rows = np.zeros((n, len(schema.columns)))
-    knots, widths = cp.knots[:-1], np.diff(cp.knots)
+    knots, widths = cp.knots[:-1, None, None], np.diff(cp.knots)[:, None, None]
+    stddev, mean = cp.scaling.stddev[:, None], cp.scaling.mean[:, None]
     # one hinge buffer for all pages, so malloc maps it once, in the decoder's
-    # own (rows, P, M) layout: row r, numeric column p, segment m
-    buffer = np.empty((PAGE_ROWS, len(numeric), knots.size))
+    # own feature-major (M, P, rows) layout: segment m, numeric column p, row r
+    buffer = np.empty((knots.size, len(numeric), PAGE_ROWS))
     finite = np.ones(len(numeric), dtype=bool)
     # an overflowing decoder gives inf and NaN outputs; gumbel_max's check
     # or the finiteness check below turns them into the one error raised
@@ -102,24 +103,24 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(page,)))
             latent = rng.standard_normal((PAGE_ROWS, cp.config.latent_dim))
             u = rng.random((PAGE_ROWS, len(numeric)))[:count]
-            dec_out, _ = mlp_forward(cp.decoder, latent)
-            gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:count])
+            dec_out, _ = mlp_forward(cp.decoder, latent.T, cp.head_order)
+            gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:, :count])
             # the part of each segment below u: clip(u - d_m, 0, d_{m+1} - d_m)
-            hinge = buffer[:count]
-            np.subtract(u[:, :, None], knots, out=hinge)
+            hinge = buffer[:, :, :count]
+            np.subtract(u.T, knots, out=hinge)
             np.clip(hinge, 0.0, widths, out=hinge)
             hinge *= sp.slopes_to_b(raw)
             # back to native units, then snap ordinals to their level grid
-            values = (gamma + hinge.sum(axis=-1)) * cp.scaling.stddev + cp.scaling.mean
-            finite &= np.isfinite(values).all(axis=0)
+            values = (gamma + hinge.sum(axis=0)) * stddev + mean
+            finite &= np.isfinite(values).all(axis=1)
             for k, col in enumerate(numeric):
                 if schema.columns[col].kind == KIND_ORDINAL:
-                    values[:, k] = round_ordinal(values[:, k], ordinal_rounding)
-            out[:, numeric] = values
+                    values[k] = round_ordinal(values[k], ordinal_rounding)
+            out[:, numeric] = values.T
             for scores, col in zip(logits, schema.discrete_indices):
-                noise = rng.gumbel(size=(PAGE_ROWS, scores.shape[1]))[:count]
+                noise = rng.gumbel(size=(PAGE_ROWS, scores.shape[0]))[:count]
                 try:
-                    out[:, col] = gumbel_max(softmax(scores), noise)
+                    out[:, col] = gumbel_max(softmax(scores.T), noise)
                 except ValueError as err:
                     raise ValueError(f"column {schema.columns[col].name!r}: {err}") from None
     if not finite.all():
@@ -170,10 +171,10 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
         raise ValueError(f"column {column!r} is discrete; its CDF is not spline-based")
     k = schema.numeric_indices.index(j)
     z = sample_prior(n_mc, cp.config.latent_dim, seed)
-    dec_out, _ = mlp_forward(cp.decoder, z)
+    dec_out, _ = mlp_forward(cp.decoder, z.T, cp.head_order)
     gamma, raw, _ = decoder_heads(schema, cp.config.knot_count, dec_out)
-    s = sp.slopes_to_b(np.ascontiguousarray(raw[:, k].T))
-    values = sp.knot_values(gamma[:, k], s, cp.knots)
+    s = sp.slopes_to_b(raw[:, k])
+    values = sp.knot_values(gamma[k], s, cp.knots)
     if grid is None:
         lo, hi = cp.quantile_lo[k], cp.quantile_hi[k]
         if lo == hi:  # one value fills the 1%-99% range: span the draws instead

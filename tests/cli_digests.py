@@ -10,7 +10,8 @@ The inputs are the first 600 rows of the acceptance toy_train split and the
 first 300 rows of toy_test (tests/conftest.py), written with save_csv. The
 commands run in a fresh directory (DIR with --keep, a temporary one
 otherwise) against the src/ tree next to this file, so the relative paths
-in train's stdout are the same on every machine.
+in train's stdout are the same on every machine, and with BLAS and OpenMP
+pinned to one thread.
 """
 
 import argparse
@@ -62,7 +63,10 @@ def write_inputs(root: Path) -> None:
 
 def digests(root: Path) -> list:
     write_inputs(root)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # OpenBLAS splits a large product over its threads, which rounds
+    # differently, so the trained bytes depend on the thread count
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
     out = []
     for name, args, target in COMMANDS:
         stdout = b""

@@ -4,7 +4,8 @@
   exact and quadrature CRPS, the exact CRPS gradient, the brute_* metrics,
   grad_rel_err);
 - references for a claim src documents, each naming the claim in its
-  docstring; the fast code must match them bit for bit;
+  docstring; the fast code must match them bit for bit, or, where it
+  changed the order of the arithmetic, to a tolerance its test states;
 - builders of pinned inputs: random_spline and overflowed_discrete_logits.
 
 A copy of code src no longer has does not belong here; test_helpers.py
@@ -16,10 +17,10 @@ from dataclasses import replace
 import numpy as np
 
 from tabsynth import gumbel_max, round_ordinal
-from tabsynth.data import KIND_DISCRETE, KIND_ORDINAL, Table, _first_rejected
+from tabsynth.data import KIND_DISCRETE, KIND_ORDINAL, Table, _first_rejected, one_hot_matrix
 from tabsynth import spline as sp
-from tabsynth.model import decoder_heads, decoder_width
-from tabsynth.nn import mlp_forward, softmax
+from tabsynth.model import LossBreakdown, decoder_heads, decoder_width
+from tabsynth.nn import last_axis_max, last_axis_sum, mlp_forward, relu, softmax
 from tabsynth.synthesis import PAGE_ROWS
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -303,9 +304,9 @@ def per_point_estimate_cdf(cp, column, grid=None, n_mc=5000, seed=0):
     schema = cp.schema
     k = schema.numeric_indices.index(schema.index(column))
     z = np.random.default_rng(seed).standard_normal((n_mc, cp.config.latent_dim))
-    dec_out, _ = mlp_forward(cp.decoder, z)
+    dec_out, _ = mlp_forward(cp.decoder, z.T, cp.head_order)
     gamma, raw, _ = decoder_heads(schema, cp.config.knot_count, dec_out)
-    gamma, b, knots = gamma[:, k], sp.slopes_to_b(raw[:, k]), cp.knots
+    gamma, b, knots = gamma[k], sp.slopes_to_b(raw[:, k].T), cp.knots
     if grid is None:
         grid = np.linspace(cp.quantile_lo[k], cp.quantile_hi[k], 201)
     grid = np.asarray(grid, dtype=np.float64)
@@ -333,20 +334,23 @@ def _page_draws(cp, n, seed):
 def one_shot_generate(cp, n, seed, ordinal_rounding="integer"):
     """generate from the random numbers _page_draws lays out, with every row
     decoded in one pass and each column sampled over all rows at once, its
-    hinges summed by numpy's own last-axis sum of each row's (M,) segments.
-    Guards generate's claim that its pages change no value."""
+    hinges added segment by segment, left to right. Guards generate's claim
+    that its pages change no value."""
     schema = cp.schema
     rows = np.zeros((n, len(schema.columns)))
     if n > 0:
         z, u, *noise = _page_draws(cp, n, seed)
-        dec_out, _ = mlp_forward(cp.decoder, z)
-        gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:n])
+        dec_out, _ = mlp_forward(cp.decoder, z.T, cp.head_order)
+        gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:, :n])
         knots = cp.knots
         for k, col in enumerate(schema.numeric_indices):
-            hinge = np.clip(u[:n, k : k + 1] - knots[None, :-1], 0.0, np.diff(knots))
-            rows[:, col] = gamma[:, k] + np.sum(sp.slopes_to_b(raw[:, k]) * hinge, axis=1)
+            hinge = np.clip(u[:n, k] - knots[:-1, None], 0.0, np.diff(knots)[:, None])
+            total = np.zeros(n)
+            for segment in sp.slopes_to_b(raw[:, k]) * hinge:
+                total += segment
+            rows[:, col] = gamma[k] + total
         for block, col, g in zip(logits, schema.discrete_indices, noise):
-            rows[:, col] = gumbel_max(softmax(block), g[:n])
+            rows[:, col] = gumbel_max(softmax(block.T), g[:n])
         numeric = schema.numeric_indices
         rows[:, numeric] = rows[:, numeric] * cp.scaling.stddev + cp.scaling.mean
         for col in numeric:
@@ -418,3 +422,71 @@ def whole_file_save_csv(table, path):
         writer = csv.writer(fh)
         writer.writerow(table.schema.names)
         writer.writerows(zip(*columns))
+
+
+def _row_major_forward(net, x):
+    inputs, pres = [], []
+    for i, (weight, bias) in enumerate(net):
+        inputs.append(x)
+        pre = x @ weight.T + bias
+        pres.append(pre)
+        x = pre if i == len(net) - 1 else relu(pre)
+    return x, (inputs, pres)
+
+
+def _row_major_backward(net, cache, g):
+    inputs, pres = cache
+    tape = []
+    for i in range(len(net) - 1, -1, -1):
+        if i < len(net) - 1:
+            g = g * (pres[i] > 0)
+        tape[:0] = [(g.T @ inputs[i]).ravel(), g.sum(axis=0)]
+        g = g @ net[i][0]
+    return g, np.concatenate(tape)
+
+
+def row_major_elbo_grads(model, rows, noise):
+    """The training step with row-major (rows, features) activations, the
+    decoder's outputs in their stored order and the spline head transposed
+    to knot-major and back, spline r * P + p. Guards the feature-major
+    elbo_grads, which computes the same loss and gradient with its sums and
+    products in another order, so only their last bits may differ."""
+    schema, knots, beta = model.schema, model.knots, model.config.beta
+    n, d, m = rows.shape[0], model.config.latent_dim, model.config.knot_count
+    enc_out, enc_cache = _row_major_forward(model.encoder, one_hot_matrix(schema, rows))
+    mu, log_var = enc_out[:, :d], enc_out[:, d:]
+    sigma = np.exp(log_var / 2.0)
+    dec_out, dec_cache = _row_major_forward(model.decoder, mu + sigma * noise)
+    p = len(schema.numeric_indices)
+    numeric = dec_out[:, : p * (m + 1)].reshape(n, p, m + 1)
+    raw_km = numeric[:, :, 1:].transpose(2, 0, 1).reshape(m, -1)
+    x = rows[:, schema.numeric_indices].ravel()
+    loss, dg, ds = sp.crps_loss_batch(numeric[:, :, 0].ravel(), sp.slopes_to_b(raw_km), knots, x)
+    crps_sum = 0.5 * loss.sum()
+
+    d_dec = np.zeros_like(dec_out)
+    d_numeric = d_dec[:, : p * (m + 1)].reshape(n, p, m + 1)
+    d_numeric[:, :, 0] = dg.reshape(n, p) * (0.5 / n)
+    d_numeric[:, :, 1:] = sp.chain_slope_grads(ds * (0.5 / n), raw_km).reshape(m, n, p).transpose(1, 2, 0)
+    ce_sum, pos = 0.0, p * (m + 1)
+    for col in schema.discrete_indices:
+        t = schema.columns[col].n_levels
+        e = dec_out[:, pos : pos + t] - last_axis_max(dec_out[:, pos : pos + t])
+        picked = np.arange(n) * t + rows[:, col].astype(np.intp)
+        true_shifted = np.take(e, picked)
+        np.exp(e, out=e)
+        norm = last_axis_sum(e)
+        ce_sum += (np.log(norm[:, 0]) - true_shifted).sum()
+        e /= norm
+        e.ravel()[picked] -= 1.0
+        d_dec[:, pos : pos + t] = e / n
+        pos += t
+
+    var = np.exp(log_var)
+    kl = float((0.5 * last_axis_sum(mu * mu + var - log_var - 1.0)).sum() / n)
+    breakdown = LossBreakdown(crps=crps_sum / n, discrete=ce_sum / n, kl=kl,
+                              total=crps_sum / n + ce_sum / n + beta * kl)
+    dz, dec_grad = _row_major_backward(model.decoder, dec_cache, d_dec)
+    d_enc = np.concatenate([dz + beta * mu / n, dz * 0.5 * sigma * noise + beta * 0.5 * (var - 1.0) / n], axis=1)
+    _, enc_grad = _row_major_backward(model.encoder, enc_cache, d_enc)
+    return breakdown, np.concatenate([enc_grad, dec_grad])

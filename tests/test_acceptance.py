@@ -126,16 +126,16 @@ def test_04_decoder_outputs_are_valid_distributions(default_run):
 
     def check_batch(model, z):
         nonlocal checked, monotone_ok, simplex_ok
-        out, _ = mlp_forward(model.decoder, z)
+        out, _ = mlp_forward(model.decoder, z.T, model.head_order)
         gamma, raw, logit_blocks = decoder_heads(schema, model.config.knot_count, out)
-        for k in range(gamma.shape[1]):
-            kv = knot_values(gamma[:, k], slopes_to_b(raw[:, k].T), model.knots)
+        for k in range(gamma.shape[0]):
+            kv = knot_values(gamma[k], slopes_to_b(raw[:, k]), model.knots)
             monotone_ok &= bool(np.all(np.diff(kv, axis=0) >= 0.0))
         for logits in logit_blocks:
-            e = np.exp(logits - logits.max(axis=1, keepdims=True))
-            probs = e / e.sum(axis=1, keepdims=True)
+            e = np.exp(logits - logits.max(axis=0, keepdims=True))
+            probs = e / e.sum(axis=0, keepdims=True)
             simplex_ok &= bool(np.all(probs >= 0.0))
-            simplex_ok &= bool(np.allclose(probs.sum(axis=1), 1.0, atol=1e-9))
+            simplex_ok &= bool(np.allclose(probs.sum(axis=0), 1.0, atol=1e-9))
         checked += z.shape[0]
 
     check_batch(default_run["checkpoint"], sample_prior(5000, 2, seed=4001))

@@ -525,6 +525,27 @@ def test_csv_module_reader_memory_does_not_grow_with_the_rows(tmp_path, monkeypa
     assert _peak_bytes(load_csv, path, table.schema) < 1.5 * table.rows.nbytes
 
 
+def test_csv_module_reader_loads_under_a_tracer_that_reads_frame_locals(tmp_path, monkeypatch):
+    # such a tracer (a debugger, coverage, hypothesis's explain phase) holds
+    # references to the reader's growing array, which a reference-counted
+    # resize refuses
+    table = make_toy_table(50, seed=8)
+    path = tmp_path / "toy.csv"
+    save_csv(table, path)
+    _decline_plain(monkeypatch)
+
+    def tracer(frame, event, arg):
+        frame.f_locals
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        rows = load_csv(path, table.schema).rows
+    finally:
+        sys.settrace(None)
+    assert rows.tobytes() == table.rows.tobytes()
+
+
 def test_standardize_hand_values():
     schema = Schema((ColumnSpec("x", "continuous"),))
     table = Table(schema, np.array([[1.0], [3.0]]))
