@@ -218,9 +218,9 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     gamma, raw, logits = decoder_heads(schema, model.config.knot_count, dec_out)
 
     m, p = raw.shape[:2]
-    raw_km = raw.reshape(m, p * n)
     x = rows[:, schema.numeric_indices].T.ravel()
-    loss, dg, ds = sp.crps_loss_batch(gamma.ravel(), sp.slopes_to_b(raw_km), knots, x)
+    s = sp.slopes_to_b(raw.reshape(m, p * n))
+    loss, dg, ds = sp.crps_loss_batch(gamma.ravel(), s, knots, x)
     crps_sum = 0.5 * loss.reshape(p, n).T.ravel().sum()
 
     # allocated only now, so it is not live during the loss pass's temporaries;
@@ -230,7 +230,7 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     # closed-form gradient, scaled by the 1/2 on the loss and the batch mean
     np.multiply(dg.reshape(p, n), 0.5 / n, out=d_gamma)
     ds *= 0.5 / n
-    d_raw.reshape(m, p * n)[...] = sp.chain_slope_grads(ds, raw_km)
+    d_raw.reshape(m, p * n)[...] = sp.chain_slope_grads(ds, s)
 
     ce_sum = 0.0
     columns = np.arange(n)
@@ -261,7 +261,7 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     d_enc = np.empty((2 * d, n))
     np.add(dz, beta * mu / n, out=d_enc[:d])
     np.add(dz * 0.5 * sigma * eps, beta * 0.5 * (var - 1.0) / n, out=d_enc[d:])
-    _, enc_grad = mlp_backward(model.encoder, enc_cache, d_enc)
+    _, enc_grad = mlp_backward(model.encoder, enc_cache, d_enc, input_grad=False)
     return breakdown, np.concatenate([enc_grad, dec_grad])
 
 

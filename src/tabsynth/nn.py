@@ -14,6 +14,9 @@ row per feature, so every layer is W @ h + b[:, None] and the relu, its
 mask and the bias gradient run over whole rows of the batch. numpy runs a
 short last axis one tiny inner loop per row, which a batch of a few
 hundred rows of a narrow layer would otherwise pay at every operation.
+
+softplus is max(x, 0) + log1p(exp(-|x|)), which cannot overflow; its
+derivative, the logistic, is 1 - exp(-softplus(x)) (spline.chain_slope_grads).
 """
 
 from __future__ import annotations
@@ -86,24 +89,13 @@ def last_axis_sum(a: np.ndarray) -> np.ndarray:
 
 
 def softplus(x):
-    """log(1 + exp(x)) with overflow guards: x > 30 -> x, x < -30 -> exp(x)."""
+    """log(1 + e^x) as max(x, 0) + log1p(exp(-|x|)), in place after the
+    first pass; NaN gives NaN, and a 0-d input a 0-d array."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(np.minimum(x, 30.0))
-    # patched in place, so only two full-size arrays are live at once;
-    # asarray keeps a 0-d result writable
-    out = np.asarray(np.log1p(e))
-    np.copyto(out, e, where=x < -30.0)
-    np.copyto(out, x, where=x > 30.0)
-    return out
-
-
-def logistic(x):
-    """Sigmoid, the derivative of softplus, from exp(-|x|) so nothing overflows."""
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(np.minimum(x, -x))  # -|x|, but a NaN keeps its sign bit
-    # the numerator is 1 from 0 up and e below 0; as e <= 1, a max against the
-    # sign mask picks it without np.where's branch per entry (NaN stays NaN)
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    out = np.copysign(x, -1.0, out=np.empty_like(x))  # -|x|
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    return np.add(np.maximum(x, 0.0), out, out=out)
 
 
 def softmax(logits):
@@ -174,12 +166,12 @@ def mlp_forward(net: Mlp, x: np.ndarray, order=None):
     return h, (layers, order, inputs, pres)
 
 
-def mlp_backward(net: Mlp, cache, grad_out: np.ndarray):
+def mlp_backward(net: Mlp, cache, grad_out: np.ndarray, input_grad: bool = True):
     """Backpropagate grad_out (same shape as the forward output, permuted
     by the same order).
 
-    Returns (grad_input, grad) where grad_input is (n_in, rows) and grad is
-    one flat vector laid out as layer_views reads it, whatever the order.
+    Returns (grad_input, grad): grad_input (n_in, rows), None if not input_grad;
+    grad one flat vector laid out as layer_views reads it, whatever the order.
     """
     layers, order, inputs, pres = cache
     g = np.asarray(grad_out, dtype=np.float64)
@@ -193,7 +185,7 @@ def mlp_backward(net: Mlp, cache, grad_out: np.ndarray):
         grad_w, grad_b = views[i]
         grad_w[rows] = g @ inputs[i].T
         grad_b[rows] = g.sum(axis=1)
-        g = layers[i][0].T @ g
+        g = layers[i][0].T @ g if i > 0 or input_grad else None
     return g, grad
 
 

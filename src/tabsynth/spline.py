@@ -7,11 +7,13 @@ its value gamma at 0 and its slope s_m on each segment [d_m, d_{m+1}]:
     0 = d_0 < ... < d_M = 1,
 
 which is piecewise linear in the quantile level a and monotone because
-every slope is non-negative: slopes_to_b maps raw outputs through softplus.
+every slope is non-negative: slopes_to_b maps raw outputs through softplus,
+whose derivative chain_slope_grads reads from s as 1 - exp(-s).
 
 The training loss for an observation x is twice the integral over a of the
 check function rho_a(x - D(a)), which this module evaluates in closed form,
-with its exact gradient, for a batch of splines at once. Its inverse reads
+with its exact gradient, for a batch of splines at once, from per-knot terms
+T_m = K_m - max(a_t - d_m, 0)^2 (crps_grad_from_alpha). Its inverse reads
 the knot values, which a caller builds once and reuses for any number of x.
 
 A batch of N splines is stored knot-major: slopes s (M, N), knot values
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import leading_axis_sum, logistic, softplus
+from .nn import leading_axis_sum, softplus
 
 # Slopes below this are treated as exactly flat when inverting.
 _FLAT_EPS = 1e-300
@@ -121,7 +123,7 @@ def crps_loss_batch(gamma, s, knots, x):
     and its exact gradient.
 
     Returns (loss (N,), d_gamma (N,), d_s (M, N)). With a_t = alpha_tilde and
-    T_m = (1 - d_m^3)/3 - d_m - max(a_t, d_m)^2 + 2 max(a_t, d_m) d_m:
+    T_m the knot terms of crps_grad_from_alpha:
 
         loss = (2 a_t - 1) x + (1 - 2 a_t) gamma + sum_m s_m (T_m - T_{m+1})
 
@@ -140,27 +142,33 @@ def crps_loss_batch(gamma, s, knots, x):
 
 
 def crps_grad_from_alpha(alpha: np.ndarray, knots: np.ndarray):
-    """Gradient of the closed-form loss given a precomputed alpha_tilde.
+    """Gradient of the closed-form loss given a precomputed alpha_tilde:
+    (d_gamma (N,), d_s (M, N)). alpha_tilde is held fixed: wherever x is
+    strictly inside the spline's range, d loss / d alpha = 2 (x - D(a_t)) = 0,
+    and at the clamps a_t is locally constant, so nothing propagates through it.
 
-    Returns (d_gamma (N,), d_s (M, N)). alpha_tilde is held fixed:
-    wherever x is strictly inside the spline's range,
-    d loss / d alpha = 2 (x - D(alpha_tilde)) = 0, and at the clamps
-    alpha_tilde is locally constant, so nothing propagates through it.
+    T_m = (1 - d_m^3)/3 - d_m - mx^2 + 2 mx d_m with mx = max(a_t, d_m). As
+    mx = d_m + u_m with u_m = max(a_t - d_m, 0), -mx^2 + 2 mx d_m = d_m^2 -
+    u_m^2, so T_m = K_m - u_m^2 with K_m = (1 - d_m^3)/3 - d_m + d_m^2, and
+    d_s_m = T_m - T_{m+1} = (u_{m+1}^2 - u_m^2) + (K_m - K_{m+1}): five
+    passes over (M+1, N) arrays, two fewer than T_m as first written.
     """
-    # T_m per knot, T_M = 0 at d_M = 1, in two (M+1, N) buffers, in the order
-    # of (1 - d^3)/3 - d - mx*mx + 2*mx*d with mx = max(alpha, d)
-    d = knots[:, None]
-    mx = np.maximum(alpha[None, :], d)
-    terms = mx * mx
-    np.subtract((1.0 - d**3) / 3.0 - d, terms, out=terms)
-    mx *= 2.0
-    mx *= d
-    terms += mx
+    k = (1.0 - knots**3) / 3.0 - knots + knots * knots
+    u = np.subtract(alpha, knots[:, None])
+    np.maximum(u, 0.0, out=u)
+    u *= u
+    d_s = u[1:] - u[:-1]
+    d_s += (k[:-1] - k[1:])[:, None]
     d_gamma = 2.0 * alpha
     np.subtract(1.0, d_gamma, out=d_gamma)
-    return d_gamma, terms[:-1] - terms[1:]
+    return d_gamma, d_s
 
 
-def chain_slope_grads(ds: np.ndarray, slope_raw: np.ndarray) -> np.ndarray:
-    """Push a gradient w.r.t. the segment slopes s = softplus(raw) back to raw."""
-    return ds * logistic(slope_raw)
+def chain_slope_grads(ds: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Push a gradient ds w.r.t. the slopes s = softplus(raw) back to raw, as
+    ds * -expm1(-s), the logistic of raw."""
+    out = np.negative(s)
+    np.expm1(out, out=out)
+    out *= ds
+    np.negative(out, out=out)
+    return out

@@ -4,7 +4,11 @@ every output whose digest differs, unless all eight match byte for byte.
 pytest does not collect this script; tests/test_cli_digests.py runs it
 in the suite.
 
-    python tests/cli_digests.py [--keep DIR]
+    python tests/cli_digests.py [--keep DIR] [--record]
+
+--record writes the digests of this run to tests/data/cli_digests.json and
+prints old -> new for each one that moved, for a change whose outputs are
+meant to move; the test still checks the committed file.
 
 The inputs are the first 600 rows of the acceptance toy_train split and the
 first 300 rows of toy_test (tests/conftest.py), written with save_csv. The
@@ -84,6 +88,8 @@ def digests(root: Path) -> list:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--keep", type=Path, help="run in this (new or empty) directory and keep it")
+    parser.add_argument("--record", action="store_true",
+                        help=f"write the digests to {EXPECTED.name} and print each one that moved")
     args = parser.parse_args()
     if args.keep:
         args.keep.mkdir(parents=True, exist_ok=True)
@@ -93,6 +99,13 @@ def main() -> None:
             rows = digests(Path(tmp))
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
     changed = [name for name, digest in rows if expected.get(name) != digest]
+    if args.record:
+        EXPECTED.write_text(json.dumps(dict(rows), indent=2) + "\n", encoding="utf-8")
+        for name, digest in rows:
+            if name in changed:
+                print(f"{name:<20} {expected.get(name)} -> {digest}")
+        print(f"recorded {len(rows)} digests in {EXPECTED.name}, {len(changed)} moved")
+        return
     for name, digest in rows:
         print(f"{name:<20} {digest}{'  CHANGED' if name in changed else ''}")
     if changed:

@@ -12,7 +12,9 @@ A copy of code src no longer has does not belong here; test_helpers.py
 names any public helper that no test module imports."""
 
 import csv
+import decimal
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -203,29 +205,53 @@ def grad_rel_err(analytic: float, numeric: float) -> float:
 
 
 def masked_softplus(x):
-    """nn.softplus's documented definition (x > 30 -> x, x < -30 -> exp(x),
-    else log1p(exp(x))) by boolean-mask scatter; it must match bit for bit."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    hi = x > 30.0
-    lo = x < -30.0
-    mid = ~(hi | lo)
-    out[hi] = x[hi]
-    out[lo] = np.exp(x[lo])
-    out[mid] = np.log1p(np.exp(x[mid]))
-    return out
-
-
-def masked_logistic(x):
-    """nn.logistic's documented sigmoid by boolean-mask scatter on the sign
-    of x; the whole-array nn.logistic must match it bit for bit."""
+    """nn.softplus's documented definition, max(x, 0) + log1p(exp(-|x|)), by
+    boolean-mask scatter on the sign of x: x + log1p(exp(-x)) from 0 up,
+    log1p(exp(x)) below and at NaN; the whole-array nn.softplus must match
+    it bit for bit."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out[pos] = x[pos] + np.log1p(np.exp(-x[pos]))
+    out[~pos] = np.log1p(np.exp(x[~pos]))
     return out
+
+
+# 50 significant digits, with room for e^-800 and e^800
+DECIMAL_50 = decimal.Context(prec=50, Emin=-9999, Emax=9999)
+
+
+def _decimal_log1p(y):
+    """ln(1 + y) for 0 <= y <= 1 to 50 digits: the series where 1 + y would
+    drop digits of y, its first omitted term below y * 1e-60."""
+    if y < Decimal("1e-20"):
+        return y - y * y / 2 + y * y * y / 3
+    return (1 + y).ln()
+
+
+def decimal_softplus(x: float):
+    """log(1 + e^x) of a finite float to 50 significant digits, a Decimal."""
+    with decimal.localcontext(DECIMAL_50):
+        d = Decimal(x)
+        if d > 0:
+            return d + _decimal_log1p((-d).exp())
+        return _decimal_log1p(d.exp())
+
+
+def decimal_logistic(x: float):
+    """1 / (1 + e^-x) of a finite float to 50 significant digits, a Decimal."""
+    with decimal.localcontext(DECIMAL_50):
+        d = Decimal(x)
+        e = (-abs(d)).exp()
+        return 1 / (1 + e) if d >= 0 else e / (1 + e)
+
+
+def ulps_from(got: float, want) -> float:
+    """|got - want| for a Decimal want, in units of np.spacing of want
+    rounded to float64: its ulp where it is normal, the subnormal step
+    (5e-324) below."""
+    step = Decimal(float(np.spacing(abs(float(want)))))
+    return float(abs(Decimal(float(got)) - want) / step)
 
 
 def concatenated_knot_values(gamma, s, knots):
@@ -258,15 +284,32 @@ def rebuilt_spline_inverse(gamma, s, knots, x):
     return alpha
 
 
-def expression_crps_loss_batch(gamma, s, knots, x):
+def _k_form_slope_grads(alpha, knots):
+    """Row-major d_s (N, M) as spline.crps_grad_from_alpha writes it:
+    (u_{m+1}^2 - u_m^2) + (K_m - K_{m+1}) with u_m = max(a_t - d_m, 0)."""
+    u = np.maximum(alpha[:, None] - knots[None, :], 0.0)
+    u = u * u
+    k = (1.0 - knots**3) / 3.0 - knots + knots * knots
+    return (u[:, 1:] - u[:, :-1]) + (k[:-1] - k[1:])
+
+
+def max_form_slope_grads(alpha, knots):
+    """Row-major d_s (N, M) by the closed form's expression before the
+    K-form, T_m = (1 - d_m^3)/3 - d_m - mx^2 + 2 mx d_m with mx = max(a_t,
+    d_m). Guards the K-form's derivation in crps_grad_from_alpha's
+    docstring: the same values, rounded along another path."""
+    mx = np.maximum(alpha[:, None], knots[None, :])
+    terms = (1.0 - knots**3) / 3.0 - knots - mx * mx + 2.0 * mx * knots
+    return terms[:, :-1] - terms[:, 1:]
+
+
+def expression_crps_loss_batch(gamma, s, knots, x, slope_grads=_k_form_slope_grads):
     """The row-major crps_loss_batch as whole-array expressions, one fresh
     array per operation, its M segment terms added left to right to +0.0.
     Guards spline.py's claims for the loss: its gradient matches a row-major
     layout bit for bit, and it sums the segments in that order."""
     alpha = rebuilt_spline_inverse(gamma, s, knots, x)
-    mx = np.maximum(alpha[:, None], knots[None, :])
-    terms = (1.0 - knots**3) / 3.0 - knots - mx * mx + 2.0 * mx * knots
-    d_gamma, d_s = 1.0 - 2.0 * alpha, terms[:, :-1] - terms[:, 1:]
+    d_gamma, d_s = 1.0 - 2.0 * alpha, slope_grads(alpha, knots)
     loss = (2.0 * alpha - 1.0) * x + d_gamma * gamma
     segments = np.zeros_like(loss)
     for term in np.ascontiguousarray((s * d_s).T):
@@ -461,13 +504,14 @@ def row_major_elbo_grads(model, rows, noise):
     numeric = dec_out[:, : p * (m + 1)].reshape(n, p, m + 1)
     raw_km = numeric[:, :, 1:].transpose(2, 0, 1).reshape(m, -1)
     x = rows[:, schema.numeric_indices].ravel()
-    loss, dg, ds = sp.crps_loss_batch(numeric[:, :, 0].ravel(), sp.slopes_to_b(raw_km), knots, x)
+    s_km = sp.slopes_to_b(raw_km)
+    loss, dg, ds = sp.crps_loss_batch(numeric[:, :, 0].ravel(), s_km, knots, x)
     crps_sum = 0.5 * loss.sum()
 
     d_dec = np.zeros_like(dec_out)
     d_numeric = d_dec[:, : p * (m + 1)].reshape(n, p, m + 1)
     d_numeric[:, :, 0] = dg.reshape(n, p) * (0.5 / n)
-    d_numeric[:, :, 1:] = sp.chain_slope_grads(ds * (0.5 / n), raw_km).reshape(m, n, p).transpose(1, 2, 0)
+    d_numeric[:, :, 1:] = sp.chain_slope_grads(ds * (0.5 / n), s_km).reshape(m, n, p).transpose(1, 2, 0)
     ce_sum, pos = 0.0, p * (m + 1)
     for col in schema.discrete_indices:
         t = schema.columns[col].n_levels

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import grad_rel_err, masked_logistic, masked_softplus, reduced_softmax
+from helpers import (
+    decimal_logistic, decimal_softplus, grad_rel_err, masked_softplus, reduced_softmax, ulps_from,
+)
 from tabsynth import nn
 from tabsynth.nn import (
     adam_init,
@@ -16,7 +18,6 @@ from tabsynth.nn import (
     last_axis_sum,
     leading_axis_sum,
     layer_views,
-    logistic,
     mlp_backward,
     mlp_forward,
     mlp_init,
@@ -24,10 +25,12 @@ from tabsynth.nn import (
     softmax,
     softplus,
 )
+from tabsynth.spline import chain_slope_grads
 
 
 def test_softplus_values_and_guards():
     assert softplus(np.array(0.0)) == pytest.approx(math.log(2.0))
+    assert isinstance(softplus(np.array(0.0)), np.ndarray)  # a 0-d array, not a scalar
     assert softplus(np.array(40.0)) == 40.0
     assert softplus(np.array(-40.0)) == pytest.approx(math.exp(-40.0))
     with np.errstate(over="raise"):
@@ -36,24 +39,44 @@ def test_softplus_values_and_guards():
     assert np.all(np.diff(out) > 0)
 
 
-def test_logistic_values_and_guards():
-    assert logistic(np.array(0.0)) == 0.5
+def logistic_from_softplus(x):
+    """The logistic as the training step computes it, from the slopes
+    softplus(x): spline.chain_slope_grads of a unit gradient."""
+    return chain_slope_grads(1.0, softplus(x))
+
+
+@pytest.mark.parametrize(("fast", "reference"), [
+    (softplus, decimal_softplus),
+    (logistic_from_softplus, decimal_logistic),
+], ids=["softplus", "logistic"])
+def test_within_2_ulp_of_a_50_digit_reference(fast, reference):
+    points = np.array([0.0, 1e-300, 30.0, 36.7, 709.8, 800.0])
+    x = np.concatenate([points, -points, [-745.2], np.random.default_rng(29).normal(0.0, 40.0, 2000)])
     with np.errstate(over="raise"):
-        out = logistic(np.array([-1000.0, 0.0, 1000.0]))
-    assert out[0] == pytest.approx(0.0, abs=1e-12)
-    assert out[2] == pytest.approx(1.0, abs=1e-12)
+        got = fast(x)
+    want = [reference(float(v)) for v in x]
+    errors = np.array([ulps_from(g, w) for g, w in zip(got, want)])
+    normal = np.abs([float(w) for w in want]) >= np.finfo(np.float64).tiny
+    # 2 ulp where the reference is normal (measured over 43,000 points: 1.53
+    # for softplus, 1.75 for the logistic); below, one subnormal step
+    # (5e-324), from the rounding of exp's subnormal result (measured: 0.50)
+    assert errors[normal].max() <= 2.0
+    assert errors[~normal].max() <= 1.0
+    assert normal.any() and not normal.all()
 
 
-def test_logistic_is_softplus_derivative():
-    xs = np.linspace(-4.0, 4.0, 17)
-    eps = 1e-6
-    num = (softplus(xs + eps) - softplus(xs - eps)) / (2 * eps)
-    assert np.allclose(logistic(xs), num, atol=1e-9)
+@pytest.mark.parametrize(("fast", "at_inf", "at_minus_inf"), [
+    (softplus, np.inf, 0.0),
+    (logistic_from_softplus, 1.0, 0.0),
+], ids=["softplus", "logistic"])
+def test_infinities_and_nan(fast, at_inf, at_minus_inf):
+    with np.errstate(over="raise"):
+        out = fast(np.array([np.inf, -np.inf, np.nan]))
+    assert out[0] == at_inf and out[1] == at_minus_inf and np.isnan(out[2])
 
 
 @pytest.mark.parametrize(("fast", "reference"), [
     (softplus, masked_softplus),
-    (logistic, masked_logistic),
 ])
 def test_matches_masked_reference_bit_for_bit(fast, reference):
     eps = np.finfo(np.float64).eps

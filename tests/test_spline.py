@@ -14,6 +14,7 @@ from helpers import (
     crps_quadrature,
     expression_crps_loss_batch,
     grad_rel_err,
+    max_form_slope_grads,
     mean_log_alpha_weight,
     random_spline,
     rebuilt_spline_inverse,
@@ -380,10 +381,45 @@ def test_grad_chains_through_raw_slopes():
         if np.min(np.abs(knot_values(gamma, s.T, knots) - x)) < 1e-6:
             continue
         _, _, ds = crps_loss_batch(gamma, s.T, knots, x)
-        (d_raw,) = chain_slope_grads(ds.T, slope_raw)
+        (d_raw,) = chain_slope_grads(ds.T, s)
 
         bumped = slope_raw + np.concatenate([eps * np.eye(6), -eps * np.eye(6)])
         losses, _, _ = crps_loss_batch(np.repeat(gamma, 12), slopes_to_b(bumped).T, knots, np.repeat(x, 12))
         numeric = (losses[:6] - losses[6:]) / (2 * eps)
         for j in range(6):
             assert grad_rel_err(d_raw[j], numeric[j]) < 1e-4
+
+
+def knot_edge_alphas(knots):
+    """0, 1, every knot and the floats either side of each, inside [0, 1]."""
+    near = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+    return np.unique(np.concatenate([[0.0, 1.0], near[(near >= 0.0) & (near <= 1.0)]]))
+
+
+# the K-form against the closed form's expression before it: both round
+# sums of terms under 4/3, so d_s may differ by a few ulp of 1, and the loss
+# by that much per unit of 1 + |x| + |gamma| + sum(s) (measured over m up
+# to 300: 2.3 ulp of 1 in d_s, 0.72 ulp per unit in the loss, 1.2e-14 on
+# losses up to 18)
+K_FORM_ULPS = 4
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 10, 17, 128])
+def test_k_form_matches_the_max_form_at_and_around_the_knots(m):
+    knots = uniform_knots(m)
+    alpha = knot_edge_alphas(knots)
+    d_gamma, d_s = crps_grad_from_alpha(alpha, knots)
+    assert d_gamma.tobytes() == (1.0 - 2.0 * alpha).tobytes()
+    assert np.max(np.abs(d_s.T - max_form_slope_grads(alpha, knots))) <= K_FORM_ULPS * 2.0**-52
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 10, 17, 128])
+def test_k_form_loss_matches_the_max_form_on_awkward_batches(m):
+    gamma, s, knots, x = awkward_batch(np.random.default_rng(80 + m), m)
+    loss, d_gamma, d_s = crps_loss_batch(gamma, s.T, knots, x)
+    want_loss, want_d_gamma, want_d_s = expression_crps_loss_batch(
+        gamma, s, knots, x, slope_grads=max_form_slope_grads)
+    assert d_gamma.tobytes() == want_d_gamma.tobytes()
+    ulp = K_FORM_ULPS * 2.0**-52
+    assert np.max(np.abs(d_s.T - want_d_s)) <= ulp
+    assert np.all(np.abs(loss - want_loss) <= ulp * (1.0 + np.abs(x) + np.abs(gamma) + s.sum(axis=1)))
