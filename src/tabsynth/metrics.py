@@ -315,17 +315,18 @@ def fit_softmax(x: np.ndarray, y: np.ndarray, n_classes: int, iters: int = 500) 
     """Multinomial logistic regression without intercept, plain full-batch
     gradient descent from zero weights. Returns (n_classes, n_features)."""
     n = x.shape[0]
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), np.asarray(y, dtype=np.intp)] = 1.0
+    onehot = np.zeros((n_classes, n))
+    onehot[np.asarray(y, dtype=np.intp), np.arange(n)] = 1.0
     w = np.zeros((n_classes, x.shape[1]))
     for _ in range(iters):
-        p = softmax(x @ w.T)
-        w -= SOFTMAX_LR * ((p - onehot).T @ x) / n
+        p = softmax(w @ x.T)
+        # (p - onehot) @ x transposed, as the plain product rounds otherwise
+        w -= SOFTMAX_LR * (x.T @ (p - onehot).T).T / n
     return w
 
 
 def predict_softmax(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.argmax(x @ w.T, axis=1)
+    return np.argmax(w @ x.T, axis=0)
 
 
 @dataclass(frozen=True)
@@ -483,7 +484,7 @@ def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
     for level, w in attacks.items():
         mask = classes == level
         if np.any(mask):
-            scores[mask] = softmax(feats[mask] @ w.T)[:, 1]
+            scores[mask] = softmax(w @ feats[mask].T)[1]
     truth, scores = truth[usable], scores[usable]
     accuracy = float(np.mean((scores > 0.5) == (truth == 1)))
     return MiaResult(accuracy=accuracy, auc=roc_auc(truth, scores))

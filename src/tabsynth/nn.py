@@ -14,6 +14,7 @@ row per feature, so every layer is W @ h + b[:, None] and the relu, its
 mask and the bias gradient run over whole rows of the batch. numpy runs a
 short last axis one tiny inner loop per row, which a batch of a few
 hundred rows of a narrow layer would otherwise pay at every operation.
+softmax likewise reduces over axis 0 of (levels, n) logits, row by row.
 
 softplus is max(x, 0) + log1p(exp(-|x|)), which cannot overflow; its
 derivative, the logistic, is 1 - exp(-softplus(x)) (spline.chain_slope_grads).
@@ -53,41 +54,6 @@ def row_blocks(n: int, width: int):
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
 
 
-# numpy reduces an (n, t) array over a short last axis with one tiny inner
-# loop per row. Below SHORT_AXIS, last_axis_max and last_axis_sum reduce
-# column by column instead. For t < 8 numpy sums each row left to right from
-# +0.0 (tests/test_nn.py checks it), so leading_axis_sum gives numpy's bits.
-SHORT_AXIS = 8
-
-
-def leading_axis_sum(a: np.ndarray) -> np.ndarray:
-    """The sum over a's first axis, its rows added left to right to +0.0, so
-    a lone -0.0 sums to +0.0."""
-    out = np.zeros(a.shape[1:])
-    for row in a:
-        out += row
-    return out
-
-
-def last_axis_max(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=-1, keepdims=True) by value. Below SHORT_AXIS it is
-    np.maximum of the columns in order, so a tie of +0.0 and -0.0 may give
-    the other zero than numpy's max, whose pick depends on its SIMD loop."""
-    if not 0 < a.shape[-1] < SHORT_AXIS:
-        return a.max(axis=-1, keepdims=True)
-    out = a[..., :1].copy()
-    for j in range(1, a.shape[-1]):
-        np.maximum(out, a[..., j : j + 1], out=out)
-    return out
-
-
-def last_axis_sum(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1, keepdims=True), bit for bit."""
-    if not 0 < a.shape[-1] < SHORT_AXIS:
-        return a.sum(axis=-1, keepdims=True)
-    return leading_axis_sum(a.transpose(a.ndim - 1, *range(a.ndim - 1))[..., None])
-
-
 def softplus(x):
     """log(1 + e^x) as max(x, 0) + log1p(exp(-|x|)), in place after the
     first pass; NaN gives NaN, and a 0-d input a 0-d array."""
@@ -99,11 +65,12 @@ def softplus(x):
 
 
 def softmax(logits):
-    """Normalized exponentials over the last axis, shifted by the max for stability."""
+    """Normalized exponentials over axis 0 of (levels, ...) logits, one level
+    per row, shifted by the max for stability."""
     logits = np.asarray(logits, dtype=np.float64)
-    e = logits - last_axis_max(logits)
+    e = logits - logits.max(axis=0)
     np.exp(e, out=e)
-    e /= last_axis_sum(e)
+    e /= e.sum(axis=0)
     return e
 
 

@@ -20,7 +20,8 @@ A batch of N splines is stored knot-major: slopes s (M, N), knot values
 (M+1, N), one entry per spline in gamma (N,), x (N,) and alpha_tilde (N,).
 Every scan over the knots is then M whole-row operations on contiguous
 length-N rows, so the knot values and the inverse match a row-major (N, M)
-layout bit for bit. The loss adds its M segment terms left to right.
+layout bit for bit. The loss adds its M segment terms left to right from
++0.0, as numpy sums over axis 0.
 
 A training step's batch of n rows and P numeric columns is N = P * n
 splines, spline p * n + r for row r and column p. The feature-major decoder
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import leading_axis_sum, softplus
+from .nn import softplus
 
 # Slopes below this are treated as exactly flat when inverting.
 _FLAT_EPS = 1e-300
@@ -137,7 +138,7 @@ def crps_loss_batch(gamma, s, knots, x):
     loss -= 1.0
     loss *= x
     loss += d_gamma * gamma
-    loss += leading_axis_sum(s * d_s)
+    loss += (s * d_s).sum(axis=0)
     return loss, d_gamma, d_s
 
 

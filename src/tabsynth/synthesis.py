@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import KIND_DISCRETE, KIND_ORDINAL, Table
 from .model import Checkpoint, check_seed, decoder_heads
-from .nn import last_axis_sum, mlp_forward, softmax
+from .nn import mlp_forward, softmax
 from . import spline as sp
 
 ROUND_INTEGER = "integer"
@@ -35,7 +35,7 @@ def sample_prior(n: int, latent_dim: int, seed: int) -> np.ndarray:
 
 def gumbel_max(probs: np.ndarray, gumbel_noise: np.ndarray) -> np.ndarray:
     """Categorical draws via argmax of log probs plus Gumbel noise, one per
-    row of (..., t) probability arrays, over the last axis.
+    column of (t, ...) probability arrays, over axis 0.
 
     Ties resolve to the lowest index (argmax convention).
     """
@@ -44,11 +44,11 @@ def gumbel_max(probs: np.ndarray, gumbel_noise: np.ndarray) -> np.ndarray:
     if probs.shape != noise.shape or probs.ndim < 1:
         raise ValueError("probs and gumbel_noise must be arrays with equal shapes")
     # each property must hold: a comparison with NaN is false, so NaN fails it
-    if not (np.all(probs >= 0) and np.all(np.abs(last_axis_sum(probs) - 1.0) <= 1e-6)):
-        raise ValueError("probs must hold probability vectors along the last axis")
+    if not (np.all(probs >= 0) and np.all(np.abs(probs.sum(axis=0) - 1.0) <= 1e-6)):
+        raise ValueError("probs must hold probability vectors along axis 0")
     with np.errstate(divide="ignore"):
         scores = np.log(probs) + noise
-    return np.argmax(scores, axis=-1)
+    return np.argmax(scores, axis=0)
 
 
 def _check_rounding(mode: str) -> None:
@@ -120,7 +120,7 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
             for scores, col in zip(logits, schema.discrete_indices):
                 noise = rng.gumbel(size=(PAGE_ROWS, scores.shape[0]))[:count]
                 try:
-                    out[:, col] = gumbel_max(softmax(scores.T), noise)
+                    out[:, col] = gumbel_max(softmax(scores), noise.T)
                 except ValueError as err:
                     raise ValueError(f"column {schema.columns[col].name!r}: {err}") from None
     if not finite.all():

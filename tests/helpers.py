@@ -22,7 +22,7 @@ from tabsynth import gumbel_max, round_ordinal
 from tabsynth.data import KIND_DISCRETE, KIND_ORDINAL, Table, _first_rejected, one_hot_matrix
 from tabsynth import spline as sp
 from tabsynth.model import LossBreakdown, decoder_heads, decoder_width
-from tabsynth.nn import last_axis_max, last_axis_sum, mlp_forward, relu, softmax
+from tabsynth.nn import mlp_forward, relu, softmax
 from tabsynth.synthesis import PAGE_ROWS
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -318,15 +318,6 @@ def expression_crps_loss_batch(gamma, s, knots, x, slope_grads=_k_form_slope_gra
     return loss, d_gamma, d_s
 
 
-def reduced_softmax(logits):
-    """softmax by numpy's own last-axis max and sum. Guards nn.softmax bit for
-    bit: the sign of a zero max, where nn.last_axis_max may differ from
-    numpy's, reaches no exp."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def overflowed_discrete_logits(cp):
     """A copy of cp whose first discrete column's first two logits overflow:
     their decoder bias is 1.79e308 and their weight rows 1e306, so wherever
@@ -393,7 +384,7 @@ def one_shot_generate(cp, n, seed, ordinal_rounding="integer"):
                 total += segment
             rows[:, col] = gamma[k] + total
         for block, col, g in zip(logits, schema.discrete_indices, noise):
-            rows[:, col] = gumbel_max(softmax(block.T), g[:n])
+            rows[:, col] = gumbel_max(softmax(block), g[:n].T)
         numeric = schema.numeric_indices
         rows[:, numeric] = rows[:, numeric] * cp.scaling.stddev + cp.scaling.mean
         for col in numeric:
@@ -515,11 +506,11 @@ def row_major_elbo_grads(model, rows, noise):
     ce_sum, pos = 0.0, p * (m + 1)
     for col in schema.discrete_indices:
         t = schema.columns[col].n_levels
-        e = dec_out[:, pos : pos + t] - last_axis_max(dec_out[:, pos : pos + t])
+        e = dec_out[:, pos : pos + t] - dec_out[:, pos : pos + t].max(axis=1, keepdims=True)
         picked = np.arange(n) * t + rows[:, col].astype(np.intp)
         true_shifted = np.take(e, picked)
         np.exp(e, out=e)
-        norm = last_axis_sum(e)
+        norm = e.sum(axis=1, keepdims=True)
         ce_sum += (np.log(norm[:, 0]) - true_shifted).sum()
         e /= norm
         e.ravel()[picked] -= 1.0
@@ -527,7 +518,7 @@ def row_major_elbo_grads(model, rows, noise):
         pos += t
 
     var = np.exp(log_var)
-    kl = float((0.5 * last_axis_sum(mu * mu + var - log_var - 1.0)).sum() / n)
+    kl = float((0.5 * (mu * mu + var - log_var - 1.0).sum(axis=1)).sum() / n)
     breakdown = LossBreakdown(crps=crps_sum / n, discrete=ce_sum / n, kl=kl,
                               total=crps_sum / n + ce_sum / n + beta * kl)
     dz, dec_grad = _row_major_backward(model.decoder, dec_cache, d_dec)

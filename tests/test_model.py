@@ -135,7 +135,7 @@ def test_decode_zero_weights_gives_uniform_probabilities():
     model = zeroed(random_model())
     out, _ = mlp_forward(model.decoder, np.zeros((2, 1)), model.head_order)
     _, _, logits = decoder_heads(model.schema, model.config.knot_count, out)
-    assert np.allclose(softmax(logits[0].T)[0], np.full(3, 1.0 / 3.0))
+    assert np.allclose(softmax(logits[0])[:, 0], np.full(3, 1.0 / 3.0))
 
 
 def test_decode_outputs_valid_heads():
@@ -149,9 +149,9 @@ def test_decode_outputs_valid_heads():
         values = knot_values(gamma[k], slopes_to_b(raw[:, k]), model.knots)
         assert np.all(np.diff(values, axis=0) >= 0.0)
     for block in logits:
-        probs = softmax(block.T)
+        probs = softmax(block)
         assert np.all(probs >= 0.0)
-        assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
+        assert np.all(np.abs(probs.sum(axis=0) - 1.0) < 1e-9)
 
 
 def posterior_model(mu, log_var):
@@ -355,23 +355,26 @@ def test_train_divergence_names_epoch_step_and_loss(toy_std):
 
 
 def test_trained_params_do_not_depend_on_the_order_of_the_loss_sum(monkeypatch):
-    # the loss never feeds the gradient: summing each spline's segment terms
-    # by numpy's pairwise sum, not left to right, moves at most the last bits
-    # of the loss trace and no bit of the trained parameters
+    # the loss never feeds the gradient: moving each spline's loss by a few
+    # ulps, as another order of its segment sum would, moves at most the last
+    # bits of the loss trace and no bit of the trained parameters
     table = gaussian_table()
     config = TrainConfig(seed=15, epochs=2, batch_size=64, knot_count=17)
-    left_to_right = train(table, config)
+    plain = train(table, config)
     calls = []
+    crps_loss_batch = spline.crps_loss_batch
 
-    def pairwise(a):
-        calls.append(a.shape)
-        return np.ascontiguousarray(np.moveaxis(a, 0, -1)).sum(axis=-1)
+    def nudged(*args):
+        calls.append(args[1].shape)
+        loss, d_gamma, d_s = crps_loss_batch(*args)
+        return loss * (1.0 + 2.0**-40), d_gamma, d_s
 
-    monkeypatch.setattr(spline, "leading_axis_sum", pairwise)
+    monkeypatch.setattr(spline, "crps_loss_batch", nudged)
     reference = train(table, config)
     assert calls
-    assert left_to_right.params.tobytes() == reference.params.tobytes()
-    for got, want in zip(left_to_right.loss_trace, reference.loss_trace):
+    assert plain.params.tobytes() == reference.params.tobytes()
+    assert any(got.crps != want.crps for got, want in zip(plain.loss_trace, reference.loss_trace))
+    for got, want in zip(plain.loss_trace, reference.loss_trace):
         assert got.crps == pytest.approx(want.crps, rel=1e-12)
 
 

@@ -146,10 +146,19 @@ def test_gumbel_max_validation():
         gumbel_max(np.array([0.5, 0.5]), np.zeros(3))
 
 
+def test_gumbel_max_draws_one_level_per_column():
+    rng = np.random.default_rng(3)
+    probs = rng.dirichlet(np.ones(3), size=50).T
+    noise = rng.gumbel(size=(3, 50))
+    got = gumbel_max(probs, noise)
+    assert got.shape == (50,) and set(got) == {0, 1, 2}
+    assert np.array_equal(got, [gumbel_max(probs[:, j], noise[:, j]) for j in range(50)])
+
+
 @pytest.mark.parametrize("probs", [
-    [[np.nan, np.nan, np.nan]],
-    [[0.2, 0.7, 0.1], [np.nan, 0.5, 0.5]],
-    [[np.inf, 0.0, 0.0]],
+    [[np.nan], [np.nan], [np.nan]],
+    [[0.2, np.nan], [0.7, 0.5], [0.1, 0.5]],
+    [[np.inf], [0.0], [0.0]],
 ])
 def test_gumbel_max_rejects_nan_and_inf_probabilities(probs):
     # a comparison with NaN is false, so checks written as faults let NaN through
