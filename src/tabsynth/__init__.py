@@ -51,8 +51,6 @@ from .metrics import (
     attribute_disclosure,
     build_report,
     correlation_distance,
-    correlation_ratio,
-    cramers_v,
     dcr,
     ks_statistic,
     macro_f1,

@@ -424,18 +424,21 @@ def standardize(table: Table) -> Table:
     """Center and scale numeric columns by their mean and sample stddev (ddof=1).
 
     Requires at least 2 rows. A zero-variance column is an error because the
-    scale would be undefined.
+    scale would be undefined; a constant one is found on its values, before a
+    mean whose rounding would give a column of 0.3 a stddev of 5.6e-17.
     """
     if table.n_rows < 2:
         raise ValueError("standardize needs at least 2 rows")
     idx = table.schema.numeric_indices
     names = tuple(table.schema.columns[i].name for i in idx)
     sub = table.rows[:, idx]
-    mean = sub.mean(axis=0)
-    stddev = sub.std(axis=0, ddof=1)
-    for k, s in enumerate(stddev):
-        if s <= 0:
-            raise ValueError(f"column {names[k]!r} has zero variance, cannot standardize")
+    zero = np.flatnonzero(np.ptp(sub, axis=0) == 0)
+    if zero.size == 0:  # a spread that squares to 0 (values 1e-200 apart) too
+        mean = sub.mean(axis=0)
+        stddev = sub.std(axis=0, ddof=1)
+        zero = np.flatnonzero(stddev <= 0)
+    if zero.size:
+        raise ValueError(f"column {names[zero[0]]!r} has zero variance, cannot standardize")
     return apply_scaling(table, ScalingStats(names=names, mean=mean, stddev=stddev))
 
 

@@ -63,65 +63,45 @@ def wasserstein1(a, b) -> float:
 # ---------------------------------------------------------------------------
 # association structure
 
-def _pearson(x, y, label) -> float:
-    sx, sy = x.std(), y.std()
-    if sx == 0.0 or sy == 0.0:
-        warnings.warn(f"degenerate column pair {label}; association set to 0")
-        return 0.0
-    return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
-
-
-def correlation_ratio(values, categories, label="") -> float:
-    """eta: sqrt of the between-group share of the total variance."""
-    values = np.asarray(values, dtype=np.float64)
-    categories = np.asarray(categories)
-    total = np.sum((values - values.mean()) ** 2)
-    if total == 0.0:
-        warnings.warn(f"degenerate column pair {label}; association set to 0")
-        return 0.0
-    between = 0.0
-    for c in np.unique(categories):
-        group = values[categories == c]
-        between += group.size * (group.mean() - values.mean()) ** 2
-    return float(np.sqrt(between / total))
-
-
-def cramers_v(a, b, label="") -> float:
-    """Cramer's V from the observed contingency table, without bias correction."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    ua, ia = np.unique(a, return_inverse=True)
-    ub, ib = np.unique(b, return_inverse=True)
-    r, c = ua.size, ub.size
-    if r < 2 or c < 2:
-        warnings.warn(f"degenerate column pair {label}; association set to 0")
-        return 0.0
-    n = a.size
-    observed = np.zeros((r, c))
-    np.add.at(observed, (ia, ib), 1.0)
-    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / n
-    chi2 = np.sum((observed - expected) ** 2 / expected)
-    return float(np.sqrt(chi2 / (n * min(r - 1, c - 1))))
-
-
 def association_matrix(table: Table) -> np.ndarray:
-    """Symmetric mixed-type association matrix with unit diagonal."""
-    cols = table.schema.columns
-    discrete = set(table.schema.discrete_indices)
-    m = np.eye(len(cols))
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            label = f"({cols[i].name!r}, {cols[j].name!r})"
-            xi, xj = table.rows[:, i], table.rows[:, j]
-            if i in discrete and j in discrete:
-                v = cramers_v(xi, xj, label)
-            elif i in discrete:
-                v = correlation_ratio(xj, xi, label)
-            elif j in discrete:
-                v = correlation_ratio(xi, xj, label)
-            else:
-                v = _pearson(xi, xj, label)
-            m[i, j] = m[j, i] = v
+    """Symmetric mixed-type association matrix with unit diagonal, read off
+    one Gram matrix of the one-hot rows with the numeric columns centred.
+
+    A constant column (one value, or one level present) is decided on its
+    values, before any mean is taken; each pair it is in reads 0 and warns.
+    """
+    schema = table.schema
+    cols, numeric, discrete = schema.columns, schema.numeric_indices, schema.discrete_indices
+    p, n = len(numeric), table.n_rows
+    constant = np.ptp(table.rows, axis=0) == 0
+    x = one_hot_matrix(schema, table.rows)
+    # one numeric column at a time, in place; a constant one is zeroed, not
+    # centred, so one of 1e308 cannot overflow
+    for k, j in enumerate(numeric):
+        x[:, k] = 0.0 if constant[j] else x[:, k] - x[:, k].mean()
+    gram = x.T @ x
+    counts = np.diag(gram)
+    spread = np.where(constant[numeric], 1.0, counts[:p])  # a zeroed column's entries read 0 / 1
+    m = np.zeros((len(cols), len(cols)))
+    m[np.ix_(numeric, numeric)] = gram[:p, :p] / np.sqrt(np.outer(spread, spread))  # Pearson
+    # each discrete column's present levels, as positions in the one-hot layout
+    pos = p + np.cumsum([0] + [cols[j].n_levels for j in discrete])
+    levels = {j: pos[k] + np.flatnonzero(counts[pos[k] : pos[k + 1]]) for k, j in enumerate(discrete)}
+    for j, lj in levels.items():
+        # correlation ratio: the squared level sums of the centred values over
+        # the level counts, as a share of the sum of squares
+        between = np.sum(gram[lj, :p] ** 2 / counts[lj, None], axis=0)
+        m[j, numeric] = m[numeric, j] = np.sqrt(between / spread)
+        for i, li in levels.items():
+            if i < j and not (constant[i] or constant[j]):
+                # Cramer's V of the level-by-level counts, without bias correction
+                expected = np.outer(counts[li], counts[lj]) / n
+                chi2 = np.sum((gram[np.ix_(li, lj)] - expected) ** 2 / expected)
+                m[i, j] = m[j, i] = np.sqrt(chi2 / (n * min(li.size - 1, lj.size - 1)))
+    m[constant] = m[:, constant] = 0.0
+    for i, j in zip(*np.nonzero(np.triu(constant[:, None] | constant, 1))):
+        warnings.warn(f"degenerate column pair {(cols[i].name, cols[j].name)!r}; association set to 0")
+    np.fill_diagonal(m, 1.0)
     return m
 
 
@@ -496,6 +476,10 @@ def _disclosure_columns(schema: Schema, known_columns, secret_columns):
     secret_idx = [schema.index(name) for name in secret_columns]
     if not known_idx or not secret_idx:
         raise ValueError("need at least one known and one secret column")
+    # a secret that is also known is its own neighbour key, and scores 1.0
+    for j in known_idx + secret_idx:
+        if (known_idx + secret_idx).count(j) > 1:
+            raise ValueError(f"column {schema.columns[j].name!r} is named twice among the known and secret columns")
     for j in secret_idx:
         if schema.columns[j].kind != KIND_DISCRETE:
             raise ValueError(f"secret column {schema.columns[j].name!r} must be discrete")

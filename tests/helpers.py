@@ -13,6 +13,7 @@ names any public helper that no test module imports."""
 
 import csv
 import decimal
+import warnings
 from dataclasses import replace
 from decimal import Decimal
 
@@ -197,6 +198,72 @@ def brute_majority_votes(known_real, known_synth, secret_synth, k, n_levels):
             counts[int(level)] += 1
         out.append(counts.index(max(counts)))
     return np.array(out)
+
+
+# The per-pair association statistics metrics.association_matrix replaced,
+# unchanged: its one Gram pass must match them within 1e-13 on every pair
+# without a constant column.
+
+def _pearson(x, y, label) -> float:
+    sx, sy = x.std(), y.std()
+    if sx == 0.0 or sy == 0.0:
+        warnings.warn(f"degenerate column pair {label}; association set to 0")
+        return 0.0
+    return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
+
+
+def correlation_ratio(values, categories, label="") -> float:
+    """eta: sqrt of the between-group share of the total variance."""
+    values = np.asarray(values, dtype=np.float64)
+    categories = np.asarray(categories)
+    total = np.sum((values - values.mean()) ** 2)
+    if total == 0.0:
+        warnings.warn(f"degenerate column pair {label}; association set to 0")
+        return 0.0
+    between = 0.0
+    for c in np.unique(categories):
+        group = values[categories == c]
+        between += group.size * (group.mean() - values.mean()) ** 2
+    return float(np.sqrt(between / total))
+
+
+def cramers_v(a, b, label="") -> float:
+    """Cramer's V from the observed contingency table, without bias correction."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    ua, ia = np.unique(a, return_inverse=True)
+    ub, ib = np.unique(b, return_inverse=True)
+    r, c = ua.size, ub.size
+    if r < 2 or c < 2:
+        warnings.warn(f"degenerate column pair {label}; association set to 0")
+        return 0.0
+    n = a.size
+    observed = np.zeros((r, c))
+    np.add.at(observed, (ia, ib), 1.0)
+    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / n
+    chi2 = np.sum((observed - expected) ** 2 / expected)
+    return float(np.sqrt(chi2 / (n * min(r - 1, c - 1))))
+
+
+def per_pair_association_matrix(table: Table) -> np.ndarray:
+    """Symmetric mixed-type association matrix with unit diagonal."""
+    cols = table.schema.columns
+    discrete = set(table.schema.discrete_indices)
+    m = np.eye(len(cols))
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            label = f"({cols[i].name!r}, {cols[j].name!r})"
+            xi, xj = table.rows[:, i], table.rows[:, j]
+            if i in discrete and j in discrete:
+                v = cramers_v(xi, xj, label)
+            elif i in discrete:
+                v = correlation_ratio(xj, xi, label)
+            elif j in discrete:
+                v = correlation_ratio(xi, xj, label)
+            else:
+                v = _pearson(xi, xj, label)
+            m[i, j] = m[j, i] = v
+    return m
 
 
 def grad_rel_err(analytic: float, numeric: float) -> float:

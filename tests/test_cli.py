@@ -411,6 +411,15 @@ def test_evaluate_unknown_column_names_it_without_repr_quotes(workspace, flag):
     assert result.stderr == "error: no column named 'zz'\n"
 
 
+@pytest.mark.parametrize("known, secrets, name", [("c", "c", "c"), ("x,c", "c", "c"), ("x,x", "c", "x")])
+def test_evaluate_refuses_a_column_named_twice_among_known_and_secret(workspace, capsys, known, secrets, name):
+    out = workspace / "never_twice.json"
+    argv = evaluate_argv(workspace, "--known-columns", known, "--secret-columns", secrets, "--out", out)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: column {name!r} is named twice among the known and secret columns\n"
+    assert not out.exists()
+
+
 def test_evaluate_writes_full_report(workspace, trained):
     synth = workspace / "s1.csv"
     if not synth.exists():

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_toy_table
 from helpers import (
@@ -14,7 +15,10 @@ from helpers import (
     brute_ks,
     brute_majority_votes,
     brute_wd,
+    correlation_ratio,
+    cramers_v,
     one_shot_squared_distances,
+    per_pair_association_matrix,
 )
 from tabsynth import (
     ColumnSpec,
@@ -25,8 +29,6 @@ from tabsynth import (
     attribute_disclosure,
     build_report,
     correlation_distance,
-    correlation_ratio,
-    cramers_v,
     dcr,
     ks_statistic,
     macro_f1,
@@ -90,24 +92,92 @@ def test_marginal_distances_match_brute_force():
 # ---------------------------------------------------------------------------
 # association structure
 
+def mixed_table(columns):
+    """A table of (name, kind or levels, values) columns: a tuple of levels
+    makes a discrete column."""
+    schema = Schema(tuple(
+        ColumnSpec(name, "discrete", kind) if isinstance(kind, tuple) else ColumnSpec(name, kind)
+        for name, kind, _ in columns
+    ))
+    return Table(schema, np.column_stack([np.asarray(v, dtype=np.float64) for _, _, v in columns]))
+
+
+def quiet_association_matrix(table):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return association_matrix(table)
+
+
 def test_correlation_ratio_hand_value():
-    assert correlation_ratio([1, 2, 3, 4], [0, 0, 1, 1]) == pytest.approx(math.sqrt(4 / 5))
-    assert correlation_ratio([1, 2, 3, 4], [0, 1, 0, 1]) == pytest.approx(math.sqrt(1 / 5))
+    for d, eta2 in (([0, 0, 1, 1], 4 / 5), ([0, 1, 0, 1], 1 / 5)):
+        m = quiet_association_matrix(mixed_table([("x", "continuous", [1, 2, 3, 4]), ("d", ("p", "q"), d)]))
+        assert m[0, 1] == pytest.approx(math.sqrt(eta2), abs=1e-15)
+        assert m[0, 1] == pytest.approx(correlation_ratio([1, 2, 3, 4], d), abs=1e-15)
 
 
 def test_cramers_v_extremes():
     a = np.array([0, 0, 1, 1, 0, 1] * 10)
-    assert cramers_v(a, a) == pytest.approx(1.0)
-    assert cramers_v(a, 1 - a) == pytest.approx(1.0)
     b = np.array(([0] * 15 + [1] * 15) * 2)
+    pairs = mixed_table([("a", ("p", "q"), a), ("not_a", ("p", "q"), 1 - a),
+                         ("halves", ("p", "q"), np.repeat([0, 1], 30)), ("b", ("p", "q"), b)])
+    m = quiet_association_matrix(pairs)
+    assert m[0, 1] == pytest.approx(1.0, abs=1e-15)
+    assert m[2, 3] == pytest.approx(0.0, abs=1e-12)
+    assert cramers_v(a, 1 - a) == pytest.approx(1.0)
     assert cramers_v(np.repeat([0, 1], 30), b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_degenerate_pairs_warn_and_zero():
+    table = mixed_table([("k", "continuous", [2.0, 2.0, 2.0]), ("d", ("p", "q"), [0, 1, 0]),
+                         ("e", ("p", "q"), [0, 0, 0]), ("x", "continuous", [1.0, 2.0, 4.0])])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        m = association_matrix(table)
+    assert [str(w.message) for w in caught] == [
+        f"degenerate column pair {pair}; association set to 0"
+        for pair in (("k", "d"), ("k", "e"), ("k", "x"), ("d", "e"), ("e", "x"))
+    ]
+    assert m[1, 3] == m[3, 1] > 0.0
+    m[1, 3] = m[3, 1] = 0.0
+    assert np.array_equal(m, np.eye(4))
     with pytest.warns(UserWarning, match="degenerate"):
         assert correlation_ratio([2.0, 2.0, 2.0], [0, 1, 0]) == 0.0
     with pytest.warns(UserWarning, match="degenerate"):
         assert cramers_v([0, 0, 0], [0, 1, 1]) == 0.0
+
+
+def random_mixed_table(rng, n, order, present):
+    """Two numeric and three discrete columns in the given column order; each
+    discrete column draws from the given number of its levels, at least 2."""
+    x = rng.normal(size=n)
+    d = rng.integers(0, present[0], n)
+    columns = [
+        ("x", "continuous", x),
+        ("y", "continuous", 3.0 * x + d + rng.normal(size=n) + 100.0),
+        ("d", ("p", "q", "r", "s"), d),
+        ("e", ("u", "v", "w"), np.where(rng.random(n) < 0.6, d, rng.integers(0, 3, n)) % present[1]),
+        ("f", ("g", "h"), rng.integers(0, present[2], n)),
+    ]
+    return mixed_table([columns[j] for j in order])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_association_matrix_matches_the_per_pair_references(seed):
+    # discrete columns first or last, next to each other or apart, and levels
+    # that one table of a pair has and the other lacks
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(5)
+    for n, present in ((int(rng.integers(2, 40)), (2, 2, 2)), (int(rng.integers(40, 3000)), (4, 3, 2))):
+        real = random_mixed_table(rng, n, order, present)
+        if np.any(np.ptp(real.rows, axis=0) == 0):
+            continue  # a constant column warns: test_constant_columns_are_decided_on_their_values
+        synth = random_mixed_table(rng, int(rng.integers(40, 3000)), order, (3, 2, 2))
+        for table in (real, synth):
+            got = quiet_association_matrix(table)
+            assert np.array_equal(got, got.T)
+            assert np.max(np.abs(got - per_pair_association_matrix(table))) <= 1e-13
+        want = np.linalg.norm(per_pair_association_matrix(real) - per_pair_association_matrix(synth))
+        assert correlation_distance(real, synth) == pytest.approx(want, abs=1e-13)
 
 
 def test_correlation_distance_identical_tables():
@@ -156,14 +226,12 @@ def test_association_matrix_takes_each_pair_kind_in_either_column_order():
     x = d + rng.normal(size=n)
     e = np.where(rng.random(n) < 0.7, d % 2, 1 - d % 2)
     table = Table(schema, np.column_stack([d, x, e]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        m = association_matrix(table)
+    m = quiet_association_matrix(table)
     assert np.array_equal(m, m.T)
     assert np.array_equal(np.diag(m), np.ones(3))
-    assert m[0, 1] == correlation_ratio(x, d)
-    assert m[0, 2] == cramers_v(d, e)
-    assert m[1, 2] == correlation_ratio(x, e)
+    assert m[0, 1] == pytest.approx(correlation_ratio(x, d), abs=1e-13)
+    assert m[0, 2] == pytest.approx(cramers_v(d, e), abs=1e-13)
+    assert m[1, 2] == pytest.approx(correlation_ratio(x, e), abs=1e-13)
     # no entry sits at 0 or 1, where two different statistics could agree
     assert 0.0 < min(m[0, 1], m[0, 2], m[1, 2]) < max(m[0, 1], m[0, 2], m[1, 2]) < 1.0
 
@@ -174,6 +242,43 @@ def test_association_matrix_zeroes_a_constant_numeric_pair_with_a_warning():
     with pytest.warns(UserWarning, match=r"^degenerate column pair \('x', 'k'\); association set to 0$"):
         m = association_matrix(table)
     assert np.array_equal(m, np.eye(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=st.floats(allow_nan=False, allow_infinity=False), n=st.integers(2, 500),
+       level=st.integers(0, 2), order=st.permutations(range(4)), seed=st.integers(0, 2**32 - 1))
+def test_constant_columns_are_decided_on_their_values(value, n, level, order, seed):
+    # a constant numeric column of any finite value and a discrete column
+    # with one level present, next to columns of ordinary scale
+    rng = np.random.default_rng(seed)
+    columns = [
+        ("x", "continuous", rng.normal(size=n)),
+        ("k", "continuous", np.full(n, value)),
+        ("d", ("p", "q", "r"), rng.permutation(np.arange(n) % 3)),
+        ("c", ("p", "q", "r"), np.full(n, level)),
+    ]
+    table = mixed_table([columns[j] for j in order])
+    names = [columns[j][0] for j in order]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        m = association_matrix(table)
+    flat = [i for i, name in enumerate(names) if name in ("k", "c")]
+    assert [str(w.message) for w in caught] == [
+        f"degenerate column pair ({names[i]!r}, {names[j]!r}); association set to 0"
+        for i in range(4) for j in range(i + 1, 4) if i in flat or j in flat
+    ]
+    assert np.all(m[flat] == np.eye(4)[flat])
+    with pytest.raises(ValueError, match=r"^column 'k' has zero variance, cannot standardize$"):
+        standardize(table)
+
+    same = Table(table.schema, np.repeat(table.rows[:1], n, axis=0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert np.array_equal(association_matrix(same), np.eye(4))
+    assert len(caught) == 6
+    first = names[min(i for i, name in enumerate(names) if name in ("x", "k"))]
+    with pytest.raises(ValueError, match=rf"^column '{first}' has zero variance, cannot standardize$"):
+        standardize(same)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +497,10 @@ def test_attribute_disclosure_validates_columns():
         attribute_disclosure(real, real, ["s"], ["x"])
     with pytest.raises(ValueError, match="at least one"):
         attribute_disclosure(real, real, [], ["s"])
+    # a secret that is also known votes for itself: F1 = 1.0 at every k
+    for known, secrets, name in ((["x", "s"], ["s"], "s"), (["x", "x"], ["s"], "x"), (["x"], ["s", "s"], "s")):
+        with pytest.raises(ValueError, match=rf"^column '{name}' is named twice among the known and secret columns$"):
+            attribute_disclosure(real, real, known, secrets)
 
 
 def neighbour_tables(n):
