@@ -73,12 +73,23 @@ def association_matrix(table: Table) -> np.ndarray:
     schema = table.schema
     cols, numeric, discrete = schema.columns, schema.numeric_indices, schema.discrete_indices
     p, n = len(numeric), table.n_rows
+    if n == 0:
+        raise ValueError("association_matrix needs at least 1 row, got a table of 0 rows")
     constant = np.ptp(table.rows, axis=0) == 0
     x = one_hot_matrix(schema, table.rows)
+    # each numeric column's largest magnitude as a power of two, 2^e
+    exponents = np.frexp(np.max(np.abs(x[:, :p]), axis=0))[1]
     # one numeric column at a time, in place; a constant one is zeroed, not
-    # centred, so one of 1e308 cannot overflow
+    # centred, so one of 1e308 cannot overflow. The others are scaled by
+    # 2^-e first, which is exact and leaves every association's bits as they
+    # are, so that the sum of squares of a column of tiny or huge values
+    # cannot underflow or overflow
     for k, j in enumerate(numeric):
-        x[:, k] = 0.0 if constant[j] else x[:, k] - x[:, k].mean()
+        if constant[j]:
+            x[:, k] = 0.0
+        else:
+            col = np.ldexp(x[:, k], -exponents[k])
+            x[:, k] = col - col.mean()
     gram = x.T @ x
     counts = np.diag(gram)
     spread = np.where(constant[numeric], 1.0, counts[:p])  # a zeroed column's entries read 0 / 1

@@ -107,13 +107,26 @@ class VaeModel:
         return sp.uniform_knots(self.config.knot_count)
 
     @cached_property
+    def knot_table(self) -> sp.Knots:
+        return sp.knot_table(self.knots)
+
+    @cached_property
+    def numeric_columns(self) -> np.ndarray:
+        """schema.numeric_indices as an index array."""
+        return np.array(self.schema.numeric_indices, dtype=np.intp)
+
+    @cached_property
     def encoder(self) -> Mlp:
         return layer_views(net_sizes(self.schema, self.config)[0], self.params)
 
     @cached_property
+    def encoder_size(self) -> int:
+        """The encoder's share of params; the decoder's follows it."""
+        return sum(a.size for layer in self.encoder for a in layer)
+
+    @cached_property
     def decoder(self) -> Mlp:
-        start = sum(a.size for layer in self.encoder for a in layer)
-        return layer_views(net_sizes(self.schema, self.config)[1], self.params[start:])
+        return layer_views(net_sizes(self.schema, self.config)[1], self.params[self.encoder_size :])
 
     @cached_property
     def head_order(self) -> np.ndarray:
@@ -210,7 +223,7 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
         raise ValueError(
             f"noise must have shape {(n, model.config.latent_dim)}, got {noise.shape}"
         )
-    schema, knots, beta = model.schema, model.knots, model.config.beta
+    schema, beta = model.schema, model.config.beta
     mu, log_var, enc_cache = encode_batch(model, rows)
     eps = np.ascontiguousarray(noise.T)
     sigma = np.exp(log_var / 2.0)
@@ -218,10 +231,10 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     gamma, raw, logits = decoder_heads(schema, model.config.knot_count, dec_out)
 
     m, p = raw.shape[:2]
-    x = rows[:, schema.numeric_indices].T.ravel()
+    x = rows.T.take(model.numeric_columns, axis=0).ravel()
     s = sp.slopes_to_b(raw.reshape(m, p * n))
-    loss, dg, ds = sp.crps_loss_batch(gamma.ravel(), s, knots, x)
-    crps_sum = 0.5 * loss.reshape(p, n).T.ravel().sum()
+    loss, dg, ds = sp.crps_loss_batch(gamma.ravel(), s, model.knot_table, x)
+    crps_sum = 0.5 * np.add.reduce(loss.reshape(p, n).T.ravel())
 
     # allocated only now, so it is not live during the loss pass's temporaries;
     # the heads below write every one of its rows
@@ -230,25 +243,25 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     # closed-form gradient, scaled by the 1/2 on the loss and the batch mean
     np.multiply(dg.reshape(p, n), 0.5 / n, out=d_gamma)
     ds *= 0.5 / n
-    d_raw.reshape(m, p * n)[...] = sp.chain_slope_grads(ds, s)
+    sp.chain_slope_grads(ds, s, out=d_raw.reshape(m, p * n))
 
     ce_sum = 0.0
     columns = np.arange(n)
     for block, e, col in zip(logits, d_logits, schema.discrete_indices):
-        np.subtract(block, block.max(axis=0), out=e)
+        np.subtract(block, np.maximum.reduce(block, axis=0), out=e)
         # each row's entry at its level, by one flat index into the (t, n) block
         picked = rows[:, col].astype(np.intp) * n + columns
-        true_shifted = np.take(e, picked)
+        true_shifted = e.take(picked)
         np.exp(e, out=e)
-        norm = e.sum(axis=0)
-        ce_sum += (np.log(norm) - true_shifted).sum()
+        norm = np.add.reduce(e, axis=0)
+        ce_sum += np.add.reduce(np.log(norm) - true_shifted)
         e /= norm
         e.ravel()[picked] -= 1.0
         e /= n
 
     # per row, KL(N(mu, diag sigma^2) || N(0, I)) = 0.5 sum(mu^2 + sigma^2 - log sigma^2 - 1)
     var = np.exp(log_var)
-    kl = float((0.5 * (mu * mu + var - log_var - 1.0).sum(axis=0)).sum() / n)
+    kl = float(np.add.reduce(0.5 * np.add.reduce(mu * mu + var - log_var - 1.0, axis=0)) / n)
     breakdown = LossBreakdown(
         crps=crps_sum / n,
         discrete=ce_sum / n,
@@ -256,13 +269,16 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
         total=crps_sum / n + ce_sum / n + beta * kl,
     )
 
-    dz, dec_grad = mlp_backward(model.decoder, dec_cache, d_dec)
+    # the encoder's gradient, then the decoder's, each written into its slice
+    grad = np.empty(model.params.size)
+    split = model.encoder_size
+    dz, _ = mlp_backward(model.decoder, dec_cache, d_dec, out=grad[split:])
     d = mu.shape[0]
     d_enc = np.empty((2 * d, n))
     np.add(dz, beta * mu / n, out=d_enc[:d])
     np.add(dz * 0.5 * sigma * eps, beta * 0.5 * (var - 1.0) / n, out=d_enc[d:])
-    _, enc_grad = mlp_backward(model.encoder, enc_cache, d_enc, input_grad=False)
-    return breakdown, np.concatenate([enc_grad, dec_grad])
+    mlp_backward(model.encoder, enc_cache, d_enc, input_grad=False, out=grad[:split])
+    return breakdown, grad
 
 
 def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
@@ -295,7 +311,7 @@ def train(table: Table, config: TrainConfig, progress=None) -> Checkpoint:
         # adam_step's check turns that into the one error raised below
         with np.errstate(over="ignore", invalid="ignore"):
             for step, start in enumerate(range(0, n, config.batch_size), start=1):
-                batch = rows[perm[start : start + config.batch_size]]
+                batch = rows.take(perm[start : start + config.batch_size], axis=0)
                 noise = rng.standard_normal((batch.shape[0], d))
                 breakdown, grads = elbo_grads(model, batch, noise)
                 try:

@@ -5,9 +5,12 @@ relu after every layer but the last. All its parameters live in one flat
 vector: each layer's (n_out, n_in) weight row-major, then its bias, layer
 after layer. The layers are views into that vector, so updating the vector
 updates the network. Forward returns a cache that backward consumes to
-produce the exact parameter gradient, a flat vector with the same layout.
-Adam is the standard bias-corrected update, applied to the whole vector at
-once.
+produce the exact parameter gradient, a flat vector with the same layout;
+given out=, numpy's idiom, backward writes it into a caller's vector
+instead, such as one network's slice of a model's gradient. Adam is the
+standard bias-corrected update, applied to the whole vector at once, in
+place: its state holds two scratch vectors of the vector's size, so a step
+allocates nothing.
 
 Activations are feature-major: a batch is an (features, rows) array, one
 row per feature, so every layer is W @ h + b[:, None] and the relu, its
@@ -23,7 +26,7 @@ derivative, the logistic, is 1 - exp(-softplus(x)) (spline.chain_slope_grads).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,45 +136,57 @@ def mlp_forward(net: Mlp, x: np.ndarray, order=None):
     return h, (layers, order, inputs, pres)
 
 
-def mlp_backward(net: Mlp, cache, grad_out: np.ndarray, input_grad: bool = True):
+def mlp_backward(net: Mlp, cache, grad_out: np.ndarray, input_grad: bool = True, out=None):
     """Backpropagate grad_out (same shape as the forward output, permuted
     by the same order).
 
     Returns (grad_input, grad): grad_input (n_in, rows), None if not input_grad;
     grad one flat vector laid out as layer_views reads it, whatever the order.
+    out, if given, is a float64 vector of the network's parameter count
+    that grad is written into and returned as.
     """
     layers, order, inputs, pres = cache
     g = np.asarray(grad_out, dtype=np.float64)
-    grad = np.empty(sum(w.size + b.size for w, b in net))
-    views = layer_views([net[0][0].shape[1]] + [w.shape[0] for w, _ in net], grad)
+    size = sum(w.size + b.size for w, b in net)
+    if out is None:
+        out = np.empty(size)
+    elif out.shape != (size,):
+        raise ValueError(f"out must have shape {(size,)} to hold the gradient, got {out.shape}")
+    views = layer_views([net[0][0].shape[1]] + [w.shape[0] for w, _ in net], out)
     last = len(layers) - 1
     for i in range(last, -1, -1):
         if i < last:
             g *= pres[i] > 0  # g is this function's own product
-        rows = order if i == last and order is not None else slice(None)
         grad_w, grad_b = views[i]
-        grad_w[rows] = g @ inputs[i].T
-        grad_b[rows] = g.sum(axis=1)
+        if i == last and order is not None:
+            grad_w[order] = g @ inputs[i].T
+            grad_b[order] = np.add.reduce(g, axis=1)
+        else:
+            np.matmul(g, inputs[i].T, out=grad_w)
+            np.add.reduce(g, axis=1, out=grad_b)
         g = layers[i][0].T @ g if i > 0 or input_grad else None
-    return g, grad
+    return g, out
 
 
 @dataclass
 class AdamState:
     """Adam moments for one flat parameter vector. shapes are the blocks it is
-    cut into, in order; they only name the block of a non-finite gradient."""
+    cut into, in order; they only name the block of a non-finite gradient.
+    scratch is two vectors of the moments' size that adam_step computes in."""
 
     lr: float
     m: np.ndarray
     v: np.ndarray
     shapes: list[tuple[int, ...]]
+    scratch: tuple[np.ndarray, np.ndarray] = field(repr=False)
     t: int = 0
 
 
 def adam_init(shapes, lr: float) -> AdamState:
     """Zero moments for a flat vector made of blocks of these shapes."""
     n = sum(math.prod(s) for s in shapes)
-    return AdamState(lr=lr, m=np.zeros(n), v=np.zeros(n), shapes=[tuple(s) for s in shapes])
+    return AdamState(lr=lr, m=np.zeros(n), v=np.zeros(n), shapes=[tuple(s) for s in shapes],
+                     scratch=(np.empty(n), np.empty(n)))
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
@@ -179,7 +194,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     if params.shape != state.m.shape or params.shape != grad.shape:
         raise ValueError("params, gradients and Adam state must align")
     state.t += 1
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         ends = np.cumsum([math.prod(s) for s in state.shapes])
         i = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(grad))[0], side="right"))
         raise FloatingPointError(
@@ -187,9 +202,21 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         )
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    # the moments in place, in the order of m = b1 m + (1 - b1) g
-    state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grad
-    state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * grad * grad
-    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
+    m, v, (a, b) = state.m, state.v, state.scratch
+    # in place through the scratch vectors, in the order of
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    # params -= lr (m / c1) / (sqrt(v / c2) + eps)
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
+    m *= ADAM_BETA1
+    m += a
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=a)
+    a *= grad
+    v *= ADAM_BETA2
+    v += a
+    np.divide(v, c2, out=a)
+    np.sqrt(a, out=a)
+    a += ADAM_EPS
+    np.divide(m, c1, out=b)
+    b *= state.lr
+    b /= a
+    params -= b

@@ -16,6 +16,11 @@ with its exact gradient, for a batch of splines at once, from per-knot terms
 T_m = K_m - max(a_t - d_m, 0)^2 (crps_grad_from_alpha). Its inverse reads
 the knot values, which a caller builds once and reuses for any number of x.
 
+The loss and knot_values take the knot positions d (M+1,) or their Knots,
+the positions with the per-knot constants that every batch reuses; a model
+builds its Knots once (knot_table), so a training step does not redo them. chain_slope_grads writes into a caller's array given out=,
+numpy's idiom, such as the slope rows of the decoder's gradient.
+
 A batch of N splines is stored knot-major: slopes s (M, N), knot values
 (M+1, N), one entry per spline in gamma (N,), x (N,) and alpha_tilde (N,).
 Every scan over the knots is then M whole-row operations on contiguous
@@ -31,6 +36,8 @@ transposed on the way in or out."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .nn import softplus
@@ -44,6 +51,29 @@ def uniform_knots(count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("need at least 1 spline segment")
     return np.arange(count + 1, dtype=np.float64) / count
+
+
+class Knots(NamedTuple):
+    """Knot positions d (M+1,) and the read-only per-knot constants the loss
+    reads: d as an (M+1, 1) column, the (M, 1) segment widths d_{m+1} - d_m,
+    and the (M, 1) steps K_m - K_{m+1} of crps_grad_from_alpha."""
+
+    d: np.ndarray
+    column: np.ndarray
+    widths: np.ndarray
+    k_steps: np.ndarray
+
+
+def knot_table(knots) -> Knots:
+    """The Knots of positions d (M+1,); a Knots is returned as it is."""
+    if isinstance(knots, Knots):
+        return knots
+    d = np.array(knots, dtype=np.float64)
+    d.flags.writeable = False
+    k = (1.0 - d**3) / 3.0 - d + d * d
+    widths, k_steps = (d[1:] - d[:-1])[:, None], (k[:-1] - k[1:])[:, None]
+    widths.flags.writeable = k_steps.flags.writeable = False
+    return Knots(d, d[:, None], widths, k_steps)
 
 
 def slopes_to_b(slope_raw: np.ndarray) -> np.ndarray:
@@ -69,13 +99,13 @@ def _check_layout(s: np.ndarray, **arrays) -> None:
             )
 
 
-def knot_values(gamma: np.ndarray, s: np.ndarray, knots: np.ndarray) -> np.ndarray:
+def knot_values(gamma: np.ndarray, s: np.ndarray, knots) -> np.ndarray:
     """D evaluated at every knot, for a batch: gamma (N,), s (M, N) -> (M+1, N).
     A running sum of non-negative rises, so never decreasing."""
     _check_layout(s, gamma=gamma)
     values = np.empty((s.shape[0] + 1, s.shape[1]))
     values[0] = 0.0
-    np.multiply(s, (knots[1:] - knots[:-1])[:, None], out=values[1:])
+    np.multiply(s, knot_table(knots).widths, out=values[1:])
     for j in range(2, values.shape[0]):
         values[j] += values[j - 1]
     values += gamma
@@ -102,12 +132,12 @@ def spline_inverse_batch(values: np.ndarray, s: np.ndarray, knots: np.ndarray, x
     # the count of inner knot values below x, as knot values never decrease.
     # x at or below D(0) counts none and gets segment 0, where the lower clamp
     # returns 0; x at or above D(1) is set to 1 at the end. A NaN counts none.
-    seg = np.sum(values[1:-1] < x, axis=0)
+    seg = np.add.reduce(values[1:-1] < x, axis=0)
     # one flat index per gather: spline i's entry of row seg sits at seg * N + i
     at = seg * n
     at += np.arange(n)
-    slope = np.take(s, at)
-    start = np.take(values, at)
+    slope = s.take(at)
+    start = values.take(at)
     flat = slope <= _FLAT_EPS
     rise = np.where(flat, 0.0, (x - start) / np.where(flat, 1.0, slope))
     lo = knots[seg]
@@ -129,20 +159,21 @@ def crps_loss_batch(gamma, s, knots, x):
         loss = (2 a_t - 1) x + (1 - 2 a_t) gamma + sum_m s_m (T_m - T_{m+1})
 
     The loss is linear in gamma and s at fixed a_t, so the gradient's factors
-    are the loss's own terms.
+    are the loss's own terms. knots is d (M+1,) or its Knots.
     """
-    alpha = spline_inverse_batch(knot_values(gamma, s, knots), s, knots, x)
+    knots = knot_table(knots)
+    alpha = spline_inverse_batch(knot_values(gamma, s, knots), s, knots.d, x)
     d_gamma, d_s = crps_grad_from_alpha(alpha, knots)
     # in place, in the order of (2 a_t - 1) x + d_gamma gamma + sum(s d_s)
     loss = 2.0 * alpha
     loss -= 1.0
     loss *= x
     loss += d_gamma * gamma
-    loss += (s * d_s).sum(axis=0)
+    loss += np.add.reduce(s * d_s, axis=0)
     return loss, d_gamma, d_s
 
 
-def crps_grad_from_alpha(alpha: np.ndarray, knots: np.ndarray):
+def crps_grad_from_alpha(alpha: np.ndarray, knots):
     """Gradient of the closed-form loss given a precomputed alpha_tilde:
     (d_gamma (N,), d_s (M, N)). alpha_tilde is held fixed: wherever x is
     strictly inside the spline's range, d loss / d alpha = 2 (x - D(a_t)) = 0,
@@ -153,23 +184,23 @@ def crps_grad_from_alpha(alpha: np.ndarray, knots: np.ndarray):
     u_m^2, so T_m = K_m - u_m^2 with K_m = (1 - d_m^3)/3 - d_m + d_m^2, and
     d_s_m = T_m - T_{m+1} = (u_{m+1}^2 - u_m^2) + (K_m - K_{m+1}): five
     passes over (M+1, N) arrays, two fewer than T_m as first written.
+    knots is d (M+1,) or its Knots, which hold K_m - K_{m+1}.
     """
-    k = (1.0 - knots**3) / 3.0 - knots + knots * knots
-    u = np.subtract(alpha, knots[:, None])
+    knots = knot_table(knots)
+    u = np.subtract(alpha, knots.column)
     np.maximum(u, 0.0, out=u)
     u *= u
     d_s = u[1:] - u[:-1]
-    d_s += (k[:-1] - k[1:])[:, None]
+    d_s += knots.k_steps
     d_gamma = 2.0 * alpha
     np.subtract(1.0, d_gamma, out=d_gamma)
     return d_gamma, d_s
 
 
-def chain_slope_grads(ds: np.ndarray, s: np.ndarray) -> np.ndarray:
+def chain_slope_grads(ds: np.ndarray, s: np.ndarray, out=None) -> np.ndarray:
     """Push a gradient ds w.r.t. the slopes s = softplus(raw) back to raw, as
-    ds * -expm1(-s), the logistic of raw."""
-    out = np.negative(s)
+    ds * -expm1(-s), the logistic of raw; into out, of s's shape, if given."""
+    out = np.negative(s, out=out)
     np.expm1(out, out=out)
     out *= ds
-    np.negative(out, out=out)
-    return out
+    return np.negative(out, out=out)

@@ -10,6 +10,12 @@ in the suite.
 prints old -> new for each one that moved, for a change whose outputs are
 meant to move; the test still checks the committed file.
 
+The digests hold on one platform: numpy's exp, log, log1p and expm1 loops
+and OpenBLAS's kernels round differently on other CPUs. A mismatch is
+reported with numpy's version, the SIMD targets its loops dispatch to here
+and the OpenBLAS kernel in use (platform()), so that a platform difference
+can be told from a code change.
+
 The inputs are the first 600 rows of the acceptance toy_train split and the
 first 300 rows of toy_test (tests/conftest.py), written with save_csv. The
 commands run in a fresh directory (DIR with --keep, a temporary one
@@ -19,6 +25,7 @@ pinned to one thread.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -32,8 +39,13 @@ SRC = HERE.parent / "src"
 EXPECTED = HERE / "data" / "cli_digests.json"
 sys.path[:0] = [str(SRC), str(HERE)]
 
+import numpy as np  # noqa: E402
+
 from conftest import make_toy_table  # noqa: E402
 from tabsynth import Table, save_csv, train_test_split  # noqa: E402
+
+# the shared libraries a numpy wheel ships, OpenBLAS among them
+NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
 
 EVAL = ["evaluate", "--real-train", "train.csv", "--real-test", "test.csv", "--synth", "synth.csv",
         "--schema", "schema.json", "--target-cls", "c"]
@@ -85,6 +97,41 @@ def digests(root: Path) -> list:
     return out
 
 
+def openblas_corename() -> str:
+    """The kernel OpenBLAS picked for this CPU, such as SkylakeX, read from
+    the library under NUMPY_LIBS; "unknown" where there is none."""
+    for path in sorted(NUMPY_LIBS.glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def platform() -> str:
+    """numpy's version, the SIMD targets its loops dispatch to on this CPU
+    and the OpenBLAS kernel, the three things the digests depend on besides
+    the code."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_baseline__ + umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return f"numpy {np.__version__}, SIMD {' '.join(targets) or 'none'}, OpenBLAS {openblas_corename()}"
+
+
+def mismatch(rows, expected: dict) -> str:
+    """An empty string if the digests match expected, else a message naming
+    each output that differs or that only one side has, and the platform."""
+    got = dict(rows)
+    changed = [name for name in {**expected, **got} if got.get(name) != expected.get(name)]
+    if not changed:
+        return ""
+    return f"digests differ from {EXPECTED.name}: {', '.join(changed)} (on {platform()})"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--keep", type=Path, help="run in this (new or empty) directory and keep it")
@@ -109,7 +156,7 @@ def main() -> None:
     for name, digest in rows:
         print(f"{name:<20} {digest}{'  CHANGED' if name in changed else ''}")
     if changed:
-        raise SystemExit(f"digests differ from {EXPECTED.name}: {', '.join(changed)}")
+        raise SystemExit(mismatch(rows, expected))
 
 
 if __name__ == "__main__":

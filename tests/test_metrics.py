@@ -244,6 +244,28 @@ def test_association_matrix_zeroes_a_constant_numeric_pair_with_a_warning():
     assert np.array_equal(m, np.eye(2))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-310, 1e170])
+def test_association_matrix_reads_columns_of_any_scale(scale):
+    # centred, (1, 2, 4) * 1e-200 has a sum of squares that underflows to 0,
+    # and (1, 2, 4) * 1e170 one that overflows
+    schema = Schema((ColumnSpec("x", "continuous"), ColumnSpec("y", "continuous")))
+    table = Table(schema, np.array([[1.0 * scale, 1.0], [2.0 * scale, 2.0], [4.0 * scale, 3.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = association_matrix(table)
+    assert m[0, 1] == m[1, 0] == pytest.approx(np.corrcoef([1.0, 2.0, 4.0], [1.0, 2.0, 3.0])[0, 1], rel=1e-12)
+
+
+def test_association_matrix_of_no_rows_names_itself():
+    schema = Schema((ColumnSpec("x", "continuous"), ColumnSpec("d", "discrete", ("p", "q"))))
+    empty = Table(schema, np.zeros((0, 2)))
+    message = r"^association_matrix needs at least 1 row, got a table of 0 rows$"
+    with pytest.raises(ValueError, match=message):
+        association_matrix(empty)
+    with pytest.raises(ValueError, match=message):
+        correlation_distance(empty, Table(schema, np.array([[1.0, 0.0], [2.0, 1.0]])))
+
+
 @settings(max_examples=150, deadline=None)
 @given(value=st.floats(allow_nan=False, allow_infinity=False), n=st.integers(2, 500),
        level=st.integers(0, 2), order=st.permutations(range(4)), seed=st.integers(0, 2**32 - 1))

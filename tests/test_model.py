@@ -1,6 +1,9 @@
+import importlib.util
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from tabsynth import (
     train,
 )
 from tabsynth.model import decoder_heads, decoder_width, encode_batch, head_order
-from tabsynth.nn import adam_init, adam_step, layer_views, mlp_forward, mlp_init, softmax
+from tabsynth.nn import adam_init, adam_step, layer_views, mlp_backward, mlp_forward, mlp_init, softmax
 from tabsynth import spline
 from tabsynth.spline import knot_values, slopes_to_b
 
@@ -249,6 +252,57 @@ def test_elbo_grads_match_the_row_major_reference(schema, latent_dim, n):
     for field in ("crps", "discrete", "kl", "total"):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=STEP_RTOL, abs=0.0)
     assert np.max(np.abs(grads - ref)) <= STEP_RTOL * np.max(np.abs(ref))
+
+
+def test_backward_into_out_matches_the_allocating_call_bit_for_bit():
+    # the encoder without its input gradient, and the decoder read in
+    # head_order, each into its slice of one gradient vector
+    rng = np.random.default_rng(21)
+    model = random_model(seed=21)
+    rows = random_rows(MIX_SCHEMA, rng, 37)
+    mu, log_var, enc_cache = encode_batch(model, rows)
+    dec_out, dec_cache = mlp_forward(model.decoder, mu, model.head_order)
+    d_dec = rng.normal(size=dec_out.shape)
+    d_enc = rng.normal(size=(2 * mu.shape[0], 37))
+    grad = np.full(model.params.size, np.nan)
+    split = model.encoder_size
+    dz, dec_grad = mlp_backward(model.decoder, dec_cache, d_dec.copy(), out=grad[split:])
+    want_dz, want_dec = mlp_backward(model.decoder, dec_cache, d_dec.copy())
+    assert np.shares_memory(dec_grad, grad) and dec_grad.tobytes() == want_dec.tobytes()
+    assert dz.tobytes() == want_dz.tobytes()
+    none, enc_grad = mlp_backward(model.encoder, enc_cache, d_enc.copy(), input_grad=False, out=grad[:split])
+    assert none is None and np.shares_memory(enc_grad, grad)
+    assert enc_grad.tobytes() == mlp_backward(model.encoder, enc_cache, d_enc.copy(), input_grad=False)[1].tobytes()
+    assert grad.tobytes() == np.concatenate([enc_grad, dec_grad]).tobytes()
+    with pytest.raises(ValueError, match=rf"^out must have shape \({split},\) to hold the gradient, got \({split + 1},\)$"):
+        mlp_backward(model.encoder, enc_cache, d_enc, input_grad=False, out=grad[: split + 1])
+
+
+def load_bench_inputs():
+    """bench/inputs.py, which builds the benchmark's tables."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_elbo_grads_peak_memory_at_the_wide_benchmark_shape():
+    # 40 numeric and 10 discrete columns, a batch of 256: 5.29 MiB while the
+    # slope chain and each network's gradient were fresh arrays copied into
+    # place, 4.84 MiB written in place
+    table = standardize(load_bench_inputs().make_wide_table(1, n=256))
+    config = TrainConfig(seed=1)
+    model = model_init(table.schema, config, np.random.default_rng(1))
+    noise = np.random.default_rng(2).standard_normal((256, config.latent_dim))
+    elbo_grads(model, table.rows, noise)  # the model's cached properties
+    tracemalloc.start()
+    try:
+        elbo_grads(model, table.rows, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.0 * 2**20
 
 
 def test_200_toy_steps_stay_within_1e_12_of_the_row_major_reference():

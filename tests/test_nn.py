@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -347,6 +348,21 @@ def test_adam_step_matches_reference_adam_bit_for_bit():
         assert state.v.tobytes() == v.tobytes()
 
 
+def test_adam_step_allocates_no_vector_of_the_parameters_size():
+    # only the finiteness check's booleans, an eighth of a float vector
+    n = 100_000
+    params, grad = np.zeros(n), np.random.default_rng(3).normal(size=n)
+    state = adam_init([(n,)], lr=0.01)
+    adam_step(params, grad, state)
+    tracemalloc.start()
+    try:
+        adam_step(params, grad, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.nbytes / 4
+
+
 def test_adam_rejects_non_finite_gradients():
     # the first and last entry of each block (sizes 6, 3, 3, 1, 8, 1); an inf before a NaN
     cases = [
@@ -388,4 +404,5 @@ def test_adam_state_defaults():
     state = adam_init([(2, 3), (3,)], lr=0.5)
     assert (state.lr, state.t, state.shapes) == (0.5, 0, [(2, 3), (3,)])
     assert state.m.tobytes() == state.v.tobytes() == np.zeros(9).tobytes()
+    assert [(a.shape, a.dtype) for a in state.scratch] == [((9,), np.float64)] * 2
     assert (nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS) == (0.9, 0.999, 1e-8)

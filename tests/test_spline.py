@@ -20,9 +20,11 @@ from helpers import (
     rebuilt_spline_inverse,
 )
 from tabsynth.spline import (
+    Knots,
     chain_slope_grads,
     crps_grad_from_alpha,
     crps_loss_batch,
+    knot_table,
     knot_values,
     slopes_to_b,
     spline_inverse_batch,
@@ -388,6 +390,52 @@ def test_grad_chains_through_raw_slopes():
         numeric = (losses[:6] - losses[6:]) / (2 * eps)
         for j in range(6):
             assert grad_rel_err(d_raw[j], numeric[j]) < 1e-4
+
+
+def test_chain_slope_grads_into_out_matches_the_returning_form_bit_for_bit():
+    # slopes at 0, subnormal and tiny, ordinary, and past +-40, where the
+    # logistic is 1 or exp(-s) - 1 overflows; out a row block of a larger array
+    rng = np.random.default_rng(14)
+    s = np.array([[0.0, -0.0, 5e-324, 1e-300, 1e-17, 0.3],
+                  [1.0, 39.5, 40.5, 745.0, -40.5, -710.0]])
+    ds = rng.normal(size=s.shape)
+    ds[0, 0] = -ds[0, 0]
+    buffer = np.full((4, 6), np.nan)
+    with np.errstate(over="ignore"):
+        got = chain_slope_grads(ds, s, out=buffer[1:3])
+        want = chain_slope_grads(ds, s)
+    assert np.shares_memory(got, buffer) and got.tobytes() == want.tobytes()
+    assert np.isnan(buffer[[0, 3]]).all()
+
+
+def test_knot_table_holds_the_constants_the_loss_reads():
+    knots = np.array([0.0, 0.1, 0.45, 0.5, 1.0])
+    table = knot_table(knots)
+    k = (1.0 - knots**3) / 3.0 - knots + knots * knots
+    assert table.d.tobytes() == knots.tobytes()
+    assert table.column.tobytes() == knots[:, None].tobytes() and table.column.shape == (5, 1)
+    assert table.widths.tobytes() == np.diff(knots)[:, None].tobytes()
+    assert table.k_steps.tobytes() == (k[:-1] - k[1:])[:, None].tobytes()
+    assert knot_table(table) is table
+    assert not any(a.flags.writeable for a in table)
+    knots[1] = 0.2  # the table keeps its own copy
+    assert table.d[1] == 0.1
+
+
+@pytest.mark.parametrize("m", [1, 4, 10])
+def test_knot_table_and_knot_positions_give_the_same_bits(m):
+    # on unevenly spaced knots too
+    rng = np.random.default_rng(90 + m)
+    gamma, s, knots, x = awkward_batch(rng, m)
+    for positions in (knots, np.concatenate([[0.0], np.sort(rng.random(m - 1)), [1.0]])):
+        table = knot_table(positions)
+        assert isinstance(table, Knots)
+        assert knot_values(gamma, s.T, table).tobytes() == knot_values(gamma, s.T, positions).tobytes()
+        got, want = crps_loss_batch(gamma, s.T, table, x), crps_loss_batch(gamma, s.T, positions, x)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        alpha = rng.random(x.size)
+        got, want = crps_grad_from_alpha(alpha, table), crps_grad_from_alpha(alpha, positions)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def knot_edge_alphas(knots):
