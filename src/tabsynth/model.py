@@ -103,12 +103,8 @@ class VaeModel:
     params: np.ndarray
 
     @cached_property
-    def knots(self) -> np.ndarray:
+    def knots(self) -> sp.Knots:
         return sp.uniform_knots(self.config.knot_count)
-
-    @cached_property
-    def knot_table(self) -> sp.Knots:
-        return sp.knot_table(self.knots)
 
     @cached_property
     def numeric_columns(self) -> np.ndarray:
@@ -233,7 +229,7 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     m, p = raw.shape[:2]
     x = rows.T.take(model.numeric_columns, axis=0).ravel()
     s = sp.slopes_to_b(raw.reshape(m, p * n))
-    loss, dg, ds = sp.crps_loss_batch(gamma.ravel(), s, model.knot_table, x)
+    loss, dg, ds = sp.crps_loss_batch(gamma.ravel(), s, model.knots, x)
     crps_sum = 0.5 * np.add.reduce(loss.reshape(p, n).T.ravel())
 
     # allocated only now, so it is not live during the loss pass's temporaries;

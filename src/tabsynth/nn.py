@@ -77,10 +77,6 @@ def softmax(logits):
     return e
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
-
-
 Mlp = list[tuple[np.ndarray, np.ndarray]]  # (weight (n_out, n_in), bias (n_out,)) per layer
 
 
@@ -132,7 +128,7 @@ def mlp_forward(net: Mlp, x: np.ndarray, order=None):
         pre = weight @ h
         pre += bias[:, None]
         pres.append(pre)
-        h = pre if i == len(layers) - 1 else relu(pre)
+        h = pre if i == len(layers) - 1 else np.maximum(pre, 0.0)
     return h, (layers, order, inputs, pres)
 
 

@@ -16,10 +16,12 @@ with its exact gradient, for a batch of splines at once, from per-knot terms
 T_m = K_m - max(a_t - d_m, 0)^2 (crps_grad_from_alpha). Its inverse reads
 the knot values, which a caller builds once and reuses for any number of x.
 
-The loss and knot_values take the knot positions d (M+1,) or their Knots,
-the positions with the per-knot constants that every batch reuses; a model
-builds its Knots once (knot_table), so a training step does not redo them. chain_slope_grads writes into a caller's array given out=,
-numpy's idiom, such as the slope rows of the decoder's gradient.
+Every kernel takes the knot grid as one Knots: the positions d (M+1,) and
+the per-knot constants that every batch reuses, built once by knot_table
+(or uniform_knots), so no call rebuilds them.
+
+chain_slope_grads writes into a caller's array given out=, numpy's idiom,
+such as the slope rows of the decoder's gradient.
 
 A batch of N splines is stored knot-major: slopes s (M, N), knot values
 (M+1, N), one entry per spline in gamma (N,), x (N,) and alpha_tilde (N,).
@@ -46,13 +48,6 @@ from .nn import softplus
 _FLAT_EPS = 1e-300
 
 
-def uniform_knots(count: int) -> np.ndarray:
-    """count+1 equally spaced knots on [0, 1]."""
-    if count < 1:
-        raise ValueError("need at least 1 spline segment")
-    return np.arange(count + 1, dtype=np.float64) / count
-
-
 class Knots(NamedTuple):
     """Knot positions d (M+1,) and the read-only per-knot constants the loss
     reads: d as an (M+1, 1) column, the (M, 1) segment widths d_{m+1} - d_m,
@@ -64,16 +59,21 @@ class Knots(NamedTuple):
     k_steps: np.ndarray
 
 
-def knot_table(knots) -> Knots:
-    """The Knots of positions d (M+1,); a Knots is returned as it is."""
-    if isinstance(knots, Knots):
-        return knots
-    d = np.array(knots, dtype=np.float64)
+def knot_table(positions) -> Knots:
+    """The Knots of positions d (M+1,), 0 = d_0 < ... < d_M = 1."""
+    d = np.array(positions, dtype=np.float64)
     d.flags.writeable = False
     k = (1.0 - d**3) / 3.0 - d + d * d
     widths, k_steps = (d[1:] - d[:-1])[:, None], (k[:-1] - k[1:])[:, None]
     widths.flags.writeable = k_steps.flags.writeable = False
     return Knots(d, d[:, None], widths, k_steps)
+
+
+def uniform_knots(count: int) -> Knots:
+    """The Knots of count+1 equally spaced positions on [0, 1]."""
+    if count < 1:
+        raise ValueError("need at least 1 spline segment")
+    return knot_table(np.arange(count + 1, dtype=np.float64) / count)
 
 
 def slopes_to_b(slope_raw: np.ndarray) -> np.ndarray:
@@ -99,20 +99,20 @@ def _check_layout(s: np.ndarray, **arrays) -> None:
             )
 
 
-def knot_values(gamma: np.ndarray, s: np.ndarray, knots) -> np.ndarray:
+def knot_values(gamma: np.ndarray, s: np.ndarray, knots: Knots) -> np.ndarray:
     """D evaluated at every knot, for a batch: gamma (N,), s (M, N) -> (M+1, N).
     A running sum of non-negative rises, so never decreasing."""
     _check_layout(s, gamma=gamma)
     values = np.empty((s.shape[0] + 1, s.shape[1]))
     values[0] = 0.0
-    np.multiply(s, knot_table(knots).widths, out=values[1:])
+    np.multiply(s, knots.widths, out=values[1:])
     for j in range(2, values.shape[0]):
         values[j] += values[j - 1]
     values += gamma
     return values
 
 
-def spline_inverse_batch(values: np.ndarray, s: np.ndarray, knots: np.ndarray, x):
+def spline_inverse_batch(values: np.ndarray, s: np.ndarray, knots: Knots, x):
     """Vectorized inverse over a batch of splines, one x per spline, given
     their knot values (M+1, N) from knot_values and slopes (M, N).
 
@@ -140,16 +140,16 @@ def spline_inverse_batch(values: np.ndarray, s: np.ndarray, knots: np.ndarray, x
     start = values.take(at)
     flat = slope <= _FLAT_EPS
     rise = np.where(flat, 0.0, (x - start) / np.where(flat, 1.0, slope))
-    lo = knots[seg]
+    lo = knots.d[seg]
     alpha = lo + rise
     # np.clip's order: the lower bound first, then the upper
     np.maximum(alpha, lo, out=alpha)
-    np.minimum(alpha, knots[seg + 1], out=alpha)
+    np.minimum(alpha, knots.d[seg + 1], out=alpha)
     alpha[x >= values[-1]] = 1.0
     return alpha
 
 
-def crps_loss_batch(gamma, s, knots, x):
+def crps_loss_batch(gamma, s, knots: Knots, x):
     """Closed-form 2 * integral of rho_a(x - D(a)) da for a batch of splines,
     and its exact gradient.
 
@@ -159,10 +159,9 @@ def crps_loss_batch(gamma, s, knots, x):
         loss = (2 a_t - 1) x + (1 - 2 a_t) gamma + sum_m s_m (T_m - T_{m+1})
 
     The loss is linear in gamma and s at fixed a_t, so the gradient's factors
-    are the loss's own terms. knots is d (M+1,) or its Knots.
+    are the loss's own terms.
     """
-    knots = knot_table(knots)
-    alpha = spline_inverse_batch(knot_values(gamma, s, knots), s, knots.d, x)
+    alpha = spline_inverse_batch(knot_values(gamma, s, knots), s, knots, x)
     d_gamma, d_s = crps_grad_from_alpha(alpha, knots)
     # in place, in the order of (2 a_t - 1) x + d_gamma gamma + sum(s d_s)
     loss = 2.0 * alpha
@@ -173,7 +172,7 @@ def crps_loss_batch(gamma, s, knots, x):
     return loss, d_gamma, d_s
 
 
-def crps_grad_from_alpha(alpha: np.ndarray, knots):
+def crps_grad_from_alpha(alpha: np.ndarray, knots: Knots):
     """Gradient of the closed-form loss given a precomputed alpha_tilde:
     (d_gamma (N,), d_s (M, N)). alpha_tilde is held fixed: wherever x is
     strictly inside the spline's range, d loss / d alpha = 2 (x - D(a_t)) = 0,
@@ -183,10 +182,9 @@ def crps_grad_from_alpha(alpha: np.ndarray, knots):
     mx = d_m + u_m with u_m = max(a_t - d_m, 0), -mx^2 + 2 mx d_m = d_m^2 -
     u_m^2, so T_m = K_m - u_m^2 with K_m = (1 - d_m^3)/3 - d_m + d_m^2, and
     d_s_m = T_m - T_{m+1} = (u_{m+1}^2 - u_m^2) + (K_m - K_{m+1}): five
-    passes over (M+1, N) arrays, two fewer than T_m as first written.
-    knots is d (M+1,) or its Knots, which hold K_m - K_{m+1}.
+    passes over (M+1, N) arrays, two fewer than T_m as first written;
+    knots holds K_m - K_{m+1}.
     """
-    knots = knot_table(knots)
     u = np.subtract(alpha, knots.column)
     np.maximum(u, 0.0, out=u)
     u *= u

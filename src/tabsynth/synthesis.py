@@ -88,7 +88,7 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
     schema = cp.schema
     numeric = schema.numeric_indices
     rows = np.zeros((n, len(schema.columns)))
-    knots, widths = cp.knots[:-1, None, None], np.diff(cp.knots)[:, None, None]
+    knots, widths = cp.knots.column[:-1, :, None], cp.knots.widths[:, :, None]
     stddev, mean = cp.scaling.stddev[:, None], cp.scaling.mean[:, None]
     # one hinge buffer for all pages, so malloc maps it once, in the decoder's
     # own feature-major (M, P, rows) layout: segment m, numeric column p, row r

@@ -23,7 +23,7 @@ from tabsynth import gumbel_max, round_ordinal
 from tabsynth.data import KIND_DISCRETE, KIND_ORDINAL, Table, _first_rejected, one_hot_matrix
 from tabsynth import spline as sp
 from tabsynth.model import LossBreakdown, decoder_heads, decoder_width
-from tabsynth.nn import mlp_forward, relu, softmax
+from tabsynth.nn import mlp_forward, softmax
 from tabsynth.synthesis import PAGE_ROWS
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -407,7 +407,7 @@ def per_point_estimate_cdf(cp, column, grid=None, n_mc=5000, seed=0):
     z = np.random.default_rng(seed).standard_normal((n_mc, cp.config.latent_dim))
     dec_out, _ = mlp_forward(cp.decoder, z.T, cp.head_order)
     gamma, raw, _ = decoder_heads(schema, cp.config.knot_count, dec_out)
-    gamma, b, knots = gamma[k], sp.slopes_to_b(raw[:, k].T), cp.knots
+    gamma, b, knots = gamma[k], sp.slopes_to_b(raw[:, k].T), cp.knots.d
     if grid is None:
         grid = np.linspace(cp.quantile_lo[k], cp.quantile_hi[k], 201)
     grid = np.asarray(grid, dtype=np.float64)
@@ -443,7 +443,7 @@ def one_shot_generate(cp, n, seed, ordinal_rounding="integer"):
         z, u, *noise = _page_draws(cp, n, seed)
         dec_out, _ = mlp_forward(cp.decoder, z.T, cp.head_order)
         gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:, :n])
-        knots = cp.knots
+        knots = cp.knots.d
         for k, col in enumerate(schema.numeric_indices):
             hinge = np.clip(u[:n, k] - knots[:-1, None], 0.0, np.diff(knots)[:, None])
             total = np.zeros(n)
@@ -531,7 +531,7 @@ def _row_major_forward(net, x):
         inputs.append(x)
         pre = x @ weight.T + bias
         pres.append(pre)
-        x = pre if i == len(net) - 1 else relu(pre)
+        x = pre if i == len(net) - 1 else np.maximum(pre, 0.0)
     return x, (inputs, pres)
 
 

@@ -38,7 +38,7 @@ from tabsynth import (
 from tabsynth.data import ColumnSpec, Schema, Table, save_csv
 from tabsynth.model import decoder_heads
 from tabsynth.nn import mlp_forward
-from tabsynth.spline import crps_loss_batch, knot_values, slopes_to_b
+from tabsynth.spline import crps_loss_batch, knot_table, knot_values, slopes_to_b
 from conftest import toy_schema
 
 
@@ -54,7 +54,7 @@ def test_01_closed_form_loss_matches_quadrature():
     oracle_gap = 0.0
     for i in range(1000):
         gamma, s, knots, x = random_spline(rng)
-        loss, _, _ = crps_loss_batch(gamma, s.T, knots, x)
+        loss, _, _ = crps_loss_batch(gamma, s.T, knot_table(knots), x)
         exact = crps_exact(gamma, s, knots, x)
         worst = max(worst, abs(loss[0] - exact))
         if i < 50:  # the exact oracle itself, against a plain trapezoid rule
@@ -74,7 +74,7 @@ def test_02_finite_sum_loss_and_weight_converge():
     worst = 0.0
     for _ in range(100):
         gamma, s, knots, x = random_spline(rng)
-        loss, _, _ = crps_loss_batch(gamma, s.T, knots, x)
+        loss, _, _ = crps_loss_batch(gamma, s.T, knot_table(knots), x)
         worst = max(worst, abs(crps_loss_finite_k(gamma, s, knots, x, k) - loss[0] / 2.0))
     weight_err = abs(mean_log_alpha_weight(k) + 2.0)
     ok = worst < 1e-3 and weight_err < 1e-2

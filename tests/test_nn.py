@@ -14,7 +14,6 @@ from tabsynth.nn import (
     mlp_backward,
     mlp_forward,
     mlp_init,
-    relu,
     softmax,
     softplus,
 )
@@ -208,10 +207,6 @@ def test_softmax_matches_numpy_reductions_bit_for_bit(t):
     assert np.all(np.abs(got.sum(axis=0) - 1.0) <= 1e-15 * t)
     assert np.all(got[:, ::11] == 1.0 / t)
     assert np.all(got[0, ::7][np.arange(0, 1500, 7) % 11 != 0] == 1.0)
-
-
-def test_relu():
-    assert np.array_equal(relu(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
 
 
 def test_init_glorot_bounds_and_zero_biases():
