@@ -91,11 +91,11 @@ def cmd_evaluate(args) -> int:
     real_train = _enough_rows(load_csv(args.real_train, schema), args.real_train, 2)
     real_test = _enough_rows(load_csv(args.real_test, schema), args.real_test, 1)
     synth = _enough_rows(load_csv(args.synth, schema), args.synth, 2)
-    known = args.known_columns.split(",") if args.known_columns else None
-    secrets = args.secret_columns.split(",") if args.secret_columns else None
+    known = args.known_columns.split(",") if args.known_columns is not None else None
+    secrets = args.secret_columns.split(",") if args.secret_columns is not None else None
     if args.with_mia:  # fail before the metrics run, not after
         checkpoint = load_checkpoint(args.model)
-        check_schema(checkpoint.schema, schema, args.model, args.schema)
+        check_schema(checkpoint.schema, schema, args.model, "the checkpoint", args.schema)
         check_seed(args.seed)
     doc = build_report(
         real_train, real_test, synth,

@@ -99,21 +99,19 @@ def schema_from_doc(doc, where) -> Schema:
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
         raise ValueError(f"{where}: schema must contain a 'columns' list")
-    cols = []
+    specs = []
     for i, entry in enumerate(doc["columns"]):
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise ValueError(f"{where}: columns[{i}] needs 'name' and 'kind'")
         levels = entry.get("levels")
         if levels is not None and not isinstance(levels, list):
             raise ValueError(f"{where}: columns[{i}].levels must be a list of labels")
-        cols.append(
-            ColumnSpec(
-                name=str(entry["name"]),
-                kind=str(entry["kind"]),
-                levels=None if levels is None else tuple(str(v) for v in levels),
-            )
-        )
-    return Schema(columns=tuple(cols))
+        levels = None if levels is None else tuple(str(v) for v in levels)
+        specs.append((str(entry["name"]), str(entry["kind"]), levels))
+    try:
+        return Schema(columns=tuple(ColumnSpec(*spec) for spec in specs))
+    except ValueError as err:  # a column's kind or levels, or the column names
+        raise ValueError(f"{where}: {err}") from None
 
 
 def not_utf8(path, err: UnicodeDecodeError) -> ValueError:

@@ -118,8 +118,7 @@ def association_matrix(table: Table) -> np.ndarray:
 
 def correlation_distance(real: Table, synth: Table) -> float:
     """Frobenius distance between the two tables' association matrices."""
-    if real.schema != synth.schema:
-        raise ValueError("correlation_distance needs tables with equal schemas")
+    check_schema(real.schema, synth.schema, "correlation_distance", "real", "synth")
     return float(np.linalg.norm(association_matrix(real) - association_matrix(synth)))
 
 
@@ -218,8 +217,7 @@ def _neighbor_search(real: Table, synth: Table, columns, secrets, ks) -> _Neighb
 
 def _dcr_columns(real: Table, synth: Table) -> list[int]:
     """The numeric column indices dcr measures on, after dcr's checks."""
-    if real.schema != synth.schema:
-        raise ValueError("dcr needs tables with equal schemas")
+    check_schema(real.schema, synth.schema, "dcr", "real", "synth")
     idx = real.schema.numeric_indices
     if not idx:
         raise ValueError("dcr needs at least one numeric column")
@@ -335,8 +333,7 @@ def mlu(train_scaling: ScalingStats, real_test: Table, synth: Table,
     train_scaling, the real training split's stats.
     """
     schema = real_test.schema
-    if synth.schema != schema:
-        raise ValueError("mlu needs tables with equal schemas")
+    check_schema(schema, synth.schema, "mlu", "real_test", "synth")
     jr = schema.index(reg_target)
     jc = schema.index(cls_target)
     if schema.columns[jr].kind == KIND_DISCRETE:
@@ -420,8 +417,8 @@ def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
     the checkpoint's: a ValueError names the first column that differs.
     """
     schema = cp.schema
-    check_schema(schema, real_train.schema, "membership_inference", "real_train")
-    check_schema(schema, real_test.schema, "membership_inference", "real_test")
+    check_schema(schema, real_train.schema, "membership_inference", "the checkpoint", "real_train")
+    check_schema(schema, real_test.schema, "membership_inference", "the checkpoint", "real_test")
     jc = schema.index(cls_target)
     if schema.columns[jc].kind != KIND_DISCRETE:
         raise ValueError(f"classification target {cls_target!r} must be discrete")
@@ -518,8 +515,7 @@ def attribute_disclosure(real: Table, synth: Table, known_columns, secret_column
 
     Distances use the known columns as-is, so pass standardized tables.
     """
-    if real.schema != synth.schema:
-        raise ValueError("attribute_disclosure needs tables with equal schemas")
+    check_schema(real.schema, synth.schema, "attribute_disclosure", "real", "synth")
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > synth.n_rows:
@@ -565,6 +561,11 @@ class MetricReport:
         return doc
 
 
+def _column_mean(metric, a: Table, b: Table, columns) -> float | None:
+    """The mean of metric over the given columns of a and b, None without columns."""
+    return float(np.mean([metric(a.rows[:, j], b.rows[:, j]) for j in columns])) if columns else None
+
+
 def build_report(real_train: Table, real_test: Table, synth: Table,
                  reg_target: str, cls_target: str, *,
                  known_columns=None, secret_columns=None) -> MetricReport:
@@ -577,30 +578,23 @@ def build_report(real_train: Table, real_test: Table, synth: Table,
     distances when the known columns are the numeric ones, come from one
     neighbor search. The membership attack is a separate call:
     membership_inference.
+
+    real_test and synth must have real_train's schema: a ValueError names
+    the first column that differs. known_columns and secret_columns of None
+    mean every numeric and every discrete column.
     """
     schema = real_train.schema
-    if real_test.schema != schema or synth.schema != schema:
-        raise ValueError("the three tables must share one schema")
+    check_schema(schema, real_test.schema, "build_report", "real_train", "real_test")
+    check_schema(schema, synth.schema, "build_report", "real_train", "synth")
     train_std = standardize(real_train)
     synth_std = apply_scaling(synth, train_std.scaling)
 
     numeric = schema.numeric_indices
     discrete = schema.discrete_indices
-    ks_cont = wd_cont = ks_disc = wd_disc = None
-    if numeric:
-        ks_cont = float(np.mean([
-            ks_statistic(real_train.rows[:, j], synth.rows[:, j]) for j in numeric
-        ]))
-        wd_cont = float(np.mean([
-            wasserstein1(train_std.rows[:, j], synth_std.rows[:, j]) for j in numeric
-        ]))
-    if discrete:
-        ks_disc = float(np.mean([
-            ks_statistic(real_train.rows[:, j], synth.rows[:, j]) for j in discrete
-        ]))
-        wd_disc = float(np.mean([
-            wasserstein1(real_train.rows[:, j], synth.rows[:, j]) for j in discrete
-        ]))
+    ks_cont = _column_mean(ks_statistic, real_train, synth, numeric)
+    wd_cont = _column_mean(wasserstein1, train_std, synth_std, numeric)
+    ks_disc = _column_mean(ks_statistic, real_train, synth, discrete)
+    wd_disc = _column_mean(wasserstein1, real_train, synth, discrete)
 
     # dcr's and mlu's checks run before the search, so a call with a fault
     # in either fails on it before any distance is computed
@@ -613,8 +607,8 @@ def build_report(real_train: Table, real_test: Table, synth: Table,
             vrate(real_test.rows[:, j], synth.rows[:, j], alpha) for j in numeric
         ])) if numeric else 0.0
 
-    known = list(known_columns) if known_columns else [schema.columns[j].name for j in numeric]
-    secrets = list(secret_columns) if secret_columns else [schema.columns[j].name for j in discrete]
+    known = [schema.columns[j].name for j in numeric] if known_columns is None else list(known_columns)
+    secrets = [schema.columns[j].name for j in discrete] if secret_columns is None else list(secret_columns)
     known_idx, secret_idx = _disclosure_columns(schema, known, secrets)
     # one search serves every k, and dcr too when the known columns are its own
     ks = sorted({min(k, synth.n_rows) for k in ATTR_NEIGHBOR_KS})

@@ -50,16 +50,13 @@ def _describe(spec) -> str:
     return f"{spec.name!r} ({spec.kind}{levels})"
 
 
-def check_schema(trained: Schema, given: Schema, where: str, given_name: str) -> None:
-    """Raise a ValueError naming the first column in which the schema given
-    differs from trained, the schema of a checkpoint; where and given_name
-    say whose checkpoint and schema they are."""
-    for i, (mine, theirs) in enumerate(zip_longest(trained.columns, given.columns), start=1):
+def check_schema(schema: Schema, given: Schema, where: str, name: str, given_name: str) -> None:
+    """Raise a ValueError, prefixed by where, naming the first column in which
+    the schema given differs from schema; name and given_name say whose they are."""
+    for i, (mine, theirs) in enumerate(zip_longest(schema.columns, given.columns), start=1):
         if mine != theirs:
-            raise ValueError(
-                f"{where}: the checkpoint's column {i} is {_describe(mine)}, "
-                f"{given_name} has {_describe(theirs)}"
-            )
+            raise ValueError(f"{where}: {name}'s column {i} is {_describe(mine)}, "
+                             f"{given_name} has {_describe(theirs)}")
 
 
 @dataclass(frozen=True)

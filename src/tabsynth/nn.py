@@ -1,10 +1,10 @@
 """Minimal dense network with hand-written reverse-mode gradients.
 
-Float64 throughout. A network is a chain of fully connected layers with a
-relu after every layer but the last. All its parameters live in one flat
-vector: each layer's (n_out, n_in) weight row-major, then its bias, layer
-after layer. The layers are views into that vector, so updating the vector
-updates the network. Forward returns a cache that backward consumes to
+Float64 throughout. A network is one fully connected hidden layer with a
+relu, then a linear output layer. All its parameters live in one flat
+vector: each layer's (n_out, n_in) weight row-major, then its bias, the
+hidden layer first. The layers are views into that vector, so updating the
+vector updates the network. Forward returns a cache that backward consumes to
 produce the exact parameter gradient, a flat vector with the same layout;
 given out=, numpy's idiom, backward writes it into a caller's vector
 instead, such as one network's slice of a model's gradient. Adam is the
@@ -81,7 +81,7 @@ Mlp = list[tuple[np.ndarray, np.ndarray]]  # (weight (n_out, n_in), bias (n_out,
 
 
 def layer_views(sizes, flat: np.ndarray) -> Mlp:
-    """The network with layer widths sizes = [n_in, h1, ..., n_out] as views
+    """The network with layer widths sizes = (n_in, hidden, n_out) as views
     into the front of flat: each layer's weight row-major, then its bias."""
     net, pos = [], 0
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
@@ -106,30 +106,27 @@ def mlp_forward(net: Mlp, x: np.ndarray, order=None):
     """Run the network on a feature-major (n_in, rows) input; the output is
     (n_out, rows).
 
-    order, if given, permutes the output features: output row i is the last
-    layer's output order[i]. The last layer's weight and bias rows are read
-    in that order, so the output comes out permuted at the cost of a copy
-    of that layer, not of the output.
+    order, if given, permutes the output features: output row i is the
+    output layer's output order[i]. That layer's weight and bias rows are
+    read in that order, so the output comes out permuted at the cost of a
+    copy of that layer, not of the output.
 
-    Returns (output, cache); the cache holds the layers as read, the layer
-    inputs and the pre-activations needed by mlp_backward.
+    Returns (output, cache); the cache holds the input, the hidden layer's
+    pre-activation and output, the output layer's weight as read and order,
+    which mlp_backward needs.
     """
-    h = np.asarray(x, dtype=np.float64)
-    n_in = net[0][0].shape[1]
-    if h.ndim != 2 or h.shape[0] != n_in:
-        raise ValueError(f"input shape {h.shape} does not match network width ({n_in})")
-    layers = list(net)
+    (w0, b0), (w1, b1) = net
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != w0.shape[1]:
+        raise ValueError(f"input shape {x.shape} does not match network width ({w0.shape[1]})")
     if order is not None:
-        weight, bias = layers[-1]
-        layers[-1] = weight[order], bias[order]
-    inputs, pres = [], []
-    for i, (weight, bias) in enumerate(layers):
-        inputs.append(h)
-        pre = weight @ h
-        pre += bias[:, None]
-        pres.append(pre)
-        h = pre if i == len(layers) - 1 else np.maximum(pre, 0.0)
-    return h, (layers, order, inputs, pres)
+        w1, b1 = w1[order], b1[order]
+    pre = w0 @ x
+    pre += b0[:, None]
+    hidden = np.maximum(pre, 0.0)
+    out = w1 @ hidden
+    out += b1[:, None]
+    return out, (x, pre, hidden, w1, order)
 
 
 def mlp_backward(net: Mlp, cache, grad_out: np.ndarray, input_grad: bool = True, out=None):
@@ -141,27 +138,26 @@ def mlp_backward(net: Mlp, cache, grad_out: np.ndarray, input_grad: bool = True,
     out, if given, is a float64 vector of the network's parameter count
     that grad is written into and returned as.
     """
-    layers, order, inputs, pres = cache
+    x, pre, hidden, w1, order = cache
+    w0 = net[0][0]
     g = np.asarray(grad_out, dtype=np.float64)
     size = sum(w.size + b.size for w, b in net)
     if out is None:
         out = np.empty(size)
     elif out.shape != (size,):
         raise ValueError(f"out must have shape {(size,)} to hold the gradient, got {out.shape}")
-    views = layer_views([net[0][0].shape[1]] + [w.shape[0] for w, _ in net], out)
-    last = len(layers) - 1
-    for i in range(last, -1, -1):
-        if i < last:
-            g *= pres[i] > 0  # g is this function's own product
-        grad_w, grad_b = views[i]
-        if i == last and order is not None:
-            grad_w[order] = g @ inputs[i].T
-            grad_b[order] = np.add.reduce(g, axis=1)
-        else:
-            np.matmul(g, inputs[i].T, out=grad_w)
-            np.add.reduce(g, axis=1, out=grad_b)
-        g = layers[i][0].T @ g if i > 0 or input_grad else None
-    return g, out
+    (grad_w0, grad_b0), (grad_w1, grad_b1) = layer_views((w0.shape[1], w0.shape[0], w1.shape[0]), out)
+    if order is None:
+        np.matmul(g, hidden.T, out=grad_w1)
+        np.add.reduce(g, axis=1, out=grad_b1)
+    else:
+        grad_w1[order] = g @ hidden.T
+        grad_b1[order] = np.add.reduce(g, axis=1)
+    g = w1.T @ g
+    g *= pre > 0  # g is this function's own product
+    np.matmul(g, x.T, out=grad_w0)
+    np.add.reduce(g, axis=1, out=grad_b0)
+    return (w0.T @ g if input_grad else None), out
 
 
 @dataclass

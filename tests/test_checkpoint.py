@@ -110,7 +110,10 @@ def test_rejects_invalid_json():
     (b'{"format_version": 1}', "unsupported checkpoint format version 1 (this build reads version 2)"),
     (b'{"format_version": 2.0}', "corrupt checkpoint: checkpoint.format_version has the wrong type float"),
     (b'{"format_version": "2"}', "corrupt checkpoint: checkpoint.format_version has the wrong type str"),
-], ids=["missing-schema", "not-json", "not-utf8", "version-1", "version-float", "version-str"])
+    (b'{"format_version": 2, "schema": {"columns": [{"name": "c", "kind": "discrete", "levels": ["x", "x"]}]}}',
+     "corrupt checkpoint: schema: column 'c': duplicate level labels"),
+], ids=["missing-schema", "not-json", "not-utf8", "version-1", "version-float", "version-str",
+        "schema-duplicate-levels"])
 def test_load_checkpoint_errors_start_with_the_path(tmp_path, content, message):
     path = tmp_path / "model.json"
     path.write_bytes(content)
@@ -187,6 +190,16 @@ def test_unknown_activation_rejected(small_checkpoint):
             doc[net]["activations"] = activations
             with pytest.raises(ValueError, match=rf"^corrupt checkpoint: {net}\.activations must be \['relu', 'identity'\]$"):
                 checkpoint_from_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("net", ["encoder", "decoder"])
+def test_rejects_a_third_layer(small_checkpoint, net):
+    # a square layer after the output chains, and the activations stay valid
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    width = len(doc[net]["layers"][-1]["bias"])
+    doc[net]["layers"].append({"weight": np.eye(width).tolist(), "bias": [0.0] * width})
+    with pytest.raises(ValueError, match=rf"^corrupt checkpoint: {net} shape does not match schema/config$"):
+        checkpoint_from_text(json.dumps(doc))
 
 
 def test_rejects_hidden_width_off_config(small_checkpoint):

@@ -420,6 +420,15 @@ def test_evaluate_refuses_a_column_named_twice_among_known_and_secret(workspace,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--known-columns", "--secret-columns"])
+def test_evaluate_refuses_an_empty_column_list(workspace, capsys, flag):
+    # an empty list is a list of one empty name, not the default
+    out = workspace / "never_empty.json"
+    assert cli.main(evaluate_argv(workspace, flag, "", "--out", out)) == 1
+    assert capsys.readouterr().err == "error: no column named ''\n"
+    assert not out.exists()
+
+
 def test_evaluate_writes_full_report(workspace, trained):
     synth = workspace / "s1.csv"
     if not synth.exists():

@@ -89,8 +89,17 @@ def _load_empty_csv(tmp_path):
     (lambda tmp: _load_bytes(load_csv, tmp / "t.csv", b"age,score,color\n1.0,2.0,red\n"
                              + b"1" * 2**17 + b"1,2.0,red\n", small_schema()),
      r"t\.csv: field larger than field limit \(131072\) at line 3$"),
+    (lambda tmp: _load_schema_text(tmp, '{"columns": [{"name": "c", "kind": "discrete", "levels": ["x", "x"]}]}'),
+     r"s\.json: column 'c': duplicate level labels$"),
+    (lambda tmp: _load_schema_text(tmp, '{"columns": [{"name": "c", "kind": "text"}]}'),
+     r"s\.json: column 'c': unknown kind 'text'$"),
+    (lambda tmp: _load_schema_text(tmp, '{"columns": [{"name": "c", "kind": "continuous"}, '
+                                        '{"name": "c", "kind": "ordinal"}]}'),
+     r"s\.json: duplicate column names in schema$"),
+    (lambda tmp: _load_schema_text(tmp, '{"columns": []}'), r"s\.json: schema has no columns$"),
 ], ids=["duplicate-levels", "no-columns", "non-dict-schema", "empty-csv", "schema-not-utf8",
-        "csv-not-utf8", "csv-cell-too-long"])
+        "csv-not-utf8", "csv-cell-too-long", "schema-file-duplicate-levels", "schema-file-unknown-kind",
+        "schema-file-duplicate-names", "schema-file-no-columns"])
 def test_data_input_checks_name_the_fault(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)

@@ -690,12 +690,17 @@ ONE_COLUMN = num_table([1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize(("call", "message"), [
-    (lambda: dcr(MIXED, ONE_COLUMN), r"^dcr needs tables with equal schemas$"),
-    (lambda: mlu(None, MIXED, ONE_COLUMN, "y", "c"), r"^mlu needs tables with equal schemas$"),
+    (lambda: correlation_distance(MIXED, ONE_COLUMN),
+     r"^correlation_distance: real's column 2 is 'y' \(continuous\), synth has no column$"),
+    (lambda: dcr(MIXED, ONE_COLUMN), r"^dcr: real's column 2 is 'y' \(continuous\), synth has no column$"),
+    (lambda: mlu(None, MIXED, ONE_COLUMN, "y", "c"),
+     r"^mlu: real_test's column 2 is 'y' \(continuous\), synth has no column$"),
     (lambda: attribute_disclosure(MIXED, ONE_COLUMN, ["x"], ["c"]),
-     r"^attribute_disclosure needs tables with equal schemas$"),
-    (lambda: build_report(MIXED, MIXED, ONE_COLUMN, "y", "c"), r"^the three tables must share one schema$"),
-    (lambda: build_report(MIXED, ONE_COLUMN, MIXED, "y", "c"), r"^the three tables must share one schema$"),
+     r"^attribute_disclosure: real's column 2 is 'y' \(continuous\), synth has no column$"),
+    (lambda: build_report(MIXED, MIXED, ONE_COLUMN, "y", "c"),
+     r"^build_report: real_train's column 2 is 'y' \(continuous\), synth has no column$"),
+    (lambda: build_report(MIXED, ONE_COLUMN, MIXED, "y", "c"),
+     r"^build_report: real_train's column 2 is 'y' \(continuous\), real_test has no column$"),
     (lambda: mlu(None, MIXED, MIXED, "c", "c"), r"^regression target 'c' must be numeric$"),
     (lambda: mlu(None, MIXED, MIXED, "y", "x"), r"^classification target 'x' must be discrete$"),
     (lambda: vrate([], [1.0], 0.5), r"^vrate needs non-empty samples$"),
@@ -712,10 +717,16 @@ ONE_COLUMN = num_table([1.0, 2.0, 3.0])
      r"^regression target 'c' must be numeric$"),
     (lambda: build_report(MIXED, MIXED, Table(MIXED_SCHEMA, MIXED.rows[:1]), "y", "c", known_columns=["nope"]),
      r"^dcr needs at least 2 rows per table$"),
-], ids=["dcr-schemas", "mlu-schemas", "attribute-schemas", "report-synth-schema", "report-test-schema",
+    (lambda: build_report(MIXED, MIXED, MIXED, "y", "c", known_columns=[]),
+     r"^need at least one known and one secret column$"),
+    (lambda: build_report(MIXED, MIXED, MIXED, "y", "c", secret_columns=[]),
+     r"^need at least one known and one secret column$"),
+], ids=["correlation-schemas", "dcr-schemas", "mlu-schemas", "attribute-schemas", "report-synth-schema",
+        "report-test-schema",
         "mlu-discrete-regression", "mlu-numeric-classification", "vrate-empty-test", "vrate-empty-synth",
         "mare-empty", "macro-f1-empty", "attribute-k0", "dcr-search-columns", "attribute-search-k",
-        "report-mlu-before-disclosure", "report-dcr-before-disclosure"])
+        "report-mlu-before-disclosure", "report-dcr-before-disclosure", "report-no-known-columns",
+        "report-no-secret-columns"])
 def test_metric_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -221,7 +221,7 @@ def test_init_glorot_bounds_and_zero_biases():
 
 
 def test_forward_rejects_wrong_width():
-    net = layer_views([4, 3], mlp_init([4, 3], np.random.default_rng(0)))
+    net = layer_views([4, 2, 3], mlp_init([4, 2, 3], np.random.default_rng(0)))
     with pytest.raises(ValueError, match="width"):
         mlp_forward(net, np.zeros((5, 1)))
 
@@ -231,8 +231,8 @@ def test_backward_matches_finite_differences():
     # the outputs, and the gradient stays in the layout of params
     for order in (None, [2, 0, 1]):
         rng = np.random.default_rng(3)
-        params = mlp_init([3, 5, 4, 3], rng)
-        net = layer_views([3, 5, 4, 3], params)
+        params = mlp_init([3, 5, 3], rng)
+        net = layer_views([3, 5, 3], params)
         x = rng.normal(size=(3, 4))
         direction = rng.normal(size=(3, 4))
 
