@@ -3,7 +3,9 @@
 Floats are written as repr(float), the shortest text that parses back to
 the same bits, so save -> load -> save reproduces the file exactly; older
 files with 17-digit floats load to the same values. Weight shapes are
-validated against the stored config on load.
+validated against the stored config on load. The file gives each numeric
+column's decoder outputs adjacent rows, which model.head_order takes to
+the order the model stores them in.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .data import ScalingStats, check_scaling_names, not_utf8, schema_from_doc
-from .model import Checkpoint, LossBreakdown, TrainConfig, net_sizes
+from .data import ScalingStats, check_scaling_names, not_utf8, require_str, schema_from_doc
+from .model import Checkpoint, LossBreakdown, TrainConfig, head_order, net_sizes
 from .nn import Mlp
 from .serialize import json_text
 
@@ -28,10 +30,12 @@ ACTIVATIONS = ["relu", "identity"]  # the fixed two-layer networks: relu after t
 _field_types = cache(get_type_hints)
 
 
-def _mlp_doc(net: Mlp) -> dict:
+def _mlp_doc(net: Mlp, rows=slice(None)) -> dict:
+    """The network's document, its output layer's rows taken in the order rows."""
+    (w0, b0), (w1, b1) = net
     return {
         "activations": ACTIVATIONS,
-        "layers": [{"weight": weight.tolist(), "bias": bias.tolist()} for weight, bias in net],
+        "layers": [{"weight": w.tolist(), "bias": b.tolist()} for w, b in [(w0, b0), (w1[rows], b1[rows])]],
     }
 
 
@@ -52,7 +56,7 @@ def checkpoint_to_text(cp: Checkpoint) -> str:
         },
         "config": _fields_doc(cp.config),
         "encoder": _mlp_doc(cp.encoder),
-        "decoder": _mlp_doc(cp.decoder),
+        "decoder": _mlp_doc(cp.decoder, np.argsort(head_order(cp.schema, cp.config.knot_count))),
         "quantiles": {
             "low": cp.quantile_lo.tolist(),
             "high": cp.quantile_hi.tolist(),
@@ -108,9 +112,10 @@ def _reject_constant(name):
     raise ValueError(f"corrupt checkpoint: non-finite number {name}")
 
 
-def _mlp_from_doc(doc, path, sizes) -> np.ndarray:
+def _mlp_from_doc(doc, path, sizes, rows=slice(None)) -> np.ndarray:
     """The network's flat parameters, as nn.layer_views reads them, each
-    weight checked against the shape that sizes gives it."""
+    weight checked against the shape that sizes gives it, and the output
+    layer's rows taken in the order rows."""
     if _require(doc, "activations", path, list) != ACTIVATIONS:
         raise ValueError(f"corrupt checkpoint: {path}.activations must be {ACTIVATIONS}")
     blocks = []
@@ -122,6 +127,7 @@ def _mlp_from_doc(doc, path, sizes) -> np.ndarray:
         blocks += [weight, bias]
     if [w.shape for w in blocks[::2]] != [(n_out, n_in) for n_in, n_out in zip(sizes[:-1], sizes[1:])]:
         raise ValueError(f"corrupt checkpoint: {path} shape does not match schema/config")
+    blocks[-2:] = [b[rows] for b in blocks[-2:]]
     return np.concatenate([b.ravel() for b in blocks])
 
 
@@ -139,8 +145,9 @@ def checkpoint_from_text(text: str) -> Checkpoint:
     schema = schema_from_doc(_require(doc, "schema", "checkpoint"), "corrupt checkpoint: schema")
 
     scaling_doc = _require(doc, "scaling", "checkpoint")
+    names = enumerate(_require(scaling_doc, "columns", "scaling", list))
     scaling = ScalingStats(
-        names=tuple(str(v) for v in _require(scaling_doc, "columns", "scaling", list)),
+        names=tuple(require_str(v, "corrupt checkpoint", f"scaling.columns[{i}]") for i, v in names),
         mean=_float_array(scaling_doc, "mean", "scaling", 1),
         stddev=_float_array(scaling_doc, "stddev", "scaling", 1),
     )
@@ -149,7 +156,8 @@ def checkpoint_from_text(text: str) -> Checkpoint:
     config = _fields_from_doc(TrainConfig, _require(doc, "config", "checkpoint"), "config")
     encoder_sizes, decoder_sizes = net_sizes(schema, config)
     encoder = _mlp_from_doc(_require(doc, "encoder", "checkpoint"), "encoder", encoder_sizes)
-    decoder = _mlp_from_doc(_require(doc, "decoder", "checkpoint"), "decoder", decoder_sizes)
+    decoder = _mlp_from_doc(_require(doc, "decoder", "checkpoint"), "decoder", decoder_sizes,
+                            head_order(schema, config.knot_count))
 
     quantiles = _require(doc, "quantiles", "checkpoint")
     bounds = [_float_array(quantiles, key, "quantiles", 1) for key in ("low", "high")]

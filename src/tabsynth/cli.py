@@ -2,15 +2,22 @@
 
 Exit codes: 0 on success, 1 on any runtime failure (bad data, corrupt
 checkpoint, numeric errors), 2 on usage errors (unknown flags, missing
-required arguments).
+required arguments). Each command runs numpy's OpenBLAS at one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import drop_percentile_outliers, load_csv, load_schema, save_csv, standardize
@@ -22,6 +29,27 @@ from .synthesis import ROUND_DECIMAL, ROUND_INTEGER, estimate_cdf, generate
 
 class UsageError(Exception):
     pass
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS at one thread, then restore
+    the caller's count. OpenBLAS splits a large matrix product over its
+    threads, which moves the last bits of its sums, so a command's bytes
+    would depend on the core count. A numpy without scipy-openblas's
+    thread functions runs as it is."""
+    lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols include those of the BLAS it links
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or put is None:
+        yield
+        return
+    count = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(count)
 
 
 def _enough_rows(table, path, minimum: int, after: str = ""):
@@ -74,7 +102,10 @@ def cmd_generate(args) -> int:
 def cmd_cdf(args) -> int:
     _check_out_dir(args.out)
     cp = load_checkpoint(args.model)
-    curve = estimate_cdf(cp, args.column, n_mc=args.mc)
+    try:
+        curve = estimate_cdf(cp, args.column, n_mc=args.mc)
+    except KeyError as err:  # --column names no column of the checkpoint's schema
+        raise ValueError(f"{args.model}: {err.args[0]}") from None
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,cdf\n")
         for x, v in zip(curve.grid, curve.values):
@@ -97,11 +128,14 @@ def cmd_evaluate(args) -> int:
         checkpoint = load_checkpoint(args.model)
         check_schema(checkpoint.schema, schema, args.model, "the checkpoint", args.schema)
         check_seed(args.seed)
-    doc = build_report(
-        real_train, real_test, synth,
-        reg_target=args.target_reg, cls_target=args.target_cls,
-        known_columns=known, secret_columns=secrets,
-    ).to_doc()
+    try:
+        doc = build_report(
+            real_train, real_test, synth,
+            reg_target=args.target_reg, cls_target=args.target_cls,
+            known_columns=known, secret_columns=secrets,
+        ).to_doc()
+    except KeyError as err:  # a column flag names no column of the schema
+        raise ValueError(f"{args.schema}: {err.args[0]}") from None
     if args.with_mia:
         mia = membership_inference(checkpoint, real_train, real_test, args.target_cls, seed=args.seed)
         doc["mia_accuracy"], doc["mia_auc"] = mia.accuracy, mia.auc
@@ -178,14 +212,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # any runtime failure maps to exit 1
-        # str() of a KeyError quotes its message as a repr; print it plain
-        message = err.args[0] if isinstance(err, KeyError) and err.args else err
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {err}", file=sys.stderr)
         return 1
 
 

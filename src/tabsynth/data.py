@@ -92,6 +92,13 @@ class Schema:
         raise KeyError(f"no column named {name!r}")
 
 
+def require_str(value, where, path) -> str:
+    """value, if it is a string; an error naming where and path otherwise."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: {path} must be a string")
+    return value
+
+
 def schema_from_doc(doc, where) -> Schema:
     """Build a schema from its JSON form {"columns": [{"name", "kind", "levels"}...]}.
 
@@ -106,8 +113,10 @@ def schema_from_doc(doc, where) -> Schema:
         levels = entry.get("levels")
         if levels is not None and not isinstance(levels, list):
             raise ValueError(f"{where}: columns[{i}].levels must be a list of labels")
-        levels = None if levels is None else tuple(str(v) for v in levels)
-        specs.append((str(entry["name"]), str(entry["kind"]), levels))
+        name, kind = (require_str(entry[key], where, f"columns[{i}].{key}") for key in ("name", "kind"))
+        if levels is not None:
+            levels = tuple(require_str(v, where, f"columns[{i}].levels[{j}]") for j, v in enumerate(levels))
+        specs.append((name, kind, levels))
     try:
         return Schema(columns=tuple(ColumnSpec(*spec) for spec in specs))
     except ValueError as err:  # a column's kind or levels, or the column names

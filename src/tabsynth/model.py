@@ -13,13 +13,14 @@ with one reparameterized latent sample per row. elbo_grads gives a batch's
 loss and its exact, hand-derived gradient; tests check it by finite differences.
 
 Tables are row-major, (rows, columns); the networks run feature-major,
-(features, rows), as nn does. The decoder's last layer is read through one
-fixed permutation of its outputs, head_order: every numeric column's gamma,
-then segment m's raw slope of every numeric column for m = 0..M-1, then the
-logits. Its output then holds the knot-major (M, P * rows) slopes of the
-spline head as one contiguous block, spline p * rows + r for numeric column
-p and row r, and the head's gradient goes back into it by a reshape. The
-parameters keep the layout of the checkpoint.
+(features, rows), as nn does. The decoder's last layer is stored in the
+order its heads read it: every numeric column's gamma, then segment m's raw
+slope of every numeric column for m = 0..M-1, then the logits. Its output
+then holds the knot-major (M, P * rows) slopes of the spline head as one
+contiguous block, spline p * rows + r for numeric column p and row r, and
+the head's gradient goes back into it by a reshape. The checkpoint file
+keeps each numeric column's outputs adjacent; head_order maps one order to
+the other.
 """
 
 from __future__ import annotations
@@ -121,10 +122,6 @@ class VaeModel:
     def decoder(self) -> Mlp:
         return layer_views(net_sizes(self.schema, self.config)[1], self.params[self.encoder_size :])
 
-    @cached_property
-    def head_order(self) -> np.ndarray:
-        return head_order(self.schema, self.config.knot_count)
-
 
 @dataclass(frozen=True)
 class Checkpoint(VaeModel):
@@ -148,20 +145,20 @@ def decoder_width(schema: Schema, knot_count: int) -> int:
 
 
 def head_order(schema: Schema, knot_count: int) -> np.ndarray:
-    """The order in which the decoder's outputs are read, as indices into the
-    stored last layer, which gives each numeric column M+1 adjacent outputs
-    (gamma, then its M raw slopes) and then the logits: the P gammas, then
-    segment m's slope of every numeric column for m = 0..M-1, then the
-    logits in place."""
+    """The decoder's outputs in the order its heads read them, as indices
+    into the checkpoint file's order, which gives each numeric column M+1
+    adjacent outputs (gamma, then its M raw slopes) and then the logits: the
+    P gammas, then segment m's slope of every numeric column for
+    m = 0..M-1, then the logits in place."""
     p, m = len(schema.numeric_indices), knot_count
     numeric = np.arange(p * (m + 1)).reshape(p, m + 1)
     return np.concatenate([numeric.T.ravel(), np.arange(p * (m + 1), decoder_width(schema, m))])
 
 
 def decoder_heads(schema: Schema, knot_count: int, dec_out: np.ndarray):
-    """Views, not copies, of feature-major decoder outputs (decoder_width, n)
-    read in head_order: gamma (P, n) and raw segment slopes (M, P, n) for the
-    P numeric columns, then one (t, n) logit block per discrete column."""
+    """Views, not copies, of feature-major decoder outputs (decoder_width, n):
+    gamma (P, n) and raw segment slopes (M, P, n) for the P numeric columns,
+    then one (t, n) logit block per discrete column."""
     p, m = len(schema.numeric_indices), knot_count
     pos = p * (m + 1)
     logits = []
@@ -182,14 +179,16 @@ def model_init(schema: Schema, config: TrainConfig, rng: np.random.Generator) ->
     """Glorot-uniform weights and zero biases, the encoder's drawn first. The
     decoder is drawn with the M+2 outputs per numeric column p it had before
     checkpoint format 2, then the last layer's row p*(M+2) + M+1 is dropped,
-    so every seed keeps its weights."""
+    so every seed keeps its weights, and the rest are taken in head_order."""
     encoder_sizes, (d, h, width) = net_sizes(schema, config)
     encoder = mlp_init(encoder_sizes, rng)
     p, m = len(schema.numeric_indices), config.knot_count
     sizes = (d, h, width + p)
     (w1, b1), (w2, b2) = layer_views(sizes, mlp_init(sizes, rng))
     dead = np.arange(p) * (m + 2) + m + 1
-    params = np.concatenate([encoder, w1.ravel(), b1, np.delete(w2, dead, axis=0).ravel(), np.delete(b2, dead)])
+    order = head_order(schema, m)
+    params = np.concatenate([encoder, w1.ravel(), b1, np.delete(w2, dead, axis=0)[order].ravel(),
+                             np.delete(b2, dead)[order]])
     return VaeModel(schema=schema, config=config, params=params)
 
 
@@ -220,7 +219,7 @@ def elbo_grads(model: VaeModel, rows: np.ndarray, noise: np.ndarray):
     mu, log_var, enc_cache = encode_batch(model, rows)
     eps = np.ascontiguousarray(noise.T)
     sigma = np.exp(log_var / 2.0)
-    dec_out, dec_cache = mlp_forward(model.decoder, mu + sigma * eps, model.head_order)
+    dec_out, dec_cache = mlp_forward(model.decoder, mu + sigma * eps)
     gamma, raw, logits = decoder_heads(schema, model.config.knot_count, dec_out)
 
     m, p = raw.shape[:2]

@@ -4,7 +4,9 @@ Float64 throughout. A network is one fully connected hidden layer with a
 relu, then a linear output layer. All its parameters live in one flat
 vector: each layer's (n_out, n_in) weight row-major, then its bias, the
 hidden layer first. The layers are views into that vector, so updating the
-vector updates the network. Forward returns a cache that backward consumes to
+vector updates the network. The output comes in the order of the output
+layer's rows, so a caller that reads it in another order stores the layer
+in that order. Forward returns a cache that backward consumes to
 produce the exact parameter gradient, a flat vector with the same layout;
 given out=, numpy's idiom, backward writes it into a caller's vector
 instead, such as one network's slice of a model's gradient. Adam is the
@@ -102,44 +104,35 @@ def mlp_init(sizes, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def mlp_forward(net: Mlp, x: np.ndarray, order=None):
+def mlp_forward(net: Mlp, x: np.ndarray):
     """Run the network on a feature-major (n_in, rows) input; the output is
     (n_out, rows).
 
-    order, if given, permutes the output features: output row i is the
-    output layer's output order[i]. That layer's weight and bias rows are
-    read in that order, so the output comes out permuted at the cost of a
-    copy of that layer, not of the output.
-
-    Returns (output, cache); the cache holds the input, the hidden layer's
-    pre-activation and output, the output layer's weight as read and order,
-    which mlp_backward needs.
+    Returns (output, cache); the cache holds the input and the hidden
+    layer's pre-activation and output, which mlp_backward needs.
     """
     (w0, b0), (w1, b1) = net
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != w0.shape[1]:
         raise ValueError(f"input shape {x.shape} does not match network width ({w0.shape[1]})")
-    if order is not None:
-        w1, b1 = w1[order], b1[order]
     pre = w0 @ x
     pre += b0[:, None]
     hidden = np.maximum(pre, 0.0)
     out = w1 @ hidden
     out += b1[:, None]
-    return out, (x, pre, hidden, w1, order)
+    return out, (x, pre, hidden)
 
 
 def mlp_backward(net: Mlp, cache, grad_out: np.ndarray, input_grad: bool = True, out=None):
-    """Backpropagate grad_out (same shape as the forward output, permuted
-    by the same order).
+    """Backpropagate grad_out (same shape as the forward output).
 
     Returns (grad_input, grad): grad_input (n_in, rows), None if not input_grad;
-    grad one flat vector laid out as layer_views reads it, whatever the order.
-    out, if given, is a float64 vector of the network's parameter count
-    that grad is written into and returned as.
+    grad one flat vector laid out as layer_views reads it. out, if given, is
+    a float64 vector of the network's parameter count that grad is written
+    into and returned as.
     """
-    x, pre, hidden, w1, order = cache
-    w0 = net[0][0]
+    x, pre, hidden = cache
+    (w0, _), (w1, _) = net
     g = np.asarray(grad_out, dtype=np.float64)
     size = sum(w.size + b.size for w, b in net)
     if out is None:
@@ -147,12 +140,8 @@ def mlp_backward(net: Mlp, cache, grad_out: np.ndarray, input_grad: bool = True,
     elif out.shape != (size,):
         raise ValueError(f"out must have shape {(size,)} to hold the gradient, got {out.shape}")
     (grad_w0, grad_b0), (grad_w1, grad_b1) = layer_views((w0.shape[1], w0.shape[0], w1.shape[0]), out)
-    if order is None:
-        np.matmul(g, hidden.T, out=grad_w1)
-        np.add.reduce(g, axis=1, out=grad_b1)
-    else:
-        grad_w1[order] = g @ hidden.T
-        grad_b1[order] = np.add.reduce(g, axis=1)
+    np.matmul(g, hidden.T, out=grad_w1)
+    np.add.reduce(g, axis=1, out=grad_b1)
     g = w1.T @ g
     g *= pre > 0  # g is this function's own product
     np.matmul(g, x.T, out=grad_w0)

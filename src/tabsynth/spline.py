@@ -31,10 +31,10 @@ layout bit for bit. The loss adds its M segment terms left to right from
 +0.0, as numpy sums over axis 0.
 
 A training step's batch of n rows and P numeric columns is N = P * n
-splines, spline p * n + r for row r and column p. The feature-major decoder
-(model.head_order) emits the slopes as this (M, N) block and gamma as N
-entries in the same order, so neither they nor their gradients are
-transposed on the way in or out."""
+splines, spline p * n + r for row r and column p. The decoder's last layer
+is stored in the order its heads read it, so it emits the slopes as this
+(M, N) block and gamma as N entries in the same order, and neither they nor
+their gradients are transposed on the way in or out."""
 
 from __future__ import annotations
 

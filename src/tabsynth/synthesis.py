@@ -103,7 +103,7 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(page,)))
             latent = rng.standard_normal((PAGE_ROWS, cp.config.latent_dim))
             u = rng.random((PAGE_ROWS, len(numeric)))[:count]
-            dec_out, _ = mlp_forward(cp.decoder, latent.T, cp.head_order)
+            dec_out, _ = mlp_forward(cp.decoder, latent.T)
             gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:, :count])
             # the part of each segment below u: clip(u - d_m, 0, d_{m+1} - d_m)
             hinge = buffer[:, :, :count]
@@ -171,7 +171,7 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
         raise ValueError(f"column {column!r} is discrete; its CDF is not spline-based")
     k = schema.numeric_indices.index(j)
     z = sample_prior(n_mc, cp.config.latent_dim, seed)
-    dec_out, _ = mlp_forward(cp.decoder, z.T, cp.head_order)
+    dec_out, _ = mlp_forward(cp.decoder, z.T)
     gamma, raw, _ = decoder_heads(schema, cp.config.knot_count, dec_out)
     s = sp.slopes_to_b(raw[:, k])
     values = sp.knot_values(gamma[k], s, cp.knots)

@@ -6,24 +6,27 @@
 - references for a claim src documents, each naming the claim in its
   docstring; the fast code must match them bit for bit, or, where it
   changed the order of the arithmetic, to a tolerance its test states;
-- builders of pinned inputs: random_spline and overflowed_discrete_logits.
+- builders of pinned inputs: random_spline, overflowed_discrete_logits and
+  load_bench_inputs.
 
 A copy of code src no longer has does not belong here; test_helpers.py
 names any public helper that no test module imports."""
 
 import csv
 import decimal
+import importlib.util
 import warnings
 from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 
 from tabsynth import gumbel_max, round_ordinal
 from tabsynth.data import KIND_DISCRETE, KIND_ORDINAL, Table, _first_rejected, one_hot_matrix
 from tabsynth import spline as sp
-from tabsynth.model import LossBreakdown, decoder_heads, decoder_width
-from tabsynth.nn import mlp_forward, softmax
+from tabsynth.model import LossBreakdown, decoder_heads, decoder_width, head_order, net_sizes
+from tabsynth.nn import layer_views, mlp_forward, softmax
 from tabsynth.synthesis import PAGE_ROWS
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -385,6 +388,15 @@ def expression_crps_loss_batch(gamma, s, knots, x, slope_grads=_k_form_slope_gra
     return loss, d_gamma, d_s
 
 
+def load_bench_inputs():
+    """bench/inputs.py, which builds the benchmark's tables."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def overflowed_discrete_logits(cp):
     """A copy of cp whose first discrete column's first two logits overflow:
     their decoder bias is 1.79e308 and their weight rows 1e306, so wherever
@@ -405,7 +417,7 @@ def per_point_estimate_cdf(cp, column, grid=None, n_mc=5000, seed=0):
     schema = cp.schema
     k = schema.numeric_indices.index(schema.index(column))
     z = np.random.default_rng(seed).standard_normal((n_mc, cp.config.latent_dim))
-    dec_out, _ = mlp_forward(cp.decoder, z.T, cp.head_order)
+    dec_out, _ = mlp_forward(cp.decoder, z.T)
     gamma, raw, _ = decoder_heads(schema, cp.config.knot_count, dec_out)
     gamma, b, knots = gamma[k], sp.slopes_to_b(raw[:, k].T), cp.knots.d
     if grid is None:
@@ -441,7 +453,7 @@ def one_shot_generate(cp, n, seed, ordinal_rounding="integer"):
     rows = np.zeros((n, len(schema.columns)))
     if n > 0:
         z, u, *noise = _page_draws(cp, n, seed)
-        dec_out, _ = mlp_forward(cp.decoder, z.T, cp.head_order)
+        dec_out, _ = mlp_forward(cp.decoder, z.T)
         gamma, raw, logits = decoder_heads(schema, cp.config.knot_count, dec_out[:, :n])
         knots = cp.knots.d
         for k, col in enumerate(schema.numeric_indices):
@@ -525,6 +537,15 @@ def whole_file_save_csv(table, path):
         writer.writerows(zip(*columns))
 
 
+def file_order_decoder(model):
+    """model's decoder with its output layer's rows in the checkpoint file's
+    order: each numeric column's gamma and M raw slopes adjacent, then the
+    logits. model.decoder holds that layer in head_order."""
+    (w0, b0), (w1, b1) = model.decoder
+    rows = np.argsort(head_order(model.schema, model.config.knot_count))
+    return [(w0, b0), (w1[rows], b1[rows])]
+
+
 def _row_major_forward(net, x):
     inputs, pres = [], []
     for i, (weight, bias) in enumerate(net):
@@ -548,8 +569,9 @@ def _row_major_backward(net, cache, g):
 
 def row_major_elbo_grads(model, rows, noise):
     """The training step with row-major (rows, features) activations, the
-    decoder's outputs in their stored order and the spline head transposed
-    to knot-major and back, spline r * P + p. Guards the feature-major
+    decoder's outputs in the checkpoint file's order (its gradient taken
+    back to head_order at the end) and the spline head transposed to
+    knot-major and back, spline r * P + p. Guards the feature-major
     elbo_grads, which computes the same loss and gradient with its sums and
     products in another order, so only their last bits may differ."""
     schema, knots, beta = model.schema, model.knots, model.config.beta
@@ -557,7 +579,7 @@ def row_major_elbo_grads(model, rows, noise):
     enc_out, enc_cache = _row_major_forward(model.encoder, one_hot_matrix(schema, rows))
     mu, log_var = enc_out[:, :d], enc_out[:, d:]
     sigma = np.exp(log_var / 2.0)
-    dec_out, dec_cache = _row_major_forward(model.decoder, mu + sigma * noise)
+    dec_out, dec_cache = _row_major_forward(file_order_decoder(model), mu + sigma * noise)
     p = len(schema.numeric_indices)
     numeric = dec_out[:, : p * (m + 1)].reshape(n, p, m + 1)
     raw_km = numeric[:, :, 1:].transpose(2, 0, 1).reshape(m, -1)
@@ -588,7 +610,10 @@ def row_major_elbo_grads(model, rows, noise):
     kl = float((0.5 * (mu * mu + var - log_var - 1.0).sum(axis=1)).sum() / n)
     breakdown = LossBreakdown(crps=crps_sum / n, discrete=ce_sum / n, kl=kl,
                               total=crps_sum / n + ce_sum / n + beta * kl)
-    dz, dec_grad = _row_major_backward(model.decoder, dec_cache, d_dec)
+    dz, dec_grad = _row_major_backward(file_order_decoder(model), dec_cache, d_dec)
+    order = head_order(schema, m)
+    (gw0, gb0), (gw1, gb1) = layer_views(net_sizes(schema, model.config)[1], dec_grad)
+    dec_grad = np.concatenate([gw0.ravel(), gb0, gw1[order].ravel(), gb1[order]])
     d_enc = np.concatenate([dz + beta * mu / n, dz * 0.5 * sigma * noise + beta * 0.5 * (var - 1.0) / n], axis=1)
     _, enc_grad = _row_major_backward(model.encoder, enc_cache, d_enc)
     return breakdown, np.concatenate([enc_grad, dec_grad])

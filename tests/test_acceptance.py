@@ -126,7 +126,7 @@ def test_04_decoder_outputs_are_valid_distributions(default_run):
 
     def check_batch(model, z):
         nonlocal checked, monotone_ok, simplex_ok
-        out, _ = mlp_forward(model.decoder, z.T, model.head_order)
+        out, _ = mlp_forward(model.decoder, z.T)
         gamma, raw, logit_blocks = decoder_heads(schema, model.config.knot_count, out)
         for k in range(gamma.shape[0]):
             kv = knot_values(gamma[k], slopes_to_b(raw[:, k]), model.knots)

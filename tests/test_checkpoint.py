@@ -182,6 +182,22 @@ def test_rejects_wrong_typed_schema_levels(small_checkpoint):
         checkpoint_from_text(json.dumps(doc))
 
 
+@pytest.mark.parametrize("value", [None, 3, True])
+@pytest.mark.parametrize(("keys", "message"), [
+    (("schema", "columns", 0, "name"), r"schema: columns\[0\]\.name must be a string"),
+    (("schema", "columns", 1, "levels", 1), r"schema: columns\[1\]\.levels\[1\] must be a string"),
+    (("scaling", "columns", 0), r"scaling\.columns\[0\] must be a string"),
+])
+def test_rejects_a_non_string_column_name_or_level(small_checkpoint, keys, message, value):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    with pytest.raises(ValueError, match=rf"^corrupt checkpoint: {message}$"):
+        checkpoint_from_text(json.dumps(doc))
+
+
 def test_unknown_activation_rejected(small_checkpoint):
     # every network is relu after the hidden layer and linear after the output
     for net in ("encoder", "decoder"):

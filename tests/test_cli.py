@@ -1,13 +1,15 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from helpers import overflowed_discrete_logits
+from helpers import load_bench_inputs, overflowed_discrete_logits
 from tabsynth import (
     ColumnSpec,
     Schema,
@@ -19,6 +21,7 @@ from tabsynth import (
     load_csv,
     load_schema,
     save_checkpoint,
+    save_csv,
     standardize,
 )
 
@@ -154,6 +157,38 @@ def test_train_invalid_schema_json_names_the_file(workspace):
     )
     assert result.returncode == 1
     assert result.stderr.startswith(f"error: {bad}: schema is not valid JSON")
+
+
+@pytest.mark.parametrize("value", [None, 3, True])
+def test_train_refuses_a_non_string_level_naming_the_file(workspace, capsys, value):
+    bad = workspace / "non_string_level.json"
+    bad.write_text(json.dumps({"columns": SCHEMA_DOC["columns"][:2] + [
+        {"name": "c", "kind": "discrete", "levels": ["a", value]}]}), encoding="utf-8")
+    out = workspace / "never_level.json"
+    argv = ["train", "--data", workspace / "train.csv", "--schema", bad, "--seed", 1, "--out", out]
+    assert cli.main(list(map(str, argv))) == 1
+    assert capsys.readouterr().err == f"error: {bad}: columns[2].levels[1] must be a string\n"
+    assert not out.exists()
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 2 threads OpenBLAS splits the wide table's products, which moves the
+    # last bits of the sums unless the command pins one thread
+    table = load_bench_inputs().make_wide_table(1, n=10_000)
+    data, schema = tmp_path / "wide.csv", tmp_path / "wide.json"
+    save_csv(table, data)
+    schema.write_text(json.dumps({"columns": [asdict(c) for c in table.schema.columns]}), encoding="utf-8")
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"model_{threads}.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "tabsynth.cli", "train", "--data", str(data), "--schema", str(schema),
+             "--seed", "1", "--epochs", "2", "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert result.returncode == 0, result.stderr
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_generate_deterministic_bytes(workspace, trained):
@@ -396,7 +431,7 @@ def test_cdf_rejects_discrete_column(workspace, trained):
 def test_cdf_unknown_column_names_it_without_repr_quotes(workspace, trained):
     result = run_cli("cdf", "--model", trained, "--column", "zz", "--out", workspace / "no.csv")
     assert result.returncode == 1
-    assert result.stderr == "error: no column named 'zz'\n"
+    assert result.stderr == f"error: {trained}: no column named 'zz'\n"
 
 
 @pytest.mark.parametrize("flag", ["--target-reg", "--target-cls", "--known-columns", "--secret-columns"])
@@ -408,7 +443,7 @@ def test_evaluate_unknown_column_names_it_without_repr_quotes(workspace, flag):
         "--out", workspace / "never.json", *[v for item in flags.items() for v in item],
     )
     assert result.returncode == 1
-    assert result.stderr == "error: no column named 'zz'\n"
+    assert result.stderr == f"error: {workspace / 'schema.json'}: no column named 'zz'\n"
 
 
 @pytest.mark.parametrize("known, secrets, name", [("c", "c", "c"), ("x,c", "c", "c"), ("x,x", "c", "x")])
@@ -425,7 +460,7 @@ def test_evaluate_refuses_an_empty_column_list(workspace, capsys, flag):
     # an empty list is a list of one empty name, not the default
     out = workspace / "never_empty.json"
     assert cli.main(evaluate_argv(workspace, flag, "", "--out", out)) == 1
-    assert capsys.readouterr().err == "error: no column named ''\n"
+    assert capsys.readouterr().err == f"error: {workspace / 'schema.json'}: no column named ''\n"
     assert not out.exists()
 
 

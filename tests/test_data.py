@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -120,6 +121,21 @@ def test_load_schema_rejects_unknown_kind(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"columns": [{"name": "x", "kind": "float"}]}))
     with pytest.raises(ValueError, match="kind"):
+        load_schema(path)
+
+
+@pytest.mark.parametrize("value", [None, 3, True])
+@pytest.mark.parametrize("field", ["name", "kind", "levels[0]"])
+def test_load_schema_refuses_a_non_string_name_kind_or_level(tmp_path, field, value):
+    # str() would read null as a column named 'None', and true as a level 'True'
+    column = {"name": "c", "kind": "discrete", "levels": ["a", "b"]}
+    if field == "levels[0]":
+        column["levels"][0] = value
+    else:
+        column[field] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"columns": [{"name": "x", "kind": "continuous"}, column]}))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: columns\[1\]\.{re.escape(field)} must be a string$"):
         load_schema(path)
 
 

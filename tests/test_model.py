@@ -1,16 +1,16 @@
-import importlib.util
+import json
 import math
 import tracemalloc
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_toy_table, toy_schema
-from helpers import crps_grads_exact, grad_rel_err, row_major_elbo_grads
+from helpers import crps_grads_exact, file_order_decoder, grad_rel_err, load_bench_inputs, row_major_elbo_grads
 from tabsynth import (
+    Checkpoint,
     ColumnSpec,
     Schema,
     Table,
@@ -21,6 +21,7 @@ from tabsynth import (
     standardize,
     train,
 )
+from tabsynth.data import ScalingStats
 from tabsynth.model import decoder_heads, decoder_width, encode_batch, head_order
 from tabsynth.nn import adam_init, adam_step, layer_views, mlp_backward, mlp_forward, mlp_init, softmax
 from tabsynth import spline
@@ -107,18 +108,53 @@ def test_params_hold_encoder_then_decoder_as_views():
     assert all(np.shares_memory(a, model.params) for a in blocks)
 
 
-def test_model_init_draws_m_plus_2_outputs_per_numeric_column_and_drops_the_last():
-    # the decoder is drawn with M+2 outputs per numeric column and the last
-    # one dropped: rows 4 and 9 of 13 at M = 3; every other weight is kept
-    config = TrainConfig(seed=4, knot_count=3, latent_dim=4, hidden_width=17)
-    model = model_init(MIX_SCHEMA, config, np.random.default_rng(4))
+def file_layers(model):
+    """The decoder's layers as a checkpoint file of model holds them."""
+    p = len(model.schema.numeric_indices)
+    names = tuple(model.schema.columns[i].name for i in model.schema.numeric_indices)
+    cp = Checkpoint(schema=model.schema, config=model.config, params=model.params,
+                    scaling=ScalingStats(names, np.zeros(p), np.ones(p)),
+                    quantile_lo=np.zeros(p), quantile_hi=np.zeros(p), loss_trace=[])
+    layers = json.loads(checkpoint_to_text(cp))["decoder"]["layers"]
+    return [(np.array(layer["weight"]), np.array(layer["bias"])) for layer in layers]
+
+
+def init_draw_without_dead_rows():
+    """MIX_SCHEMA's decoder at M = 3 as drawn with M+2 outputs per numeric
+    column, the last of each (rows 4 and 9 of 13) dropped, in file order."""
     rng = np.random.default_rng(4)
     mlp_init((5, 17, 8), rng)  # the encoder is drawn first
     (w1, b1), (w2, b2) = layer_views((4, 17, 13), mlp_init((4, 17, 13), rng))
-    want = [w1, b1, np.delete(w2, [4, 9], axis=0), np.delete(b2, [4, 9])]
+    return [w1, b1, np.delete(w2, [4, 9], axis=0), np.delete(b2, [4, 9])]
+
+
+def test_model_init_draws_m_plus_2_outputs_per_numeric_column_and_drops_the_last():
+    # every other weight is kept, the last layer's rows stored in head_order
+    config = TrainConfig(seed=4, knot_count=3, latent_dim=4, hidden_width=17)
+    model = model_init(MIX_SCHEMA, config, np.random.default_rng(4))
+    w1, b1, w2, b2 = init_draw_without_dead_rows()
+    order = head_order(MIX_SCHEMA, 3)
+    want = [w1, b1, w2[order], b2[order]]
     got = [a for layer in model.decoder for a in layer]
     assert [a.shape for a in got] == [a.shape for a in want]
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_model_init_decoder_written_back_in_file_order_is_the_draw():
+    config = TrainConfig(seed=4, knot_count=3, latent_dim=4, hidden_width=17)
+    model = model_init(MIX_SCHEMA, config, np.random.default_rng(4))
+    got = [a for layer in file_layers(model) for a in layer]
+    want = init_draw_without_dead_rows()
+    assert [a.shape for a in got] == [a.shape for a in want]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_decoder_output_is_the_file_order_layer_read_through_head_order():
+    model = random_model(seed=5, knot_count=4)
+    z = np.random.default_rng(6).standard_normal((2, 9))
+    out, _ = mlp_forward(model.decoder, z)
+    file_out, _ = mlp_forward(file_layers(model), z)
+    assert np.allclose(out, file_out[head_order(MIX_SCHEMA, 4)], rtol=1e-14, atol=0.0)
 
 
 def test_encode_zero_weights_is_standard_normal():
@@ -136,7 +172,7 @@ def test_encode_rejects_wrong_width():
 
 def test_decode_zero_weights_gives_uniform_probabilities():
     model = zeroed(random_model())
-    out, _ = mlp_forward(model.decoder, np.zeros((2, 1)), model.head_order)
+    out, _ = mlp_forward(model.decoder, np.zeros((2, 1)))
     _, _, logits = decoder_heads(model.schema, model.config.knot_count, out)
     assert np.allclose(softmax(logits[0])[:, 0], np.full(3, 1.0 / 3.0))
 
@@ -144,7 +180,7 @@ def test_decode_zero_weights_gives_uniform_probabilities():
 def test_decode_outputs_valid_heads():
     model = random_model(seed=3)
     rng = np.random.default_rng(4)
-    out, _ = mlp_forward(model.decoder, rng.standard_normal((2, 100)), model.head_order)
+    out, _ = mlp_forward(model.decoder, rng.standard_normal((2, 100)))
     gamma, raw, logits = decoder_heads(model.schema, model.config.knot_count, out)
     assert gamma.shape[0] == 2 and len(logits) == 1
     for k in range(gamma.shape[0]):
@@ -255,13 +291,13 @@ def test_elbo_grads_match_the_row_major_reference(schema, latent_dim, n):
 
 
 def test_backward_into_out_matches_the_allocating_call_bit_for_bit():
-    # the encoder without its input gradient, and the decoder read in
-    # head_order, each into its slice of one gradient vector
+    # the encoder without its input gradient, and the decoder, each into its
+    # slice of one gradient vector
     rng = np.random.default_rng(21)
     model = random_model(seed=21)
     rows = random_rows(MIX_SCHEMA, rng, 37)
     mu, log_var, enc_cache = encode_batch(model, rows)
-    dec_out, dec_cache = mlp_forward(model.decoder, mu, model.head_order)
+    dec_out, dec_cache = mlp_forward(model.decoder, mu)
     d_dec = rng.normal(size=dec_out.shape)
     d_enc = rng.normal(size=(2 * mu.shape[0], 37))
     grad = np.full(model.params.size, np.nan)
@@ -276,15 +312,6 @@ def test_backward_into_out_matches_the_allocating_call_bit_for_bit():
     assert grad.tobytes() == np.concatenate([enc_grad, dec_grad]).tobytes()
     with pytest.raises(ValueError, match=rf"^out must have shape \({split},\) to hold the gradient, got \({split + 1},\)$"):
         mlp_backward(model.encoder, enc_cache, d_enc, input_grad=False, out=grad[: split + 1])
-
-
-def load_bench_inputs():
-    """bench/inputs.py, which builds the benchmark's tables."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_elbo_grads_peak_memory_at_the_wide_benchmark_shape():
@@ -325,7 +352,7 @@ def test_200_toy_steps_stay_within_1e_12_of_the_row_major_reference():
 
 def test_elbo_grads_numeric_head_bias_gradients_match_the_exact_integral():
     # the encoder's output layer zeroed gives mu = log_var = 0, so z = noise exactly;
-    # each numeric column p owns decoder outputs p*(M+1) (gamma) to p*(M+1) + M
+    # in file order, each numeric column p owns decoder outputs p*(M+1) (gamma) to p*(M+1) + M
     m, n = 4, 12
     model = random_model(seed=3, knot_count=m, hidden_width=9)
     for a in model.encoder[-1]:
@@ -335,7 +362,7 @@ def test_elbo_grads_numeric_head_bias_gradients_match_the_exact_integral():
     rows[:, :2] = rng.uniform(-0.5, 1.5, (n, 2))  # about half inside D's range, half clamped
     noise = rng.standard_normal((n, 2))
     _, grads = elbo_grads(model, rows, noise)
-    (w1, b1), (w2, b2) = model.decoder
+    (w1, b1), (w2, b2) = file_order_decoder(model)
     out = np.maximum(noise @ w1.T + b1, 0.0) @ w2.T + b2
     knots = np.arange(m + 1) / m
     want = np.zeros(2 * (m + 1))
@@ -346,7 +373,7 @@ def test_elbo_grads_numeric_head_bias_gradients_match_the_exact_integral():
             # the loss is half the CRPS, averaged over the batch
             want[p * (m + 1)] += 0.5 / n * dg
             want[p * (m + 1) + 1 : (p + 1) * (m + 1)] += 0.5 / n * ds / (1.0 + np.exp(-raw))
-    got = grads[grads.size - b2.size :][: want.size]
+    got = grads[grads.size - b2.size :][np.argsort(head_order(MIX_SCHEMA, m))][: want.size]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -450,7 +477,7 @@ def test_larger_beta_shrinks_kl():
 def test_model_round_trips_through_checkpoint():
     table = gaussian_table()
     cp = train(table, TrainConfig(seed=14, epochs=2))
-    out, _ = mlp_forward(cp.decoder, np.zeros((2, 1)), cp.head_order)
+    out, _ = mlp_forward(cp.decoder, np.zeros((2, 1)))
     assert out.shape == (decoder_width(cp.schema, cp.config.knot_count), 1)
     gamma, _, logits = decoder_heads(cp.schema, cp.config.knot_count, out)
     assert gamma.shape[0] == 1 and len(logits) == 1

@@ -227,52 +227,42 @@ def test_forward_rejects_wrong_width():
 
 
 def test_backward_matches_finite_differences():
-    # feature-major: the input is (3 features, 4 rows); an order permutes
-    # the outputs, and the gradient stays in the layout of params
-    for order in (None, [2, 0, 1]):
-        rng = np.random.default_rng(3)
-        params = mlp_init([3, 5, 3], rng)
-        net = layer_views([3, 5, 3], params)
-        x = rng.normal(size=(3, 4))
-        direction = rng.normal(size=(3, 4))
+    # feature-major: the input is (3 features, 4 rows); the gradient has the
+    # layout of params
+    rng = np.random.default_rng(3)
+    params = mlp_init([3, 5, 3], rng)
+    net = layer_views([3, 5, 3], params)
+    x = rng.normal(size=(3, 4))
+    direction = rng.normal(size=(3, 4))
 
-        def loss():
-            out, _ = mlp_forward(net, x, order)
-            return float(np.sum(out * direction))
+    def loss():
+        out, _ = mlp_forward(net, x)
+        return float(np.sum(out * direction))
 
-        out, cache = mlp_forward(net, x, order)
-        grad_in, grad = mlp_backward(net, cache, direction)
-        assert grad.shape == params.shape
+    out, cache = mlp_forward(net, x)
+    grad_in, grad = mlp_backward(net, cache, direction)
+    assert grad.shape == params.shape
 
-        eps = 1e-6
-        for j in range(params.size):
-            orig = params[j]
-            params[j] = orig + eps
+    eps = 1e-6
+    for j in range(params.size):
+        orig = params[j]
+        params[j] = orig + eps
+        hi = loss()
+        params[j] = orig - eps
+        lo = loss()
+        params[j] = orig
+        assert grad_rel_err(grad[j], (hi - lo) / (2 * eps)) < 1e-4
+
+    # input gradient too
+    for i in range(x.shape[0]):
+        for j in range(x.shape[1]):
+            orig = x[i, j]
+            x[i, j] = orig + eps
             hi = loss()
-            params[j] = orig - eps
+            x[i, j] = orig - eps
             lo = loss()
-            params[j] = orig
-            assert grad_rel_err(grad[j], (hi - lo) / (2 * eps)) < 1e-4
-
-        # input gradient too
-        for i in range(x.shape[0]):
-            for j in range(x.shape[1]):
-                orig = x[i, j]
-                x[i, j] = orig + eps
-                hi = loss()
-                x[i, j] = orig - eps
-                lo = loss()
-                x[i, j] = orig
-                assert grad_rel_err(grad_in[i, j], (hi - lo) / (2 * eps)) < 1e-4
-
-
-def test_forward_order_permutes_the_output_rows():
-    rng = np.random.default_rng(5)
-    net = layer_views([3, 6, 4], mlp_init([3, 6, 4], rng))
-    x = rng.normal(size=(3, 7))
-    plain, _ = mlp_forward(net, x)
-    permuted, _ = mlp_forward(net, x, np.array([3, 1, 0, 2]))
-    assert np.allclose(permuted, plain[[3, 1, 0, 2]], rtol=1e-14, atol=0.0)
+            x[i, j] = orig
+            assert grad_rel_err(grad_in[i, j], (hi - lo) / (2 * eps)) < 1e-4
 
 
 def test_params_are_live_views():
