@@ -72,14 +72,18 @@ class TrainConfig:
     hidden_width: int = 32
 
     def __post_init__(self):
-        check_seed(self.seed)
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+        for name in ("seed", "epochs", "batch_size", "latent_dim", "knot_count", "hidden_width"):
+            value = getattr(self, name)
+            # numpy integers have __index__ too; a bool is an int to Python
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name == "seed":
+                check_seed(value)
+            elif value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         for name in ("learning_rate", "beta"):
             if not 0 < getattr(self, name) < np.inf:  # false for NaN too
                 raise ValueError(f"{name} must be a finite positive number, got {getattr(self, name)!r}")
-        if self.latent_dim < 1 or self.knot_count < 1 or self.hidden_width < 1:
-            raise ValueError("latent_dim, knot_count and hidden_width must be positive")
 
 
 @dataclass(frozen=True)

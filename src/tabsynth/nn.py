@@ -6,13 +6,12 @@ vector: each layer's (n_out, n_in) weight row-major, then its bias, the
 hidden layer first. The layers are views into that vector, so updating the
 vector updates the network. The output comes in the order of the output
 layer's rows, so a caller that reads it in another order stores the layer
-in that order. Forward returns a cache that backward consumes to
-produce the exact parameter gradient, a flat vector with the same layout;
-given out=, numpy's idiom, backward writes it into a caller's vector
-instead, such as one network's slice of a model's gradient. Adam is the
-standard bias-corrected update, applied to the whole vector at once, in
-place: its state holds two scratch vectors of the vector's size, so a step
-allocates nothing.
+in that order. Forward returns a cache that backward consumes to write the
+exact parameter gradient, a flat vector with the same layout, into a
+caller's vector, such as one network's slice of a model's gradient. Adam
+is the standard bias-corrected update, applied to the whole vector at
+once, in place: its state holds two scratch vectors of the vector's size,
+so a step allocates nothing.
 
 Activations are feature-major: a batch is an (features, rows) array, one
 row per feature, so every layer is W @ h + b[:, None] and the relu, its
@@ -20,9 +19,6 @@ mask and the bias gradient run over whole rows of the batch. numpy runs a
 short last axis one tiny inner loop per row, which a batch of a few
 hundred rows of a narrow layer would otherwise pay at every operation.
 softmax likewise reduces over axis 0 of (levels, n) logits, row by row.
-
-softplus is max(x, 0) + log1p(exp(-|x|)), which cannot overflow; its
-derivative, the logistic, is 1 - exp(-softplus(x)) (spline.chain_slope_grads).
 """
 
 from __future__ import annotations
@@ -57,16 +53,6 @@ def row_blocks(n: int, width: int):
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
-
-
-def softplus(x):
-    """log(1 + e^x) as max(x, 0) + log1p(exp(-|x|)), in place after the
-    first pass; NaN gives NaN, and a 0-d input a 0-d array."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.copysign(x, -1.0, out=np.empty_like(x))  # -|x|
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    return np.add(np.maximum(x, 0.0), out, out=out)
 
 
 def softmax(logits):
@@ -123,21 +109,18 @@ def mlp_forward(net: Mlp, x: np.ndarray):
     return out, (x, pre, hidden)
 
 
-def mlp_backward(net: Mlp, cache, grad_out: np.ndarray, input_grad: bool = True, out=None):
-    """Backpropagate grad_out (same shape as the forward output).
+def mlp_backward(net: Mlp, cache, grad_out: np.ndarray, input_grad: bool = True, *, out: np.ndarray):
+    """Backpropagate grad_out (same shape as the forward output) into out, a
+    float64 vector of the network's parameter count, laid out as layer_views
+    reads it.
 
-    Returns (grad_input, grad): grad_input (n_in, rows), None if not input_grad;
-    grad one flat vector laid out as layer_views reads it. out, if given, is
-    a float64 vector of the network's parameter count that grad is written
-    into and returned as.
+    Returns (grad_input, out): grad_input (n_in, rows), None if not input_grad.
     """
     x, pre, hidden = cache
     (w0, _), (w1, _) = net
     g = np.asarray(grad_out, dtype=np.float64)
     size = sum(w.size + b.size for w, b in net)
-    if out is None:
-        out = np.empty(size)
-    elif out.shape != (size,):
+    if out.shape != (size,):
         raise ValueError(f"out must have shape {(size,)} to hold the gradient, got {out.shape}")
     (grad_w0, grad_b0), (grad_w1, grad_b1) = layer_views((w0.shape[1], w0.shape[0], w1.shape[0]), out)
     np.matmul(g, hidden.T, out=grad_w1)

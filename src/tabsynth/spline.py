@@ -8,7 +8,8 @@ its value gamma at 0 and its slope s_m on each segment [d_m, d_{m+1}]:
 
 which is piecewise linear in the quantile level a and monotone because
 every slope is non-negative: slopes_to_b maps raw outputs through softplus,
-whose derivative chain_slope_grads reads from s as 1 - exp(-s).
+which cannot overflow, and chain_slope_grads reads its derivative, the
+logistic of raw, from s as 1 - exp(-s).
 
 The training loss for an observation x is twice the integral over a of the
 check function rho_a(x - D(a)), which this module evaluates in closed form,
@@ -41,8 +42,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-
-from .nn import softplus
 
 # Slopes below this are treated as exactly flat when inverting.
 _FLAT_EPS = 1e-300
@@ -77,8 +76,14 @@ def uniform_knots(count: int) -> Knots:
 
 
 def slopes_to_b(slope_raw: np.ndarray) -> np.ndarray:
-    """Map raw slope outputs (..., M) to the non-negative segment slopes s."""
-    return softplus(slope_raw)
+    """The non-negative segment slopes s = softplus(raw) of raw slope outputs,
+    log(1 + e^raw) as max(raw, 0) + log1p(exp(-|raw|)), in place after the
+    first pass; NaN gives NaN, and a 0-d input a 0-d array."""
+    raw = np.asarray(slope_raw, dtype=np.float64)
+    s = np.copysign(raw, -1.0, out=np.empty_like(raw))  # -|raw|
+    np.exp(s, out=s)
+    np.log1p(s, out=s)
+    return np.add(np.maximum(raw, 0.0), s, out=s)
 
 
 def _check_layout(s: np.ndarray, **arrays) -> None:

@@ -275,10 +275,10 @@ def grad_rel_err(analytic: float, numeric: float) -> float:
 
 
 def masked_softplus(x):
-    """nn.softplus's documented definition, max(x, 0) + log1p(exp(-|x|)), by
-    boolean-mask scatter on the sign of x: x + log1p(exp(-x)) from 0 up,
-    log1p(exp(x)) below and at NaN; the whole-array nn.softplus must match
-    it bit for bit."""
+    """spline.slopes_to_b's documented definition, max(x, 0) +
+    log1p(exp(-|x|)), by boolean-mask scatter on the sign of x:
+    x + log1p(exp(-x)) from 0 up, log1p(exp(x)) below and at NaN; the
+    whole-array slopes_to_b must match it bit for bit."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0

@@ -246,7 +246,7 @@ def test_rejects_number_out_of_float_range(small_checkpoint, path, literal, name
 @pytest.mark.parametrize("key, value, message", [
     ("seed", -1, "seed must be non-negative"),
     ("beta", 0.0, "beta must be a finite positive number"),
-    ("epochs", 0, "epochs and batch_size must be positive"),
+    ("epochs", 0, "epochs must be positive"),
 ])
 def test_rejects_config_that_train_config_rejects(small_checkpoint, key, value, message):
     doc = json.loads(checkpoint_to_text(small_checkpoint))

@@ -1,4 +1,4 @@
-"""The eight CLI outputs that tests/cli_digests.py hashes match the digests
+"""The CLI outputs that tests/cli_digests.py hashes match the digests
 committed in tests/data/cli_digests.json byte for byte."""
 
 import json

@@ -78,9 +78,18 @@ def test_config_requires_seed():
     {"seed": -1},
 ])
 def test_config_rejects_non_positive(overrides):
-    # the message names the field
-    with pytest.raises(ValueError, match=next(iter(overrides))):
+    # the message starts with the field's own name
+    with pytest.raises(ValueError, match=f"^{next(iter(overrides))} must be "):
         TrainConfig(**{"seed": 1, **overrides})
+
+
+@pytest.mark.parametrize("value", [1.5, True])
+@pytest.mark.parametrize("name", ["seed", "epochs", "batch_size", "latent_dim", "knot_count", "hidden_width"])
+def test_config_refuses_a_non_integer_naming_the_field(name, value):
+    # a float used to fail inside numpy at train time, and True passed as 1
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+        TrainConfig(**{"seed": 1, name: value})
+    assert TrainConfig(**{"seed": 1, name: np.int64(3)}) == TrainConfig(**{"seed": 1, name: 3})
 
 
 def test_decoder_width_and_heads():
@@ -292,7 +301,7 @@ def test_elbo_grads_match_the_row_major_reference(schema, latent_dim, n):
 
 def test_backward_into_out_matches_the_allocating_call_bit_for_bit():
     # the encoder without its input gradient, and the decoder, each into its
-    # slice of one gradient vector
+    # slice of one gradient vector and into a vector allocated for the call
     rng = np.random.default_rng(21)
     model = random_model(seed=21)
     rows = random_rows(MIX_SCHEMA, rng, 37)
@@ -303,12 +312,14 @@ def test_backward_into_out_matches_the_allocating_call_bit_for_bit():
     grad = np.full(model.params.size, np.nan)
     split = model.encoder_size
     dz, dec_grad = mlp_backward(model.decoder, dec_cache, d_dec.copy(), out=grad[split:])
-    want_dz, want_dec = mlp_backward(model.decoder, dec_cache, d_dec.copy())
+    want_dz, want_dec = mlp_backward(model.decoder, dec_cache, d_dec.copy(), out=np.empty(grad.size - split))
     assert np.shares_memory(dec_grad, grad) and dec_grad.tobytes() == want_dec.tobytes()
     assert dz.tobytes() == want_dz.tobytes()
     none, enc_grad = mlp_backward(model.encoder, enc_cache, d_enc.copy(), input_grad=False, out=grad[:split])
     assert none is None and np.shares_memory(enc_grad, grad)
-    assert enc_grad.tobytes() == mlp_backward(model.encoder, enc_cache, d_enc.copy(), input_grad=False)[1].tobytes()
+    fresh = np.empty(split)
+    assert mlp_backward(model.encoder, enc_cache, d_enc.copy(), input_grad=False, out=fresh)[1] is fresh
+    assert enc_grad.tobytes() == fresh.tobytes()
     assert grad.tobytes() == np.concatenate([enc_grad, dec_grad]).tobytes()
     with pytest.raises(ValueError, match=rf"^out must have shape \({split},\) to hold the gradient, got \({split + 1},\)$"):
         mlp_backward(model.encoder, enc_cache, d_enc, input_grad=False, out=grad[: split + 1])

@@ -1,11 +1,10 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
-from helpers import decimal_logistic, decimal_softplus, grad_rel_err, masked_softplus, ulps_from
+from helpers import grad_rel_err
 from tabsynth import nn
 from tabsynth.nn import (
     adam_init,
@@ -15,56 +14,7 @@ from tabsynth.nn import (
     mlp_forward,
     mlp_init,
     softmax,
-    softplus,
 )
-from tabsynth.spline import chain_slope_grads
-
-
-def test_softplus_values_and_guards():
-    assert softplus(np.array(0.0)) == pytest.approx(math.log(2.0))
-    assert isinstance(softplus(np.array(0.0)), np.ndarray)  # a 0-d array, not a scalar
-    assert softplus(np.array(40.0)) == 40.0
-    assert softplus(np.array(-40.0)) == pytest.approx(math.exp(-40.0))
-    with np.errstate(over="raise"):
-        out = softplus(np.array([-1000.0, -5.0, 0.0, 5.0, 1000.0]))
-    assert np.all(np.isfinite(out))
-    assert np.all(np.diff(out) > 0)
-
-
-def logistic_from_softplus(x):
-    """The logistic as the training step computes it, from the slopes
-    softplus(x): spline.chain_slope_grads of a unit gradient."""
-    return chain_slope_grads(1.0, softplus(x))
-
-
-@pytest.mark.parametrize(("fast", "reference"), [
-    (softplus, decimal_softplus),
-    (logistic_from_softplus, decimal_logistic),
-], ids=["softplus", "logistic"])
-def test_within_2_ulp_of_a_50_digit_reference(fast, reference):
-    points = np.array([0.0, 1e-300, 30.0, 36.7, 709.8, 800.0])
-    x = np.concatenate([points, -points, [-745.2], np.random.default_rng(29).normal(0.0, 40.0, 2000)])
-    with np.errstate(over="raise"):
-        got = fast(x)
-    want = [reference(float(v)) for v in x]
-    errors = np.array([ulps_from(g, w) for g, w in zip(got, want)])
-    normal = np.abs([float(w) for w in want]) >= np.finfo(np.float64).tiny
-    # 2 ulp where the reference is normal (measured over 43,000 points: 1.53
-    # for softplus, 1.75 for the logistic); below, one subnormal step
-    # (5e-324), from the rounding of exp's subnormal result (measured: 0.50)
-    assert errors[normal].max() <= 2.0
-    assert errors[~normal].max() <= 1.0
-    assert normal.any() and not normal.all()
-
-
-@pytest.mark.parametrize(("fast", "at_inf", "at_minus_inf"), [
-    (softplus, np.inf, 0.0),
-    (logistic_from_softplus, 1.0, 0.0),
-], ids=["softplus", "logistic"])
-def test_infinities_and_nan(fast, at_inf, at_minus_inf):
-    with np.errstate(over="raise"):
-        out = fast(np.array([np.inf, -np.inf, np.nan]))
-    assert out[0] == at_inf and out[1] == at_minus_inf and np.isnan(out[2])
 
 
 def nan_blind_bits(a):
@@ -73,22 +23,6 @@ def nan_blind_bits(a):
     keeps the first operand's, a scalar tail the second's), so no order of
     adds pins a NaN's sign."""
     return np.where(np.isnan(a), np.nan, a).tobytes()
-
-
-def test_matches_masked_reference_bit_for_bit():
-    eps = np.finfo(np.float64).eps
-    edges = np.array([
-        30.0, 30.0 * (1 + eps), 30.0 * (1 - eps), 709.0, 710.0, 745.0, 746.0,
-        np.inf, np.nan, 0.0, 1e-300,
-    ])
-    x = np.concatenate([
-        np.random.default_rng(6).normal(0.0, 25.0, size=4000), edges, -edges,
-    ])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got, want = softplus(x), masked_softplus(x)
-    assert np.array_equal(np.isnan(got), np.isnan(want))
-    assert nan_blind_bits(got) == nan_blind_bits(want)
 
 
 def awkward_array(shape, seed):
@@ -240,8 +174,7 @@ def test_backward_matches_finite_differences():
         return float(np.sum(out * direction))
 
     out, cache = mlp_forward(net, x)
-    grad_in, grad = mlp_backward(net, cache, direction)
-    assert grad.shape == params.shape
+    grad_in, grad = mlp_backward(net, cache, direction, out=np.empty(params.size))
 
     eps = 1e-6
     for j in range(params.size):
