@@ -146,12 +146,13 @@ def checkpoint_from_text(text: str) -> Checkpoint:
 
     scaling_doc = _require(doc, "scaling", "checkpoint")
     names = enumerate(_require(scaling_doc, "columns", "scaling", list))
-    scaling = ScalingStats(
-        names=tuple(require_str(v, "corrupt checkpoint", f"scaling.columns[{i}]") for i, v in names),
-        mean=_float_array(scaling_doc, "mean", "scaling", 1),
-        stddev=_float_array(scaling_doc, "stddev", "scaling", 1),
-    )
-    check_scaling_names(schema, scaling)
+    names = tuple(require_str(v, "corrupt checkpoint", f"scaling.columns[{i}]") for i, v in names)
+    mean, stddev = (_float_array(scaling_doc, key, "scaling", 1) for key in ("mean", "stddev"))
+    try:
+        scaling = ScalingStats(names=names, mean=mean, stddev=stddev)
+        check_scaling_names(schema, scaling)
+    except ValueError as err:
+        raise ValueError(f"corrupt checkpoint: scaling: {err}") from None
 
     config = _fields_from_doc(TrainConfig, _require(doc, "config", "checkpoint"), "config")
     encoder_sizes, decoder_sizes = net_sizes(schema, config)

@@ -20,9 +20,9 @@ except ImportError:  # numpy 1.x
     from numpy.core import _multiarray_umath
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import drop_percentile_outliers, load_csv, load_schema, save_csv, standardize
+from .data import check_seed, drop_percentile_outliers, load_csv, load_schema, save_csv, standardize
 from .metrics import build_report, membership_inference
-from .model import TrainConfig, check_schema, check_seed, train
+from .model import TrainConfig, check_schema, train
 from .serialize import json_text
 from .synthesis import ROUND_DECIMAL, ROUND_INTEGER, estimate_cdf, generate
 

@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -49,6 +49,11 @@ class ColumnSpec:
     def n_levels(self) -> int:
         return 0 if self.levels is None else len(self.levels)
 
+    @cached_property
+    def level_index(self) -> dict[str, int]:
+        """Each level label's index, shared by every caller, who must not mutate it."""
+        return {label: k for k, label in enumerate(self.levels or ())}
+
 
 @dataclass(frozen=True)
 class Schema:
@@ -79,17 +84,35 @@ class Schema:
         return [i for i, c in enumerate(self.columns) if c.kind == KIND_DISCRETE]
 
     @cached_property
+    def level_starts(self) -> tuple[int, ...]:
+        """Each discrete column's first position in a one-hot row, after the
+        numeric columns, then the row's width: Python ints, which slice fastest."""
+        levels = (self.columns[i].n_levels for i in self.discrete_indices)
+        return tuple(accumulate(levels, initial=len(self.numeric_indices)))
+
+    @cached_property
     def encoded_width(self) -> int:
         """Width of a one-hot encoded row: numeric columns + level indicators."""
-        return len(self.numeric_indices) + sum(
-            self.columns[i].n_levels for i in self.discrete_indices
-        )
+        return self.level_starts[-1]
 
     def index(self, name: str) -> int:
         for i, c in enumerate(self.columns):
             if c.name == name:
                 return i
         raise KeyError(f"no column named {name!r}")
+
+
+def check_integer(name: str, value) -> None:
+    """Refuse a non-integer by name; numpy integers pass by __index__, a bool does not."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """numpy seeds must be non-negative integers; say so by name, not numpy's way."""
+    check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def require_str(value, where, path) -> str:
@@ -252,11 +275,7 @@ def _plain_csv_rows(path, schema: Schema) -> np.ndarray | None:
     lines = _plain_line_count(path)
     if lines is None or lines < 2:  # loadtxt warns on a file without data
         return None
-    converters = {
-        j: {label: k for k, label in enumerate(spec.levels)}.__getitem__
-        for j, spec in enumerate(schema.columns)
-        if spec.kind == KIND_DISCRETE
-    }
+    converters = {j: schema.columns[j].level_index.__getitem__ for j in schema.discrete_indices}
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             header = fh.readline().removesuffix("\n")
@@ -303,13 +322,8 @@ def _csv_module_rows(path, schema: Schema) -> np.ndarray:
     CSV_BLOCK_CELLS cells at a time into one float array, which grows in
     place and becomes the table's rows, so the floats are held once; faults
     are reported block by block, the earliest block first."""
-    parsers = []
-    for spec in schema.columns:
-        if spec.kind == KIND_DISCRETE:
-            level_of = {label: k for k, label in enumerate(spec.levels)}
-            parsers.append((level_of.__getitem__, "unknown level"))
-        else:
-            parsers.append((float, "unparseable value"))
+    parsers = [(spec.level_index.__getitem__, "unknown level") if spec.kind == KIND_DISCRETE
+               else (float, "unparseable value") for spec in schema.columns]
     width = len(parsers)
     rows = np.empty((0, width))
     n = 0
@@ -432,20 +446,26 @@ def standardize(table: Table) -> Table:
 
     Requires at least 2 rows. A zero-variance column is an error because the
     scale would be undefined; a constant one is found on its values, before a
-    mean whose rounding would give a column of 0.3 a stddev of 5.6e-17.
+    mean whose rounding would give a column of 0.3 a stddev of 5.6e-17. So is
+    a column whose mean or stddev overflows float64 (values near 1e308).
     """
     if table.n_rows < 2:
         raise ValueError("standardize needs at least 2 rows")
     idx = table.schema.numeric_indices
     names = tuple(table.schema.columns[i].name for i in idx)
     sub = table.rows[:, idx]
-    zero = np.flatnonzero(np.ptp(sub, axis=0) == 0)
-    if zero.size == 0:  # a spread that squares to 0 (values 1e-200 apart) too
-        mean = sub.mean(axis=0)
-        stddev = sub.std(axis=0, ddof=1)
-        zero = np.flatnonzero(stddev <= 0)
+    # an overflow gives inf or NaN, which the checks below name
+    with np.errstate(over="ignore", invalid="ignore"):
+        zero = np.flatnonzero(np.ptp(sub, axis=0) == 0)
+        if zero.size == 0:  # a spread that squares to 0 (values 1e-200 apart) too
+            mean = sub.mean(axis=0)
+            stddev = sub.std(axis=0, ddof=1)
+            zero = np.flatnonzero(stddev <= 0)
     if zero.size:
         raise ValueError(f"column {names[zero[0]]!r} has zero variance, cannot standardize")
+    huge = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(stddev)))
+    if huge.size:
+        raise ValueError(f"column {names[huge[0]]!r}: mean or stddev overflows float64, cannot standardize")
     return apply_scaling(table, ScalingStats(names=names, mean=mean, stddev=stddev))
 
 
@@ -476,13 +496,9 @@ def one_hot_matrix(schema: Schema, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
     out = np.zeros((n, schema.encoded_width))
-    pos = len(schema.numeric_indices)
-    out[:, :pos] = rows[:, schema.numeric_indices]
-    for i in schema.discrete_indices:
-        t = schema.columns[i].n_levels
-        idx = rows[:, i].astype(np.intp)
-        out[np.arange(n), pos + idx] = 1.0
-        pos += t
+    out[:, : len(schema.numeric_indices)] = rows[:, schema.numeric_indices]
+    for i, start in zip(schema.discrete_indices, schema.level_starts):
+        out[np.arange(n), start + rows[:, i].astype(np.intp)] = 1.0
     return out
 
 
@@ -490,6 +506,7 @@ def train_test_split(table: Table, test_fraction: float, seed: int) -> tuple[Tab
     """Deterministic shuffled split; test gets round(n * test_fraction) rows."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
+    check_seed(seed)
     n = table.n_rows
     n_test = int(round(n * test_fraction))
     perm = np.random.default_rng(seed).permutation(n)

@@ -24,8 +24,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import KIND_DISCRETE, Schema, ScalingStats, Table, apply_scaling, one_hot_matrix, standardize
-from .model import Checkpoint, check_schema, check_seed, encode_batch, train
+from .data import (
+    KIND_DISCRETE, Schema, ScalingStats, Table, apply_scaling, check_seed, one_hot_matrix, standardize,
+)
+from .model import Checkpoint, check_schema, encode_batch, train
 from .nn import row_blocks, softmax
 from .synthesis import generate
 
@@ -96,7 +98,7 @@ def association_matrix(table: Table) -> np.ndarray:
     m = np.zeros((len(cols), len(cols)))
     m[np.ix_(numeric, numeric)] = gram[:p, :p] / np.sqrt(np.outer(spread, spread))  # Pearson
     # each discrete column's present levels, as positions in the one-hot layout
-    pos = p + np.cumsum([0] + [cols[j].n_levels for j in discrete])
+    pos = schema.level_starts
     levels = {j: pos[k] + np.flatnonzero(counts[pos[k] : pos[k + 1]]) for k, j in enumerate(discrete)}
     for j, lj in levels.items():
         # correlation ratio: the squared level sums of the centred values over

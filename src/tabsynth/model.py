@@ -25,23 +25,18 @@ the other.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
 
-from .data import OUTLIER_QUANTILES, Schema, ScalingStats, Table, one_hot_matrix
+from .data import OUTLIER_QUANTILES, Schema, ScalingStats, Table, check_integer, check_seed, one_hot_matrix
 from .nn import (
     Mlp, adam_init, adam_step, layer_views, mlp_backward, mlp_forward, mlp_init,
 )
 from . import spline as sp
-
-
-def check_seed(seed: int) -> None:
-    """numpy seeds must be non-negative; say so by name, not numpy's way."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def _describe(spec) -> str:
@@ -72,18 +67,18 @@ class TrainConfig:
     hidden_width: int = 32
 
     def __post_init__(self):
-        for name in ("seed", "epochs", "batch_size", "latent_dim", "knot_count", "hidden_width"):
+        check_seed(self.seed)
+        for name in ("epochs", "batch_size", "latent_dim", "knot_count", "hidden_width"):
             value = getattr(self, name)
-            # numpy integers have __index__ too; a bool is an int to Python
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if name == "seed":
-                check_seed(value)
-            elif value < 1:
+            check_integer(name, value)
+            if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
         for name in ("learning_rate", "beta"):
-            if not 0 < getattr(self, name) < np.inf:  # false for NaN too
-                raise ValueError(f"{name} must be a finite positive number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not 0 < value < np.inf:  # false for NaN too
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -143,9 +138,8 @@ class Checkpoint(VaeModel):
 
 
 def decoder_width(schema: Schema, knot_count: int) -> int:
-    return len(schema.numeric_indices) * (knot_count + 1) + sum(
-        schema.columns[i].n_levels for i in schema.discrete_indices
-    )
+    """P gammas, P * M raw slopes and the logits: the one-hot row's width plus P * M."""
+    return schema.encoded_width + len(schema.numeric_indices) * knot_count
 
 
 def head_order(schema: Schema, knot_count: int) -> np.ndarray:
@@ -162,14 +156,11 @@ def head_order(schema: Schema, knot_count: int) -> np.ndarray:
 def decoder_heads(schema: Schema, knot_count: int, dec_out: np.ndarray):
     """Views, not copies, of feature-major decoder outputs (decoder_width, n):
     gamma (P, n) and raw segment slopes (M, P, n) for the P numeric columns,
-    then one (t, n) logit block per discrete column."""
+    then one (t, n) logit block per discrete column, where one_hot_matrix puts
+    its levels, shifted by the P * M slopes."""
     p, m = len(schema.numeric_indices), knot_count
-    pos = p * (m + 1)
-    logits = []
-    for i in schema.discrete_indices:
-        t = schema.columns[i].n_levels
-        logits.append(dec_out[pos : pos + t])
-        pos += t
+    starts = [p * m + start for start in schema.level_starts]
+    logits = [dec_out[a:b] for a, b in zip(starts, starts[1:])]
     return dec_out[:p], dec_out[p : p * (m + 1)].reshape(m, p, dec_out.shape[1]), logits
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import KIND_DISCRETE, KIND_ORDINAL, Table
-from .model import Checkpoint, check_seed, decoder_heads
+from .data import KIND_DISCRETE, KIND_ORDINAL, Table, check_seed
+from .model import Checkpoint, decoder_heads
 from .nn import mlp_forward, softmax
 from . import spline as sp
 

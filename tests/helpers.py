@@ -25,7 +25,7 @@ import numpy as np
 from tabsynth import gumbel_max, round_ordinal
 from tabsynth.data import KIND_DISCRETE, KIND_ORDINAL, Table, _first_rejected, one_hot_matrix
 from tabsynth import spline as sp
-from tabsynth.model import LossBreakdown, decoder_heads, decoder_width, head_order, net_sizes
+from tabsynth.model import LossBreakdown, decoder_heads, head_order, net_sizes
 from tabsynth.nn import layer_views, mlp_forward, softmax
 from tabsynth.synthesis import PAGE_ROWS
 
@@ -403,8 +403,8 @@ def overflowed_discrete_logits(cp):
     the hidden layer is active both logits are inf and softmax gives NaN."""
     out = replace(cp, params=cp.params.copy())
     weight, bias = out.decoder[-1]
-    levels = sum(cp.schema.columns[j].n_levels for j in cp.schema.discrete_indices)
-    pos = decoder_width(cp.schema, cp.config.knot_count) - levels
+    # the logits sit at schema.level_starts, shifted by the P * M raw slopes
+    pos = len(cp.schema.numeric_indices) * cp.config.knot_count + cp.schema.level_starts[0]
     bias[pos : pos + 2] = 1.79e308
     weight[pos : pos + 2] = 1e306
     return out

@@ -328,8 +328,22 @@ def test_missing_key_names_its_path(small_checkpoint, path, message):
 def test_rejects_scaling_names_off_schema(small_checkpoint):
     doc = json.loads(checkpoint_to_text(small_checkpoint))
     doc["scaling"]["columns"] = ["renamed"]
-    with pytest.raises(ValueError, match="scaling stats are for columns"):
+    message = r"^corrupt checkpoint: scaling: scaling stats are for columns \('renamed',\), schema has \('x',\)$"
+    with pytest.raises(ValueError, match=message):
         checkpoint_from_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda scaling: scaling["mean"].append(0.5), "scaling stats arrays must match the column name list"),
+    (lambda scaling: scaling["stddev"].__setitem__(0, 0.0), "non-positive stddev for column 'x'"),
+], ids=["extra-mean-entry", "zero-stddev"])
+def test_scaling_faults_read_like_every_other_checkpoint_fault(tmp_path, small_checkpoint, change, message):
+    doc = json.loads(checkpoint_to_text(small_checkpoint))
+    change(doc["scaling"])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: corrupt checkpoint: scaling: {message}$"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("key, values", [("low", [-1.0, -2.0]), ("high", [])])

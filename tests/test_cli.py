@@ -171,6 +171,19 @@ def test_train_refuses_a_non_string_level_naming_the_file(workspace, capsys, val
     assert not out.exists()
 
 
+def test_train_names_a_column_whose_statistics_overflow(workspace, capsys):
+    # every cell is finite, but x's mean overflows; the error must name x,
+    # not blame the cells, and numpy's overflow warning must not leak
+    data = workspace / "overflowing.csv"
+    lines = [f"{x!r},{float(i)!r},{'ab'[i % 2]}" for i, x in enumerate([1.5e308, -1.5e308] * 25)]
+    data.write_text("x,y,c\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    out = workspace / "never_overflow.json"
+    argv = ["train", "--data", data, "--schema", workspace / "schema.json", "--seed", 1, "--out", out]
+    assert cli.main(list(map(str, argv))) == 1
+    assert capsys.readouterr().err == "error: column 'x': mean or stddev overflows float64, cannot standardize\n"
+    assert not out.exists()
+
+
 def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at 2 threads OpenBLAS splits the wide table's products, which moves the
     # last bits of the sums unless the command pins one thread

@@ -35,15 +35,40 @@ def small_schema() -> Schema:
     ))
 
 
+def interleaved_schema() -> Schema:
+    """Discrete columns before and between the numeric ones."""
+    return Schema((
+        ColumnSpec("d", "discrete", ("p", "q")),
+        ColumnSpec("x", "continuous"),
+        ColumnSpec("e", "discrete", ("s", "t", "u", "v")),
+        ColumnSpec("y", "ordinal"),
+    ))
+
+
 def test_schema_layout():
     schema = small_schema()
     assert schema.names == ["age", "score", "color"]
     assert schema.numeric_indices == [0, 1]
     assert schema.discrete_indices == [2]
+    assert schema.level_starts == (2, 5)
     assert schema.encoded_width == 2 + 3
     assert schema.index("color") == 2
     with pytest.raises(KeyError, match="weight"):
         schema.index("weight")
+    mixed = interleaved_schema()
+    assert (mixed.numeric_indices, mixed.discrete_indices) == ([1, 3], [0, 2])
+    # each discrete column's first one-hot position, after the 2 numeric
+    # columns, then the row's width; Python ints, not numpy's
+    assert mixed.level_starts == (2, 4, 8) and mixed.encoded_width == 8
+    assert all(type(start) is int for start in mixed.level_starts)
+    assert Schema((ColumnSpec("x", "continuous"),)).level_starts == (1,)
+
+
+def test_level_index_maps_each_label_to_its_position():
+    spec = interleaved_schema().columns[2]
+    assert spec.level_index == {"s": 0, "t": 1, "u": 2, "v": 3}
+    assert spec.level_index is spec.level_index  # built once
+    assert ColumnSpec("x", "continuous").level_index == {}
 
 
 def test_discrete_column_requires_levels():
@@ -209,6 +234,21 @@ def test_csv_round_trip(tmp_path):
     assert "red" in text and "blue" in text  # labels, not level indices
     back = load_csv(path, schema)
     assert np.array_equal(back.rows, rows)
+
+
+def test_csv_round_trip_of_interleaved_discrete_columns_through_both_readers(tmp_path):
+    schema = interleaved_schema()
+    rows = np.array([[1.0, 0.5, 3.0, 7.0], [0.0, -1.5, 0.0, 2.0], [1.0, 2.25, 1.0, 3.0]])
+    path = tmp_path / "t.csv"
+    save_csv(Table(schema, rows), path)
+    assert path.read_bytes() == b"d,x,e,y\r\nq,0.5,v,7.0\r\np,-1.5,s,2.0\r\nq,2.25,t,3.0\r\n"
+    plain, module = data._plain_csv_rows(path, schema), data._csv_module_rows(path, schema)
+    assert plain.tobytes() == module.tobytes() == load_csv(path, schema).rows.tobytes() == rows.tobytes()
+    # a level of the other discrete column: the plain reader declines, the csv-module reader names it
+    path.write_bytes(b"d,x,e,y\nq,0.5,v,7.0\np,-1.5,q,2.0\n")
+    assert data._plain_csv_rows(path, schema) is None
+    with pytest.raises(ValueError, match=r"unknown level 'q' for column 'e' at row 2$"):
+        data._csv_module_rows(path, schema)
 
 
 def test_load_csv_errors_name_the_data_row(tmp_path):
@@ -607,6 +647,16 @@ def test_standardize_needs_rows_and_variance():
         standardize(Table(schema, np.array([[2.0], [2.0], [2.0]])))
 
 
+@pytest.mark.parametrize("huge", [1.5e308, 1e200], ids=["mean", "stddev"])
+def test_standardize_names_a_column_whose_statistics_overflow(huge):
+    # every cell is finite, but x's sum (at 1.5e308) or its sum of squares
+    # (at 1e200) overflows to a NaN or inf scaling, with numpy's warning
+    schema = Schema((ColumnSpec("w", "continuous"), ColumnSpec("x", "continuous")))
+    rows = np.column_stack([np.arange(50.0), np.tile([huge, -huge], 25)])
+    with pytest.raises(ValueError, match=r"^column 'x': mean or stddev overflows float64, cannot standardize$"):
+        standardize(Table(schema, rows))
+
+
 def test_apply_scaling_uses_given_stats():
     schema = Schema((ColumnSpec("x", "continuous"),))
     stats = ScalingStats(names=("x",), mean=np.array([10.0]), stddev=np.array([2.0]))
@@ -629,6 +679,10 @@ def test_one_hot_layout():
     assert encoded.shape == (2, 5)
     assert np.array_equal(encoded[0], [1.5, 4.0, 0.0, 0.0, 1.0])
     assert np.array_equal(encoded[1], [-2.0, 1.0, 1.0, 0.0, 0.0])
+    # the numeric columns first, then each discrete column's block at its level_starts entry
+    rows = np.array([[1.0, 0.5, 3.0, 7.0], [0.0, -1.5, 0.0, 2.0]])
+    encoded = one_hot_matrix(interleaved_schema(), rows)
+    assert encoded.tolist() == [[0.5, 7.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], [-1.5, 2.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]]
 
 
 def test_split_sizes_and_partition():
@@ -648,6 +702,19 @@ def test_split_sizes_and_partition():
 
     with pytest.raises(ValueError):
         train_test_split(table, 0.0, seed=1)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+    (-1, "seed must be non-negative, got -1"),
+])
+def test_split_refuses_a_bad_seed_by_name(seed, message):
+    table = Table(Schema((ColumnSpec("x", "continuous"),)), np.arange(10.0)[:, None])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train_test_split(table, 0.5, seed=seed)
+    same = [train_test_split(table, 0.5, seed)[0].rows.tobytes() for seed in (np.int64(3), 3)]
+    assert same[0] == same[1]
 
 
 def test_drop_percentile_outliers():

@@ -636,6 +636,13 @@ def test_membership_inference_rejects_negative_seed_by_name(mia_setup):
         membership_inference(cp, fit, hold, "s", seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_membership_inference_rejects_non_integer_seed_by_name(mia_setup, seed):
+    cp, fit, hold = mia_setup
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+        membership_inference(cp, fit, hold, "s", seed=seed)
+
+
 @pytest.mark.parametrize("table", ["real_train", "real_test"])
 @pytest.mark.parametrize("levels, described", [
     (("y", "n"), "'s' (discrete: y|n)"),

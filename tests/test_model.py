@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -92,6 +93,16 @@ def test_config_refuses_a_non_integer_naming_the_field(name, value):
     assert TrainConfig(**{"seed": 1, name: np.int64(3)}) == TrainConfig(**{"seed": 1, name: 3})
 
 
+@pytest.mark.parametrize("value", [True, "0.1", None])
+@pytest.mark.parametrize("name", ["learning_rate", "beta"])
+def test_config_refuses_a_non_number_naming_the_field(name, value):
+    # True would pass the range check as 1, and "0.1" fail it with a TypeError naming no field
+    with pytest.raises(ValueError, match=rf"^{name} must be a number, got {re.escape(repr(value))}$"):
+        TrainConfig(**{"seed": 1, name: value})
+    for number in (np.float64(0.25), np.float32(0.25), 1):
+        assert getattr(TrainConfig(**{"seed": 1, name: number}), name) == number
+
+
 def test_decoder_width_and_heads():
     # two numeric heads of gamma and M slopes each, one 3-level softmax head
     assert decoder_width(MIX_SCHEMA, 10) == 2 * 11 + 3
@@ -107,6 +118,14 @@ def test_decoder_width_and_heads():
         assert np.shares_memory(view, out)
     # the knot-major (M, P * rows) slopes of the spline head, spline p * rows + r
     assert np.array_equal(raw.reshape(10, 8)[:, 4:], stored[12:22])
+    # discrete columns before and between the numeric ones: logit block k sits
+    # at P * M + level_starts[k], where one_hot_matrix puts the same levels
+    mixed = Schema((ColumnSpec("d", "discrete", ("p", "q")), ColumnSpec("x", "continuous"),
+                    ColumnSpec("e", "discrete", ("s", "t", "u", "v")), ColumnSpec("y", "ordinal")))
+    assert mixed.level_starts == (2, 4, 8) and decoder_width(mixed, 3) == 2 * 4 + 6 == 8 + 2 * 3
+    gamma, raw, logits = decoder_heads(mixed, 3, np.arange(14.0)[:, None])
+    assert gamma.ravel().tolist() == [0, 1] and raw.ravel().tolist() == list(range(2, 8))
+    assert [block.ravel().tolist() for block in logits] == [[8, 9], [10, 11, 12, 13]]
 
 
 def test_params_hold_encoder_then_decoder_as_views():

@@ -274,6 +274,19 @@ def test_negative_seed_is_rejected_by_name(normal_checkpoint, call):
         call(normal_checkpoint)
 
 
+@pytest.mark.parametrize("seed", [1.5, True])
+@pytest.mark.parametrize("call", [
+    lambda cp, seed: generate(cp, 3, seed),
+    lambda cp, seed: generate(cp, 0, seed),
+    lambda cp, seed: sample_prior(3, 2, seed),
+    lambda cp, seed: estimate_cdf(cp, "x", n_mc=10, seed=seed),
+])
+def test_non_integer_seed_is_rejected_by_name(normal_checkpoint, call, seed):
+    # numpy would fail on 1.5 with its own message and run True as seed 1
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+        call(normal_checkpoint, seed)
+
+
 def test_generate_empty(normal_checkpoint):
     t = generate(normal_checkpoint, 0, seed=0)
     assert t.rows.shape == (0, 2)
