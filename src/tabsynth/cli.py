@@ -20,7 +20,7 @@ except ImportError:  # numpy 1.x
     from numpy.core import _multiarray_umath
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import check_seed, drop_percentile_outliers, load_csv, load_schema, save_csv, standardize
+from .data import check_integer, drop_percentile_outliers, load_csv, load_schema, save_csv, standardize
 from .metrics import build_report, membership_inference
 from .model import TrainConfig, check_schema, train
 from .serialize import json_text
@@ -127,7 +127,7 @@ def cmd_evaluate(args) -> int:
     if args.with_mia:  # fail before the metrics run, not after
         checkpoint = load_checkpoint(args.model)
         check_schema(checkpoint.schema, schema, args.model, "the checkpoint", args.schema)
-        check_seed(args.seed)
+        check_integer("seed", args.seed, 0)
     try:
         doc = build_report(
             real_train, real_test, synth,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice
@@ -102,17 +103,22 @@ class Schema:
         raise KeyError(f"no column named {name!r}")
 
 
-def check_integer(name: str, value) -> None:
-    """Refuse a non-integer by name; numpy integers pass by __index__, a bool does not."""
+def check_integer(name: str, value, minimum: int) -> None:
+    """Refuse, by name, a non-integer or one below minimum, which is 0 or 1.
+    numpy integers pass by __index__, a bool does not."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be {'positive' if minimum else 'non-negative'}, got {value}")
 
 
-def check_seed(seed) -> None:
-    """numpy seeds must be non-negative integers; say so by name, not numpy's way."""
-    check_integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+def check_real(name: str, value, low, high) -> None:
+    """Refuse, by name, a non-number or one outside the open interval (low, high),
+    NaN included. numpy floats and Python ints pass, a bool does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not low < value < high:  # false for NaN too
+        raise ValueError(f"{name} must be in ({low}, {high}), got {value!r}")
 
 
 def require_str(value, where, path) -> str:
@@ -177,9 +183,10 @@ class ScalingStats:
     def __post_init__(self):
         if len(self.names) != self.mean.shape[0] or len(self.names) != self.stddev.shape[0]:
             raise ValueError("scaling stats arrays must match the column name list")
-        if np.any(self.stddev <= 0):
-            bad = self.names[int(np.argmax(self.stddev <= 0))]
-            raise ValueError(f"non-positive stddev for column {bad!r}")
+        for fault, bad in (("non-positive stddev", self.stddev <= 0),
+                           ("non-finite mean or stddev", ~(np.isfinite(self.mean) & np.isfinite(self.stddev)))):
+            if np.any(bad):
+                raise ValueError(f"{fault} for column {self.names[int(np.argmax(bad))]!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +210,10 @@ class Table:
                 f"got shape {rows.shape}"
             )
         if not np.all(np.isfinite(rows)):
-            raise ValueError("table cells must be finite (missing values not supported)")
+            j = int(np.argmin(np.isfinite(rows).all(axis=0)))  # the first column, then its first row
+            r = int(np.argmin(np.isfinite(rows[:, j])))
+            raise ValueError(f"column {self.schema.columns[j].name!r}: table cells must be finite, "
+                             f"got {float(rows[r, j])!r} in row {r}")
         for j in self.schema.discrete_indices:
             col = rows[:, j]
             spec = self.schema.columns[j]
@@ -504,9 +514,8 @@ def one_hot_matrix(schema: Schema, rows: np.ndarray) -> np.ndarray:
 
 def train_test_split(table: Table, test_fraction: float, seed: int) -> tuple[Table, Table]:
     """Deterministic shuffled split; test gets round(n * test_fraction) rows."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    check_seed(seed)
+    check_real("test_fraction", test_fraction, 0, 1)
+    check_integer("seed", seed, 0)
     n = table.n_rows
     n_test = int(round(n * test_fraction))
     perm = np.random.default_rng(seed).permutation(n)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import (
-    KIND_DISCRETE, Schema, ScalingStats, Table, apply_scaling, check_seed, one_hot_matrix, standardize,
+    KIND_DISCRETE, Schema, ScalingStats, Table, apply_scaling, check_integer, check_real, one_hot_matrix, standardize,
 )
 from .model import Checkpoint, check_schema, encode_batch, train
 from .nn import row_blocks, softmax
@@ -363,8 +363,7 @@ def mlu(train_scaling: ScalingStats, real_test: Table, synth: Table,
 def vrate(test_values, synth_values, alpha: float) -> float:
     """Share of real test values strictly below the synthetic data's
     empirical alpha-quantile (linear interpolation). Near alpha is good."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    check_real("alpha", alpha, 0, 1)
     test_values = np.asarray(test_values, dtype=np.float64)
     synth_values = np.asarray(synth_values, dtype=np.float64)
     if test_values.size == 0 or synth_values.size == 0:
@@ -424,7 +423,7 @@ def membership_inference(cp: Checkpoint, real_train: Table, real_test: Table,
     jc = schema.index(cls_target)
     if schema.columns[jc].kind != KIND_DISCRETE:
         raise ValueError(f"classification target {cls_target!r} must be discrete")
-    check_seed(seed)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     seed_tr, seed_te, seed_pick = (int(v) for v in rng.integers(0, 2**63, size=3))
 
@@ -518,8 +517,7 @@ def attribute_disclosure(real: Table, synth: Table, known_columns, secret_column
     Distances use the known columns as-is, so pass standardized tables.
     """
     check_schema(real.schema, synth.schema, "attribute_disclosure", "real", "synth")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_integer("k", k, 1)
     if k > synth.n_rows:
         warnings.warn(f"k={k} exceeds the {synth.n_rows} synthetic rows; clamped")
         k = synth.n_rows

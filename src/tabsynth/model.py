@@ -25,14 +25,13 @@ the other.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
 
-from .data import OUTLIER_QUANTILES, Schema, ScalingStats, Table, check_integer, check_seed, one_hot_matrix
+from .data import OUTLIER_QUANTILES, Schema, ScalingStats, Table, check_integer, check_real, one_hot_matrix
 from .nn import (
     Mlp, adam_init, adam_step, layer_views, mlp_backward, mlp_forward, mlp_init,
 )
@@ -67,18 +66,11 @@ class TrainConfig:
     hidden_width: int = 32
 
     def __post_init__(self):
-        check_seed(self.seed)
+        check_integer("seed", self.seed, 0)
         for name in ("epochs", "batch_size", "latent_dim", "knot_count", "hidden_width"):
-            value = getattr(self, name)
-            check_integer(name, value)
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
+            check_integer(name, getattr(self, name), 1)
         for name in ("learning_rate", "beta"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not 0 < value < np.inf:  # false for NaN too
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+            check_real(name, getattr(self, name), 0, np.inf)
 
 
 @dataclass(frozen=True)
@@ -137,6 +129,11 @@ class Checkpoint(VaeModel):
     loss_trace: list[LossBreakdown]
 
 
+# the most parameters a model may have: 512 MiB per float64 copy, of which a
+# training step holds six (parameters, gradient, two Adam moments, two scratch)
+MAX_PARAMETERS = 2**26
+
+
 def decoder_width(schema: Schema, knot_count: int) -> int:
     """P gammas, P * M raw slopes and the logits: the one-hot row's width plus P * M."""
     return schema.encoded_width + len(schema.numeric_indices) * knot_count
@@ -174,8 +171,13 @@ def model_init(schema: Schema, config: TrainConfig, rng: np.random.Generator) ->
     """Glorot-uniform weights and zero biases, the encoder's drawn first. The
     decoder is drawn with the M+2 outputs per numeric column p it had before
     checkpoint format 2, then the last layer's row p*(M+2) + M+1 is dropped,
-    so every seed keeps its weights, and the rest are taken in head_order."""
-    encoder_sizes, (d, h, width) = net_sizes(schema, config)
+    so every seed keeps its weights, and the rest are taken in head_order.
+    A model of more than MAX_PARAMETERS parameters is refused before any is drawn."""
+    encoder_sizes, (d, h, width) = nets = net_sizes(schema, config)
+    count = sum(n_out * (n_in + 1) for net in nets for n_in, n_out in zip(net, net[1:]))
+    if count > MAX_PARAMETERS:
+        raise ValueError(f"model has {count} parameters, more than MAX_PARAMETERS = {MAX_PARAMETERS} "
+                         f"(hidden_width={h}, latent_dim={d}, knot_count={config.knot_count})")
     encoder = mlp_init(encoder_sizes, rng)
     p, m = len(schema.numeric_indices), config.knot_count
     sizes = (d, h, width + p)

@@ -21,8 +21,8 @@ Every kernel takes the knot grid as one Knots: the positions d (M+1,) and
 the per-knot constants that every batch reuses, built once by knot_table
 (or uniform_knots), so no call rebuilds them.
 
-chain_slope_grads writes into a caller's array given out=, numpy's idiom,
-such as the slope rows of the decoder's gradient.
+chain_slope_grads writes into out, a caller's array of the slopes' shape,
+such as the slope rows of the decoder's gradient, and returns it.
 
 A batch of N splines is stored knot-major: slopes s (M, N), knot values
 (M+1, N), one entry per spline in gamma (N,), x (N,) and alpha_tilde (N,).
@@ -200,9 +200,9 @@ def crps_grad_from_alpha(alpha: np.ndarray, knots: Knots):
     return d_gamma, d_s
 
 
-def chain_slope_grads(ds: np.ndarray, s: np.ndarray, out=None) -> np.ndarray:
+def chain_slope_grads(ds: np.ndarray, s: np.ndarray, *, out: np.ndarray) -> np.ndarray:
     """Push a gradient ds w.r.t. the slopes s = softplus(raw) back to raw, as
-    ds * -expm1(-s), the logistic of raw; into out, of s's shape, if given."""
+    ds * -expm1(-s), the logistic of raw, into out, of s's shape."""
     out = np.negative(s, out=out)
     np.expm1(out, out=out)
     out *= ds

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import KIND_DISCRETE, KIND_ORDINAL, Table, check_seed
+from .data import KIND_DISCRETE, KIND_ORDINAL, Table, check_integer
 from .model import Checkpoint, decoder_heads
 from .nn import mlp_forward, softmax
 from . import spline as sp
@@ -25,11 +25,9 @@ ROUND_DECIMAL = "decimal"
 
 def sample_prior(n: int, latent_dim: int, seed: int) -> np.ndarray:
     """n independent draws from N(0, I_latent_dim)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if latent_dim < 1:
-        raise ValueError("latent_dim must be at least 1")
-    check_seed(seed)
+    check_integer("n", n, 1)
+    check_integer("latent_dim", latent_dim, 1)
+    check_integer("seed", seed, 0)
     return np.random.default_rng(seed).standard_normal((n, latent_dim))
 
 
@@ -81,9 +79,8 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
     generate(cp, n, s) is the first n rows of generate(cp, n + k, s), and
     memory beyond the output does not grow with n.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    check_seed(seed)
+    check_integer("n", n, 0)
+    check_integer("seed", seed, 0)
     _check_rounding(ordinal_rounding)
     schema = cp.schema
     numeric = schema.numeric_indices
@@ -93,9 +90,8 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
     # one hinge buffer for all pages, so malloc maps it once, in the decoder's
     # own feature-major (M, P, rows) layout: segment m, numeric column p, row r
     buffer = np.empty((knots.size, len(numeric), PAGE_ROWS))
-    finite = np.ones(len(numeric), dtype=bool)
     # an overflowing decoder gives inf and NaN outputs; gumbel_max's check
-    # or the finiteness check below turns them into the one error raised
+    # or Table's finiteness check turns them into the one error raised
     with np.errstate(over="ignore", invalid="ignore"):
         for page, start in enumerate(range(0, n, PAGE_ROWS)):
             out = rows[start : start + PAGE_ROWS]
@@ -112,7 +108,6 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
             hinge *= sp.slopes_to_b(raw)
             # back to native units, then snap ordinals to their level grid
             values = (gamma + hinge.sum(axis=0)) * stddev + mean
-            finite &= np.isfinite(values).all(axis=1)
             for k, col in enumerate(numeric):
                 if schema.columns[col].kind == KIND_ORDINAL:
                     values[k] = round_ordinal(values[k], ordinal_rounding)
@@ -123,9 +118,6 @@ def generate(cp: Checkpoint, n: int, seed: int, ordinal_rounding: str = ROUND_IN
                     out[:, col] = gumbel_max(softmax(scores), noise.T)
                 except ValueError as err:
                     raise ValueError(f"column {schema.columns[col].name!r}: {err}") from None
-    if not finite.all():
-        col = numeric[int(np.argmin(finite))]
-        raise ValueError(f"column {schema.columns[col].name!r}: sampled values are not finite")
     rows.flags.writeable = False
     return Table(schema=schema, rows=rows, scaling=None)
 
@@ -163,8 +155,7 @@ def estimate_cdf(cp: Checkpoint, column: str, grid=None, n_mc: int = 5000, seed:
     column's 1%-99% training range, or the draws' own range when one value
     fills it (a zero-inflated column).
     """
-    if n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
+    check_integer("n_mc", n_mc, 1)
     schema = cp.schema
     j = schema.index(column)
     if schema.columns[j].kind == KIND_DISCRETE:

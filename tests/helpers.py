@@ -591,7 +591,8 @@ def row_major_elbo_grads(model, rows, noise):
     d_dec = np.zeros_like(dec_out)
     d_numeric = d_dec[:, : p * (m + 1)].reshape(n, p, m + 1)
     d_numeric[:, :, 0] = dg.reshape(n, p) * (0.5 / n)
-    d_numeric[:, :, 1:] = sp.chain_slope_grads(ds * (0.5 / n), s_km).reshape(m, n, p).transpose(1, 2, 0)
+    d_raw = sp.chain_slope_grads(ds * (0.5 / n), s_km, out=np.empty_like(s_km))
+    d_numeric[:, :, 1:] = d_raw.reshape(m, n, p).transpose(1, 2, 0)
     ce_sum, pos = 0.0, p * (m + 1)
     for col in schema.discrete_indices:
         t = schema.columns[col].n_levels

@@ -327,6 +327,30 @@ def test_evaluate_with_mia_rejects_a_negative_seed_before_the_report(workspace, 
     assert report_calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--n", "-1", "--seed", "1"], "n must be non-negative, got -1"),
+    (["cdf", "--column", "x", "--mc", "0"], "n_mc must be positive, got 0"),
+])
+def test_counts_are_refused_naming_the_argument(workspace, trained, capsys, argv, message):
+    out = workspace / "never_count.csv"
+    assert cli.main([*argv, "--model", str(trained), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_train_refuses_a_model_over_max_parameters(workspace, monkeypatch, capsys):
+    # the bound is lowered, so a check that let the model through would
+    # allocate kilobytes; 36 * 64 + 28 parameters for this table at --hidden 64
+    monkeypatch.setattr("tabsynth.model.MAX_PARAMETERS", 300)
+    out = workspace / "never_large.json"
+    argv = ["train", "--data", str(workspace / "train.csv"), "--schema", str(workspace / "schema.json"),
+            "--seed", "1", "--out", str(out), "--hidden", "64"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == ("error: model has 2332 parameters, more than MAX_PARAMETERS = 300 "
+                                       "(hidden_width=64, latent_dim=2, knot_count=10)\n")
+    assert not out.exists()
+
+
 def test_evaluate_with_mia_rejects_a_corrupt_model_before_the_report(workspace, report_calls, capsys):
     bad = workspace / "corrupt_model.json"
     bad.write_text("{broken", encoding="utf-8")
@@ -384,7 +408,7 @@ def test_generate_numeric_overflow_exit_1_naming_the_column(workspace, trained):
     out = workspace / "never_numeric.csv"
     result = run_cli("generate", "--model", broken, "--n", 50, "--seed", 1, "--out", out)
     assert result.returncode == 1
-    assert result.stderr == "error: column 'x': sampled values are not finite\n"
+    assert result.stderr == "error: column 'x': table cells must be finite, got inf in row 0\n"
     assert not out.exists()
 
 

@@ -186,6 +186,18 @@ def test_table_validates_shape_and_cells():
         Table(schema, np.array([[1.0, 2.0, 0.5]]))
 
 
+@pytest.mark.parametrize("column, value", [(0, math.nan), (0, -math.inf), (2, math.nan), (2, math.inf)])
+def test_table_names_the_column_of_a_non_finite_cell(column, value):
+    rows = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 1.0]])
+    rows[1, column] = value
+    name = small_schema().columns[column].name
+    with pytest.raises(ValueError, match=rf"^column '{name}': table cells must be finite, got {value!r} in row 1$"):
+        Table(small_schema(), rows)
+    rows[0, 1] = math.inf  # the first column in schema order is named, not the first row
+    with pytest.raises(ValueError, match=rf"^column '{name if column == 0 else 'score'}': "):
+        Table(small_schema(), rows)
+
+
 def test_table_rows_are_immutable():
     table = Table(small_schema(), np.array([[1.0, 2.0, 1.0]]))
     with pytest.raises(ValueError):
@@ -670,6 +682,22 @@ def test_apply_scaling_uses_given_stats():
 def test_scaling_stats_reject_non_positive_stddev():
     with pytest.raises(ValueError, match="'x'"):
         ScalingStats(names=("x",), mean=np.zeros(1), stddev=np.zeros(1))
+
+
+@pytest.mark.parametrize("mean, stddev", [(math.inf, 1.0), (math.nan, 1.0), (0.0, math.inf), (0.0, math.nan)])
+def test_scaling_stats_reject_non_finite_stats_by_column(mean, stddev):
+    # apply_scaling used to take them and fail with a message naming no column
+    with pytest.raises(ValueError, match=r"^non-finite mean or stddev for column 'y'$"):
+        ScalingStats(names=("x", "y"), mean=np.array([0.0, mean]), stddev=np.array([1.0, stddev]))
+
+
+def test_apply_scaling_overflow_names_the_column():
+    schema = Schema((ColumnSpec("x", "continuous"), ColumnSpec("y", "continuous")))
+    stats = ScalingStats(names=("x", "y"), mean=np.zeros(2), stddev=np.array([1.0, 1e-300]))
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match=r"^column 'y': table cells must be finite, got inf in row 1$"
+    ):
+        apply_scaling(Table(schema, np.array([[1.0, 1e-10], [2.0, 1e10]])), stats)
 
 
 def test_one_hot_layout():

@@ -714,7 +714,7 @@ ONE_COLUMN = num_table([1.0, 2.0, 3.0])
     (lambda: vrate([1.0], [], 0.5), r"^vrate needs non-empty samples$"),
     (lambda: mare([], []), r"^mare needs non-empty samples$"),
     (lambda: macro_f1([], []), r"^macro_f1 needs non-empty samples$"),
-    (lambda: attribute_disclosure(MIXED, MIXED, ["x"], ["c"], k=0), r"^k must be at least 1$"),
+    (lambda: attribute_disclosure(MIXED, MIXED, ["x"], ["c"], k=0), r"^k must be positive, got 0$"),
     (lambda: dcr(MIXED, MIXED, search=metrics._neighbor_search(MIXED, MIXED, [0], [2], (1,))),
      r"^dcr needs a search on the numeric columns of the real rows$"),
     (lambda: attribute_disclosure(MIXED, MIXED, ["x"], ["c"], k=2,

@@ -168,6 +168,20 @@ def test_model_init_draws_m_plus_2_outputs_per_numeric_column_and_drops_the_last
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
+def test_model_init_refuses_a_model_over_max_parameters_before_drawing(monkeypatch):
+    config = TrainConfig(seed=4, knot_count=3, latent_dim=4, hidden_width=17)
+    count = model_init(MIX_SCHEMA, config, np.random.default_rng(4)).params.size
+    monkeypatch.setattr("tabsynth.model.MAX_PARAMETERS", count)
+    assert model_init(MIX_SCHEMA, config, np.random.default_rng(4)).params.size == count
+    monkeypatch.setattr("tabsynth.model.MAX_PARAMETERS", count - 1)
+    rng = np.random.default_rng(4)
+    message = (f"model has {count} parameters, more than MAX_PARAMETERS = {count - 1} "
+               "(hidden_width=17, latent_dim=4, knot_count=3)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        model_init(MIX_SCHEMA, config, rng)
+    assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state  # nothing drawn
+
+
 def test_model_init_decoder_written_back_in_file_order_is_the_draw():
     config = TrainConfig(seed=4, knot_count=3, latent_dim=4, hidden_width=17)
     model = model_init(MIX_SCHEMA, config, np.random.default_rng(4))

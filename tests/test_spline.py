@@ -80,7 +80,8 @@ def test_slopes_to_b_values_and_guards():
 def logistic_from_slopes(x):
     """The logistic as the training step computes it, from the slopes
     slopes_to_b(x): chain_slope_grads of a unit gradient."""
-    return chain_slope_grads(1.0, slopes_to_b(x))
+    s = slopes_to_b(x)
+    return chain_slope_grads(1.0, s, out=np.empty_like(s))
 
 
 @pytest.mark.parametrize(("fast", "reference"), [
@@ -458,7 +459,7 @@ def test_grad_chains_through_raw_slopes():
         if np.min(np.abs(knot_values(gamma, s.T, knots) - x)) < 1e-6:
             continue
         _, _, ds = crps_loss_batch(gamma, s.T, knots, x)
-        (d_raw,) = chain_slope_grads(ds.T, s)
+        (d_raw,) = chain_slope_grads(ds.T, s, out=np.empty_like(s))
 
         bumped = slope_raw + np.concatenate([eps * np.eye(6), -eps * np.eye(6)])
         losses, _, _ = crps_loss_batch(np.repeat(gamma, 12), slopes_to_b(bumped).T, knots, np.repeat(x, 12))
@@ -469,7 +470,8 @@ def test_grad_chains_through_raw_slopes():
 
 def test_chain_slope_grads_into_out_matches_the_returning_form_bit_for_bit():
     # slopes at 0, subnormal and tiny, ordinary, and past +-40, where the
-    # logistic is 1 or exp(-s) - 1 overflows; out a row block of a larger array
+    # logistic is 1 or exp(-s) - 1 overflows; out a row block of a larger
+    # array, against out a fresh array
     rng = np.random.default_rng(14)
     s = np.array([[0.0, -0.0, 5e-324, 1e-300, 1e-17, 0.3],
                   [1.0, 39.5, 40.5, 745.0, -40.5, -710.0]])
@@ -478,7 +480,7 @@ def test_chain_slope_grads_into_out_matches_the_returning_form_bit_for_bit():
     buffer = np.full((4, 6), np.nan)
     with np.errstate(over="ignore"):
         got = chain_slope_grads(ds, s, out=buffer[1:3])
-        want = chain_slope_grads(ds, s)
+        want = chain_slope_grads(ds, s, out=np.empty_like(s))
     assert np.shares_memory(got, buffer) and got.tobytes() == want.tobytes()
     assert np.isnan(buffer[[0, 3]]).all()
 

@@ -179,7 +179,7 @@ def test_generate_numeric_overflow_fails_at_the_finiteness_check(mixed_checkpoin
     broken = replace(mixed_checkpoint, params=mixed_checkpoint.params.copy())
     weight, bias = broken.decoder[-1]
     bias[0], weight[0] = 1.79e308, 1e306  # column x's gamma
-    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"), pytest.raises(ValueError, match="^column 'x': sampled values are not finite$"):
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"), pytest.raises(ValueError, match="^column 'x': table cells must be finite, got inf in row 0$"):
         warnings.simplefilter("error")
         generate(broken, 50, seed=0)
 
@@ -351,7 +351,7 @@ def test_estimate_cdf_rejects_a_nan_grid_point(normal_checkpoint):
 
 @pytest.mark.parametrize("n_mc", [0, -5])
 def test_estimate_cdf_needs_a_draw(normal_checkpoint, n_mc):
-    with pytest.raises(ValueError, match="^n_mc must be at least 1$"):
+    with pytest.raises(ValueError, match=f"^n_mc must be positive, got {n_mc}$"):
         estimate_cdf(normal_checkpoint, "x", n_mc=n_mc)
 
 
