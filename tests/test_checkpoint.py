@@ -245,7 +245,8 @@ def test_rejects_number_out_of_float_range(small_checkpoint, path, literal, name
 
 @pytest.mark.parametrize("key, value, message", [
     ("seed", -1, "seed must be non-negative"),
-    ("beta", 0.0, r"beta must be in \(0, inf\), got 0.0"),
+    pytest.param("beta", 0.0, r"beta must be in \(0, inf\), got 0.0",
+                 id="beta-0.0-beta must be a finite positive number"),
     ("epochs", 0, "epochs must be positive"),
 ])
 def test_rejects_config_that_train_config_rejects(small_checkpoint, key, value, message):
